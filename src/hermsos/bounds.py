@@ -110,11 +110,22 @@ def _power_sum(m: int, a: int) -> int:
 
 
 def _min_m_with_power_sum(a: int, target: int) -> int:
-    """Least m >= 1 with _power_sum(m, a) >= target; the sum is increasing in m."""
-    m = 1
-    while _power_sum(m, a) < target:
-        m += 1
-    return m
+    """Least m >= 1 with _power_sum(m, a) >= target; the sum is increasing in m.
+
+    Doubling finds an m that reaches the target, then bisection finds the
+    least one, in O(log m) evaluations of the sum.
+    """
+    hi = 1
+    while _power_sum(hi, a) < target:
+        hi *= 2
+    lo = hi // 2 + 1  # every m <= hi // 2 falls short
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _power_sum(mid, a) < target:
+            lo = mid + 1
+        else:
+            hi = mid
+    return hi
 
 
 def check_rational_modification_rank(n: int, e: int, m: int, a: int, b: int) -> BoundReport:

@@ -3,7 +3,9 @@
 Subcommands operate on JSON documents (see ``documents``) and print either
 human-readable text or CSV.  Exit codes: 0 success, 1 a verification that
 ran and failed, 2 malformed input or an invalid value, 3 a map that does
-not vanish at the origin, 4 a map with linearly dependent components.
+not vanish at the origin, 4 a map with linearly dependent components, 5 an
+internal invariant violated (an ``ArithmeticError`` from a check that
+cannot fail on correct code, such as an inexact division in elimination).
 """
 
 from __future__ import annotations
@@ -144,7 +146,9 @@ def cmd_solve_h(args) -> int:
     print(f"m: {len(h)}")
     for i, (weight, poly) in enumerate(h.weighted_components()):
         print(f"component {i}: scale {weight}, poly {poly}")
-    _print_report(check_affine_norm_product(f.n, len(f), len(h)), "text")
+    if args.b == 1 and args.c == 1:
+        # thm2.4 bounds the rank of (1 + ||z||^2)(1 + ||f||^2) - 1 only
+        _print_report(check_affine_norm_product(f.n, len(f), len(h)), "text")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(serialize_map_document(h), handle, indent=2)
@@ -235,7 +239,10 @@ def cmd_divide(args) -> int:
 
 
 def cmd_example1(args) -> int:
-    lam = Fraction(args.lam)
+    try:
+        lam = Fraction(args.lam)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational lambda {args.lam!r}") from exc
     r = r_lambda(lam)
     print(f"lambda: {lam}")
     r_diag = [r.coefficient(Monomial((k,)), Monomial((k,))) for k in range(5)]
@@ -422,6 +429,9 @@ def main(argv=None) -> int:
     except (DocumentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: internal invariant violated: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -35,7 +35,16 @@ from .polyalg import (
     monomials_of_degree,
     norm_form,
 )
-from .rankdecomp import ScaledMap, affine_split, extract_sos, inertia, reduce_minimal
+# inertia is unused here but stays importable from this module for callers
+# that reach it through hermsos.isometry
+from .rankdecomp import (  # noqa: F401
+    NotSOSError,
+    ScaledMap,
+    _affine_block,
+    extract_sos,
+    inertia,
+    reduce_minimal,
+)
 
 MapLike = Union[HoloMap, ScaledMap]
 
@@ -107,13 +116,13 @@ def solve_h(f: MapLike, b: int, c: int) -> ScaledMap:
     it returns rank-many components, which is the least possible count.
     """
     spec = ModificationSpec(f, 1, b, c)
-    total = modification_form(spec)
-    ok, _ = affine_split(total)
-    if not ok:
-        raise ArithmeticError("expansion lost positivity; this cannot happen")
-    const = Monomial((0,) * f.n)
-    block = total.restrict([m for m in total.basis if m != const])
-    return extract_sos(block)
+    block = _affine_block(modification_form(spec))
+    if block is not None:
+        try:
+            return extract_sos(block)
+        except NotSOSError:
+            pass
+    raise ArithmeticError("expansion lost positivity; this cannot happen")
 
 
 def verify_identity(f: MapLike, h: MapLike, a: int, b: int, c: int) -> bool:

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 
@@ -760,13 +761,43 @@ def norm_form(f) -> HermitianForm:
     )
     index = {mon: i for i, mon in enumerate(support)}
     size = len(support)
-    rows = [[GR_ZERO] * size for _ in range(size)]
+    # Each component becomes a Gaussian-integer vector v_k over one
+    # denominator q_k, so w_k c_k c_k^H = w_k v_k v_k^H / q_k^2; the sum is
+    # accumulated over Z[i] at the common denominator of all the w_k / q_k^2.
+    vectors = []
+    den = 1
     for weight, poly in pairs:
-        coeffs = [(index[mon], val) for mon, val in poly.terms.items()]
-        for i, ci in coeffs:
-            wci = ci * weight
-            for j, cj in coeffs:
-                rows[i][j] = rows[i][j] + wci * cj.conjugate()
+        q = 1
+        for val in poly.terms.values():
+            q = lcm(q, val.re.denominator, val.im.denominator)
+        vec = [
+            (
+                index[mon],
+                val.re.numerator * (q // val.re.denominator),
+                val.im.numerator * (q // val.im.denominator),
+            )
+            for mon, val in poly.terms.items()
+        ]
+        scale = weight.denominator * q * q
+        den = lcm(den, scale)
+        vectors.append((weight.numerator, scale, vec))
+    re = [[0] * size for _ in range(size)]
+    im = [[0] * size for _ in range(size)]
+    for num, scale, vec in vectors:
+        s = num * (den // scale)
+        for i, a_re, a_im in vec:
+            s_re, s_im = s * a_re, s * a_im
+            re_i, im_i = re[i], im[i]
+            for j, b_re, b_im in vec:
+                re_i[j] += s_re * b_re + s_im * b_im
+                im_i[j] += s_im * b_re - s_re * b_im
+    rows = [
+        [
+            GaussianRational(Fraction(x, den), Fraction(y, den)) if x or y else GR_ZERO
+            for x, y in zip(re_i, im_i)
+        ]
+        for re_i, im_i in zip(re, im)
+    ]
     return HermitianForm(f.n, support, rows)
 
 

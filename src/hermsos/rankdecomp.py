@@ -16,16 +16,23 @@ Everything here runs over exact Gaussian-rational arithmetic:
 The number of squares in any such representation is bounded below by the
 rank, and ``extract_sos`` achieves the rank, so these routines together
 decide minimality questions exactly.
+
+``inertia`` and ``extract_sos`` share one elimination kernel.  It is
+fraction-free: the Gram matrix is scaled once to Gaussian integers over a
+common denominator and eliminated by symmetric Bareiss steps, in which every
+division is an exact division by a real integer pivot, checked to leave no
+remainder.  No gcd is taken inside the elimination; rationals are formed
+only when the pivots and factor columns are read out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, NamedTuple, Tuple
+from math import lcm
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .polyalg import (
-    GR_I,
     GR_ONE,
     GR_ZERO,
     GaussianRational,
@@ -51,6 +58,110 @@ class Inertia(NamedTuple):
         return self.pos + self.neg
 
 
+def _ldlh(form: HermitianForm, pivoting: bool):
+    """Fraction-free LDL^H of the Gram matrix: one step per eliminated index.
+
+    The matrix is scaled once to Gaussian integers D * G with D the least
+    common denominator, then eliminated by symmetric Bareiss steps
+    a_ij <- (p * a_ij - a_ik * a_kj) / p_prev.  Every entry stays a Gaussian
+    integer (after each step it is a minor of D * G, or of an integer
+    congruent copy once pivoting has acted) and each pivot is real (a
+    principal minor of a Hermitian matrix), so each division is an exact
+    division by a real integer; a nonzero remainder raises ArithmeticError.
+
+    Yields (index, pivot, scale, column) with ``index`` the basis position
+    of the pivot.  The diagonal factor is d = pivot / scale and the unit
+    lower factor has L[i][index] = (re + im*i) / pivot for each (i, re, im)
+    in ``column``; indices absent from ``column`` have L = 0.
+
+    With ``pivoting`` the pivot is the first nonzero trailing diagonal
+    entry, swapped into place; if the trailing diagonal is all zero, the
+    first nonzero off-diagonal entry w at (i, j) is moved onto the diagonal
+    by the integer congruence row_i += c * row_j, col_i += conj(c) * col_j
+    with c in {1, i} chosen so that 2 Re(c * conj(w)) != 0.  Elimination
+    stops once the trailing block is zero, so every pivot is nonzero.
+
+    Without ``pivoting`` indices are taken in basis order.  A zero diagonal
+    entry is yielded with pivot 0 and then skipped; the factorization is
+    valid only if its ``column`` is empty, which the caller must check.
+    """
+    size = form.size
+    den = 1
+    for row in form.gram:
+        for v in row:
+            den = lcm(den, v.re.denominator, v.im.denominator)
+    re = [[v.re.numerator * (den // v.re.denominator) for v in row] for row in form.gram]
+    im = [[v.im.numerator * (den // v.im.denominator) for v in row] for row in form.gram]
+    order = list(range(size))
+    prev = 1
+    for k in range(size):
+        if pivoting:
+            pivot = next((i for i in range(k, size) if re[i][i]), None)
+            if pivot is None:
+                loc = next(
+                    (
+                        (i, j)
+                        for i in range(k, size)
+                        for j in range(i + 1, size)
+                        if re[i][j] or im[i][j]
+                    ),
+                    None,
+                )
+                if loc is None:
+                    return  # trailing block is zero
+                i, j = loc
+                ri, ii, rj, ij = re[i], im[i], re[j], im[j]
+                if ri[j]:  # c = 1
+                    for t in range(k, size):
+                        ri[t] += rj[t]
+                        ii[t] += ij[t]
+                    for t in range(k, size):
+                        re[t][i] += re[t][j]
+                        im[t][i] += im[t][j]
+                else:  # c = i
+                    for t in range(k, size):
+                        ri[t] -= ij[t]
+                        ii[t] += rj[t]
+                    for t in range(k, size):
+                        re[t][i] += im[t][j]
+                        im[t][i] -= re[t][j]
+                pivot = i
+            if pivot != k:
+                for mat in (re, im):
+                    mat[k], mat[pivot] = mat[pivot], mat[k]
+                    for row in mat:
+                        row[k], row[pivot] = row[pivot], row[k]
+                order[k], order[pivot] = order[pivot], order[k]
+        p = re[k][k]
+        column = [
+            (order[i], re[i][k], im[i][k])
+            for i in range(k + 1, size)
+            if re[i][k] or im[i][k]
+        ]
+        yield order[k], p, prev * den, column
+        if not p:
+            continue
+        # trailing update of the upper triangle, mirrored to keep it Hermitian
+        rk, ik = re[k], im[k]
+        for i in range(k + 1, size):
+            ri, ii = re[i], im[i]
+            a_re, a_im = ri[k], ii[k]
+            for j in range(i, size):
+                b_re, b_im = rk[j], ik[j]
+                x = p * ri[j] - (a_re * b_re - a_im * b_im)
+                y = p * ii[j] - (a_re * b_im + a_im * b_re)
+                if prev != 1:
+                    x, rx = divmod(x, prev)
+                    y, ry = divmod(y, prev)
+                    if rx or ry:
+                        raise ArithmeticError("inexact division in fraction-free elimination")
+                ri[j] = x
+                ii[j] = y
+                re[j][i] = x
+                im[j][i] = -y
+        prev = p
+
+
 def inertia(form: HermitianForm) -> Inertia:
     """Signature of the Gram matrix by exact congruence diagonalization.
 
@@ -58,56 +169,12 @@ def inertia(form: HermitianForm) -> Inertia:
     positive and negative pivots after full diagonalization is independent
     of the monomial basis used to present the form.
     """
-    size = form.size
-    h = [list(row) for row in form.gram]
     pos = neg = 0
-    for k in range(size):
-        # find a usable pivot: a nonzero diagonal entry in the trailing block
-        pivot = next((i for i in range(k, size) if h[i][i]), None)
-        if pivot is None:
-            # diagonal is all zero; look for any nonzero off-diagonal entry
-            loc = next(
-                (
-                    (i, j)
-                    for i in range(k, size)
-                    for j in range(i + 1, size)
-                    if h[i][j]
-                ),
-                None,
-            )
-            if loc is None:
-                break  # trailing block is zero, done
-            i, j = loc
-            w = h[i][j]
-            # row_i += c * row_j and col_i += conj(c) * col_j puts
-            # 2*Re(c*w) on the diagonal; pick c so that it is nonzero
-            c = GR_ONE if w.re else GR_I
-            cbar = c.conjugate()
-            for t in range(k, size):
-                h[i][t] = h[i][t] + c * h[j][t]
-            for t in range(k, size):
-                h[t][i] = h[t][i] + cbar * h[t][j]
-            pivot = i
-        if pivot != k:
-            h[k], h[pivot] = h[pivot], h[k]
-            for row in h:
-                row[k], row[pivot] = row[pivot], row[k]
-        d = h[k][k]
-        if d.re > 0:
+    for _, pivot, scale, _ in _ldlh(form, pivoting=True):
+        if (pivot > 0) == (scale > 0):
             pos += 1
         else:
             neg += 1
-        # Schur update of the trailing block: row k then column k are
-        # eliminated by congruence, which keeps the block Hermitian
-        for i in range(k + 1, size):
-            m = h[i][k] / d
-            if not m:
-                continue
-            for j in range(k, size):
-                h[i][j] = h[i][j] - m * h[k][j]
-        for i in range(k + 1, size):
-            h[k][i] = GR_ZERO
-        h[k][k] = d
     return Inertia(pos, neg)
 
 
@@ -160,31 +227,22 @@ def extract_sos(form: HermitianForm) -> ScaledMap:
     ``NotSOSError``; for a PSD matrix neither can occur, so no pivoting is
     ever needed.
     """
-    size = form.size
-    h = [list(row) for row in form.gram]
     comps: List[Tuple[Fraction, HoloPoly]] = []
-    for k in range(size):
-        d = h[k][k]
-        if not d:
-            if any(h[k][j] for j in range(k, size)):
+    for k, pivot, scale, column in _ldlh(form, pivoting=False):
+        if not pivot:
+            if column:
                 raise NotSOSError(
                     "zero diagonal entry with a nonzero row: the form is indefinite"
                 )
             continue
-        if d.im or d.re < 0:
+        d = Fraction(pivot, scale)
+        if d < 0:
             raise NotSOSError(f"negative pivot {d} at {form.basis[k]}: not a sum of squares")
         # column k of the factor, scaled so the pivot coefficient is 1
-        mults = {i: h[i][k] / d for i in range(k + 1, size) if h[i][k]}
-        column = {form.basis[k]: GR_ONE}
-        column.update({form.basis[i]: li for i, li in mults.items()})
-        comps.append((d.re, HoloPoly(form.n, column)))
-        for i, li in mults.items():
-            dli = d * li
-            for j, lj in mults.items():
-                h[i][j] = h[i][j] - dli * lj.conjugate()
-        for i in range(k + 1, size):
-            h[k][i] = GR_ZERO
-            h[i][k] = GR_ZERO
+        terms = {form.basis[k]: GR_ONE}
+        for i, a_re, a_im in column:
+            terms[form.basis[i]] = GaussianRational(Fraction(a_re, pivot), Fraction(a_im, pivot))
+        comps.append((d, HoloPoly(form.n, terms)))
     return ScaledMap(form.n, tuple(comps))
 
 
@@ -247,6 +305,16 @@ def grams_equal(f, g) -> bool:
     return norm_form(f) == norm_form(g)
 
 
+def _affine_block(form: HermitianForm) -> Optional[HermitianForm]:
+    """The non-constant block B when form == 1 + B with B not coupled to 1, else None."""
+    const = Monomial((0,) * form.n)
+    if form.constant_coefficient() != GR_ONE:
+        return None
+    if any((ma == const) != (mb == const) for ma, mb, _ in form.entries()):
+        return None
+    return form.restrict([m for m in form.basis if m != const])
+
+
 def affine_split(form: HermitianForm) -> Tuple[bool, int]:
     """Test whether form == 1 + ||h||^2 for some map h.
 
@@ -255,14 +323,9 @@ def affine_split(form: HermitianForm) -> Tuple[bool, int]:
     coupling between the constant and the rest of the basis, and the
     remaining block to be positive semidefinite.
     """
-    const = Monomial((0,) * form.n)
-    if form.constant_coefficient() != GR_ONE:
+    block = _affine_block(form)
+    if block is None:
         return False, 0
-    if any(
-        (ma == const) != (mb == const) for ma, mb, _ in form.entries()
-    ):
-        return False, 0
-    block = form.restrict([m for m in form.basis if m != const])
     sig = inertia(block)
     if sig.neg:
         return False, 0

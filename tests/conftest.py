@@ -4,18 +4,25 @@ Randomized tests use explicit seeded random.Random instances so every run
 is reproducible.  Oracles here deliberately avoid the code paths they
 check: squared norms are validated by pointwise evaluation over exact
 rationals, inertia by explicit congruence matrices, ranks by counting.
+The reference eliminations at the end run over ``GaussianRational``
+arithmetic, sharing no code with the package's fraction-free kernel.
 """
 
 from fractions import Fraction
-from typing import List
+from typing import List, Tuple
 
 from hermsos import (
+    GR_I,
+    GR_ONE,
     GR_ZERO,
     GaussianRational,
     HermitianForm,
     HoloMap,
     HoloPoly,
+    Inertia,
     Monomial,
+    NotSOSError,
+    grlex_key,
     monomials_of_degree,
     monomials_up_to_degree,
 )
@@ -127,3 +134,104 @@ def rand_hermitian_form(rng, n, degree_max=1, height=3) -> HermitianForm:
         [raw[i][j] + raw[j][i].conjugate() for j in range(size)] for i in range(size)
     ]
     return HermitianForm(n, basis, herm)
+
+
+# -- reference eliminations over Gaussian rationals --------------------------
+
+
+def reference_inertia(form: HermitianForm) -> Inertia:
+    """Signature by congruence diagonalization with rational Schur updates."""
+    size = form.size
+    h = [list(row) for row in form.gram]
+    pos = neg = 0
+    for k in range(size):
+        # find a usable pivot: a nonzero diagonal entry in the trailing block
+        pivot = next((i for i in range(k, size) if h[i][i]), None)
+        if pivot is None:
+            # diagonal is all zero; look for any nonzero off-diagonal entry
+            loc = next(
+                (
+                    (i, j)
+                    for i in range(k, size)
+                    for j in range(i + 1, size)
+                    if h[i][j]
+                ),
+                None,
+            )
+            if loc is None:
+                break  # trailing block is zero, done
+            i, j = loc
+            w = h[i][j]
+            # row_i += c * row_j and col_i += conj(c) * col_j puts
+            # 2*Re(c*w) on the diagonal; pick c so that it is nonzero
+            c = GR_ONE if w.re else GR_I
+            cbar = c.conjugate()
+            for t in range(k, size):
+                h[i][t] = h[i][t] + c * h[j][t]
+            for t in range(k, size):
+                h[t][i] = h[t][i] + cbar * h[t][j]
+            pivot = i
+        if pivot != k:
+            h[k], h[pivot] = h[pivot], h[k]
+            for row in h:
+                row[k], row[pivot] = row[pivot], row[k]
+        d = h[k][k]
+        if d.re > 0:
+            pos += 1
+        else:
+            neg += 1
+        # Schur update of the trailing block: row k then column k are
+        # eliminated by congruence, which keeps the block Hermitian
+        for i in range(k + 1, size):
+            m = h[i][k] / d
+            if not m:
+                continue
+            for j in range(k, size):
+                h[i][j] = h[i][j] - m * h[k][j]
+        for i in range(k + 1, size):
+            h[k][i] = GR_ZERO
+        h[k][k] = d
+    return Inertia(pos, neg)
+
+
+def reference_extract_sos(form: HermitianForm) -> List[Tuple[Fraction, HoloPoly]]:
+    """The (weight, polynomial) pairs of an unpivoted rational LDL^H."""
+    size = form.size
+    h = [list(row) for row in form.gram]
+    comps: List[Tuple[Fraction, HoloPoly]] = []
+    for k in range(size):
+        d = h[k][k]
+        if not d:
+            if any(h[k][j] for j in range(k, size)):
+                raise NotSOSError(
+                    "zero diagonal entry with a nonzero row: the form is indefinite"
+                )
+            continue
+        if d.im or d.re < 0:
+            raise NotSOSError(f"negative pivot {d} at {form.basis[k]}: not a sum of squares")
+        mults = {i: h[i][k] / d for i in range(k + 1, size) if h[i][k]}
+        column = {form.basis[k]: GR_ONE}
+        column.update({form.basis[i]: li for i, li in mults.items()})
+        comps.append((d.re, HoloPoly(form.n, column)))
+        for i, li in mults.items():
+            dli = d * li
+            for j, lj in mults.items():
+                h[i][j] = h[i][j] - dli * lj.conjugate()
+        for i in range(k + 1, size):
+            h[k][i] = GR_ZERO
+            h[i][k] = GR_ZERO
+    return comps
+
+
+def reference_norm_form(f) -> HermitianForm:
+    """sum_k w_k c_k c_k^H summed cell by cell in Gaussian rationals."""
+    pairs = list(f.weighted_components())
+    support = sorted({mon for _, poly in pairs for mon in poly.terms}, key=grlex_key)
+    index = {mon: i for i, mon in enumerate(support)}
+    rows = [[GR_ZERO] * len(support) for _ in support]
+    for weight, poly in pairs:
+        for ma, ca in poly.terms.items():
+            for mb, cb in poly.terms.items():
+                i, j = index[ma], index[mb]
+                rows[i][j] = rows[i][j] + ca * cb.conjugate() * weight
+    return HermitianForm(f.n, support, rows)

@@ -1,4 +1,5 @@
 import random
+import time
 from math import comb
 
 import pytest
@@ -25,6 +26,7 @@ from hermsos import (
     substitute_powers,
     verify_injective,
 )
+from hermsos.bounds import _min_m_with_power_sum
 
 
 def test_modification_rank_bands():
@@ -97,6 +99,23 @@ def test_rational_modification_rank():
     assert rep.lower == 3  # 3 + C(4,2) = 9 >= 8
     assert rep.upper == 4  # floor(9 / 2)
     assert rep.satisfied
+
+
+def test_min_m_with_power_sum_matches_linear_search():
+    for a in range(1, 5):
+        m = 1
+        for target in range(0, 2001):
+            while sum(comb(m + k - 1, k) for k in range(1, a + 1)) < target:
+                m += 1
+            assert _min_m_with_power_sum(a, target) == m, (a, target)
+
+
+def test_rational_modification_rank_huge_target_is_fast():
+    start = time.perf_counter()
+    rep = check_rational_modification_rank(100000, 200000, 1, 1, 2)
+    assert time.perf_counter() - start < 0.5
+    assert rep.lower == 100000 * 100003 // 2
+    assert not rep.satisfied
 
 
 def test_homogeneous_norm_product():

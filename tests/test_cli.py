@@ -262,3 +262,92 @@ def test_argparse_exits(capsys):
     assert main([]) == 2
     assert main(["rank"]) == 2
     capsys.readouterr()
+
+
+# solve-h stdout pinned byte for byte; the maps mix complex and rational
+# coefficients so every printed scale and coefficient is a nontrivial quotient
+DENSE_MAP = {"n": 2, "components": [
+    [{"exp": [1, 0], "re": 1}, {"exp": [0, 1], "re": 2, "im": -1}],
+    [{"exp": [1, 1], "re": -3}, {"exp": [2, 0], "im": 1}],
+]}
+RATIONAL_MAP = {"n": 2, "components": [
+    [{"exp": [1, 0], "re": "1/2"}, {"exp": [0, 1], "im": "-2/3"}],
+    [{"exp": [0, 2], "re": "3/4", "im": "1/5"}],
+]}
+THM24_P2_R7 = (
+    "theorem: thm2.4\ninputs: n=2 p=2 r=7\nobserved: 7\nlower: 5\nupper: 8\n"
+    "satisfied: true\n"
+)
+GOLDEN_SOLVE_H = [
+    (DENSE_MAP, "1",
+     "m: 7\n"
+     "component 0: scale 2, poly z0 + (1-1/2i)*z1\n"
+     "component 1: scale 7/2, poly z1\n"
+     "component 2: scale 2, poly z0^2 + (1+1i)*z0*z1\n"
+     "component 3: scale 11, poly z0*z1 + (2/11-1/11i)*z1^2\n"
+     "component 4: scale 50/11, poly z1^2\n"
+     "component 5: scale 1, poly z0^3 + 3i*z0^2*z1\n"
+     "component 6: scale 1, poly z0^2*z1 + 3i*z0*z1^2\n" + THM24_P2_R7),
+    (DENSE_MAP, "2",
+     "m: 12\n"
+     "component 0: scale 3, poly z0 + (2/3-1/3i)*z1\n"
+     "component 1: scale 16/3, poly z1\n"
+     "component 2: scale 4, poly z0^2 + (1+1/4i)*z0*z1\n"
+     "component 3: scale 75/4, poly z0*z1 + (16/75-8/75i)*z1^2\n"
+     "component 4: scale 149/15, poly z1^2\n"
+     "component 5: scale 3, poly z0^3 + (2/3+5/3i)*z0^2*z1\n"
+     "component 6: scale 52/3, poly z0^2*z1 + (3/13+3/13i)*z0*z1^2\n"
+     "component 7: scale 353/13, poly z0*z1^2 + (26/353-13/353i)*z1^3\n"
+     "component 8: scale 1700/353, poly z1^3\n"
+     "component 9: scale 1, poly z0^4 + 3i*z0^3*z1\n"
+     "component 10: scale 2, poly z0^3*z1 + 3i*z0^2*z1^2\n"
+     "component 11: scale 1, poly z0^2*z1^2 + 3i*z0*z1^3\n"),
+    (RATIONAL_MAP, "1",
+     "m: 7\n"
+     "component 0: scale 5/4, poly z0 - 4/15i*z1\n"
+     "component 1: scale 61/45, poly z1\n"
+     "component 2: scale 1/4, poly z0^2 - 4/3i*z0*z1\n"
+     "component 3: scale 1/4, poly z0*z1 - 4/3i*z1^2\n"
+     "component 4: scale 241/400, poly z1^2\n"
+     "component 5: scale 241/400, poly z0*z1^2\n"
+     "component 6: scale 241/400, poly z1^3\n" + THM24_P2_R7),
+]
+
+
+@pytest.mark.parametrize("doc,b,expected", GOLDEN_SOLVE_H, ids=["dense-b1", "dense-b2", "rational-b1"])
+def test_solve_h_golden_stdout(tmp_path, capsys, doc, b, expected):
+    path = write_json(tmp_path / "f.json", doc)
+    assert main(["solve-h", "--input", path, "--b", b]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("flag,m", [("--b", 10), ("--c", 8)])
+def test_solve_h_reports_thm24_only_at_b_c_one(tmp_path, capsys, flag, m):
+    # thm2.4 covers (1+||z||^2)(1+||f||^2) only; its band 4..5 would
+    # wrongly reject these correct counts
+    path = write_json(tmp_path / "f.json", {"n": 2, "components": [[{"exp": [1, 1], "re": 1}]]})
+    assert main(["solve-h", "--input", path, flag, "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"m: {m}\n")
+    assert "theorem" not in out
+    assert "satisfied" not in out
+
+
+def test_zero_denominator_is_bad_input(capsys):
+    assert main(["example1", "--lambda", "1/0"]) == 2
+    assert "bad rational lambda '1/0'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,target", [
+    (["solve-h", "--input", "@"], "solve_h"),
+    (["tensor-rank", "--input", "@", "--t", "2"], "tensor_power_rank"),
+])
+def test_internal_invariant_exit_code(pair_map, monkeypatch, capsys, command, target):
+    def broken(*args):
+        raise ArithmeticError("inexact division in fraction-free elimination")
+
+    monkeypatch.setattr(f"hermsos.cli.{target}", broken)
+    argv = [pair_map if a == "@" else a for a in command]
+    assert main(argv) == 5
+    err = capsys.readouterr().err
+    assert err == "error: internal invariant violated: inexact division in fraction-free elimination\n"
