@@ -264,9 +264,8 @@ def cmd_example1(args) -> int:
     print(f"S splits as 1 + ||g||^2: {_bool_text(s_ok)}" + (f", d = {d}" if s_ok else ""))
 
     if p_ok and s_ok:
-        const = Monomial((0,))
-        f_map = extract_sos(p_form.restrict([x for x in p_form.basis if x != const]))
-        g_map = extract_sos(s_form.restrict([x for x in s_form.basis if x != const]))
+        f_map = extract_sos(p_form.drop_constant())
+        g_map = extract_sos(s_form.drop_constant())
         holds = one_plus_norm_z(1) ** 2 * one_plus_norm(g_map) == one_plus_norm(f_map) ** 2
         print(f"identity (1+|z|^2)^2 (1+||g||^2) == (1+||f||^2)^2: {_bool_text(holds)}")
         print(f"m < d: {_bool_text(m < d)}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb, gcd
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -31,8 +31,6 @@ from .polyalg import (
     HoloMap,
     HoloPoly,
     Monomial,
-    grlex_key,
-    monomials_of_degree,
     norm_form,
 )
 # inertia is unused here but stays importable from this module for callers
@@ -131,11 +129,7 @@ def verify_identity(f: MapLike, h: MapLike, a: int, b: int, c: int) -> bool:
     Both sides expand to canonical Hermitian forms; equality of forms is
     structural equality.  Exponents must be positive with gcd 1.
     """
-    spec = ModificationSpec(f, a, b, c)
-    _check_normalized(h)
-    left = modification_form(spec)
-    right = one_plus_norm(h) ** a
-    return left == right
+    return not identity_mismatch(f, h, a, b, c)
 
 
 def identity_mismatch(f: MapLike, h: MapLike, a: int, b: int, c: int) -> List[Tuple[Monomial, Monomial, GaussianRational]]:
@@ -144,12 +138,7 @@ def identity_mismatch(f: MapLike, h: MapLike, a: int, b: int, c: int) -> List[Tu
     _check_normalized(h)
     left = modification_form(spec)
     right = one_plus_norm(h) ** a
-    diff = left + HermitianForm(
-        right.n, right.basis, [[-v for v in row] for row in right.gram]
-    )
-    return sorted(
-        diff.entries(), key=lambda e: (grlex_key(e[0]), grlex_key(e[1]))
-    )
+    return list((left + -right).entries())
 
 
 def tensor_power_rank(f: MapLike, c: int) -> int:
@@ -208,53 +197,43 @@ def divide_by_norm(s: HermitianForm) -> Optional[HermitianForm]:
     if d == 0:
         return None
     n = s.n
-    lower = monomials_of_degree(n, d - 1)
-    upper = monomials_of_degree(n, d)
 
-    def minus(mon: Monomial, j: int) -> Optional[Monomial]:
-        exps = mon.exponents
-        if exps[j] == 0:
-            return None
-        return Monomial(exps[:j] + (exps[j] - 1,) + exps[j + 1 :])
+    def shift(exps: Tuple[int, ...], j: int, step: int) -> Tuple[int, ...]:
+        return exps[:j] + (exps[j] + step,) + exps[j + 1 :]
 
-    # group unknown pairs and equations by the difference vector
-    diffs = sorted(
-        {
-            tuple(x - y for x, y in zip(a.exponents, b.exponents))
-            for a, b, _ in s.entries()
-        }
-    )
+    # group the entries by difference vector: block[alpha] = s[alpha][alpha - diff]
+    blocks: dict = {}
+    for a, b, value in s.entries():
+        diff = tuple(x - y for x, y in zip(a.exponents, b.exponents))
+        blocks.setdefault(diff, {})[a.exponents] = value
     quotient: dict = {}
-    for diff in diffs:
-        unknowns: List[Tuple[Monomial, Monomial]] = []
-        for ga in lower:
-            gb_exps = tuple(x - y for x, y in zip(ga.exponents, diff))
-            if any(e < 0 for e in gb_exps):
-                continue
-            gb = Monomial(gb_exps)
-            if gb.degree == d - 1:
-                unknowns.append((ga, gb))
-        col = {pair: idx for idx, pair in enumerate(unknowns)}
+    for diff in sorted(blocks):
+        block = blocks[diff]
+        # In one block the system is the polynomial identity
+        # p = (x_0 + ... + x_{n-1}) * r in the row exponents.  By Ostrowski's
+        # theorem Newt(p) = simplex + Newt(r), so the exponent of x_i in r
+        # lies in [lo_i, hi_i - 1] (in [lo_i - 1, hi_i - 1] when n = 1), with
+        # lo_i and hi_i the extremes of that exponent over the support of p.
+        box = []
+        for i in range(n):
+            column = [exps[i] for exps in block]
+            box.append((min(column) - (n == 1), max(column) - 1))
+        unknowns = _exponents_in_box(box, d - 1)
+        if not unknowns:
+            return None
+        col = {ga: idx for idx, ga in enumerate(unknowns)}
+        equations = set(block)
+        equations.update(shift(ga, j, 1) for ga in unknowns for j in range(n))
         rows: List[List[GaussianRational]] = []
         rhs: List[GaussianRational] = []
-        for sa in upper:
-            sb_exps = tuple(x - y for x, y in zip(sa.exponents, diff))
-            if any(e < 0 for e in sb_exps):
-                continue
-            sb = Monomial(sb_exps)
+        for sa in sorted(equations, key=lambda e: tuple(-x for x in e)):
             row = [GR_ZERO] * len(unknowns)
-            hit = False
             for j in range(n):
-                ga = minus(sa, j)
-                gb = minus(sb, j)
-                if ga is None or gb is None:
-                    continue
-                idx = col.get((ga, gb))
+                idx = col.get(shift(sa, j, -1)) if sa[j] else None
                 if idx is not None:
-                    row[idx] = row[idx] + GR_ONE
-                    hit = True
-            value = s.coefficient(sa, sb)
-            if not hit:
+                    row[idx] = GR_ONE
+            value = block.get(sa, GR_ZERO)
+            if not any(row):
                 if value:
                     return None
                 continue
@@ -263,9 +242,10 @@ def divide_by_norm(s: HermitianForm) -> Optional[HermitianForm]:
         solution = _solve_linear(rows, rhs)
         if solution is None:
             return None
-        for pair, value in zip(unknowns, solution):
+        for ga, value in zip(unknowns, solution):
             if value:
-                quotient[pair] = value
+                gb = tuple(x - y for x, y in zip(ga, diff))
+                quotient[(Monomial(ga), Monomial(gb))] = value
     r = HermitianForm.from_entries(n, quotient)
     # defensive recomposition; the block solves are individually exact,
     # but this guards the assembly across blocks
@@ -273,6 +253,17 @@ def divide_by_norm(s: HermitianForm) -> Optional[HermitianForm]:
     if one_norm * r != s:
         return None
     return r
+
+
+def _exponents_in_box(box: Sequence[Tuple[int, int]], total: int) -> List[Tuple[int, ...]]:
+    """Exponent vectors e of degree total with lo_i <= e_i <= hi_i, in grlex order."""
+    *head, (lo, hi) = box
+    out = []
+    for first in product(*(range(high, low - 1, -1) for low, high in head)):
+        last = total - sum(first)
+        if lo <= last <= hi:
+            out.append(first + (last,))
+    return out
 
 
 def _solve_linear(

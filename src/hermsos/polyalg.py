@@ -12,14 +12,16 @@ The objects:
   * ``HoloPoly``       a sparse polynomial, a finite Monomial -> coefficient map
   * ``HoloMap``        a tuple of polynomials f = (f_1, ..., f_p) sharing n variables
   * ``HermitianForm``  a Hermitian coefficient matrix over a monomial basis,
-                       representing a(z, zbar) = sum_{a,b} G[a][b] z^a zbar^b
+                       representing a(z, zbar) = sum_{a,b} G[a][b] z^a zbar^b,
+                       stored sparse as Gaussian-integer numerators of its
+                       nonzero entries over one common denominator
 
 The squared norm ||f||^2 = sum_k |f_k(z)|^2 of a map is such a form
 (``norm_form``), and products of forms are computed by exact Gram
-convolution.  Monomial bases, tensor components, and printed output all
-follow one global graded lexicographic order, so every result is
-deterministic and structural equality of canonical forms coincides with
-mathematical equality.
+convolution over the Gaussian integers.  Monomial bases, tensor
+components, and printed output all follow one global graded lexicographic
+order, so every result is deterministic and structural equality of
+canonical forms coincides with mathematical equality.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
+from operator import add
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 
@@ -564,46 +567,118 @@ def substitute_powers(f: HoloMap, exponents: Sequence[int]) -> HoloMap:
 # ---------------------------------------------------------------------------
 
 
-class HermitianForm:
-    """a(z, zbar) = sum over basis pairs of gram[i][j] * z^{b_i} * zbar^{b_j}.
+def _check_variable_count(n) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise ValueError("a form needs a positive variable count")
 
-    The representation is canonical: the basis is grlex-sorted, holds only
-    monomials with a nonzero row (Hermitian symmetry makes row and column
-    support coincide), and the matrix is validated to be Hermitian.  As a
-    consequence ``==`` is both structural and mathematical equality.
+
+def _check_monomial(mon, n: int) -> None:
+    if not isinstance(mon, Monomial) or mon.n != n:
+        raise ValueError("basis monomial has wrong variable count")
+
+
+def _gaussian(re: int, im: int, den: int) -> GaussianRational:
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
+def _exact_cells(values: Mapping[Tuple[int, int], GaussianRational]):
+    """Check Hermitian symmetry of nonzero cells; return (den, Gaussian-integer cells).
+
+    den is the least common denominator of the values, and each cell holds
+    the numerators (re, im) of its value over den.
+    """
+    den = 1
+    for (i, j), value in values.items():
+        if values.get((j, i), GR_ZERO) != value.conjugate():
+            raise ValueError("gram matrix is not Hermitian")
+        den = lcm(den, value.re.denominator, value.im.denominator)
+    cells = {
+        key: (
+            value.re.numerator * (den // value.re.denominator),
+            value.im.numerator * (den // value.im.denominator),
+        )
+        for key, value in values.items()
+    }
+    return den, cells
+
+
+def _add_cells(acc, cells, move, scale: int) -> None:
+    """Add scale * cells into acc, with each index i re-keyed to move[i]."""
+    for (i, j), (re, im) in cells.items():
+        key = (move[i], move[j])
+        old_re, old_im = acc.get(key, (0, 0))
+        acc[key] = (old_re + scale * re, old_im + scale * im)
+
+
+class HermitianForm:
+    """a(z, zbar) = sum over basis pairs of G[i][j] * z^{b_i} * zbar^{b_j}.
+
+    The representation is sparse and canonical.  ``basis`` is grlex-sorted
+    and holds only monomials with a nonzero row (Hermitian symmetry makes
+    row and column support coincide).  ``cells`` maps the basis index pair
+    (i, j) of each nonzero entry, in row-major order, to Gaussian-integer
+    numerators (re, im) over one positive denominator ``den``, so that
+    G[i][j] = (re + im*i) / den, and gcd(den, every numerator) = 1.  As a
+    consequence ``==`` is both structural and mathematical equality.  Forms
+    are immutable by convention; ``gram`` is a dense view built on first use.
     """
 
-    __slots__ = ("n", "basis", "gram", "_index")
+    __slots__ = ("n", "basis", "den", "cells", "_index", "_gram")
 
     def __init__(self, n: int, basis: Sequence[Monomial], gram: Sequence[Sequence[object]]):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("a form needs a positive variable count")
+        """A form from a dense Gram matrix over ``basis``, validated to be Hermitian."""
+        _check_variable_count(n)
         mons = list(basis)
         size = len(mons)
         if len(set(mons)) != size:
             raise ValueError("basis monomials must be distinct")
         for mon in mons:
-            if not isinstance(mon, Monomial) or mon.n != n:
-                raise ValueError("basis monomial has wrong variable count")
+            _check_monomial(mon, n)
         rows = [list(row) for row in gram]
         if len(rows) != size or any(len(row) != size for row in rows):
             raise ValueError("gram matrix shape does not match the basis")
-        for i in range(size):
-            for j in range(size):
-                value = _coerce(rows[i][j])
+        values = {}
+        for i, row in enumerate(rows):
+            for j, raw in enumerate(row):
+                value = _coerce(raw)
                 if value is None:
                     raise TypeError("gram entries must be exact rationals")
-                rows[i][j] = value
-        for i in range(size):
-            for j in range(i, size):
-                if rows[j][i] != rows[i][j].conjugate():
-                    raise ValueError("gram matrix is not Hermitian")
-        keep = [i for i in range(size) if any(rows[i][j] for j in range(size))]
-        keep.sort(key=lambda i: grlex_key(mons[i]))
+                if value:
+                    values[(i, j)] = value
+        self._settle(n, mons, *_exact_cells(values))
+
+    def _settle(self, n: int, mons: Sequence[Monomial], den: int, cells) -> None:
+        """Set the canonical fields from Gaussian-integer cells over mons at den.
+
+        Zero cells and the rows left empty are dropped, the rows are sorted
+        into grlex order, and the common content of den and the numerators
+        is divided out.
+        """
+        cells = {key: cell for key, cell in cells.items() if cell[0] or cell[1]}
+        g = den
+        for re, im in cells.values():
+            if g == 1:
+                break
+            g = gcd(g, re, im)
+        rows = sorted({i for i, _ in cells}, key=lambda i: grlex_key(mons[i]))
+        new = [0] * len(mons)
+        for k, i in enumerate(rows):
+            new[i] = k
+        if g != 1:
+            cells = {key: (re // g, im // g) for key, (re, im) in cells.items()}
         self.n = n
-        self.basis = tuple(mons[i] for i in keep)
-        self.gram = tuple(tuple(rows[i][j] for j in keep) for i in keep)
-        self._index = {mon: i for i, mon in enumerate(self.basis)}
+        self.basis = tuple(mons[i] for i in rows)
+        self.den = den // g
+        self.cells = dict(sorted(((new[i], new[j]), cell) for (i, j), cell in cells.items()))
+        self._index = {mon: k for k, mon in enumerate(self.basis)}
+        self._gram = None
+
+    @classmethod
+    def _build(cls, n: int, mons: Sequence[Monomial], den: int, cells) -> "HermitianForm":
+        """A form from Hermitian Gaussian-integer cells over mons at den, unvalidated."""
+        form = object.__new__(cls)
+        form._settle(n, mons, den, cells)
+        return form
 
     # -- constructors -----------------------------------------------------
 
@@ -611,13 +686,24 @@ class HermitianForm:
     def from_entries(
         cls, n: int, entries: Mapping[Tuple[Monomial, Monomial], object]
     ) -> "HermitianForm":
-        mons = sorted({m for key in entries for m in key}, key=grlex_key)
-        index = {m: i for i, m in enumerate(mons)}
-        size = len(mons)
-        rows = [[GR_ZERO] * size for _ in range(size)]
-        for (ma, mb), coeff in entries.items():
-            rows[index[ma]][index[mb]] = coeff
-        return cls(n, mons, rows)
+        """A form from its coefficients keyed by (row, column) monomial.
+
+        Pairs that are absent are zero.
+        """
+        _check_variable_count(n)
+        index: Dict[Monomial, int] = {}
+        values = {}
+        for (ma, mb), raw in entries.items():
+            for mon in (ma, mb):
+                if mon not in index:
+                    _check_monomial(mon, n)
+                    index[mon] = len(index)
+            value = _coerce(raw)
+            if value is None:
+                raise TypeError("gram entries must be exact rationals")
+            if value:
+                values[(index[ma], index[mb])] = value
+        return cls._build(n, list(index), *_exact_cells(values))
 
     @classmethod
     def zero(cls, n: int) -> "HermitianForm":
@@ -634,20 +720,28 @@ class HermitianForm:
     def size(self) -> int:
         return len(self.basis)
 
+    @property
+    def gram(self) -> Tuple[Tuple[GaussianRational, ...], ...]:
+        """The dense Gram matrix over ``basis``, built once and read-only."""
+        if self._gram is None:
+            rows = [[GR_ZERO] * self.size for _ in self.basis]
+            for (i, j), (re, im) in self.cells.items():
+                rows[i][j] = _gaussian(re, im, self.den)
+            self._gram = tuple(tuple(row) for row in rows)
+        return self._gram
+
     def entries(self) -> Iterator[Tuple[Monomial, Monomial, GaussianRational]]:
-        """Iterate the nonzero coefficients as (row monomial, column monomial, value)."""
-        for i, ma in enumerate(self.basis):
-            row = self.gram[i]
-            for j, mb in enumerate(self.basis):
-                if row[j]:
-                    yield ma, mb, row[j]
+        """Iterate the nonzero coefficients as (row monomial, column monomial, value).
+
+        The order is row-major in the grlex order of the basis.
+        """
+        basis, den = self.basis, self.den
+        for (i, j), (re, im) in self.cells.items():
+            yield basis[i], basis[j], _gaussian(re, im, den)
 
     def coefficient(self, ma: Monomial, mb: Monomial) -> GaussianRational:
-        i = self._index.get(ma)
-        j = self._index.get(mb)
-        if i is None or j is None:
-            return GR_ZERO
-        return self.gram[i][j]
+        cell = self.cells.get((self._index.get(ma), self._index.get(mb)))
+        return GR_ZERO if cell is None else _gaussian(*cell, self.den)
 
     def constant_coefficient(self) -> GaussianRational:
         const = Monomial((0,) * self.n)
@@ -658,18 +752,26 @@ class HermitianForm:
 
     def restrict(self, monomials: Iterable[Monomial]) -> "HermitianForm":
         """Principal subform over the given subset of basis monomials."""
-        wanted = [m for m in monomials if m in self._index]
-        idx = [self._index[m] for m in wanted]
-        rows = [[self.gram[i][j] for j in idx] for i in idx]
-        return HermitianForm(self.n, wanted, rows)
+        new: Dict[int, int] = {}
+        for mon in monomials:
+            i = self._index.get(mon)
+            if i is not None:
+                new.setdefault(i, len(new))
+        cells = {
+            (new[i], new[j]): cell
+            for (i, j), cell in self.cells.items()
+            if i in new and j in new
+        }
+        return self._build(self.n, [self.basis[i] for i in new], self.den, cells)
+
+    def drop_constant(self) -> "HermitianForm":
+        """The principal subform without the constant monomial's row and column."""
+        return self.restrict(m for m in self.basis if not m.is_constant)
 
     def is_hermitian(self) -> bool:
         """Recheck the symmetry invariant (already enforced at construction)."""
-        size = self.size
         return all(
-            self.gram[j][i] == self.gram[i][j].conjugate()
-            for i in range(size)
-            for j in range(size)
+            self.cells.get((j, i)) == (re, -im) for (i, j), (re, im) in self.cells.items()
         )
 
     def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
@@ -678,43 +780,66 @@ class HermitianForm:
             raise ValueError("point has wrong dimension")
         values = [mon.evaluate(point) for mon in self.basis]
         out = GR_ZERO
-        for i, ma in enumerate(self.basis):
-            row = self.gram[i]
-            for j in range(self.size):
-                if row[j]:
-                    out = out + row[j] * values[i] * values[j].conjugate()
+        for (i, j), (re, im) in self.cells.items():
+            out = out + _gaussian(re, im, self.den) * values[i] * values[j].conjugate()
         return out
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
+        """Sum of forms, accumulated over Gaussian integers at lcm of the denominators."""
         if not isinstance(other, HermitianForm):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("variable count mismatch")
-        acc: Dict[Tuple[Monomial, Monomial], GaussianRational] = {}
-        for ma, mb, val in self.entries():
-            acc[(ma, mb)] = val
-        for ma, mb, val in other.entries():
-            key = (ma, mb)
-            acc[key] = acc.get(key, GR_ZERO) + val
-        return HermitianForm.from_entries(self.n, acc)
+        den = lcm(self.den, other.den)
+        position = dict(self._index)
+        move = [position.setdefault(mon, len(position)) for mon in other.basis]
+        acc: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        _add_cells(acc, self.cells, range(self.size), den // self.den)
+        _add_cells(acc, other.cells, move, den // other.den)
+        return self._build(self.n, list(position), den, acc)
+
+    def __neg__(self) -> "HermitianForm":
+        cells = {key: (-re, -im) for key, (re, im) in self.cells.items()}
+        return self._build(self.n, self.basis, self.den, cells)
 
     def __mul__(self, other):
         """Product of forms by Gram convolution.
 
-        (AB)[c][d] = sum over a+a'=c, b+b'=d of A[a][b] * B[a'][b'].
+        (AB)[c][d] = sum over a+a'=c, b+b'=d of A[a][b] * B[a'][b'],
+        accumulated over Gaussian integers at the denominator den(A) * den(B).
         """
         if not isinstance(other, HermitianForm):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("variable count mismatch")
-        acc: Dict[Tuple[Monomial, Monomial], GaussianRational] = {}
-        for ma, mb, va in self.entries():
-            for mc, md, vb in other.entries():
-                key = (ma.mul(mc), mb.mul(md))
-                acc[key] = acc.get(key, GR_ZERO) + va * vb
-        return HermitianForm.from_entries(self.n, acc)
+        # product[i][k] indexes basis_A[i] * basis_B[k] among the distinct
+        # product monomials, each built once
+        position: Dict[Tuple[int, ...], int] = {}
+        mons: List[Monomial] = []
+        product = []
+        for ma in self.basis:
+            row = []
+            for mb in other.basis:
+                exps = tuple(map(add, ma.exponents, mb.exponents))
+                k = position.get(exps)
+                if k is None:
+                    k = position[exps] = len(mons)
+                    mons.append(Monomial(exps))
+                row.append(k)
+            product.append(row)
+        right = [(k, t, b_re, b_im) for (k, t), (b_re, b_im) in other.cells.items()]
+        acc: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        for (i, j), (a_re, a_im) in self.cells.items():
+            row_i, row_j = product[i], product[j]
+            for k, t, b_re, b_im in right:
+                key = (row_i[k], row_j[t])
+                re = a_re * b_re - a_im * b_im
+                im = a_re * b_im + a_im * b_re
+                old = acc.get(key)
+                acc[key] = (re, im) if old is None else (old[0] + re, old[1] + im)
+        return self._build(self.n, mons, self.den * other.den, acc)
 
     def __pow__(self, t: int) -> "HermitianForm":
         if not isinstance(t, int) or t < 1:
@@ -727,7 +852,12 @@ class HermitianForm:
     def __eq__(self, other):
         if not isinstance(other, HermitianForm):
             return NotImplemented
-        return self.n == other.n and self.basis == other.basis and self.gram == other.gram
+        return (
+            self.n == other.n
+            and self.den == other.den
+            and self.basis == other.basis
+            and self.cells == other.cells
+        )
 
     __hash__ = None
 
@@ -791,14 +921,13 @@ def norm_form(f) -> HermitianForm:
             for j, b_re, b_im in vec:
                 re_i[j] += s_re * b_re + s_im * b_im
                 im_i[j] += s_im * b_re - s_re * b_im
-    rows = [
-        [
-            GaussianRational(Fraction(x, den), Fraction(y, den)) if x or y else GR_ZERO
-            for x, y in zip(re_i, im_i)
-        ]
-        for re_i, im_i in zip(re, im)
-    ]
-    return HermitianForm(f.n, support, rows)
+    cells = {
+        (i, j): (x, y)
+        for i, (re_i, im_i) in enumerate(zip(re, im))
+        for j, (x, y) in enumerate(zip(re_i, im_i))
+        if x or y
+    }
+    return HermitianForm._build(f.n, support, den, cells)
 
 
 def homogenize_form(a: HermitianForm, d: int) -> HermitianForm:
@@ -810,15 +939,15 @@ def homogenize_form(a: HermitianForm, d: int) -> HermitianForm:
     if any(mon.degree > d for mon in a.basis):
         raise ValueError("homogenization degree is below the maximum basis degree")
     basis = [Monomial((d - mon.degree,) + mon.exponents) for mon in a.basis]
-    return HermitianForm(a.n + 1, basis, a.gram)
+    return HermitianForm._build(a.n + 1, basis, a.den, a.cells)
 
 
 def dehomogenize_form(a: HermitianForm) -> HermitianForm:
     """Set the leading variable to 1 and drop it; colliding entries are summed."""
     if a.n < 2:
         raise ValueError("need at least two variables to dehomogenize")
-    acc: Dict[Tuple[Monomial, Monomial], GaussianRational] = {}
-    for ma, mb, val in a.entries():
-        key = (Monomial(ma.exponents[1:]), Monomial(mb.exponents[1:]))
-        acc[key] = acc.get(key, GR_ZERO) + val
-    return HermitianForm.from_entries(a.n - 1, acc)
+    position: Dict[Monomial, int] = {}
+    move = [position.setdefault(Monomial(mon.exponents[1:]), len(position)) for mon in a.basis]
+    acc: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    _add_cells(acc, a.cells, move, 1)
+    return HermitianForm._build(a.n - 1, list(position), a.den, acc)

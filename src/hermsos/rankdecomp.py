@@ -18,18 +18,17 @@ rank, and ``extract_sos`` achieves the rank, so these routines together
 decide minimality questions exactly.
 
 ``inertia`` and ``extract_sos`` share one elimination kernel.  It is
-fraction-free: the Gram matrix is scaled once to Gaussian integers over a
-common denominator and eliminated by symmetric Bareiss steps, in which every
-division is an exact division by a real integer pivot, checked to leave no
-remainder.  No gcd is taken inside the elimination; rationals are formed
-only when the pivots and factor columns are read out.
+fraction-free: it reads the form's Gaussian-integer entries over their
+common denominator and eliminates them by symmetric Bareiss steps, in which
+every division is an exact division by a real integer pivot, checked to
+leave no remainder.  No gcd is taken inside the elimination; rationals are
+formed only when the pivots and factor columns are read out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .polyalg import (
@@ -39,7 +38,6 @@ from .polyalg import (
     HermitianForm,
     HoloMap,
     HoloPoly,
-    Monomial,
     grlex_key,
     norm_form,
 )
@@ -61,8 +59,8 @@ class Inertia(NamedTuple):
 def _ldlh(form: HermitianForm, pivoting: bool):
     """Fraction-free LDL^H of the Gram matrix: one step per eliminated index.
 
-    The matrix is scaled once to Gaussian integers D * G with D the least
-    common denominator, then eliminated by symmetric Bareiss steps
+    The form stores D * G as Gaussian integers over its denominator D; that
+    matrix is eliminated by symmetric Bareiss steps
     a_ij <- (p * a_ij - a_ik * a_kj) / p_prev.  Every entry stays a Gaussian
     integer (after each step it is a minor of D * G, or of an integer
     congruent copy once pivoting has acted) and each pivot is real (a
@@ -85,13 +83,12 @@ def _ldlh(form: HermitianForm, pivoting: bool):
     entry is yielded with pivot 0 and then skipped; the factorization is
     valid only if its ``column`` is empty, which the caller must check.
     """
-    size = form.size
-    den = 1
-    for row in form.gram:
-        for v in row:
-            den = lcm(den, v.re.denominator, v.im.denominator)
-    re = [[v.re.numerator * (den // v.re.denominator) for v in row] for row in form.gram]
-    im = [[v.im.numerator * (den // v.im.denominator) for v in row] for row in form.gram]
+    size, den = form.size, form.den
+    re = [[0] * size for _ in range(size)]
+    im = [[0] * size for _ in range(size)]
+    for (i, j), (x, y) in form.cells.items():
+        re[i][j] = x
+        im[i][j] = y
     order = list(range(size))
     prev = 1
     for k in range(size):
@@ -307,12 +304,14 @@ def grams_equal(f, g) -> bool:
 
 def _affine_block(form: HermitianForm) -> Optional[HermitianForm]:
     """The non-constant block B when form == 1 + B with B not coupled to 1, else None."""
-    const = Monomial((0,) * form.n)
     if form.constant_coefficient() != GR_ONE:
         return None
-    if any((ma == const) != (mb == const) for ma, mb, _ in form.entries()):
+    block = form.drop_constant()
+    # the constant row and column hold nothing but the 1 iff the block kept
+    # every other cell
+    if len(block.cells) != len(form.cells) - 1:
         return None
-    return form.restrict([m for m in form.basis if m != const])
+    return block
 
 
 def affine_split(form: HermitianForm) -> Tuple[bool, int]:

@@ -4,12 +4,14 @@ Randomized tests use explicit seeded random.Random instances so every run
 is reproducible.  Oracles here deliberately avoid the code paths they
 check: squared norms are validated by pointwise evaluation over exact
 rationals, inertia by explicit congruence matrices, ranks by counting.
-The reference eliminations at the end run over ``GaussianRational``
-arithmetic, sharing no code with the package's fraction-free kernel.
+The references at the end run over ``GaussianRational`` arithmetic on
+dense Gram matrices, sharing no code with the package's fraction-free
+kernel, its sparse Gaussian-integer form arithmetic, or the bounded search
+of ``divide_by_norm``.
 """
 
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from hermsos import (
     GR_I,
@@ -235,3 +237,105 @@ def reference_norm_form(f) -> HermitianForm:
                 i, j = index[ma], index[mb]
                 rows[i][j] = rows[i][j] + ca * cb.conjugate() * weight
     return HermitianForm(f.n, support, rows)
+
+
+def _dense_form(n, acc: Dict[Tuple[Monomial, Monomial], GaussianRational]) -> HermitianForm:
+    """The form with the given coefficients, through the dense constructor."""
+    mons = sorted({m for key in acc for m in key}, key=grlex_key)
+    index = {m: i for i, m in enumerate(mons)}
+    rows = [[GR_ZERO] * len(mons) for _ in mons]
+    for (ma, mb), value in acc.items():
+        rows[index[ma]][index[mb]] = value
+    return HermitianForm(n, mons, rows)
+
+
+def _dense_cells(form: HermitianForm):
+    return [
+        (ma, mb, form.gram[i][j])
+        for i, ma in enumerate(form.basis)
+        for j, mb in enumerate(form.basis)
+        if form.gram[i][j]
+    ]
+
+
+def reference_form_mul(a: HermitianForm, b: HermitianForm) -> HermitianForm:
+    """Gram convolution of the dense matrices, summed in Gaussian rationals."""
+    acc: Dict[Tuple[Monomial, Monomial], GaussianRational] = {}
+    for ma, mb, va in _dense_cells(a):
+        for mc, md, vb in _dense_cells(b):
+            key = (ma.mul(mc), mb.mul(md))
+            acc[key] = acc.get(key, GR_ZERO) + va * vb
+    return _dense_form(a.n, acc)
+
+
+def reference_form_add(a: HermitianForm, b: HermitianForm) -> HermitianForm:
+    """Cell-by-cell sum of the dense matrices in Gaussian rationals."""
+    acc: Dict[Tuple[Monomial, Monomial], GaussianRational] = {}
+    for form in (a, b):
+        for ma, mb, value in _dense_cells(form):
+            acc[(ma, mb)] = acc.get((ma, mb), GR_ZERO) + value
+    return _dense_form(a.n, acc)
+
+
+def _reference_solve(rows, rhs) -> Optional[List[GaussianRational]]:
+    """The unique solution of an exact linear system, or None when inconsistent."""
+    width = len(rows[0]) if rows else 0
+    aug = [row[:] + [value] for row, value in zip(rows, rhs)]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(aug)) if aug[i][c]), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        inv = GR_ONE / aug[r][c]
+        aug[r] = [v * inv for v in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c]:
+                factor = aug[i][c]
+                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+    if any(row[width] for row in aug[len(pivots):]):
+        return None
+    assert len(pivots) == width, "multiplication by ||z||^2 is injective"
+    return [aug[i][width] for i in range(width)]
+
+
+def reference_divide_by_norm(s: HermitianForm) -> Optional[HermitianForm]:
+    """s / ||z||^2 by solving, per difference vector, for every unknown of degree d - 1."""
+    if not s.basis:
+        return s
+    (d,) = s.degrees()
+    if d == 0:
+        return None
+    n = s.n
+    lower = monomials_of_degree(n, d - 1)
+    upper = monomials_of_degree(n, d)
+    unit = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+
+    def sub(x, y):
+        exps = tuple(a - b for a, b in zip(x, y))
+        return Monomial(exps) if min(exps) >= 0 else None
+
+    coeffs = {(ma, mb): value for ma, mb, value in _dense_cells(s)}
+    quotient = {}
+    for diff in {tuple(x - y for x, y in zip(a.exponents, b.exponents)) for a, b in coeffs}:
+        unknowns = [(ga, gb) for ga in lower if (gb := sub(ga.exponents, diff))]
+        col = {pair: idx for idx, pair in enumerate(unknowns)}
+        rows, rhs = [], []
+        for sa in upper:
+            sb = sub(sa.exponents, diff)
+            if sb is None:
+                continue
+            row = [GR_ZERO] * len(unknowns)
+            for e in unit:
+                idx = col.get((sub(sa.exponents, e), sub(sb.exponents, e)))
+                if idx is not None:
+                    row[idx] = GR_ONE
+            rows.append(row)
+            rhs.append(coeffs.get((sa, sb), GR_ZERO))
+        solution = _reference_solve(rows, rhs)
+        if solution is None:
+            return None
+        quotient.update((pair, v) for pair, v in zip(unknowns, solution) if v)
+    return _dense_form(n, quotient)

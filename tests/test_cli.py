@@ -1,8 +1,21 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from hermsos import grams_equal, parse_form_document, parse_map_document, solve_h
+import hermsos
+from hermsos import (
+    HermitianForm,
+    Monomial,
+    grams_equal,
+    parse_form_document,
+    parse_map_document,
+    solve_h,
+)
 from hermsos.cli import main
 
 
@@ -178,6 +191,45 @@ def test_divide_not_divisible(tmp_path, capsys):
     )
     assert main(["divide", "--input", doc]) == 0
     assert capsys.readouterr().out == "divisible: false\n"
+
+
+def test_divide_one_high_degree_entry_is_refused_at_once(tmp_path, capsys):
+    # every unknown of degree 39 in six variables would be a million columns
+    doc = write_json(
+        tmp_path / "s.json", {"n": 6, "basis": [[40, 0, 0, 0, 0, 0]], "gram": [[1]]}
+    )
+    start = time.perf_counter()
+    assert main(["divide", "--input", doc]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().out == "divisible: false\n"
+
+
+def test_divide_quotient_outside_the_reach_of_the_support(tmp_path, capsys):
+    # |z0^3|^2 + |z1^3|^2 = ||z||^2 (|z0^2|^2 - |z0 z1|^2 + |z1^2|^2); the
+    # middle entry is no z0^3 - e_j or z1^3 - e_j
+    doc = write_json(
+        tmp_path / "s.json", {"n": 2, "basis": [[3, 0], [0, 3]], "gram": [[1, 0], [0, 1]]}
+    )
+    assert main(["divide", "--input", doc]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("divisible: true\n")
+    x2, xy, y2 = Monomial((2, 0)), Monomial((1, 1)), Monomial((0, 2))
+    expected = HermitianForm.from_entries(2, {(x2, x2): 1, (xy, xy): -1, (y2, y2): 1})
+    assert parse_form_document(json.loads(out.split("\n", 1)[1])) == expected
+
+
+def test_python_dash_m_runs_the_command_line(capsys):
+    assert main(["gaps", "--n", "2"]) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(hermsos.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hermsos", "gaps", "--n", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == expected
 
 
 def test_example1_at_seven(capsys):

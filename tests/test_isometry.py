@@ -12,7 +12,6 @@ from hermsos import (
     HoloMap,
     HoloPoly,
     ModificationSpec,
-    Monomial,
     NotMinimalError,
     NotNormalizedError,
     ScaledMap,
@@ -115,8 +114,7 @@ def test_solve_h_identity_random():
         assert h.vanishes_at_zero
         # count equals the rank of the non-constant block
         total = modification_form(ModificationSpec(f, 1, b, c))
-        const = Monomial((0,) * n)
-        block = total.restrict([m for m in total.basis if m != const])
+        block = total.drop_constant()
         assert len(h) == inertia(block).pos
 
 
@@ -129,8 +127,7 @@ def test_solve_h_two_routes_agree():
         direct = solve_h(f, b, c)
         # route through g with 1+||g||^2 = (1+||f||^2)^c, then exponent 1
         power = one_plus_norm(f) ** c
-        const = Monomial((0,) * n)
-        g = extract_sos(power.restrict([m for m in power.basis if m != const]))
+        g = extract_sos(power.drop_constant())
         assert grams_equal(direct, solve_h(g, b, 1))
 
 
@@ -145,9 +142,8 @@ def test_solve_h_rejections():
 def test_verify_identity_example_family():
     p_form = one_plus_norm_z(1) * r_lambda(7)
     s_form = r_lambda(7) * r_lambda(7)
-    const = mono(0)
-    f = extract_sos(p_form.restrict([m for m in p_form.basis if m != const]))
-    g = extract_sos(s_form.restrict([m for m in s_form.basis if m != const]))
+    f = extract_sos(p_form.drop_constant())
+    g = extract_sos(s_form.drop_constant())
     assert len(f) == 5
     assert len(g) == 6
     assert verify_identity(g, f, 2, 2, 1)
@@ -190,8 +186,7 @@ def test_tensor_power_rank_matches_block_rank():
         f = random_map(rng, n, rng.randint(1, 2), 2, 3)
         t = rng.randint(1, 3)
         power = one_plus_norm(f) ** t
-        const = Monomial((0,) * n)
-        block = power.restrict([m for m in power.basis if m != const])
+        block = power.drop_constant()
         assert tensor_power_rank(f, t) == inertia(block).rank
 
 
