@@ -2,7 +2,8 @@
 
 Subcommands operate on JSON documents (see ``documents``) and print either
 human-readable text or CSV.  Exit codes: 0 success, 1 a verification that
-ran and failed, 2 malformed input or an invalid value, 3 a map that does
+ran and failed, 2 malformed input or an invalid value (including a
+``tensor-rank`` job above ``TENSOR_ROWS_MAX`` products), 3 a map that does
 not vanish at the origin, 4 a map with linearly dependent components, 5 an
 internal invariant violated (an ``ArithmeticError`` from a check that
 cannot fail on correct code, such as an inexact division in elimination).
@@ -16,6 +17,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from math import comb
 
 from .bounds import (
     check_affine_norm_product,
@@ -62,6 +64,13 @@ THEOREMS = {
     "prop2.5": (check_power_rank, ("p", "t", "r")),
     "rem1.6": (check_min_embedding_dim, ("n", "m")),
 }
+
+
+# The most products of components `tensor-rank` row-reduces.  At this count
+# 15 dense independent linear forms at t = 2 (135 products, all independent)
+# take about 1.2 s on a 2-vCPU x86-64 VM; the time grows faster than the cube
+# of the count, and components of higher degree take longer at the same count.
+TENSOR_ROWS_MAX = 135
 
 
 def _read_json(path: str):
@@ -171,6 +180,13 @@ def cmd_verify(args) -> int:
 
 def cmd_tensor_rank(args) -> int:
     f = parse_map_document(_read_json(args.input))
+    # sum_{k=1..t} C(p+k-1, k) = C(p+t, t) - 1, checked before any product is built
+    products = comb(len(f) + args.t, args.t) - 1 if args.t >= 1 else 0
+    if products > TENSOR_ROWS_MAX:
+        raise ValueError(
+            f"tensor-rank would row-reduce {products} products of components; "
+            f"the limit is {TENSOR_ROWS_MAX}"
+        )
     rank = tensor_power_rank(f, args.t)
     report = check_power_rank(len(f), args.t, rank)
     if args.format == "csv":

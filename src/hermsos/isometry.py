@@ -10,27 +10,30 @@ semidefinite the exact square extraction produces a witness h with the
 minimal number of components, and ``verify_identity`` replays the identity
 as an equality of canonical forms, which is exact and certificate-free.
 
-``divide_by_norm`` answers the converse question of when a squared norm
-factors through ||z||^2, by solving the coefficient convolution system
-exactly.
+``tensor_power_rank`` gives the rank of (1 + ||f||^2)^c - 1 as the dimension
+of the span of the products of at most c components, and ``divide_by_norm``
+answers the converse question of when a squared norm factors through
+||z||^2 by solving the coefficient convolution system exactly.  Both hand
+their Gaussian-integer rows to the fraction-free row kernel of
+``rankdecomp``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import product
 from math import comb, gcd
-from typing import List, Optional, Sequence, Tuple, Union
+from operator import add
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .polyalg import (
-    GR_ONE,
     GR_ZERO,
     GaussianRational,
     HermitianForm,
     HoloMap,
-    HoloPoly,
     Monomial,
+    _integer_terms,
     norm_form,
 )
 # inertia is unused here but stays importable from this module for callers
@@ -39,6 +42,8 @@ from .rankdecomp import (  # noqa: F401
     NotSOSError,
     ScaledMap,
     _affine_block,
+    _gaussian_ratio,
+    _row_reduce,
     extract_sos,
     inertia,
     reduce_minimal,
@@ -144,39 +149,54 @@ def identity_mismatch(f: MapLike, h: MapLike, a: int, b: int, c: int) -> List[Tu
 def tensor_power_rank(f: MapLike, c: int) -> int:
     """Rank of (1 + ||f||^2)^c - 1 for a normalized minimal map f.
 
-    The block expands over products of at most c components, so the rank e
-    satisfies  c*d <= e <= sum_{k=1..c} C(d+k-1, k)  where d = len(f); both
-    ends are checked defensively before returning.
+    The block is the squared norm of the weighted products of at most c
+    components, so its rank is the dimension of their span.  Positive
+    weights never change a span, so the products are formed without them,
+    over the Gaussian integers (each component scaled by its denominator),
+    each k-fold product once as its (k-1)-fold prefix times one component,
+    and row-reduced by the fraction-free kernel.  The rank e satisfies
+    c*d <= e <= sum_{k=1..c} C(d+k-1, k)  where d = len(f); both ends are
+    checked defensively before returning.
     """
     if not isinstance(c, int) or c < 1:
         raise ValueError("power must be a positive integer")
     _check_normalized(f)
     _check_minimal(f)
-    pairs = list(f.weighted_components())
-    d = len(pairs)
-    prods: List[Tuple[Fraction, HoloPoly]] = []
-    for k in range(1, c + 1):
-        scale = Fraction(comb(c, k))
-        for combo in combinations_with_replacement(range(d), k):
-            weight = scale
-            poly = HoloPoly.constant(f.n, 1)
-            counts = {i: combo.count(i) for i in set(combo)}
-            multi = 1
-            total = k
-            for i, cnt in counts.items():
-                multi *= comb(total, cnt)
-                total -= cnt
-            weight = weight * multi
-            for i in combo:
-                wi, pi = pairs[i]
-                weight = weight * wi
-                poly = poly * pi
-            prods.append((weight, poly))
-    _, e = reduce_minimal(ScaledMap(f.n, tuple(prods)))
+    comps = [
+        {mon.exponents: cell for mon, cell in _integer_terms(poly.terms)[1].items()}
+        for _, poly in f.weighted_components()
+    ]
+    d = len(comps)
+    # products of k components, keyed by their non-decreasing index tuples
+    level = {(): {(0,) * f.n: (1, 0)}}
+    columns: Dict[Tuple[int, ...], int] = {}
+    rows = []
+    for _ in range(c):
+        level = {
+            combo + (j,): _poly_mul(prod, comps[j])
+            for combo, prod in level.items()
+            for j in range(combo[-1] if combo else 0, d)
+        }
+        rows.extend(
+            {columns.setdefault(exps, len(columns)): cell for exps, cell in prod.items()}
+            for prod in level.values()
+        )
+    e = len(_row_reduce(rows, len(columns)))
     low, high = c * d, sum(comb(d + k - 1, k) for k in range(1, c + 1))
     if not low <= e <= high:
         raise ArithmeticError("tensor power rank escaped its proven range")
     return e
+
+
+def _poly_mul(a, b):
+    """Product of polynomials given as Gaussian-integer coefficients keyed by exponent tuple."""
+    out = {}
+    for ea, (a_re, a_im) in a.items():
+        for eb, (b_re, b_im) in b.items():
+            key = tuple(map(add, ea, eb))
+            x, y = out.get(key, (0, 0))
+            out[key] = (x + a_re * b_re - a_im * b_im, y + a_re * b_im + a_im * b_re)
+    return out
 
 
 def divide_by_norm(s: HermitianForm) -> Optional[HermitianForm]:
@@ -224,22 +244,22 @@ def divide_by_norm(s: HermitianForm) -> Optional[HermitianForm]:
         col = {ga: idx for idx, ga in enumerate(unknowns)}
         equations = set(block)
         equations.update(shift(ga, j, 1) for ga in unknowns for j in range(n))
-        rows: List[List[GaussianRational]] = []
+        rows: List[Dict[int, Tuple[int, int]]] = []
         rhs: List[GaussianRational] = []
         for sa in sorted(equations, key=lambda e: tuple(-x for x in e)):
-            row = [GR_ZERO] * len(unknowns)
+            row = {}
             for j in range(n):
                 idx = col.get(shift(sa, j, -1)) if sa[j] else None
                 if idx is not None:
-                    row[idx] = GR_ONE
+                    row[idx] = (1, 0)
             value = block.get(sa, GR_ZERO)
-            if not any(row):
+            if not row:
                 if value:
                     return None
                 continue
             rows.append(row)
             rhs.append(value)
-        solution = _solve_linear(rows, rhs)
+        solution = _solve_linear(rows, rhs, len(unknowns))
         if solution is None:
             return None
         for ga, value in zip(unknowns, solution):
@@ -267,42 +287,28 @@ def _exponents_in_box(box: Sequence[Tuple[int, int]], total: int) -> List[Tuple[
 
 
 def _solve_linear(
-    rows: List[List[GaussianRational]], rhs: List[GaussianRational]
+    rows: List[Dict[int, Tuple[int, int]]], rhs: List[GaussianRational], width: int
 ) -> Optional[List[GaussianRational]]:
     """Solve an exact linear system with a unique candidate solution.
 
-    Returns None when inconsistent.  Raises if a free column survives,
-    which the callers' systems never produce.
+    Each row maps the column indices below ``width`` of its nonzero entries
+    to Gaussian integers (re, im).  The augmented matrix [A | D*b], with D
+    the common denominator of the right-hand side, is row-reduced by the
+    fraction-free kernel.  Returns None when inconsistent (a pivot in the
+    last column).  Raises if a free column survives, which the callers'
+    systems never produce.
     """
-    m = len(rows)
-    width = len(rows[0]) if m else 0
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    r = 0
-    pivots = []
-    for c in range(width):
-        pivot = next((i for i in range(r, m) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = GR_ONE / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                factor = aug[i][c]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][width]:
-            return None
-    if len(pivots) != width:
+    den, scaled = _integer_terms(dict(enumerate(rhs)))
+    augmented = [{**row, width: scaled[i]} for i, row in enumerate(rows)]
+    reduced = _row_reduce(augmented, width + 1)
+    if reduced and reduced[-1][0] == width:
+        return None
+    if len(reduced) != width:
         raise ArithmeticError("underdetermined block; the divisor is a nonzerodivisor")
-    out = [GR_ZERO] * width
-    for i, c in enumerate(pivots):
-        out[c] = aug[i][width]
-    return out
+    return [
+        _gaussian_ratio(*row.get(width, (0, 0)), row[c][0] * den, row[c][1] * den)
+        for c, row in reduced
+    ]
 
 
 def r_lambda(lam) -> HermitianForm:

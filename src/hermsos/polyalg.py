@@ -581,25 +581,28 @@ def _gaussian(re: int, im: int, den: int) -> GaussianRational:
     return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
-def _exact_cells(values: Mapping[Tuple[int, int], GaussianRational]):
-    """Check Hermitian symmetry of nonzero cells; return (den, Gaussian-integer cells).
-
-    den is the least common denominator of the values, and each cell holds
-    the numerators (re, im) of its value over den.
-    """
-    den = 1
-    for (i, j), value in values.items():
-        if values.get((j, i), GR_ZERO) != value.conjugate():
-            raise ValueError("gram matrix is not Hermitian")
-        den = lcm(den, value.re.denominator, value.im.denominator)
-    cells = {
+def _integer_terms(values: Mapping) -> Tuple[int, dict]:
+    """The least common denominator q of the values, and each key's
+    Gaussian-integer numerator (re, im) over q."""
+    q = 1
+    for value in values.values():
+        q = lcm(q, value.re.denominator, value.im.denominator)
+    terms = {
         key: (
-            value.re.numerator * (den // value.re.denominator),
-            value.im.numerator * (den // value.im.denominator),
+            value.re.numerator * (q // value.re.denominator),
+            value.im.numerator * (q // value.im.denominator),
         )
         for key, value in values.items()
     }
-    return den, cells
+    return q, terms
+
+
+def _exact_cells(values: Mapping[Tuple[int, int], GaussianRational]):
+    """Check Hermitian symmetry of nonzero cells; return ``_integer_terms(values)``."""
+    for (i, j), value in values.items():
+        if values.get((j, i), GR_ZERO) != value.conjugate():
+            raise ValueError("gram matrix is not Hermitian")
+    return _integer_terms(values)
 
 
 def _add_cells(acc, cells, move, scale: int) -> None:
@@ -768,12 +771,6 @@ class HermitianForm:
         """The principal subform without the constant monomial's row and column."""
         return self.restrict(m for m in self.basis if not m.is_constant)
 
-    def is_hermitian(self) -> bool:
-        """Recheck the symmetry invariant (already enforced at construction)."""
-        return all(
-            self.cells.get((j, i)) == (re, -im) for (i, j), (re, im) in self.cells.items()
-        )
-
     def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
         """Exact value at a point; Hermitian symmetry makes it real."""
         if len(point) != self.n:
@@ -897,17 +894,8 @@ def norm_form(f) -> HermitianForm:
     vectors = []
     den = 1
     for weight, poly in pairs:
-        q = 1
-        for val in poly.terms.values():
-            q = lcm(q, val.re.denominator, val.im.denominator)
-        vec = [
-            (
-                index[mon],
-                val.re.numerator * (q // val.re.denominator),
-                val.im.numerator * (q // val.im.denominator),
-            )
-            for mon, val in poly.terms.items()
-        ]
+        q, terms = _integer_terms(poly.terms)
+        vec = [(index[mon], x, y) for mon, (x, y) in terms.items()]
         scale = weight.denominator * q * q
         den = lcm(den, scale)
         vectors.append((weight.numerator, scale, vec))

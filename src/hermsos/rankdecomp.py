@@ -1,6 +1,6 @@
 """Rank, inertia, and sum-of-squares structure of Hermitian forms.
 
-Everything here runs over exact Gaussian-rational arithmetic:
+Everything here is exact; scalars are Gaussian rationals:
 
   * ``inertia``       signature (positive, negative) of the Gram matrix by
                       Hermitian congruence diagonalization; basis-independent.
@@ -9,7 +9,7 @@ Everything here runs over exact Gaussian-rational arithmetic:
                       factorization read off column by column), or raise
                       ``NotSOSError`` with a witness of indefiniteness.
   * ``reduce_minimal``  replace a map by linearly independent components with
-                      the same squared norm, giving the rank of the form.
+                      the same span, giving the rank of its squared norm.
   * ``affine_split``  test whether a form is 1 + ||h||^2 for some map h and
                       report the number of squares.
 
@@ -17,27 +17,33 @@ The number of squares in any such representation is bounded below by the
 rank, and ``extract_sos`` achieves the rank, so these routines together
 decide minimality questions exactly.
 
-``inertia`` and ``extract_sos`` share one elimination kernel.  It is
-fraction-free: it reads the form's Gaussian-integer entries over their
-common denominator and eliminates them by symmetric Bareiss steps, in which
-every division is an exact division by a real integer pivot, checked to
-leave no remainder.  No gcd is taken inside the elimination; rationals are
-formed only when the pivots and factor columns are read out.
+Two fraction-free elimination kernels do the work, both over Gaussian
+integers, with Bareiss steps whose every division is exact and checked to
+leave no remainder.  No gcd is taken inside an elimination; rationals are
+formed only when results are read out.
+
+  * ``_ldlh``  for Hermitian forms (``inertia``, ``extract_sos``): it reads
+    the form's Gaussian-integer entries over their common denominator and
+    eliminates them symmetrically, dividing by real integer pivots.
+  * ``_row_reduce``  for rows (``reduce_minimal``, and in ``isometry`` the
+    tensor-power rank and the division by ||z||^2): a Gauss-Jordan
+    elimination of rows each scaled to Z[i] by its own denominator,
+    dividing by Gaussian-integer pivots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .polyalg import (
     GR_ONE,
-    GR_ZERO,
     GaussianRational,
     HermitianForm,
     HoloMap,
     HoloPoly,
+    _integer_terms,
     grlex_key,
     norm_form,
 )
@@ -243,52 +249,121 @@ def extract_sos(form: HermitianForm) -> ScaledMap:
     return ScaledMap(form.n, tuple(comps))
 
 
+def _row_reduce(
+    rows: Sequence[Mapping[int, Tuple[int, int]]], width: int
+) -> List[Tuple[int, Dict[int, Tuple[int, int]]]]:
+    """Fraction-free Gauss-Jordan elimination of Gaussian-integer rows.
+
+    Each row maps column indices below ``width`` to the numerators (re, im)
+    of its nonzero entries; the callers scale every input row to Z[i] by its
+    own denominator, which changes neither the row space, nor the reduced
+    row echelon form, nor a solution whose right-hand side is scaled with
+    its row.  Columns are taken left to right; the pivot is the first
+    remaining row with a nonzero entry in the column, swapped into place.
+    Every other row then takes the Bareiss step
+    a_ij <- (p * a_ij - a_ic * a_kj) / p_prev, with p = a_kc the new pivot
+    and p_prev the one before (1 at the start).  The entries stay Gaussian
+    integers (minors of the row-permuted input), so the division, done as a
+    multiplication by conj(p_prev) and a division by |p_prev|^2, is exact; a
+    nonzero remainder raises ArithmeticError.
+
+    A row with a_ic = 0 would only be scaled by p / p_prev.  That step is
+    deferred: each row records the pivot d it was last brought up to date
+    with, its next update divides by d in place of p_prev (the skipped
+    scalings telescope), and a pivot row is first scaled by p_prev / d.
+
+    Returns, for each pivot row in order, its pivot column and its nonzero
+    entries.  Every other pivot column of the row is zero, so the reduced
+    row echelon form is each row divided by its pivot entry, and the rank
+    is the number of rows returned.
+    """
+    re = [[0] * width for _ in rows]
+    im = [[0] * width for _ in rows]
+    for r, row in enumerate(rows):
+        for j, (x, y) in row.items():
+            re[r][j] = x
+            im[r][j] = y
+    size = len(rows)
+    level = [(1, 0)] * size
+
+    def combine(i, start, u, a, k):
+        """Row i <- (u * row i - a * row k) / level[i], from column start on."""
+        (u_re, u_im), (a_re, a_im), (d_re, d_im) = u, a, level[i]
+        unit = d_re == 1 and not d_im
+        norm = d_re * d_re + d_im * d_im
+        ri, ii, rk, ik = re[i], im[i], re[k], im[k]
+        for j in range(start, width):
+            b_re, b_im = rk[j], ik[j]
+            x = u_re * ri[j] - u_im * ii[j] - (a_re * b_re - a_im * b_im)
+            y = u_re * ii[j] + u_im * ri[j] - (a_re * b_im + a_im * b_re)
+            if not unit:
+                x, y = x * d_re + y * d_im, y * d_re - x * d_im
+                x, rx = divmod(x, norm)
+                y, ry = divmod(y, norm)
+                if rx or ry:
+                    raise ArithmeticError("inexact division in fraction-free elimination")
+            ri[j] = x
+            ii[j] = y
+
+    pivots: List[int] = []
+    prev = (1, 0)
+    for c in range(width):
+        r = len(pivots)
+        if r == size:
+            break
+        k = next((i for i in range(r, size) if re[i][c] or im[i][c]), None)
+        if k is None:
+            continue
+        for table in (re, im, level):
+            table[r], table[k] = table[k], table[r]
+        if level[r] != prev:
+            combine(r, c, prev, (0, 0), r)
+        p = (re[r][c], im[r][c])
+        for i in range(size):
+            if i != r and (re[i][c] or im[i][c]):
+                # earlier pivot rows are zero before their pivot; the rest, before c
+                combine(i, pivots[i] if i < r else c, p, (re[i][c], im[i][c]), r)
+                level[i] = p
+        level[r] = p
+        pivots.append(c)
+        prev = p
+    return [
+        (c, {j: (x, y) for j, (x, y) in enumerate(zip(re[r], im[r])) if x or y})
+        for r, c in enumerate(pivots)
+    ]
+
+
+def _gaussian_ratio(x: int, y: int, d_re: int, d_im: int) -> GaussianRational:
+    """The Gaussian rational (x + y*i) / (d_re + d_im*i)."""
+    norm = d_re * d_re + d_im * d_im
+    return GaussianRational(
+        Fraction(x * d_re + y * d_im, norm), Fraction(y * d_re - x * d_im, norm)
+    )
+
+
 def reduce_minimal(f) -> Tuple[HoloMap, int]:
     """A basis of the component span, and its dimension.
 
-    Row-reduces the coefficient matrix of the components over the Gaussian
-    rationals.  The returned map's components are linearly independent and
-    span the same space, and their count equals the rank of ||f||^2,
-    because the Gram matrix of a map factors through the component span.
-    (The returned basis is not isometric to f; use ``extract_sos`` on the
-    form when the squared norm itself must be preserved.)  Scaled maps are
-    accepted; positive weights never change the span.
+    The reduced row echelon form of the coefficient matrix of the
+    components, by the fraction-free kernel.  The returned map's components
+    are linearly independent and span the same space, and their count equals
+    the rank of ||f||^2, because the Gram matrix of a map factors through
+    the component span.  (The returned basis is not isometric to f; use
+    ``extract_sos`` on the form when the squared norm itself must be
+    preserved.)  Scaled maps are accepted; positive weights never change the
+    span.
     """
-    pairs = list(f.weighted_components())
-    support = sorted({mon for _, poly in pairs for mon in poly.terms}, key=grlex_key)
+    polys = [poly for _, poly in f.weighted_components() if not poly.is_zero]
+    support = sorted({mon for poly in polys for mon in poly.terms}, key=grlex_key)
     index = {mon: j for j, mon in enumerate(support)}
-    width = len(support)
-    rows: List[List[GaussianRational]] = []
-    for _, poly in pairs:
-        if poly.is_zero:
-            continue
-        row = [GR_ZERO] * width
-        for mon, val in poly.terms.items():
-            row[index[mon]] = val
-        rows.append(row)
-    # Gauss-Jordan to reduced row echelon form
-    pivots: List[int] = []
-    r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = GR_ONE / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                m = rows[i][c]
-                rows[i] = [a - m * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    comps = []
-    for i in range(r):
-        terms = {support[j]: rows[i][j] for j in range(width) if rows[i][j]}
-        comps.append(HoloPoly(f.n, terms))
-    return HoloMap(f.n, comps), r
+    rows = [
+        {index[mon]: cell for mon, cell in _integer_terms(poly.terms)[1].items()} for poly in polys
+    ]
+    comps = [
+        HoloPoly(f.n, {support[j]: _gaussian_ratio(x, y, *row[c]) for j, (x, y) in row.items()})
+        for c, row in _row_reduce(rows, len(support))
+    ]
+    return HoloMap(f.n, comps), len(comps)
 
 
 def grams_equal(f, g) -> bool:

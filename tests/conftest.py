@@ -5,12 +5,14 @@ is reproducible.  Oracles here deliberately avoid the code paths they
 check: squared norms are validated by pointwise evaluation over exact
 rationals, inertia by explicit congruence matrices, ranks by counting.
 The references at the end run over ``GaussianRational`` arithmetic on
-dense Gram matrices, sharing no code with the package's fraction-free
-kernel, its sparse Gaussian-integer form arithmetic, or the bounded search
-of ``divide_by_norm``.
+dense matrices, sharing no code with the package's fraction-free kernels,
+its sparse Gaussian-integer form arithmetic, its integer tensor products,
+or the bounded search of ``divide_by_norm``.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import comb
 from typing import Dict, List, Optional, Tuple
 
 from hermsos import (
@@ -24,6 +26,7 @@ from hermsos import (
     Inertia,
     Monomial,
     NotSOSError,
+    ScaledMap,
     grlex_key,
     monomials_of_degree,
     monomials_up_to_degree,
@@ -223,6 +226,65 @@ def reference_extract_sos(form: HermitianForm) -> List[Tuple[Fraction, HoloPoly]
             h[k][i] = GR_ZERO
             h[i][k] = GR_ZERO
     return comps
+
+
+def reference_reduce_minimal(f) -> Tuple[HoloMap, int]:
+    """Gauss-Jordan over Gaussian rationals: the reduced row echelon basis and its size."""
+    pairs = list(f.weighted_components())
+    support = sorted({mon for _, poly in pairs for mon in poly.terms}, key=grlex_key)
+    index = {mon: j for j, mon in enumerate(support)}
+    width = len(support)
+    rows: List[List[GaussianRational]] = []
+    for _, poly in pairs:
+        if poly.is_zero:
+            continue
+        row = [GR_ZERO] * width
+        for mon, val in poly.terms.items():
+            row[index[mon]] = val
+        rows.append(row)
+    r = 0
+    for c in range(width):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = GR_ONE / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                m = rows[i][c]
+                rows[i] = [a - m * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    comps = []
+    for i in range(r):
+        terms = {support[j]: rows[i][j] for j in range(width) if rows[i][j]}
+        comps.append(HoloPoly(f.n, terms))
+    return HoloMap(f.n, comps), r
+
+
+def reference_tensor_power_rank(f, c: int) -> int:
+    """Dimension of the span of every weighted product of at most c components.
+
+    Each product is built on its own, with its binomial and multinomial
+    weight, and the span is taken by ``reference_reduce_minimal``.
+    """
+    pairs = list(f.weighted_components())
+    prods: List[Tuple[Fraction, HoloPoly]] = []
+    for k in range(1, c + 1):
+        for combo in combinations_with_replacement(range(len(pairs)), k):
+            weight = Fraction(comb(c, k))
+            total = k
+            for i in set(combo):
+                weight *= comb(total, combo.count(i))
+                total -= combo.count(i)
+            poly = HoloPoly.constant(f.n, 1)
+            for i in combo:
+                weight *= pairs[i][0]
+                poly = poly * pairs[i][1]
+            prods.append((weight, poly))
+    return reference_reduce_minimal(ScaledMap(f.n, tuple(prods)))[1]
 
 
 def reference_norm_form(f) -> HermitianForm:

@@ -16,6 +16,7 @@ from hermsos import (
     parse_map_document,
     solve_h,
 )
+from hermsos import cli
 from hermsos.cli import main
 
 
@@ -129,6 +130,36 @@ def test_tensor_rank_formats(pair_map, capsys):
     assert "rank: 5\n" in out
     assert main(["tensor-rank", "--input", pair_map, "--t", "2", "--format", "csv"]) == 0
     assert capsys.readouterr().out == "rank,lower,upper,satisfied\n5,4,5,true\n"
+
+
+def test_tensor_rank_at_the_ceiling(tmp_path, capsys):
+    # 15 independent linear forms z_i + z_{i+1} + 2 z_{i+2} (indices mod 15):
+    # at t = 2 all 135 products are independent
+    n = 15
+    comps = [
+        [
+            {"exp": [int(j == (i + s) % n) for j in range(n)], "re": c}
+            for s, c in ((0, 1), (1, 1), (2, 2))
+        ]
+        for i in range(n)
+    ]
+    doc = write_json(tmp_path / "f.json", {"n": n, "components": comps})
+    assert cli.TENSOR_ROWS_MAX == 135
+    assert main(["tensor-rank", "--input", doc, "--t", "2"]) == 0
+    assert capsys.readouterr().out == "rank: 135\nlower: 30\nupper: 135\nsatisfied: true\n"
+
+
+def test_tensor_rank_over_the_ceiling_is_refused_at_once(tmp_path, capsys):
+    # one component at t = 136 is 136 products, one above the ceiling
+    doc = write_json(tmp_path / "f.json", {"n": 1, "components": [[{"exp": [1], "re": 1}]]})
+    start = time.perf_counter()
+    assert main(["tensor-rank", "--input", doc, "--t", "136"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "error: tensor-rank would row-reduce 136 products of components; the limit is 135\n"
+    )
+    assert main(["tensor-rank", "--input", doc, "--t", "135"]) == 0
+    assert capsys.readouterr().out.startswith("rank: 135\n")
 
 
 def test_gaps_output(capsys):
