@@ -7,12 +7,17 @@ ran and failed, 2 malformed input or an invalid value (including a
 not vanish at the origin, 4 a map with linearly dependent components, 5 an
 internal invariant violated (an ``ArithmeticError`` from a check that
 cannot fail on correct code, such as an inexact division in elimination).
+
+``main`` can be called many times in one process.  It builds the parser on
+its first call and reuses it; each call parses into a fresh namespace, so
+no option value carries over from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import random
 import sys
@@ -354,6 +359,7 @@ def cmd_ensemble(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser; ``main`` runs subcommand ``x-y`` by ``cmd_x_y``."""
     parser = argparse.ArgumentParser(
         prog="hermsos",
         description="Exact rank, square decompositions, and bounds for Hermitian squared-norm forms.",
@@ -363,14 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="rank and inertia of a map or form document")
     p.add_argument("--input", required=True, help="path to a map or form JSON document")
     p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("solve-h", help="minimal h with 1+||h||^2 = (1+||z||^2)^b (1+||f||^2)^c")
     p.add_argument("--input", required=True, help="path to the map document for f")
     p.add_argument("--b", type=int, default=1, help="exponent on 1+||z||^2")
     p.add_argument("--c", type=int, default=1, help="exponent on 1+||f||^2")
     p.add_argument("--output", help="write h as a map document to this path")
-    p.set_defaults(func=cmd_solve_h)
 
     p = sub.add_parser("verify", help="check (1+||z||^2)^b (1+||f||^2)^c == (1+||h||^2)^a")
     p.add_argument("f", help="path to the map document for f")
@@ -378,37 +382,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("tensor-rank", help="rank of (1+||f||^2)^t - 1")
     p.add_argument("--input", required=True, help="path to the map document for f")
     p.add_argument("--t", type=int, required=True, help="power")
     p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.set_defaults(func=cmd_tensor_rank)
 
     p = sub.add_parser("gaps", help="impossible component-count intervals for n variables")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.set_defaults(func=cmd_gaps)
 
     p = sub.add_parser("bounds", help="evaluate one bound check, e.g. bounds thm2.4 n=2 p=1 r=4")
     p.add_argument("theorem", help="one of: " + " ".join(sorted(THEOREMS)))
     p.add_argument("values", nargs="*", help="key=value integer assignments")
     p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("primes", help="power substitution exponents injective up to degree t")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.set_defaults(func=cmd_primes)
 
     p = sub.add_parser("divide", help="exact quotient of a bihomogeneous form by ||z||^2")
     p.add_argument("--input", required=True, help="path to a form JSON document")
-    p.set_defaults(func=cmd_divide)
 
     p = sub.add_parser("example1", help="walk the one-variable diagonal family at a given lambda")
     p.add_argument("--lambda", dest="lam", default="7", help="rational lambda, e.g. 7 or 13/2")
-    p.set_defaults(func=cmd_example1)
 
     p = sub.add_parser("ensemble", help="random minimal maps; CSV of counts against bounds")
     p.add_argument("--config", help="path to a JSON config object")
@@ -419,22 +416,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--height", type=int, default=5, help="coefficient height bound")
     p.add_argument("--output", help="write the CSV here instead of stdout")
-    p.set_defaults(func=cmd_ensemble)
 
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call.
+
+    Parsing leaves a parser unchanged and fills a new namespace each time,
+    so one parser serves every later call.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
+    # the handler is looked up now, not when the parser was built, so a
+    # replaced ``cmd_*`` attribute is the one that runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except NotNormalizedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

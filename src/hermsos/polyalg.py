@@ -670,7 +670,10 @@ class HermitianForm:
         if g != 1:
             cells = {key: (re // g, im // g) for key, (re, im) in cells.items()}
         self.n = n
-        self.basis = tuple(mons[i] for i in rows)
+        # from a list, not a generator: a tuple grown from a generator is resized,
+        # and once freed it waits in the free list of its final size (up to 2000
+        # per size) until a full garbage collection empties it
+        self.basis = tuple([mons[i] for i in rows])
         self.den = den // g
         self.cells = dict(sorted(((new[i], new[j]), cell) for (i, j), cell in cells.items()))
         self._index = {mon: k for k, mon in enumerate(self.basis)}

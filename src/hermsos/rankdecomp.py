@@ -39,6 +39,7 @@ from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence
 
 from .polyalg import (
     GR_ONE,
+    GR_ZERO,
     GaussianRational,
     HermitianForm,
     HoloMap,
@@ -50,7 +51,15 @@ from .polyalg import (
 
 
 class NotSOSError(ValueError):
-    """The form admits no representation as a sum of squared moduli."""
+    """The form admits no representation as a sum of squared moduli.
+
+    ``witness`` certifies it: a vector v of Gaussian rationals, one per
+    basis monomial of the form, with v^H G v < 0 for the Gram matrix G.
+    """
+
+    def __init__(self, message: str, witness: Optional[Tuple[GaussianRational, ...]] = None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class Inertia(NamedTuple):
@@ -194,7 +203,8 @@ class ScaledMap:
     components: Tuple[Tuple[Fraction, HoloPoly], ...]
 
     def __post_init__(self):
-        comps = tuple((Fraction(w), p) for w, p in self.components)
+        # from a list, as HermitianForm builds its basis
+        comps = tuple([(Fraction(w), p) for w, p in self.components])
         for weight, poly in comps:
             if weight <= 0:
                 raise ValueError("weights must be positive")
@@ -227,26 +237,66 @@ def extract_sos(form: HermitianForm) -> ScaledMap:
     Returns a scaled map h with rank(form) components whose squared norm
     reproduces the form.  A negative pivot, or a zero diagonal entry whose
     row is not yet eliminated, certifies indefiniteness and raises
-    ``NotSOSError``; for a PSD matrix neither can occur, so no pivoting is
-    ever needed.
+    ``NotSOSError`` with a witness vector; for a PSD matrix neither can
+    occur, so no pivoting is ever needed.
     """
     comps: List[Tuple[Fraction, HoloPoly]] = []
+    steps = []  # (index, pivot, column) of each nonzero pivot so far
     for k, pivot, scale, column in _ldlh(form, pivoting=False):
         if not pivot:
             if column:
                 raise NotSOSError(
-                    "zero diagonal entry with a nonzero row: the form is indefinite"
+                    "zero diagonal entry with a nonzero row: the form is indefinite",
+                    _zero_pivot_witness(form, steps, k, scale, column[0]),
                 )
             continue
         d = Fraction(pivot, scale)
         if d < 0:
-            raise NotSOSError(f"negative pivot {d} at {form.basis[k]}: not a sum of squares")
+            raise NotSOSError(
+                f"negative pivot {d} at {form.basis[k]}: not a sum of squares",
+                _lift(form.size, steps, {k: GR_ONE}),
+            )
+        steps.append((k, pivot, column))
         # column k of the factor, scaled so the pivot coefficient is 1
         terms = {form.basis[k]: GR_ONE}
         for i, a_re, a_im in column:
             terms[form.basis[i]] = GaussianRational(Fraction(a_re, pivot), Fraction(a_im, pivot))
         comps.append((d, HoloPoly(form.n, terms)))
     return ScaledMap(form.n, tuple(comps))
+
+
+def _lift(size: int, steps, u: Dict[int, GaussianRational]) -> Tuple[GaussianRational, ...]:
+    """v = L^{-H} u, for u supported past the eliminated indices.
+
+    After the steps, G = L diag(D, S) L^H with S the Schur complement of the
+    remaining indices and L unit lower triangular (identity past the steps),
+    so v^H G v = u^H S u.  L^H v = u is solved by back substitution.
+    """
+    v = dict(u)
+    for j, pivot, column in reversed(steps):
+        total = GR_ZERO
+        for i, a_re, a_im in column:
+            if i in v:
+                # conj(L[i][j]) * v_i with L[i][j] = (a_re + a_im*i) / pivot
+                total = total + GaussianRational(Fraction(a_re, pivot), Fraction(-a_im, pivot)) * v[i]
+        if total:
+            v[j] = -total
+    return tuple(v.get(i, GR_ZERO) for i in range(size))
+
+
+def _zero_pivot_witness(form: HermitianForm, steps, k: int, scale: int, entry):
+    """A witness for S[k][k] = 0 with S[i][k] = s != 0 in the Schur complement S.
+
+    u = alpha e_k + e_i gives u^H S u = S[i][i] + 2 Re(s alpha).  Every
+    earlier pivot is positive, so S[i][i] <= G[i][i], and
+    alpha = -conj(s) (G[i][i] + |s|^2) / (2 |s|^2) makes it at most -|s|^2.
+    """
+    i, s_re, s_im = entry
+    s = GaussianRational(Fraction(s_re, scale), Fraction(s_im, scale))
+    g_ii = Fraction(form.cells.get((i, i), (0, 0))[0], form.den)
+    norm = s.abs2()
+    alpha = -s.conjugate() * GaussianRational((g_ii + norm) / (2 * norm))
+    return _lift(form.size, steps, {k: alpha, i: GR_ONE})
 
 
 def _row_reduce(

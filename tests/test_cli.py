@@ -434,3 +434,83 @@ def test_internal_invariant_exit_code(pair_map, monkeypatch, capsys, command, ta
     assert main(argv) == 5
     err = capsys.readouterr().err
     assert err == "error: internal invariant violated: inexact division in fraction-free elimination\n"
+
+
+# main builds its parser once per process and reuses it
+
+def fresh_call(argv, capsys):
+    """(exit code, stdout, stderr) of a call that builds a new parser."""
+    cli._shared_parser.cache_clear()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_repeated_calls_match_a_first_call(pair_map, tmp_path, capsys):
+    dense = write_json(tmp_path / "dense.json", DENSE_MAP)
+    solve_b2 = ["solve-h", "--input", dense, "--b", "2"]
+    solve = ["solve-h", "--input", dense]
+    rank_csv = ["rank", "--input", pair_map, "--format", "csv"]
+    rank = ["rank", "--input", pair_map]
+    firsts = {tuple(argv): fresh_call(argv, capsys) for argv in (solve_b2, solve, rank_csv, rank)}
+    assert firsts[tuple(solve)][1] == GOLDEN_SOLVE_H[0][2]  # the thm2.4 report is there
+    assert firsts[tuple(rank)][1] == "rank: 2\npositive: 2\nnegative: 0\nsos: true\nminimal: true\n"
+    cli._shared_parser.cache_clear()
+    for argv in (solve_b2, solve, rank_csv, rank, solve, solve_b2, rank, rank_csv):
+        code = main(argv)
+        assert (code, *capsys.readouterr()) == firsts[tuple(argv)]
+
+
+def test_usage_errors_and_help_after_a_successful_call(pair_map, capsys):
+    code, _, usage = fresh_call(["rank"], capsys)
+    assert code == 2
+    assert main(["rank", "--input", pair_map]) == 0
+    capsys.readouterr()
+    assert main(["rank"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == usage
+    assert err.startswith("usage: hermsos rank")
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: hermsos")
+
+
+def test_a_handler_replaced_after_the_first_call_runs(pair_map, monkeypatch, capsys):
+    assert main(["rank", "--input", pair_map]) == 0
+    capsys.readouterr()
+    seen = []
+
+    def replacement(args):
+        seen.append(args.input)
+        return 7
+
+    monkeypatch.setattr("hermsos.cli.cmd_rank", replacement)
+    assert main(["rank", "--input", pair_map]) == 7
+    assert seen == [pair_map]
+    monkeypatch.undo()
+    assert main(["rank", "--input", pair_map]) == 0
+    assert capsys.readouterr().out.startswith("rank: 2\n")
+
+
+def test_import_builds_no_parser_and_calls_build_one(monkeypatch, capsys):
+    import argparse
+    import importlib
+
+    progs = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    # a fresh module; the one other tests hold comes back at teardown
+    monkeypatch.setattr(hermsos, "cli", cli)
+    monkeypatch.delitem(sys.modules, "hermsos.cli")
+    fresh = importlib.import_module("hermsos.cli")
+    assert fresh is not cli
+    assert progs == []
+    for _ in range(20):
+        assert fresh.main(["gaps", "--n", "2"]) == 0
+    assert progs.count("hermsos") == 1
+    assert capsys.readouterr().out == "(0,4)\n" * 20

@@ -138,6 +138,53 @@ def test_extract_sos_matches_reference_and_recomposes_psd(f):
     assert len(s) == reference_inertia(gram).pos
 
 
+def quadratic_value(form, v):
+    """v^H G v over the dense Gram matrix, in plain GaussianRational arithmetic."""
+    gram = form.gram
+    total = GaussianRational(0)
+    for a, va in enumerate(v):
+        for b, vb in enumerate(v):
+            total = total + va.conjugate() * gram[a][b] * vb
+    return total
+
+
+def assert_negativity_witness(form):
+    with pytest.raises(NotSOSError) as info:
+        extract_sos(form)
+    v = info.value.witness
+    assert len(v) == form.size
+    value = quadratic_value(form, v)
+    assert value.im == 0 and value.re < 0
+    return str(info.value)
+
+
+@PROPERTY
+@given(hermitian_forms())
+def test_not_sos_error_carries_a_negativity_witness(form):
+    if reference_inertia(form).neg:
+        assert_negativity_witness(form)
+    else:
+        extract_sos(form)
+
+
+@pytest.mark.parametrize("gram,message", [
+    # pivot 1, then the Schur complement 1 - |2 + i|^2 = -4
+    ([[1, (2, 1)], [(2, -1), 1]], "negative pivot -4 at z0: not a sum of squares"),
+    # pivot 1, then the Schur complement [[0, 1 - i], [1 + i, 1]]: a zero pivot
+    # with a nonzero row, on indices past a nontrivial step
+    ([[1, 1, 0], [1, 1, (1, -1)], [0, (1, 1), 1]], "zero diagonal entry with a nonzero row"),
+    # the first step turns the nonzero diagonal entry 1/2 into 1/2 - 1^2/2 = 0
+    ([[2, 1, (0, 1)], [1, "1/2", 1], [(0, -1), 1, 3]], "zero diagonal entry with a nonzero row"),
+])
+def test_both_not_sos_cases_carry_a_witness(gram, message):
+    def scalar(x):
+        return GaussianRational(*x) if isinstance(x, tuple) else GaussianRational(Fraction(x))
+
+    size = len(gram)
+    form = HermitianForm(2, BASIS[:size], [[scalar(x) for x in row] for row in gram])
+    assert assert_negativity_witness(form).startswith(message)
+
+
 @PROPERTY
 @given(scaled_maps())
 def test_norm_form_matches_direct_sum(f):
