@@ -21,7 +21,6 @@ import functools
 import json
 import random
 import sys
-from fractions import Fraction
 from math import comb
 
 from .bounds import (
@@ -41,6 +40,7 @@ from .documents import (
     EnsembleConfig,
     parse_form_document,
     parse_map_document,
+    parse_rational,
     random_map,
     serialize_form_document,
     serialize_map_document,
@@ -261,7 +261,7 @@ def cmd_divide(args) -> int:
 
 def cmd_example1(args) -> int:
     try:
-        lam = Fraction(args.lam)
+        lam = parse_rational(args.lam)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational lambda {args.lam!r}") from exc
     r = r_lambda(lam)

@@ -7,7 +7,9 @@ Map documents::
 Each component is a list of terms; ``re``/``im`` are exact rationals given
 as integers or strings like ``"3/4"`` (floats are rejected).  A component
 may instead be an object ``{"scale": "1/2", "terms": [...]}``; if any
-component carries a scale the document parses to a weighted map.
+component carries a scale the document parses to a weighted map.  A weighted
+map with no components is written with a top-level ``"scaled": true``, the
+only value that key accepts.
 
 Form documents::
 
@@ -40,6 +42,19 @@ class DocumentError(ValueError):
     """Malformed or inconsistent document content."""
 
 
+def parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, refusing a decimal exponent above 4300 in magnitude.
+
+    Fraction builds the power of ten in full, so a short literal such as
+    "1e3000000" would take seconds; 4300 is the digit limit CPython puts on
+    integer strings.  Raises ValueError or ZeroDivisionError like Fraction.
+    """
+    _, e, exponent = text.lower().partition("e")
+    if e and abs(int(exponent)) > 4300:
+        raise ValueError(f"decimal exponent of {text!r} is out of range")
+    return Fraction(text)
+
+
 def _rational_from_json(value) -> Fraction:
     if isinstance(value, bool):
         raise DocumentError("booleans are not rationals")
@@ -47,7 +62,7 @@ def _rational_from_json(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return parse_rational(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"bad rational literal {value!r}") from exc
     if isinstance(value, float):
@@ -107,7 +122,7 @@ def parse_map_document(doc) -> Union[HoloMap, ScaledMap]:
     """Parse a map document; returns a weighted map iff any component has a scale."""
     if not isinstance(doc, dict):
         raise DocumentError("map document must be an object")
-    extra = set(doc) - {"n", "components"}
+    extra = set(doc) - {"n", "components", "scaled"}
     if extra:
         raise DocumentError(f"unknown document keys {sorted(extra)}")
     n = doc.get("n")
@@ -116,7 +131,9 @@ def parse_map_document(doc) -> Union[HoloMap, ScaledMap]:
     raw = doc.get("components")
     if not isinstance(raw, list):
         raise DocumentError("components must be a list")
-    scaled = False
+    scaled = "scaled" in doc
+    if scaled and doc["scaled"] is not True:
+        raise DocumentError("scaled must be true")
     pairs = []
     for comp in raw:
         if isinstance(comp, dict):
@@ -156,7 +173,9 @@ def serialize_map_document(f) -> dict:
             components.append(terms)
         else:
             components.append({"scale": _rational_to_json(weight), "terms": terms})
-    return {"n": f.n, "components": components}
+    if plain or components:
+        return {"n": f.n, "components": components}
+    return {"n": f.n, "components": components, "scaled": True}
 
 
 def parse_form_document(doc) -> HermitianForm:

@@ -11,24 +11,22 @@ minimal number of components, and ``verify_identity`` replays the identity
 as an equality of canonical forms, which is exact and certificate-free.
 
 ``tensor_power_rank`` gives the rank of (1 + ||f||^2)^c - 1 as the dimension
-of the span of the products of at most c components, and ``divide_by_norm``
-answers the converse question of when a squared norm factors through
-||z||^2 by solving the coefficient convolution system exactly.  Both hand
-their Gaussian-integer rows to the fraction-free row kernel of
-``rankdecomp``.
+of the span of the products of at most c components; it hands their
+Gaussian-integer rows to the fraction-free row kernel of ``rankdecomp``.
+``divide_by_norm`` answers the converse question of when a squared norm
+factors through ||z||^2 by exact polynomial division by z_0 + ... + z_{n-1},
+one block of the Gram matrix at a time; it needs no elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import comb, gcd
-from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from operator import add, sub
+from typing import Dict, List, Optional, Tuple, Union
 
 from .polyalg import (
-    GR_ZERO,
     GaussianRational,
     HermitianForm,
     HoloMap,
@@ -42,7 +40,6 @@ from .rankdecomp import (  # noqa: F401
     NotSOSError,
     ScaledMap,
     _affine_block,
-    _gaussian_ratio,
     _row_reduce,
     extract_sos,
     inertia,
@@ -203,9 +200,9 @@ def divide_by_norm(s: HermitianForm) -> Optional[HermitianForm]:
     """Exact quotient s / ||z||^2 as a Hermitian form, or None.
 
     s must be bihomogeneous (every basis monomial of one common degree).
-    The convolution system (||z||^2 * R)[alpha][beta] = s[alpha][beta]
-    decouples over the difference vector alpha - beta; each block is an
-    overdetermined linear system with at most one solution, solved exactly.
+    (||z||^2 * R)[alpha][beta] = s[alpha][beta] decouples over the difference
+    vector alpha - beta: each block says p = (x_0 + ... + x_{n-1}) * r, with p
+    and r the block's entries of s and R as polynomials in the row exponents.
     Returns None when no exact quotient exists.
     """
     if not s.basis:
@@ -213,102 +210,57 @@ def divide_by_norm(s: HermitianForm) -> Optional[HermitianForm]:
     degs = s.degrees()
     if len(degs) != 1:
         raise ValueError("form must be bihomogeneous")
-    d = degs.pop()
-    if d == 0:
-        return None
-    n = s.n
-
-    def shift(exps: Tuple[int, ...], j: int, step: int) -> Tuple[int, ...]:
-        return exps[:j] + (exps[j] + step,) + exps[j + 1 :]
-
-    # group the entries by difference vector: block[alpha] = s[alpha][alpha - diff]
-    blocks: dict = {}
-    for a, b, value in s.entries():
-        diff = tuple(x - y for x, y in zip(a.exponents, b.exponents))
-        blocks.setdefault(diff, {})[a.exponents] = value
-    quotient: dict = {}
-    for diff in sorted(blocks):
-        block = blocks[diff]
-        # In one block the system is the polynomial identity
-        # p = (x_0 + ... + x_{n-1}) * r in the row exponents.  By Ostrowski's
-        # theorem Newt(p) = simplex + Newt(r), so the exponent of x_i in r
-        # lies in [lo_i, hi_i - 1] (in [lo_i - 1, hi_i - 1] when n = 1), with
-        # lo_i and hi_i the extremes of that exponent over the support of p.
-        box = []
-        for i in range(n):
-            column = [exps[i] for exps in block]
-            box.append((min(column) - (n == 1), max(column) - 1))
-        unknowns = _exponents_in_box(box, d - 1)
-        if not unknowns:
+    n, basis, d = s.n, s.basis, degs.pop()
+    blocks: Dict[Tuple[int, ...], dict] = {}
+    for (i, j), cell in s.cells.items():
+        a = basis[i].exponents
+        blocks.setdefault(tuple(map(sub, a, basis[j].exponents)), {})[a] = cell
+    index: Dict[Tuple[int, ...], int] = {}
+    cells = {}
+    for diff, block in blocks.items():
+        quotient = _divide_by_sum(block, n, d)
+        if quotient is None:
             return None
-        col = {ga: idx for idx, ga in enumerate(unknowns)}
-        equations = set(block)
-        equations.update(shift(ga, j, 1) for ga in unknowns for j in range(n))
-        rows: List[Dict[int, Tuple[int, int]]] = []
-        rhs: List[GaussianRational] = []
-        for sa in sorted(equations, key=lambda e: tuple(-x for x in e)):
-            row = {}
-            for j in range(n):
-                idx = col.get(shift(sa, j, -1)) if sa[j] else None
-                if idx is not None:
-                    row[idx] = (1, 0)
-            value = block.get(sa, GR_ZERO)
-            if not row:
-                if value:
-                    return None
-                continue
-            rows.append(row)
-            rhs.append(value)
-        solution = _solve_linear(rows, rhs, len(unknowns))
-        if solution is None:
-            return None
-        for ga, value in zip(unknowns, solution):
-            if value:
-                gb = tuple(x - y for x, y in zip(ga, diff))
-                quotient[(Monomial(ga), Monomial(gb))] = value
-    r = HermitianForm.from_entries(n, quotient)
-    # defensive recomposition; the block solves are individually exact,
-    # but this guards the assembly across blocks
-    one_norm = norm_form(HoloMap.variables(n))
-    if one_norm * r != s:
-        return None
-    return r
+        for ga, cell in quotient.items():
+            gb = tuple(map(sub, ga, diff))
+            cells[index.setdefault(ga, len(index)), index.setdefault(gb, len(index))] = cell
+    # the divisor has unit coefficients, so the numerators stay over s.den
+    r = HermitianForm._build(n, [Monomial(exps) for exps in index], s.den, cells)
+    # defensive recomposition: each block division is exact, this guards the assembly
+    return r if norm_form(HoloMap.variables(n)) * r == s else None
 
 
-def _exponents_in_box(box: Sequence[Tuple[int, int]], total: int) -> List[Tuple[int, ...]]:
-    """Exponent vectors e of degree total with lo_i <= e_i <= hi_i, in grlex order."""
-    *head, (lo, hi) = box
-    out = []
-    for first in product(*(range(high, low - 1, -1) for low, high in head)):
-        last = total - sum(first)
-        if lo <= last <= hi:
-            out.append(first + (last,))
-    return out
+def _divide_by_sum(p: dict, n: int, d: int) -> Optional[dict]:
+    """p / (x_0 + ... + x_{n-1}), p mapping degree-d exponents to Gaussian integers, or None.
 
-
-def _solve_linear(
-    rows: List[Dict[int, Tuple[int, int]]], rhs: List[GaussianRational], width: int
-) -> Optional[List[GaussianRational]]:
-    """Solve an exact linear system with a unique candidate solution.
-
-    Each row maps the column indices below ``width`` of its nonzero entries
-    to Gaussian integers (re, im).  The augmented matrix [A | D*b], with D
-    the common denominator of the right-hand side, is row-reduced by the
-    fraction-free kernel.  Returns None when inconsistent (a pivot in the
-    last column).  Raises if a free column survives, which the callers'
-    systems never produce.
+    Division in lex order with x_0 first: the largest remaining term c x^a
+    gives the quotient term c x^(a - e_0) and the remainder terms
+    -c x^(a - e_0 + e_j), j >= 1, one x_0 exponent lower, so the remainder is
+    cleared one x_0 exponent at a time from the top; a term left without x_0
+    means there is no quotient.  The divisor is a nonzerodivisor, so every
+    emitted term is final, and by Ostrowski's theorem (Newt(p) = simplex +
+    Newt(r)) the x_i exponent of a true quotient lies in [lo_i, hi_i - 1]
+    ([lo_i - 1, hi_i - 1] when n = 1), the extremes over the support of p:
+    one term outside that box proves there is none.
     """
-    den, scaled = _integer_terms(dict(enumerate(rhs)))
-    augmented = [{**row, width: scaled[i]} for i, row in enumerate(rows)]
-    reduced = _row_reduce(augmented, width + 1)
-    if reduced and reduced[-1][0] == width:
-        return None
-    if len(reduced) != width:
-        raise ArithmeticError("underdetermined block; the divisor is a nonzerodivisor")
-    return [
-        _gaussian_ratio(*row.get(width, (0, 0)), row[c][0] * den, row[c][1] * den)
-        for c, row in reduced
-    ]
+    box = [(min(column) - (n == 1), max(column) - 1) for column in zip(*p)]
+    levels = [{} for _ in range(d + 1)]
+    for exps, cell in p.items():
+        levels[exps[0]][exps] = cell
+    quotient = {}
+    for top in range(d, 0, -1):
+        lower = levels[top - 1]
+        for exps, (re, im) in levels[top].items():
+            if re or im:
+                ga = (top - 1,) + exps[1:]
+                if not all(lo <= e <= hi for e, (lo, hi) in zip(ga, box)):
+                    return None
+                quotient[ga] = (re, im)
+                for j in range(1, n):
+                    key = ga[:j] + (ga[j] + 1,) + ga[j + 1 :]
+                    x, y = lower.get(key, (0, 0))
+                    lower[key] = (x - re, y - im)
+    return None if any(re or im for re, im in levels[0].values()) else quotient
 
 
 def r_lambda(lam) -> HermitianForm:
@@ -317,11 +269,5 @@ def r_lambda(lam) -> HermitianForm:
     At lam = 0 this is (1 + |z|^2)^4 restricted to its diagonal; the family
     stays a squared norm exactly while lam <= 6.
     """
-    lam = Fraction(lam)
-    coeffs = [Fraction(1), Fraction(4), Fraction(6) - lam, Fraction(4), Fraction(1)]
-    entries = {}
-    for k, value in enumerate(coeffs):
-        if value:
-            mon = Monomial((k,))
-            entries[(mon, mon)] = value
-    return HermitianForm.from_entries(1, entries)
+    diagonal = (1, 4, 6 - Fraction(lam), 4, 1)
+    return HermitianForm.from_entries(1, {(Monomial((k,)),) * 2: v for k, v in enumerate(diagonal)})

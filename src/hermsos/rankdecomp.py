@@ -26,9 +26,8 @@ formed only when results are read out.
     the form's Gaussian-integer entries over their common denominator and
     eliminates them symmetrically, dividing by real integer pivots.
   * ``_row_reduce``  for rows (``reduce_minimal``, and in ``isometry`` the
-    tensor-power rank and the division by ||z||^2): a Gauss-Jordan
-    elimination of rows each scaled to Z[i] by its own denominator,
-    dividing by Gaussian-integer pivots.
+    tensor-power rank): a Gauss-Jordan elimination of rows each scaled to
+    Z[i] by its own denominator, dividing by Gaussian-integer pivots.
 """
 
 from __future__ import annotations
@@ -306,9 +305,8 @@ def _row_reduce(
 
     Each row maps column indices below ``width`` to the numerators (re, im)
     of its nonzero entries; the callers scale every input row to Z[i] by its
-    own denominator, which changes neither the row space, nor the reduced
-    row echelon form, nor a solution whose right-hand side is scaled with
-    its row.  Columns are taken left to right; the pivot is the first
+    own denominator, which changes neither the row space nor the reduced
+    row echelon form.  Columns are taken left to right; the pivot is the first
     remaining row with a nonzero entry in the column, swapped into place.
     Every other row then takes the Bareiss step
     a_ij <- (p * a_ij - a_ic * a_kj) / p_prev, with p = a_kc the new pivot

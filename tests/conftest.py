@@ -7,7 +7,7 @@ rationals, inertia by explicit congruence matrices, ranks by counting.
 The references at the end run over ``GaussianRational`` arithmetic on
 dense matrices, sharing no code with the package's fraction-free kernels,
 its sparse Gaussian-integer form arithmetic, its integer tensor products,
-or the bounded search of ``divide_by_norm``.
+or the polynomial division of ``divide_by_norm``.
 """
 
 from fractions import Fraction

@@ -421,6 +421,19 @@ def test_zero_denominator_is_bad_input(capsys):
     assert "bad rational lambda '1/0'" in capsys.readouterr().err
 
 
+def test_huge_decimal_exponent_is_bad_input(tmp_path, capsys):
+    # a 59-byte document; Fraction alone would take seconds on this literal
+    doc = write_json(
+        tmp_path / "f.json", {"n": 1, "components": [[{"exp": [1], "re": "1e3000000"}]]}
+    )
+    start = time.perf_counter()
+    assert main(["rank", "--input", doc]) == 2
+    assert "bad rational literal '1e3000000'" in capsys.readouterr().err
+    assert main(["example1", "--lambda", "1e3000000"]) == 2
+    assert "bad rational lambda '1e3000000'" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("command,target", [
     (["solve-h", "--input", "@"], "solve_h"),
     (["tensor-rank", "--input", "@", "--t", "2"], "tensor_power_rank"),

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,32 @@ def test_map_document_rejections():
         parse_map_document({"n": 1, "components": [{"scale": 0, "terms": []}]})
     with pytest.raises(DocumentError):
         parse_map_document({"n": 1, "stuff": []})
+
+
+def test_empty_weighted_map_document():
+    doc = serialize_map_document(ScaledMap(2, ()))
+    assert doc == {"n": 2, "components": [], "scaled": True}
+    assert parse_map_document(doc) == ScaledMap(2, ())
+    # every other document is written as before
+    assert serialize_map_document(HoloMap(2, [])) == {"n": 2, "components": []}
+    f = ScaledMap(1, ((Fraction(1, 2), HoloPoly.variable(1, 0)),))
+    assert "scaled" not in serialize_map_document(f)
+    plain = {"n": 1, "components": [[{"exp": [1], "re": 1}]]}
+    assert isinstance(parse_map_document({**plain, "scaled": True}), ScaledMap)
+    for value in (False, 1, "true", None):
+        with pytest.raises(DocumentError):
+            parse_map_document({**plain, "scaled": value})
+
+
+def test_decimal_exponents():
+    term = {"exp": [1], "re": "2.5e-3", "im": "-1E4300"}
+    f = parse_map_document({"n": 1, "components": [[term]]})
+    assert f.components[0].terms[mono(1)] == GaussianRational(Fraction(1, 400), -(10**4300))
+    for literal in ("1e4301", "1e-4301", "1E3000000", "-2.5e-3000000", "1e+10000000"):
+        start = time.perf_counter()
+        with pytest.raises(DocumentError, match="bad rational literal"):
+            parse_map_document({"n": 1, "components": [[{"exp": [1], "re": literal}]]})
+        assert time.perf_counter() - start < 1
 
 
 def test_form_document_round_trip():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -235,6 +236,28 @@ def test_divide_by_norm_off_diagonal():
             r = norm_form(HoloMap(2, [comp]))
             s = norm_form(HoloMap.variables(2)) * r
             assert divide_by_norm(s) == r
+
+
+def test_divide_by_norm_high_powers_in_six_variables():
+    # not divisible; the Ostrowski box holds every degree-9 exponent here
+    powers = [mono(*(10 * (k == i) for k in range(6))) for i in range(6)]
+    s = HermitianForm.from_entries(6, {(m, m): 1 for m in powers})
+    start = time.perf_counter()
+    assert divide_by_norm(s) is None
+    assert time.perf_counter() - start < 1
+
+
+def test_divide_by_norm_refuses_an_off_diagonal_block():
+    # ||z||^2 |z0|^2 = |z0^2|^2 + |z0 z1|^2 divides in the diagonal block; the
+    # added pair z0^2 conj(z1^2) + conj pair is x0^2 in its block, not a multiple
+    # of x0 + x1
+    x2, xy, y2 = mono(2, 0), mono(1, 1), mono(0, 2)
+    diagonal = {(x2, x2): 1, (xy, xy): 1}
+    assert divide_by_norm(HermitianForm.from_entries(2, diagonal)) == HermitianForm.from_entries(
+        2, {(mono(1, 0), mono(1, 0)): 1}
+    )
+    pair = {(x2, y2): GaussianRational(1, 2), (y2, x2): GaussianRational(1, -2)}
+    assert divide_by_norm(HermitianForm.from_entries(2, {**diagonal, **pair})) is None
 
 
 def test_r_lambda_values():

@@ -366,13 +366,9 @@ def json_round_trip(doc):
 @PROPERTY
 @given(spanning_maps())
 def test_map_documents_round_trip(f):
-    assume(isinstance(f, HoloMap) or len(f))  # see the next test
     assert parse_map_document(json_round_trip(serialize_map_document(f))) == f
 
 
-@pytest.mark.xfail(
-    strict=True, reason="a weighted map without components is written as a plain one"
-)
 def test_empty_weighted_map_round_trips():
     f = ScaledMap(2, ())
     assert parse_map_document(json_round_trip(serialize_map_document(f))) == f
