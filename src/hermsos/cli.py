@@ -3,10 +3,11 @@
 Subcommands operate on JSON documents (see ``documents``) and print either
 human-readable text or CSV.  Exit codes: 0 success, 1 a verification that
 ran and failed, 2 malformed input or an invalid value (including a
-``tensor-rank`` job above ``TENSOR_ROWS_MAX`` products), 3 a map that does
-not vanish at the origin, 4 a map with linearly dependent components, 5 an
-internal invariant violated (an ``ArithmeticError`` from a check that
-cannot fail on correct code, such as an inexact division in elimination).
+``tensor-rank`` job above ``TENSOR_ROWS_MAX`` products, and a ``solve-h``
+block above ``SOLVE_H_BLOCK_MAX`` basis monomials), 3 a map that does not
+vanish at the origin, 4 a map with linearly dependent components, 5 an
+internal invariant violated (an ``ArithmeticError`` from a check that cannot
+fail on correct code, such as an inexact division in elimination).
 
 ``main`` can be called many times in one process.  It builds the parser on
 its first call and reuses it; each call parses into a fresh namespace, so
@@ -50,11 +51,11 @@ from .isometry import (
     NotNormalizedError,
     divide_by_norm,
     identity_mismatch,
-    one_plus_norm,
     one_plus_norm_z,
     r_lambda,
     solve_h,
     tensor_power_rank,
+    verify_identity,
 )
 from .polyalg import Monomial, norm_form
 from .rankdecomp import affine_split, extract_sos, inertia
@@ -77,18 +78,18 @@ THEOREMS = {
 # of the count, and components of higher degree take longer at the same count.
 TENSOR_ROWS_MAX = 135
 
+# The most basis monomials in the block `solve-h` eliminates; the dense
+# elimination is cubic in it.  On the map (z0) in 2 variables, b = 20 gives
+# 251 monomials and takes about 1.8 s on a 2-vCPU x86-64 VM, b = 22 gives 298
+# and takes 3.6 s, and b = 25 gives 376 and takes 9.9 s.  Expanding the form
+# for b = 40 (901 monomials) takes 0.14 s, so a refusal comes quickly.
+# `ensemble` chooses its own exponents (b = c = 1) and is not limited.
+SOLVE_H_BLOCK_MAX = 256
+
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
-
-
-def _load_form(path: str):
-    """A map document yields its squared-norm form; a form document, itself."""
-    doc = _read_json(path)
-    if isinstance(doc, dict) and "components" in doc:
-        return norm_form(parse_map_document(doc))
-    return parse_form_document(doc)
 
 
 def _bool_text(flag: bool) -> str:
@@ -156,7 +157,7 @@ def cmd_rank(args) -> int:
 
 def cmd_solve_h(args) -> int:
     f = parse_map_document(_read_json(args.input))
-    h = solve_h(f, args.b, args.c)
+    h = solve_h(f, args.b, args.c, SOLVE_H_BLOCK_MAX)
     print(f"m: {len(h)}")
     for i, (weight, poly) in enumerate(h.weighted_components()):
         print(f"component {i}: scale {weight}, poly {poly}")
@@ -287,7 +288,7 @@ def cmd_example1(args) -> int:
     if p_ok and s_ok:
         f_map = extract_sos(p_form.drop_constant())
         g_map = extract_sos(s_form.drop_constant())
-        holds = one_plus_norm_z(1) ** 2 * one_plus_norm(g_map) == one_plus_norm(f_map) ** 2
+        holds = verify_identity(g_map, f_map, 2, 2, 1)
         print(f"identity (1+|z|^2)^2 (1+||g||^2) == (1+||f||^2)^2: {_bool_text(holds)}")
         print(f"m < d: {_bool_text(m < d)}")
     return 0

@@ -108,16 +108,23 @@ def modification_form(spec: ModificationSpec) -> HermitianForm:
     return one_plus_norm_z(spec.n) ** spec.b * one_plus_norm(spec.f) ** spec.c
 
 
-def solve_h(f: MapLike, b: int, c: int) -> ScaledMap:
+def solve_h(f: MapLike, b: int, c: int, block_max: Optional[int] = None) -> ScaledMap:
     """A minimal map h with 1 + ||h||^2 == (1 + ||z||^2)^b (1 + ||f||^2)^c.
 
     Requires f normalized (f(0) = 0) and minimal.  The left side expands to
     1 plus a positive semidefinite block, so the extraction always succeeds;
     it returns rank-many components, which is the least possible count.
+    A block of more than ``block_max`` basis monomials raises ValueError
+    before any elimination; None sets no limit.
     """
     spec = ModificationSpec(f, 1, b, c)
     block = _affine_block(modification_form(spec))
     if block is not None:
+        if block_max is not None and block.size > block_max:
+            raise ValueError(
+                f"solving for h would eliminate a block of {block.size} basis monomials; "
+                f"the limit is {block_max}"
+            )
         try:
             return extract_sos(block)
         except NotSOSError:

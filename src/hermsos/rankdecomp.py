@@ -24,7 +24,10 @@ formed only when results are read out.
 
   * ``_ldlh``  for Hermitian forms (``inertia``, ``extract_sos``): it reads
     the form's Gaussian-integer entries over their common denominator and
-    eliminates them symmetrically, dividing by real integer pivots.
+    eliminates them symmetrically in basis order, dividing by real integer
+    pivots.  A zero pivot whose row is not yet eliminated stops
+    ``extract_sos`` (the form is indefinite); ``inertia`` goes on, and the
+    kernel moves that pivot off zero by a unit congruence in place.
   * ``_row_reduce``  for rows (``reduce_minimal``, and in ``isometry`` the
     tensor-power rank): a Gauss-Jordan elimination of rows each scaled to
     Z[i] by its own denominator, dividing by Gaussian-integer pivots.
@@ -70,32 +73,28 @@ class Inertia(NamedTuple):
         return self.pos + self.neg
 
 
-def _ldlh(form: HermitianForm, pivoting: bool):
-    """Fraction-free LDL^H of the Gram matrix: one step per eliminated index.
+def _ldlh(form: HermitianForm):
+    """Fraction-free LDL^H of the Gram matrix, one basis index at a time.
 
     The form stores D * G as Gaussian integers over its denominator D; that
-    matrix is eliminated by symmetric Bareiss steps
+    matrix is eliminated in basis order by symmetric Bareiss steps
     a_ij <- (p * a_ij - a_ik * a_kj) / p_prev.  Every entry stays a Gaussian
-    integer (after each step it is a minor of D * G, or of an integer
-    congruent copy once pivoting has acted) and each pivot is real (a
-    principal minor of a Hermitian matrix), so each division is an exact
+    integer (after each step it is a minor of D * G, or of a unit integer
+    congruent copy once a zero pivot has been moved) and each pivot is real
+    (a principal minor of a Hermitian matrix), so each division is an exact
     division by a real integer; a nonzero remainder raises ArithmeticError.
 
-    Yields (index, pivot, scale, column) with ``index`` the basis position
-    of the pivot.  The diagonal factor is d = pivot / scale and the unit
-    lower factor has L[i][index] = (re + im*i) / pivot for each (i, re, im)
-    in ``column``; indices absent from ``column`` have L = 0.
+    Yields (index, pivot, scale, column) for each index k in order.  The
+    diagonal factor is d = pivot / scale and the unit lower factor has
+    L[i][k] = (re + im*i) / pivot for each (i, re, im) in ``column``;
+    indices absent from ``column`` have L = 0.
 
-    With ``pivoting`` the pivot is the first nonzero trailing diagonal
-    entry, swapped into place; if the trailing diagonal is all zero, the
-    first nonzero off-diagonal entry w at (i, j) is moved onto the diagonal
-    by the integer congruence row_i += c * row_j, col_i += conj(c) * col_j
-    with c in {1, i} chosen so that 2 Re(c * conj(w)) != 0.  Elimination
-    stops once the trailing block is zero, so every pivot is nonzero.
-
-    Without ``pivoting`` indices are taken in basis order.  A zero diagonal
-    entry is yielded with pivot 0 and then skipped; the factorization is
-    valid only if its ``column`` is empty, which the caller must check.
+    A zero pivot is yielded too.  With an empty ``column`` elimination goes
+    on past it.  With a nonzero ``column`` the form is indefinite; a caller
+    that resumes gets index k again with a nonzero pivot: the first entry
+    s = a_jk of ``column`` is folded in by the unit congruence
+    row_k += c * row_j, col_k += conj(c) * col_j, which makes the pivot
+    a_jj + 2 Re(c * s), with c the first of 1, -1, i that leaves it nonzero.
     """
     size, den = form.size, form.den
     re = [[0] * size for _ in range(size)]
@@ -103,57 +102,29 @@ def _ldlh(form: HermitianForm, pivoting: bool):
     for (i, j), (x, y) in form.cells.items():
         re[i][j] = x
         im[i][j] = y
-    order = list(range(size))
     prev = 1
     for k in range(size):
-        if pivoting:
-            pivot = next((i for i in range(k, size) if re[i][i]), None)
-            if pivot is None:
-                loc = next(
-                    (
-                        (i, j)
-                        for i in range(k, size)
-                        for j in range(i + 1, size)
-                        if re[i][j] or im[i][j]
-                    ),
-                    None,
-                )
-                if loc is None:
-                    return  # trailing block is zero
-                i, j = loc
-                ri, ii, rj, ij = re[i], im[i], re[j], im[j]
-                if ri[j]:  # c = 1
-                    for t in range(k, size):
-                        ri[t] += rj[t]
-                        ii[t] += ij[t]
-                    for t in range(k, size):
-                        re[t][i] += re[t][j]
-                        im[t][i] += im[t][j]
-                else:  # c = i
-                    for t in range(k, size):
-                        ri[t] -= ij[t]
-                        ii[t] += rj[t]
-                    for t in range(k, size):
-                        re[t][i] += im[t][j]
-                        im[t][i] -= re[t][j]
-                pivot = i
-            if pivot != k:
-                for mat in (re, im):
-                    mat[k], mat[pivot] = mat[pivot], mat[k]
-                    for row in mat:
-                        row[k], row[pivot] = row[pivot], row[k]
-                order[k], order[pivot] = order[pivot], order[k]
-        p = re[k][k]
-        column = [
-            (order[i], re[i][k], im[i][k])
-            for i in range(k + 1, size)
-            if re[i][k] or im[i][k]
-        ]
-        yield order[k], p, prev * den, column
+        rk, ik = re[k], im[k]
+        while True:
+            p = rk[k]
+            column = [(i, re[i][k], im[i][k]) for i in range(k + 1, size) if re[i][k] or im[i][k]]
+            yield k, p, prev * den, column
+            if p or not column:
+                break
+            # resumed past an indefinite zero pivot: move it off zero
+            j, s_re, s_im = column[0]
+            c_re, c_im = (1, 0) if re[j][j] + 2 * s_re else (-1, 0) if re[j][j] - 2 * s_re else (0, 1)
+            rj, ij = re[j], im[j]
+            for t in range(k, size):
+                rk[t] += c_re * rj[t] - c_im * ij[t]
+                ik[t] += c_re * ij[t] + c_im * rj[t]
+            for t in range(k, size):
+                rt, it = re[t], im[t]
+                rt[k] += c_re * rt[j] + c_im * it[j]
+                it[k] += c_re * it[j] - c_im * rt[j]
         if not p:
             continue
         # trailing update of the upper triangle, mirrored to keep it Hermitian
-        rk, ik = re[k], im[k]
         for i in range(k + 1, size):
             ri, ii = re[i], im[i]
             a_re, a_im = ri[k], ii[k]
@@ -178,10 +149,14 @@ def inertia(form: HermitianForm) -> Inertia:
 
     Congruence H -> P H P^H preserves the signature, so the count of
     positive and negative pivots after full diagonalization is independent
-    of the monomial basis used to present the form.
+    of the monomial basis used to present the form.  Zero pivots are
+    skipped; the kernel moves one whose row is not yet eliminated off zero
+    when the loop resumes.
     """
     pos = neg = 0
-    for _, pivot, scale, _ in _ldlh(form, pivoting=True):
+    for _, pivot, scale, _ in _ldlh(form):
+        if not pivot:
+            continue
         if (pivot > 0) == (scale > 0):
             pos += 1
         else:
@@ -237,11 +212,11 @@ def extract_sos(form: HermitianForm) -> ScaledMap:
     reproduces the form.  A negative pivot, or a zero diagonal entry whose
     row is not yet eliminated, certifies indefiniteness and raises
     ``NotSOSError`` with a witness vector; for a PSD matrix neither can
-    occur, so no pivoting is ever needed.
+    occur, so the basis-order factorization never has to move a pivot.
     """
     comps: List[Tuple[Fraction, HoloPoly]] = []
     steps = []  # (index, pivot, column) of each nonzero pivot so far
-    for k, pivot, scale, column in _ldlh(form, pivoting=False):
+    for k, pivot, scale, column in _ldlh(form):
         if not pivot:
             if column:
                 raise NotSOSError(

@@ -162,6 +162,28 @@ def test_tensor_rank_over_the_ceiling_is_refused_at_once(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("rank: 135\n")
 
 
+def test_solve_h_over_the_block_ceiling_is_refused_at_once(tmp_path, capsys):
+    # (1 + ||z||^2)^40 (1 + |z0|^2) in 2 variables has a 901-monomial block
+    doc = write_json(tmp_path / "z0.json", {"n": 2, "components": [[{"exp": [1, 0], "re": 1}]]})
+    start = time.perf_counter()
+    assert main(["solve-h", "--input", doc, "--b", "40", "--c", "1"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "error: solving for h would eliminate a block of 901 basis monomials; the limit is 256\n"
+    )
+    assert main(["solve-h", "--input", doc, "--b", "10", "--c", "1"]) == 0
+    assert capsys.readouterr().out.startswith("m: ")
+
+
+def test_ensemble_is_not_limited_by_the_solve_h_block_ceiling(capsys):
+    # the third sample, of degree 22 in 2 variables, has a 296-monomial block
+    argv = ["ensemble", "--n", "2", "--d-max", "3", "--degree-max", "22", "--count", "3", "--seed", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "n,d,degree,m,lower,upper,in_gap\n2,1,22,5,4,5,false\n2,1,22,5,4,5,false\n2,3,22,11,5,,false\n"
+    )
+
+
 def test_gaps_output(capsys):
     assert main(["gaps", "--n", "5"]) == 0
     assert capsys.readouterr().out == "(0,10) (11,14)\n"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -9,6 +10,7 @@ from conftest import (
     rand_hermitian_form,
     rand_invertible,
     rand_plain_map,
+    reference_inertia,
 )
 from hermsos import (
     GR_I,
@@ -30,6 +32,7 @@ from hermsos import (
     r_lambda,
     reduce_minimal,
 )
+from hermsos.rankdecomp import _ldlh
 
 
 def diag_form(values):
@@ -37,6 +40,39 @@ def diag_form(values):
     for k, v in enumerate(values):
         entries[(mono(k), mono(k))] = v
     return HermitianForm.from_entries(1, entries)
+
+
+@pytest.mark.parametrize(
+    "gram, pivot",
+    [
+        ([[0, 1], [1, 0]], 2),  # c = 1: a_11 + 2 Re(a_10) = 0 + 2
+        ([[0, 1], [1, -2]], -4),  # c = 1 gives -2 + 2 = 0, so c = -1: -2 - 2
+        ([[0, GR_I], [-GR_I, 0]], 2),  # c = +-1 give 0, so c = i: 0 + 2 Re(i * -i)
+    ],
+    ids=["c=1", "c=-1", "c=i"],
+)
+def test_zero_pivot_congruence_choices(gram, pivot):
+    form = HermitianForm(1, [mono(0), mono(1)], gram)
+    first, second = islice(_ldlh(form), 2)
+    assert first[:2] == (0, 0) and first[3]  # a zero pivot with a nonzero column
+    assert second[:2] == (0, pivot)  # resumed: the same index, moved off zero
+    assert inertia(form) == reference_inertia(form) == Inertia(1, 1)
+
+
+def test_ldlh_passes_over_a_zero_pivot_with_an_empty_column():
+    # the zero pivot is yielded once, and no congruence is applied
+    gapped = HermitianForm(1, [mono(k) for k in range(3)], [[1, 1, 0], [1, 1, 0], [0, 0, 2]])
+    assert list(_ldlh(gapped)) == [(0, 1, 1, [(1, 1, 0)]), (1, 0, 1, []), (2, 2, 1, [])]
+
+
+def test_inertia_with_a_zero_trailing_block():
+    # u u^H - v v^H with u = (1, 1, 1), v = (1, 0, -1): a zero leading pivot,
+    # then a zero 1x1 block after two steps
+    indefinite = HermitianForm(1, [mono(k) for k in range(3)], [[0, 1, 2], [1, 1, 1], [2, 1, 0]])
+    assert inertia(indefinite) == reference_inertia(indefinite) == Inertia(1, 1)
+    f = HoloMap(2, [HoloPoly(2, {mono(1, 0): 1, mono(0, 1): GR_I, mono(2, 0): 3})])
+    form = norm_form(f)
+    assert inertia(form) == reference_inertia(form) == Inertia(1, 0)
 
 
 def test_inertia_known_diagonals():
