@@ -21,6 +21,7 @@ import csv
 import functools
 import json
 import random
+import re
 import sys
 from math import comb
 
@@ -44,7 +45,7 @@ from .documents import (
     parse_rational,
     random_map,
     serialize_form_document,
-    serialize_map_document,
+    serialize_map_json,
 )
 from .isometry import (
     NotMinimalError,
@@ -166,8 +167,7 @@ def cmd_solve_h(args) -> int:
         _print_report(check_affine_norm_product(f.n, len(f), len(h)), "text")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(serialize_map_document(h), handle, indent=2)
-            handle.write("\n")
+            handle.write(serialize_map_json(h))
     return 0
 
 
@@ -406,7 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="path to a form JSON document")
 
     p = sub.add_parser("example1", help="walk the one-variable diagonal family at a given lambda")
-    p.add_argument("--lambda", dest="lam", default="7", help="rational lambda, e.g. 7 or 13/2")
+    p.add_argument("--lambda", dest="lam", default="7", help="rational lambda, e.g. 7, 13/2 or -1/7")
+    # argparse reads an argument as a negative number, not an option, only if
+    # it matches this; its default takes neither -1/7 nor -1e2
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
 
     p = sub.add_parser("ensemble", help="random minimal maps; CSV of counts against bounds")
     p.add_argument("--config", help="path to a JSON config object")

@@ -5,7 +5,10 @@ Map documents::
     {"n": 2, "components": [[{"exp": [1, 0], "re": "1", "im": 0}], ...]}
 
 Each component is a list of terms; ``re``/``im`` are exact rationals given
-as integers or strings like ``"3/4"`` (floats are rejected).  A component
+as integers or strings like ``"3/4"`` (floats are rejected).  Integers and
+the literals "p", "-p", "p/q" and "-p/q" are read straight into integer
+numerators over the component's least common denominator; any other
+string, such as "2.5e-3", is read by ``parse_rational``.  A component
 may instead be an object ``{"scale": "1/2", "terms": [...]}``; if any
 component carries a scale the document parses to a weighted map.  A weighted
 map with no components is written with a top-level ``"scaled": true``, the
@@ -15,27 +18,36 @@ Form documents::
 
     {"n": 1, "basis": [[0], [1]], "gram": [[{"re": 1, "im": 0}, ...], ...]}
 
-The gram matrix must be Hermitian; the parser re-validates everything the
+The gram matrix must be Hermitian, which is checked on the integer
+numerators its literals parse to; the parser re-validates everything the
 constructors validate and converts failures to ``DocumentError`` so
 callers can treat malformed input uniformly.
 """
 
 from __future__ import annotations
 
+import json
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Union
+from typing import Dict, Tuple, Union
 
 from .polyalg import (
-    GaussianRational,
     HermitianForm,
     HoloMap,
     HoloPoly,
     Monomial,
+    _common_den,
+    _dense_cells,
+    _ratio_text,
     monomials_up_to_degree,
 )
 from .rankdecomp import ScaledMap, reduce_minimal
+
+
+# the literals read without Fraction: an optional minus, digits, an optional /digits
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 class DocumentError(ValueError):
@@ -55,14 +67,28 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
-def _rational_from_json(value) -> Fraction:
+def _rational_from_json(value) -> Tuple[int, int]:
+    """A JSON rational as (numerator, denominator > 0), not reduced.
+
+    Integers, and strings of ASCII digits shaped "p", "-p", "p/q" or "-p/q",
+    are read straight into integers; every other string goes through
+    ``parse_rational``, so both ways accept and refuse the same literals.
+    """
     if isinstance(value, bool):
         raise DocumentError("booleans are not rationals")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, str):
         try:
-            return parse_rational(value)
+            plain = _PLAIN_RATIONAL.fullmatch(value)
+            if plain is None:
+                q = parse_rational(value)
+                return q.numerator, q.denominator
+            num, den = plain.groups()
+            den = 1 if den is None else int(den)
+            if not den:
+                raise ZeroDivisionError(value)
+            return int(num), den
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"bad rational literal {value!r}") from exc
     if isinstance(value, float):
@@ -70,32 +96,33 @@ def _rational_from_json(value) -> Fraction:
     raise DocumentError(f"bad rational value of type {type(value).__name__}")
 
 
-def _rational_to_json(value: Fraction) -> Union[int, str]:
-    if value.denominator == 1:
-        return int(value)
-    return str(value)
+def _parts_from_json(real, imag) -> Tuple[int, int, int, int]:
+    """real + imag*i from two JSON rationals, as ``polyalg._scalar`` gives a scalar."""
+    return (*_rational_from_json(real), *_rational_from_json(imag))
 
 
-def _scalar_from_json(obj) -> GaussianRational:
+def _rational_to_json(num: int, den: int) -> Union[int, str]:
+    """num / den (den > 0) in lowest terms: an int, or a string like "-3/4"."""
+    text = _ratio_text(num, den)
+    return text if "/" in text else int(text)
+
+
+def _scalar_from_json(obj) -> Tuple[int, int, int, int]:
     # Bare rationals are taken as real entries; objects carry both parts.
     if not isinstance(obj, dict):
-        return GaussianRational(_rational_from_json(obj), Fraction(0))
+        return _parts_from_json(obj, 0)
     extra = set(obj) - {"re", "im"}
     if extra:
         raise DocumentError(f"unknown scalar keys {sorted(extra)}")
-    re = _rational_from_json(obj.get("re", 0))
-    im = _rational_from_json(obj.get("im", 0))
-    return GaussianRational(re, im)
+    return _parts_from_json(obj.get("re", 0), obj.get("im", 0))
 
 
-def _scalar_to_json(value: GaussianRational) -> dict:
-    return {"re": _rational_to_json(value.re), "im": _rational_to_json(value.im)}
-
-
-def _poly_from_terms(n: int, terms) -> HoloPoly:
+def _poly_from_terms(n: int, terms, mons: Dict[Tuple[int, ...], Monomial]) -> HoloPoly:
+    """A component from its JSON terms; ``mons`` holds one Monomial per exponent
+    tuple, shared by the components of a document."""
     if not isinstance(terms, list):
         raise DocumentError("a component must be a list of terms")
-    acc = {}
+    values = {}
     for term in terms:
         if not isinstance(term, dict):
             raise DocumentError("terms must be objects")
@@ -109,13 +136,14 @@ def _poly_from_terms(n: int, terms) -> HoloPoly:
             or any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exp)
         ):
             raise DocumentError("term exp must be a list of n non-negative integers")
-        mon = Monomial(tuple(exp))
-        if mon in acc:
+        key = tuple(exp)
+        mon = mons.get(key)
+        if mon is None:
+            mon = mons[key] = Monomial(key)
+        if mon in values:
             raise DocumentError(f"duplicate exponent {exp} in one component")
-        acc[mon] = GaussianRational(
-            _rational_from_json(term.get("re", 0)), _rational_from_json(term.get("im", 0))
-        )
-    return HoloPoly(n, acc)
+        values[mon] = _parts_from_json(term.get("re", 0), term.get("im", 0))
+    return HoloPoly._build(n, *_common_den(values))
 
 
 def parse_map_document(doc) -> Union[HoloMap, ScaledMap]:
@@ -135,19 +163,20 @@ def parse_map_document(doc) -> Union[HoloMap, ScaledMap]:
     if scaled and doc["scaled"] is not True:
         raise DocumentError("scaled must be true")
     pairs = []
+    mons = {}
     for comp in raw:
         if isinstance(comp, dict):
             extra = set(comp) - {"scale", "terms"}
             if extra:
                 raise DocumentError(f"unknown component keys {sorted(extra)}")
-            weight = _rational_from_json(comp.get("scale", 1))
+            weight = Fraction(*_rational_from_json(comp.get("scale", 1)))
             if weight <= 0:
                 raise DocumentError("component scale must be positive")
             if "scale" in comp:
                 scaled = True
-            pairs.append((weight, _poly_from_terms(n, comp.get("terms"))))
+            pairs.append((weight, _poly_from_terms(n, comp.get("terms"), mons)))
         else:
-            pairs.append((Fraction(1), _poly_from_terms(n, comp)))
+            pairs.append((1, _poly_from_terms(n, comp, mons)))
     try:
         if scaled:
             return ScaledMap(n, tuple(pairs))
@@ -158,24 +187,40 @@ def parse_map_document(doc) -> Union[HoloMap, ScaledMap]:
 
 def serialize_map_document(f) -> dict:
     """Inverse of ``parse_map_document``; plain maps stay plain."""
-    components = []
+    return json.loads(serialize_map_json(f))
+
+
+def serialize_map_json(f) -> str:
+    """The map document of f as JSON text, laid out as ``json.dumps(doc, indent=2)``
+    lays it out, plus a final newline; written from the integer numerators."""
     plain = isinstance(f, HoloMap)
+    pad = " " * (8 if plain else 10)  # the indent of a term's keys
+    blocks = []
     for weight, poly in f.weighted_components():
-        terms = [
-            {
-                "exp": list(mon.exponents),
-                "re": _rational_to_json(coeff.re),
-                "im": _rational_to_json(coeff.im),
-            }
-            for mon, coeff in poly.sorted_terms()
-        ]
-        if plain:
-            components.append(terms)
-        else:
-            components.append({"scale": _rational_to_json(weight), "terms": terms})
-    if plain or components:
-        return {"n": f.n, "components": components}
-    return {"n": f.n, "components": components, "scaled": True}
+        terms = [_term_json(pad, mon, re, im, poly.den) for mon, (re, im) in poly.sorted_cells()]
+        terms = "[\n" + ",\n".join(terms) + f"\n{pad[4:]}]" if terms else "[]"
+        if not plain:
+            scale = _json_ratio(weight.numerator, weight.denominator)
+            terms = f'{{\n      "scale": {scale},\n      "terms": {terms}\n    }}'
+        blocks.append("    " + terms)
+    components = "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
+    scaled = "" if plain or blocks else ',\n  "scaled": true'
+    return f'{{\n  "n": {f.n},\n  "components": {components}{scaled}\n}}\n'
+
+
+def _term_json(pad: str, mon: Monomial, re: int, im: int, den: int) -> str:
+    """One term object of a map document, its keys indented by pad."""
+    exps = f",\n{pad}  ".join(map(str, mon.exponents))
+    return (
+        f'{pad[2:]}{{\n{pad}"exp": [\n{pad}  {exps}\n{pad}],\n'
+        f'{pad}"re": {_json_ratio(re, den)},\n{pad}"im": {_json_ratio(im, den)}\n{pad[2:]}}}'
+    )
+
+
+def _json_ratio(num: int, den: int) -> str:
+    """``json.dumps(_rational_to_json(num, den))``."""
+    text = _ratio_text(num, den)
+    return f'"{text}"' if "/" in text else text
 
 
 def parse_form_document(doc) -> HermitianForm:
@@ -202,19 +247,19 @@ def parse_form_document(doc) -> HermitianForm:
     raw_gram = doc.get("gram")
     if not isinstance(raw_gram, list) or any(not isinstance(r, list) for r in raw_gram):
         raise DocumentError("gram must be a list of rows")
+    # every literal is read first, so a bad literal is reported before a bad shape
     gram = [[_scalar_from_json(cell) for cell in row] for row in raw_gram]
     try:
-        return HermitianForm(n, basis, gram)
+        return HermitianForm._build(n, *_dense_cells(n, basis, gram, lambda parts: parts))
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
 
 
 def serialize_form_document(a: HermitianForm) -> dict:
-    return {
-        "n": a.n,
-        "basis": [list(mon.exponents) for mon in a.basis],
-        "gram": [[_scalar_to_json(v) for v in row] for row in a.gram],
-    }
+    gram = [[{"re": 0, "im": 0} for _ in a.basis] for _ in a.basis]
+    for (i, j), (re, im) in a.cells.items():
+        gram[i][j] = {"re": _rational_to_json(re, a.den), "im": _rational_to_json(im, a.den)}
+    return {"n": a.n, "basis": [list(mon.exponents) for mon in a.basis], "gram": gram}
 
 
 @dataclass(frozen=True)

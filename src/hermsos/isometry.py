@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
-from operator import add, sub
+from operator import sub
 from typing import Dict, List, Optional, Tuple, Union
 
 from .polyalg import (
@@ -31,7 +31,7 @@ from .polyalg import (
     HermitianForm,
     HoloMap,
     Monomial,
-    _integer_terms,
+    _mul_cells,
     norm_form,
 )
 # inertia is unused here but stays importable from this module for callers
@@ -167,8 +167,7 @@ def tensor_power_rank(f: MapLike, c: int) -> int:
     _check_normalized(f)
     _check_minimal(f)
     comps = [
-        {mon.exponents: cell for mon, cell in _integer_terms(poly.terms)[1].items()}
-        for _, poly in f.weighted_components()
+        {mon.exponents: cell for mon, cell in poly.cells.items()} for _, poly in f.weighted_components()
     ]
     d = len(comps)
     # products of k components, keyed by their non-decreasing index tuples
@@ -177,7 +176,7 @@ def tensor_power_rank(f: MapLike, c: int) -> int:
     rows = []
     for _ in range(c):
         level = {
-            combo + (j,): _poly_mul(prod, comps[j])
+            combo + (j,): _mul_cells(prod, comps[j])
             for combo, prod in level.items()
             for j in range(combo[-1] if combo else 0, d)
         }
@@ -190,17 +189,6 @@ def tensor_power_rank(f: MapLike, c: int) -> int:
     if not low <= e <= high:
         raise ArithmeticError("tensor power rank escaped its proven range")
     return e
-
-
-def _poly_mul(a, b):
-    """Product of polynomials given as Gaussian-integer coefficients keyed by exponent tuple."""
-    out = {}
-    for ea, (a_re, a_im) in a.items():
-        for eb, (b_re, b_im) in b.items():
-            key = tuple(map(add, ea, eb))
-            x, y = out.get(key, (0, 0))
-            out[key] = (x + a_re * b_re - a_im * b_im, y + a_re * b_im + a_im * b_re)
-    return out
 
 
 def divide_by_norm(s: HermitianForm) -> Optional[HermitianForm]:

@@ -1,15 +1,21 @@
 """Exact arithmetic for holomorphic polynomial maps and Hermitian squared-norm forms.
 
-Scalars are Gaussian rationals: complex numbers whose real and imaginary parts
-are arbitrary-precision rationals.  Everything built on top of them
-(polynomial products, Gram matrices, rank and inertia computations) is
-therefore exact, and equality of two forms is a decidable, tolerance-free
-question.  Floats are rejected at the boundary.
+Coefficients are Gaussian rationals: complex numbers whose real and
+imaginary parts are arbitrary-precision rationals.  Polynomials and forms
+store them as Gaussian-integer numerators (re, im) over one positive common
+denominator, reduced so that the denominator and the numerators share no
+factor; products, sums, Gram matrices and the rank and inertia computations
+built on them run over Python integers and are exact, and equality of two
+polynomials or forms is a decidable, tolerance-free question.
+``GaussianRational`` is the scalar type of the public API: coefficient
+lookups, ``terms``, ``entries()`` and evaluation return it, and the
+constructors accept it.  Floats are rejected at the boundary.
 
 The objects:
 
   * ``Monomial``       an exponent vector, z^a = z0^{a_0} * ... * z_{n-1}^{a_{n-1}}
-  * ``HoloPoly``       a sparse polynomial, a finite Monomial -> coefficient map
+  * ``HoloPoly``       a sparse polynomial: the numerators of its nonzero
+                       coefficients keyed by Monomial, over one denominator
   * ``HoloMap``        a tuple of polynomials f = (f_1, ..., f_p) sharing n variables
   * ``HermitianForm``  a Hermitian coefficient matrix over a monomial basis,
                        representing a(z, zbar) = sum_{a,b} G[a][b] z^a zbar^b,
@@ -30,8 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import add
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
+from operator import add, neg
+from types import MappingProxyType
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 
 def _as_fraction(value) -> Fraction:
@@ -53,10 +60,6 @@ class GaussianRational:
     def __init__(self, re=0, im=0):
         self.re = _as_fraction(re)
         self.im = _as_fraction(im)
-
-    @property
-    def is_real(self) -> bool:
-        return not self.im
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -140,12 +143,7 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        return _complex_text(str(self.re), str(self.im))
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -162,6 +160,67 @@ def _coerce(value):
 GR_ZERO = GaussianRational(0)
 GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
+
+
+def _scalar(value) -> Tuple[int, int, int, int] | None:
+    """An exact scalar's parts re = a/b, im = c/d as (a, b, c, d), or None."""
+    if isinstance(value, int):
+        return value, 1, 0, 1
+    value = _coerce(value)
+    if value is None:
+        return None
+    return value.re.numerator, value.re.denominator, value.im.numerator, value.im.denominator
+
+
+def _common_den(values: Mapping) -> Tuple[int, dict]:
+    """The least common denominator q of (a, b, c, d) values, each a/b + (c/d)*i
+    with b, d > 0, and each key's Gaussian-integer numerators (re, im) over q."""
+    q = lcm(*[den for _, b, _, d in values.values() for den in (b, d)])
+    return q, {key: (a * (q // b), c * (q // d)) for key, (a, b, c, d) in values.items()}
+
+
+def _lowest_terms(den: int, cells: dict) -> Tuple[int, dict]:
+    """den and the nonzero Gaussian-integer cells over it, with their common
+    content divided out."""
+    cells = {key: cell for key, cell in cells.items() if cell[0] or cell[1]}
+    g = den
+    for re, im in cells.values():
+        if g == 1:
+            break
+        g = gcd(g, re, im)
+    if g != 1:
+        cells = {key: (re // g, im // g) for key, (re, im) in cells.items()}
+    return den // g, cells
+
+
+def _gaussian(re: int, im: int, den: int) -> GaussianRational:
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for den > 0."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
+def _complex_text(re: str, im: str) -> str:
+    """A complex number written from the texts of its real and imaginary parts."""
+    if im == "0":
+        return re
+    if re == "0":
+        return im + "i"
+    return f"{re}{im}i" if im.startswith("-") else f"{re}+{im}i"
+
+
+def _mul_cells(a, b):
+    """Product of polynomials given as Gaussian-integer numerators keyed by exponent tuple."""
+    out = {}
+    for ea, (a_re, a_im) in a.items():
+        for eb, (b_re, b_im) in b.items():
+            key = tuple(map(add, ea, eb))
+            x, y = out.get(key, (0, 0))
+            out[key] = (x + a_re * b_re - a_im * b_im, y + a_re * b_im + a_im * b_re)
+    return out
 
 
 @dataclass(frozen=True)
@@ -212,7 +271,7 @@ class Monomial:
 
 def grlex_key(mon: Monomial):
     """Sort key for the global graded lexicographic order (z0 before z1)."""
-    return (mon.degree, tuple(-e for e in mon.exponents))
+    return (mon.degree, tuple(map(neg, mon.exponents)))
 
 
 def monomials_of_degree(n: int, d: int) -> List[Monomial]:
@@ -244,29 +303,39 @@ def monomials_up_to_degree(n: int, d: int) -> List[Monomial]:
 class HoloPoly:
     """A sparse holomorphic polynomial with Gaussian-rational coefficients.
 
-    Zero coefficients are dropped at construction, so ``terms`` never stores
-    a zero and two polynomials are equal iff their term maps are equal.
+    Stored like a ``HermitianForm``: ``cells`` maps each monomial with a
+    nonzero coefficient to its Gaussian-integer numerator (re, im) over one
+    positive denominator ``den``, and gcd(den, every numerator) = 1, so
+    ``==`` is both structural and mathematical equality.  ``terms`` is a
+    read-only Monomial -> GaussianRational view built on each access.
     Instances are immutable by convention.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "den", "cells")
 
     def __init__(self, n: int, terms: Mapping[Monomial, object] | None = None):
         if not isinstance(n, int) or n < 1:
             raise ValueError("a polynomial needs a positive variable count")
-        clean: Dict[Monomial, GaussianRational] = {}
+        values = {}
         for mon, coeff in (terms or {}).items():
             if not isinstance(mon, Monomial):
                 raise TypeError("term keys must be Monomial")
             if mon.n != n:
                 raise ValueError("monomial has wrong variable count")
-            value = _coerce(coeff)
+            value = _scalar(coeff)
             if value is None:
                 raise TypeError("coefficients must be exact rationals")
-            if value:
-                clean[mon] = value
+            values[mon] = value
         self.n = n
-        self.terms = clean
+        self.den, self.cells = _lowest_terms(*_common_den(values))
+
+    @classmethod
+    def _build(cls, n: int, den: int, cells) -> "HoloPoly":
+        """A polynomial from Gaussian-integer cells over den > 0, unvalidated."""
+        poly = object.__new__(cls)
+        poly.n = n
+        poly.den, poly.cells = _lowest_terms(den, cells)
+        return poly
 
     # -- constructors -----------------------------------------------------
 
@@ -284,7 +353,7 @@ class HoloPoly:
             raise ValueError("variable index out of range")
         exps = [0] * n
         exps[i] = 1
-        return cls(n, {Monomial(tuple(exps)): GR_ONE})
+        return cls._build(n, 1, {Monomial(tuple(exps)): (1, 0)})
 
     @classmethod
     def monomial(cls, n: int, exponents: Sequence[int], coeff=1) -> "HoloPoly":
@@ -293,27 +362,35 @@ class HoloPoly:
     # -- structure ---------------------------------------------------------
 
     @property
+    def terms(self) -> Mapping[Monomial, GaussianRational]:
+        """The coefficients as Gaussian rationals, built on each access."""
+        den = self.den
+        return MappingProxyType({mon: _gaussian(re, im, den) for mon, (re, im) in self.cells.items()})
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.cells
 
     @property
     def degree(self) -> int:
         """Total degree; the zero polynomial reports 0."""
-        return max((m.degree for m in self.terms), default=0)
+        return max((m.degree for m in self.cells), default=0)
 
     @property
     def is_homogeneous(self) -> bool:
-        return len({m.degree for m in self.terms}) <= 1
+        return len({m.degree for m in self.cells}) <= 1
 
     def constant_term(self) -> GaussianRational:
-        return self.terms.get(Monomial((0,) * self.n), GR_ZERO)
+        cell = self.cells.get(Monomial((0,) * self.n))
+        return GR_ZERO if cell is None else _gaussian(*cell, self.den)
 
     @property
     def vanishes_at_zero(self) -> bool:
-        return not self.constant_term()
+        return Monomial((0,) * self.n) not in self.cells
 
-    def sorted_terms(self) -> List[Tuple[Monomial, GaussianRational]]:
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
+    def sorted_cells(self) -> List[Tuple[Monomial, Tuple[int, int]]]:
+        """The (monomial, numerators) pairs in grlex order."""
+        return sorted(self.cells.items(), key=lambda kv: grlex_key(kv[0]))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -325,10 +402,14 @@ class HoloPoly:
         if not isinstance(other, HoloPoly):
             return NotImplemented
         self._check_same_n(other)
-        acc = dict(self.terms)
-        for mon, coeff in other.terms.items():
-            acc[mon] = acc.get(mon, GR_ZERO) + coeff
-        return HoloPoly(self.n, acc)
+        den = lcm(self.den, other.den)
+        acc: Dict[Monomial, Tuple[int, int]] = {}
+        for poly in (self, other):
+            scale = den // poly.den
+            for mon, (re, im) in poly.cells.items():
+                x, y = acc.get(mon, (0, 0))
+                acc[mon] = (x + scale * re, y + scale * im)
+        return HoloPoly._build(self.n, den, acc)
 
     def __sub__(self, other):
         if not isinstance(other, HoloPoly):
@@ -336,27 +417,27 @@ class HoloPoly:
         return self + (-other)
 
     def __neg__(self) -> "HoloPoly":
-        return HoloPoly(self.n, {m: -c for m, c in self.terms.items()})
+        return HoloPoly._build(self.n, self.den, {m: (-re, -im) for m, (re, im) in self.cells.items()})
 
     def __mul__(self, other):
         if isinstance(other, HoloPoly):
             self._check_same_n(other)
-            acc: Dict[Monomial, GaussianRational] = {}
-            for ma, ca in self.terms.items():
-                for mb, cb in other.terms.items():
-                    key = ma.mul(mb)
-                    acc[key] = acc.get(key, GR_ZERO) + ca * cb
-            return HoloPoly(self.n, acc)
-        scalar = _coerce(other)
+            product = _mul_cells(
+                {m.exponents: cell for m, cell in self.cells.items()},
+                {m.exponents: cell for m, cell in other.cells.items()},
+            )
+            cells = {Monomial(exps): cell for exps, cell in product.items()}
+            return HoloPoly._build(self.n, self.den * other.den, cells)
+        scalar = _scalar(other)
         if scalar is None:
             return NotImplemented
-        return HoloPoly(self.n, {m: c * scalar for m, c in self.terms.items()})
+        # a/b + (c/d)*i = (ad + bc*i) / bd
+        a, b, c, d = scalar
+        s_re, s_im = a * d, b * c
+        cells = {m: (re * s_re - im * s_im, re * s_im + im * s_re) for m, (re, im) in self.cells.items()}
+        return HoloPoly._build(self.n, self.den * b * d, cells)
 
-    def __rmul__(self, other):
-        scalar = _coerce(other)
-        if scalar is None:
-            return NotImplemented
-        return self * scalar
+    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "HoloPoly":
         if not isinstance(k, int) or k < 0:
@@ -370,7 +451,7 @@ class HoloPoly:
         """Drop every term of total degree above d."""
         if d < 0:
             raise ValueError("truncation degree must be non-negative")
-        return HoloPoly(self.n, {m: c for m, c in self.terms.items() if m.degree <= d})
+        return HoloPoly._build(self.n, self.den, {m: c for m, c in self.cells.items() if m.degree <= d})
 
     def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
         if len(point) != self.n:
@@ -383,22 +464,24 @@ class HoloPoly:
     def __eq__(self, other):
         if not isinstance(other, HoloPoly):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return self.n == other.n and self.den == other.den and self.cells == other.cells
 
     __hash__ = None
 
     def __str__(self) -> str:
-        if self.is_zero:
+        if not self.cells:
             return "0"
+        den = self.den
         parts = []
-        for mon, coeff in self.sorted_terms():
+        for mon, (re, im) in self.sorted_cells():
+            coeff = _complex_text(_ratio_text(re, den), _ratio_text(im, den))
             if mon.is_constant:
-                parts.append(str(coeff))
-            elif coeff == GR_ONE:
+                parts.append(coeff)
+            elif coeff == "1":
                 parts.append(str(mon))
-            elif coeff == -GR_ONE:
+            elif coeff == "-1":
                 parts.append(f"-{mon}")
-            elif coeff.re and coeff.im:
+            elif re and im:
                 parts.append(f"({coeff})*{mon}")
             else:
                 parts.append(f"{coeff}*{mon}")
@@ -509,11 +592,8 @@ def homogenize_map(f: HoloMap, d: int) -> HoloMap:
         raise ValueError("homogenization degree is below the maximum component degree")
     comps = []
     for comp in f.components:
-        terms = {
-            Monomial((d - mon.degree,) + mon.exponents): coeff
-            for mon, coeff in comp.terms.items()
-        }
-        comps.append(HoloPoly(f.n + 1, terms))
+        cells = {Monomial((d - mon.degree,) + mon.exponents): cell for mon, cell in comp.cells.items()}
+        comps.append(HoloPoly._build(f.n + 1, comp.den, cells))
     return HoloMap(f.n + 1, comps)
 
 
@@ -525,15 +605,14 @@ def dehomogenize_map(big_f: HoloMap) -> HoloMap:
     """
     if big_f.n < 2:
         raise ValueError("need at least two variables to dehomogenize")
-    degrees = {
-        mon.degree for comp in big_f.components for mon in comp.terms
-    }
+    degrees = {mon.degree for comp in big_f.components for mon in comp.cells}
     if len(degrees) > 1:
         raise ValueError("map is not homogeneous of a common degree")
+    # one common degree, so dropping the leading exponent is injective
     comps = []
     for comp in big_f.components:
-        terms = {Monomial(mon.exponents[1:]): coeff for mon, coeff in comp.terms.items()}
-        comps.append(HoloPoly(big_f.n - 1, terms))
+        cells = {Monomial(mon.exponents[1:]): cell for mon, cell in comp.cells.items()}
+        comps.append(HoloPoly._build(big_f.n - 1, comp.den, cells))
     return HoloMap(big_f.n - 1, comps)
 
 
@@ -554,11 +633,12 @@ def substitute_powers(f: HoloMap, exponents: Sequence[int]) -> HoloMap:
         raise ValueError("substitution exponents must be non-negative integers")
     comps = []
     for comp in f.components:
-        acc: Dict[Monomial, GaussianRational] = {}
-        for mon, coeff in comp.terms.items():
+        acc: Dict[Monomial, Tuple[int, int]] = {}
+        for mon, (re, im) in comp.cells.items():
             image = Monomial((sum(a * e for a, e in zip(exponents, mon.exponents)),))
-            acc[image] = acc.get(image, GR_ZERO) + coeff
-        comps.append(HoloPoly(1, acc))
+            x, y = acc.get(image, (0, 0))
+            acc[image] = (x + re, y + im)
+        comps.append(HoloPoly._build(1, comp.den, acc))
     return HoloMap(1, comps)
 
 
@@ -577,32 +657,39 @@ def _check_monomial(mon, n: int) -> None:
         raise ValueError("basis monomial has wrong variable count")
 
 
-def _gaussian(re: int, im: int, den: int) -> GaussianRational:
-    return GaussianRational(Fraction(re, den), Fraction(im, den))
+def _dense_cells(n, basis, gram, read):
+    """The basis list, denominator and nonzero cells of a dense Hermitian Gram matrix.
+
+    ``read`` gives an entry as ``_scalar`` does, or None if it is not exact.
+    """
+    _check_variable_count(n)
+    mons = list(basis)
+    size = len(mons)
+    if len(set(mons)) != size:
+        raise ValueError("basis monomials must be distinct")
+    for mon in mons:
+        _check_monomial(mon, n)
+    rows = [list(row) for row in gram]
+    if len(rows) != size or any(len(row) != size for row in rows):
+        raise ValueError("gram matrix shape does not match the basis")
+    values = {}
+    for i, row in enumerate(rows):
+        for j, raw in enumerate(row):
+            value = read(raw)
+            if value is None:
+                raise TypeError("gram entries must be exact rationals")
+            if value[0] or value[2]:
+                values[(i, j)] = value
+    return (mons, *_exact_cells(values))
 
 
-def _integer_terms(values: Mapping) -> Tuple[int, dict]:
-    """The least common denominator q of the values, and each key's
-    Gaussian-integer numerator (re, im) over q."""
-    q = 1
-    for value in values.values():
-        q = lcm(q, value.re.denominator, value.im.denominator)
-    terms = {
-        key: (
-            value.re.numerator * (q // value.re.denominator),
-            value.im.numerator * (q // value.im.denominator),
-        )
-        for key, value in values.items()
-    }
-    return q, terms
-
-
-def _exact_cells(values: Mapping[Tuple[int, int], GaussianRational]):
-    """Check Hermitian symmetry of nonzero cells; return ``_integer_terms(values)``."""
-    for (i, j), value in values.items():
-        if values.get((j, i), GR_ZERO) != value.conjugate():
+def _exact_cells(values: Mapping[Tuple[int, int], Tuple[int, int, int, int]]):
+    """``_common_den(values)`` of nonzero cells, checked to be Hermitian."""
+    den, cells = _common_den(values)
+    for (i, j), (re, im) in cells.items():
+        if cells.get((j, i)) != (re, -im):
             raise ValueError("gram matrix is not Hermitian")
-    return _integer_terms(values)
+    return den, cells
 
 
 def _add_cells(acc, cells, move, scale: int) -> None:
@@ -630,25 +717,7 @@ class HermitianForm:
 
     def __init__(self, n: int, basis: Sequence[Monomial], gram: Sequence[Sequence[object]]):
         """A form from a dense Gram matrix over ``basis``, validated to be Hermitian."""
-        _check_variable_count(n)
-        mons = list(basis)
-        size = len(mons)
-        if len(set(mons)) != size:
-            raise ValueError("basis monomials must be distinct")
-        for mon in mons:
-            _check_monomial(mon, n)
-        rows = [list(row) for row in gram]
-        if len(rows) != size or any(len(row) != size for row in rows):
-            raise ValueError("gram matrix shape does not match the basis")
-        values = {}
-        for i, row in enumerate(rows):
-            for j, raw in enumerate(row):
-                value = _coerce(raw)
-                if value is None:
-                    raise TypeError("gram entries must be exact rationals")
-                if value:
-                    values[(i, j)] = value
-        self._settle(n, mons, *_exact_cells(values))
+        self._settle(n, *_dense_cells(n, basis, gram, _scalar))
 
     def _settle(self, n: int, mons: Sequence[Monomial], den: int, cells) -> None:
         """Set the canonical fields from Gaussian-integer cells over mons at den.
@@ -657,24 +726,17 @@ class HermitianForm:
         into grlex order, and the common content of den and the numerators
         is divided out.
         """
-        cells = {key: cell for key, cell in cells.items() if cell[0] or cell[1]}
-        g = den
-        for re, im in cells.values():
-            if g == 1:
-                break
-            g = gcd(g, re, im)
+        den, cells = _lowest_terms(den, cells)
         rows = sorted({i for i, _ in cells}, key=lambda i: grlex_key(mons[i]))
         new = [0] * len(mons)
         for k, i in enumerate(rows):
             new[i] = k
-        if g != 1:
-            cells = {key: (re // g, im // g) for key, (re, im) in cells.items()}
         self.n = n
         # from a list, not a generator: a tuple grown from a generator is resized,
         # and once freed it waits in the free list of its final size (up to 2000
         # per size) until a full garbage collection empties it
         self.basis = tuple([mons[i] for i in rows])
-        self.den = den // g
+        self.den = den
         self.cells = dict(sorted(((new[i], new[j]), cell) for (i, j), cell in cells.items()))
         self._index = {mon: k for k, mon in enumerate(self.basis)}
         self._gram = None
@@ -704,10 +766,10 @@ class HermitianForm:
                 if mon not in index:
                     _check_monomial(mon, n)
                     index[mon] = len(index)
-            value = _coerce(raw)
+            value = _scalar(raw)
             if value is None:
                 raise TypeError("gram entries must be exact rationals")
-            if value:
+            if value[0] or value[2]:
                 values[(index[ma], index[mb])] = value
         return cls._build(n, list(index), *_exact_cells(values))
 
@@ -886,20 +948,17 @@ def norm_form(f) -> HermitianForm:
     vectors c_k, hence positive semidefinite by construction.
     """
     pairs = list(f.weighted_components())
-    support = sorted(
-        {mon for _, poly in pairs for mon in poly.terms}, key=grlex_key
-    )
+    support = sorted({mon for _, poly in pairs for mon in poly.cells}, key=grlex_key)
     index = {mon: i for i, mon in enumerate(support)}
     size = len(support)
-    # Each component becomes a Gaussian-integer vector v_k over one
-    # denominator q_k, so w_k c_k c_k^H = w_k v_k v_k^H / q_k^2; the sum is
-    # accumulated over Z[i] at the common denominator of all the w_k / q_k^2.
+    # Each component is a Gaussian-integer vector v_k over its denominator
+    # q_k, so w_k c_k c_k^H = w_k v_k v_k^H / q_k^2; the sum is accumulated
+    # over Z[i] at the common denominator of all the w_k / q_k^2.
     vectors = []
     den = 1
     for weight, poly in pairs:
-        q, terms = _integer_terms(poly.terms)
-        vec = [(index[mon], x, y) for mon, (x, y) in terms.items()]
-        scale = weight.denominator * q * q
+        vec = [(index[mon], x, y) for mon, (x, y) in poly.cells.items()]
+        scale = weight.denominator * poly.den * poly.den
         den = lcm(den, scale)
         vectors.append((weight.numerator, scale, vec))
     re = [[0] * size for _ in range(size)]

@@ -19,8 +19,9 @@ decide minimality questions exactly.
 
 Two fraction-free elimination kernels do the work, both over Gaussian
 integers, with Bareiss steps whose every division is exact and checked to
-leave no remainder.  No gcd is taken inside an elimination; rationals are
-formed only when results are read out.
+leave no remainder.  No gcd is taken inside an elimination; results are
+read out as polynomials of Gaussian-integer numerators over one denominator,
+each reduced by one gcd pass.
 
   * ``_ldlh``  for Hermitian forms (``inertia``, ``extract_sos``): it reads
     the form's Gaussian-integer entries over their common denominator and
@@ -46,7 +47,6 @@ from .polyalg import (
     HermitianForm,
     HoloMap,
     HoloPoly,
-    _integer_terms,
     grlex_key,
     norm_form,
 )
@@ -231,11 +231,11 @@ def extract_sos(form: HermitianForm) -> ScaledMap:
                 _lift(form.size, steps, {k: GR_ONE}),
             )
         steps.append((k, pivot, column))
-        # column k of the factor, scaled so the pivot coefficient is 1
-        terms = {form.basis[k]: GR_ONE}
+        # column k of the factor over the pivot, so the pivot coefficient is 1
+        cells = {form.basis[k]: (pivot, 0)}
         for i, a_re, a_im in column:
-            terms[form.basis[i]] = GaussianRational(Fraction(a_re, pivot), Fraction(a_im, pivot))
-        comps.append((d, HoloPoly(form.n, terms)))
+            cells[form.basis[i]] = (a_re, a_im)
+        comps.append((d, HoloPoly._build(form.n, pivot, cells)))
     return ScaledMap(form.n, tuple(comps))
 
 
@@ -356,14 +356,6 @@ def _row_reduce(
     ]
 
 
-def _gaussian_ratio(x: int, y: int, d_re: int, d_im: int) -> GaussianRational:
-    """The Gaussian rational (x + y*i) / (d_re + d_im*i)."""
-    norm = d_re * d_re + d_im * d_im
-    return GaussianRational(
-        Fraction(x * d_re + y * d_im, norm), Fraction(y * d_re - x * d_im, norm)
-    )
-
-
 def reduce_minimal(f) -> Tuple[HoloMap, int]:
     """A basis of the component span, and its dimension.
 
@@ -376,16 +368,16 @@ def reduce_minimal(f) -> Tuple[HoloMap, int]:
     preserved.)  Scaled maps are accepted; positive weights never change the
     span.
     """
-    polys = [poly for _, poly in f.weighted_components() if not poly.is_zero]
-    support = sorted({mon for poly in polys for mon in poly.terms}, key=grlex_key)
+    polys = [poly for _, poly in f.weighted_components() if poly.cells]
+    support = sorted({mon for poly in polys for mon in poly.cells}, key=grlex_key)
     index = {mon: j for j, mon in enumerate(support)}
-    rows = [
-        {index[mon]: cell for mon, cell in _integer_terms(poly.terms)[1].items()} for poly in polys
-    ]
-    comps = [
-        HoloPoly(f.n, {support[j]: _gaussian_ratio(x, y, *row[c]) for j, (x, y) in row.items()})
-        for c, row in _row_reduce(rows, len(support))
-    ]
+    rows = [{index[mon]: cell for mon, cell in poly.cells.items()} for poly in polys]
+    comps = []
+    for c, row in _row_reduce(rows, len(support)):
+        # (x + y*i) / p = (x + y*i) * conj(p) / |p|^2
+        p_re, p_im = row[c]
+        cells = {support[j]: (x * p_re + y * p_im, y * p_re - x * p_im) for j, (x, y) in row.items()}
+        comps.append(HoloPoly._build(f.n, p_re * p_re + p_im * p_im, cells))
     return HoloMap(f.n, comps), len(comps)
 
 
@@ -402,7 +394,8 @@ def grams_equal(f, g) -> bool:
 
 def _affine_block(form: HermitianForm) -> Optional[HermitianForm]:
     """The non-constant block B when form == 1 + B with B not coupled to 1, else None."""
-    if form.constant_coefficient() != GR_ONE:
+    # the constant monomial comes first in grlex order; 1 is den over den
+    if not form.basis or not form.basis[0].is_constant or form.cells.get((0, 0)) != (form.den, 0):
         return None
     block = form.drop_constant()
     # the constant row and column hold nothing but the 1 iff the block kept

@@ -401,3 +401,47 @@ def reference_divide_by_norm(s: HermitianForm) -> Optional[HermitianForm]:
             return None
         quotient.update((pair, v) for pair, v in zip(unknowns, solution) if v)
     return _dense_form(n, quotient)
+
+
+def reference_parse_map_document(doc) -> Tuple[bool, List[Tuple[Fraction, Dict[Monomial, GaussianRational]]]]:
+    """Whether a valid map document is weighted, and its (weight, terms) pairs.
+
+    Every literal is read by ``Fraction`` and every coefficient kept as a
+    ``GaussianRational``; zero coefficients are dropped.
+    """
+    scaled = "scaled" in doc
+    pairs = []
+    for comp in doc["components"]:
+        weight = Fraction(1)
+        if isinstance(comp, dict):
+            scaled = scaled or "scale" in comp
+            weight = Fraction(comp.get("scale", 1))
+            comp = comp["terms"]
+        terms = {}
+        for term in comp:
+            value = GaussianRational(Fraction(term.get("re", 0)), Fraction(term.get("im", 0)))
+            if value:
+                terms[Monomial(tuple(term["exp"]))] = value
+        pairs.append((weight, terms))
+    return scaled, pairs
+
+
+def reference_format_poly(terms: Dict[Monomial, GaussianRational]) -> str:
+    """A polynomial written term by term in grlex order from ``str(GaussianRational)``."""
+    parts = []
+    for mon, coeff in sorted(terms.items(), key=lambda kv: grlex_key(kv[0])):
+        if mon.is_constant:
+            parts.append(str(coeff))
+        elif coeff == GR_ONE:
+            parts.append(str(mon))
+        elif coeff == -GR_ONE:
+            parts.append(f"-{mon}")
+        elif coeff.re and coeff.im:
+            parts.append(f"({coeff})*{mon}")
+        else:
+            parts.append(f"{coeff}*{mon}")
+    if not parts:
+        return "0"
+    return parts[0] + "".join(
+        " - " + part[1:] if part.startswith("-") else " + " + part for part in parts[1:]
+    )

@@ -296,6 +296,17 @@ def test_example1_at_seven(capsys):
     assert "m < d: true" in out
 
 
+@pytest.mark.parametrize("lam", ["-1/7", "-1e2", "-6.5", "-3", "-1/0"])
+def test_example1_reads_a_negative_lambda_after_a_space(lam, capsys):
+    # argparse must not take a value such as -1/7 for an option
+    code = main(["example1", "--lambda", lam])
+    spaced = capsys.readouterr()
+    assert main(["example1", f"--lambda={lam}"]) == code
+    assert capsys.readouterr() == spaced
+    assert code == (2 if lam == "-1/0" else 0)
+    assert "expected one argument" not in spaced.err
+
+
 def test_example1_past_threshold(capsys):
     assert main(["example1", "--lambda", "21/2"]) == 0
     out = capsys.readouterr().out

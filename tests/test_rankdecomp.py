@@ -211,6 +211,10 @@ def test_affine_split_cases():
     # constant coefficient must be exactly 1
     bad_const = HermitianForm.constant(1, 2)
     assert affine_split(bad_const) == (False, 0)
+    # a zero constant coefficient in a nonzero constant row, and no constant at all
+    zero_const = HermitianForm(1, [mono(0), mono(1)], [[0, 1], [1, 1]])
+    assert affine_split(zero_const) == (False, 0)
+    assert affine_split(diag_form([0, 1])) == (False, 0)
     # no coupling between the constant and the rest
     coupled = norm_form(HoloMap(1, [HoloPoly(1, {mono(0): 1, mono(1): 1})]))
     assert affine_split(coupled) == (False, 0)
