@@ -73,18 +73,17 @@ THEOREMS = {
 }
 
 
-# The most products of components `tensor-rank` row-reduces.  At this count
-# 15 dense independent linear forms at t = 2 (135 products, all independent)
-# take about 1.2 s on a 2-vCPU x86-64 VM; the time grows faster than the cube
-# of the count, and components of higher degree take longer at the same count.
+# The most products of components `tensor-rank` eliminates, as the smaller
+# of their two Gram matrices.  On a 2-vCPU x86-64 VM, 15 independent linear
+# forms at t = 2 (135 products) take 0.28 s with 3 terms each and 2.6 s with
+# 15 complex ones; components of higher degree take longer at the same count.
 TENSOR_ROWS_MAX = 135
 
-# The most basis monomials in the block `solve-h` eliminates; the dense
-# elimination is cubic in it.  On the map (z0) in 2 variables, b = 20 gives
-# 251 monomials and takes about 1.8 s on a 2-vCPU x86-64 VM, b = 22 gives 298
-# and takes 3.6 s, and b = 25 gives 376 and takes 9.9 s.  Expanding the form
-# for b = 40 (901 monomials) takes 0.14 s, so a refusal comes quickly.
-# `ensemble` chooses its own exponents (b = c = 1) and is not limited.
+# The most basis monomials in the block `solve-h` eliminates; the time is
+# cubic in its largest connected part.  On a 2-vCPU x86-64 VM a connected
+# block of 252 monomials at full rank takes 5.3 s, while the diagonal block of
+# (z0) in 2 variables at b = 20 (251 monomials) takes 0.035 s, and at b = 40
+# (901) 0.18 s, also the time to refuse it.  `ensemble` is not limited.
 SOLVE_H_BLOCK_MAX = 256
 
 

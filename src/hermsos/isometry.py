@@ -11,8 +11,8 @@ minimal number of components, and ``verify_identity`` replays the identity
 as an equality of canonical forms, which is exact and certificate-free.
 
 ``tensor_power_rank`` gives the rank of (1 + ||f||^2)^c - 1 as the dimension
-of the span of the products of at most c components; it hands their
-Gaussian-integer rows to the fraction-free row kernel of ``rankdecomp``.
+of the span of the products of at most c components: the number of nonzero
+pivots of their Gram matrix, eliminated by the one kernel of ``rankdecomp``.
 ``divide_by_norm`` answers the converse question of when a squared norm
 factors through ||z||^2 by exact polynomial division by z_0 + ... + z_{n-1},
 one block of the Gram matrix at a time; it needs no elimination.
@@ -40,7 +40,9 @@ from .rankdecomp import (  # noqa: F401
     NotSOSError,
     ScaledMap,
     _affine_block,
-    _row_reduce,
+    _columns,
+    _gram,
+    _ldlh,
     extract_sos,
     inertia,
     reduce_minimal,
@@ -63,9 +65,7 @@ def _check_normalized(f: MapLike):
 
 
 def _check_minimal(f: MapLike):
-    pairs = list(f.weighted_components())
-    _, rank = reduce_minimal(f)
-    if rank != len(pairs):
+    if reduce_minimal(f)[1] != len(f):
         raise NotMinimalError("map components must be linearly independent")
 
 
@@ -147,7 +147,7 @@ def identity_mismatch(f: MapLike, h: MapLike, a: int, b: int, c: int) -> List[Tu
     _check_normalized(h)
     left = modification_form(spec)
     right = one_plus_norm(h) ** a
-    return list((left + -right).entries())
+    return [] if left == right else list((left + -right).entries())
 
 
 def tensor_power_rank(f: MapLike, c: int) -> int:
@@ -157,8 +157,9 @@ def tensor_power_rank(f: MapLike, c: int) -> int:
     components, so its rank is the dimension of their span.  Positive
     weights never change a span, so the products are formed without them,
     over the Gaussian integers (each component scaled by its denominator),
-    each k-fold product once as its (k-1)-fold prefix times one component,
-    and row-reduced by the fraction-free kernel.  The rank e satisfies
+    each k-fold product once as its (k-1)-fold prefix times one component.
+    Their rank is that of R R^H and of R^H R, R the matrix of products by
+    monomials; the smaller Gram matrix is eliminated.  The rank e satisfies
     c*d <= e <= sum_{k=1..c} C(d+k-1, k)  where d = len(f); both ends are
     checked defensively before returning.
     """
@@ -172,7 +173,6 @@ def tensor_power_rank(f: MapLike, c: int) -> int:
     d = len(comps)
     # products of k components, keyed by their non-decreasing index tuples
     level = {(): {(0,) * f.n: (1, 0)}}
-    columns: Dict[Tuple[int, ...], int] = {}
     rows = []
     for _ in range(c):
         level = {
@@ -180,11 +180,9 @@ def tensor_power_rank(f: MapLike, c: int) -> int:
             for combo, prod in level.items()
             for j in range(combo[-1] if combo else 0, d)
         }
-        rows.extend(
-            {columns.setdefault(exps, len(columns)): cell for exps, cell in prod.items()}
-            for prod in level.values()
-        )
-    e = len(_row_reduce(rows, len(columns)))
+        rows.extend(level.values())
+    vectors = _columns(rows) if len(set().union(*rows)) < len(rows) else rows
+    e = sum(1 for _, pivot, _, _ in _ldlh(len(vectors), 1, _gram(vectors)) if pivot)
     low, high = c * d, sum(comb(d + k - 1, k) for k in range(1, c + 1))
     if not low <= e <= high:
         raise ArithmeticError("tensor power rank escaped its proven range")

@@ -8,8 +8,9 @@ Everything here is exact; scalars are Gaussian rationals:
                       sum of squared moduli of polynomials (an LDL^H
                       factorization read off column by column), or raise
                       ``NotSOSError`` with a witness of indefiniteness.
-  * ``reduce_minimal``  replace a map by linearly independent components with
-                      the same span, giving the rank of its squared norm.
+  * ``reduce_minimal``  keep the components of a map that are not in the
+                      span of the earlier ones, giving the rank of its
+                      squared norm.
   * ``affine_split``  test whether a form is 1 + ||h||^2 for some map h and
                       report the number of squares.
 
@@ -17,21 +18,14 @@ The number of squares in any such representation is bounded below by the
 rank, and ``extract_sos`` achieves the rank, so these routines together
 decide minimality questions exactly.
 
-Two fraction-free elimination kernels do the work, both over Gaussian
-integers, with Bareiss steps whose every division is exact and checked to
-leave no remainder.  No gcd is taken inside an elimination; results are
-read out as polynomials of Gaussian-integer numerators over one denominator,
-each reduced by one gcd pass.
-
-  * ``_ldlh``  for Hermitian forms (``inertia``, ``extract_sos``): it reads
-    the form's Gaussian-integer entries over their common denominator and
-    eliminates them symmetrically in basis order, dividing by real integer
-    pivots.  A zero pivot whose row is not yet eliminated stops
-    ``extract_sos`` (the form is indefinite); ``inertia`` goes on, and the
-    kernel moves that pivot off zero by a unit congruence in place.
-  * ``_row_reduce``  for rows (``reduce_minimal``, and in ``isometry`` the
-    tensor-power rank): a Gauss-Jordan elimination of rows each scaled to
-    Z[i] by its own denominator, dividing by Gaussian-integer pivots.
+One fraction-free kernel, ``_ldlh``, does every elimination, by symmetric
+Bareiss steps over Gaussian integers in basis order, each connected block on
+its own and every division exact.  ``inertia`` and ``extract_sos`` eliminate
+the form; a rank of rows R is the number of nonzero pivots of the positive
+semidefinite Gram matrix R R^H (``_gram``), which ``reduce_minimal`` and, in
+``isometry``, the tensor-power rank eliminate.  No gcd is taken inside an
+elimination; results are read out as polynomials of Gaussian-integer
+numerators over one denominator, each reduced by one gcd pass.
 """
 
 from __future__ import annotations
@@ -47,7 +41,6 @@ from .polyalg import (
     HermitianForm,
     HoloMap,
     HoloPoly,
-    grlex_key,
     norm_form,
 )
 
@@ -73,21 +66,23 @@ class Inertia(NamedTuple):
         return self.pos + self.neg
 
 
-def _ldlh(form: HermitianForm):
-    """Fraction-free LDL^H of the Gram matrix, one basis index at a time.
+def _ldlh(size: int, den: int, cells: Mapping[Tuple[int, int], Tuple[int, int]]):
+    """Fraction-free LDL^H of a Hermitian matrix, one basis index at a time.
 
-    The form stores D * G as Gaussian integers over its denominator D; that
-    matrix is eliminated in basis order by symmetric Bareiss steps
-    a_ij <- (p * a_ij - a_ik * a_kj) / p_prev.  Every entry stays a Gaussian
-    integer (after each step it is a minor of D * G, or of a unit integer
-    congruent copy once a zero pivot has been moved) and each pivot is real
-    (a principal minor of a Hermitian matrix), so each division is an exact
-    division by a real integer; a nonzero remainder raises ArithmeticError.
+    ``cells`` maps index pairs (i, j) below ``size`` to the Gaussian-integer
+    numerators (re, im) of D * G, D = ``den`` > 0; absent pairs are zero.
+    Each connected block of indices is eliminated on its own by symmetric
+    Bareiss steps a_ij <- (p * a_ij - a_ik * a_kj) / p_prev, p_prev being the
+    block's previous nonzero pivot (1 at its start).  Entries stay Gaussian
+    integers (minors of D * G, or of a unit congruent copy once a zero pivot
+    has been moved) and pivots real, so every division is by a real integer
+    and exact; a nonzero remainder raises ArithmeticError.
 
-    Yields (index, pivot, scale, column) for each index k in order.  The
-    diagonal factor is d = pivot / scale and the unit lower factor has
-    L[i][k] = (re + im*i) / pivot for each (i, re, im) in ``column``;
-    indices absent from ``column`` have L = 0.
+    Yields (index, pivot, scale, column) for each index k in basis order:
+    d = pivot / scale, and L[i][k] = (re + im*i) / pivot for each (i, re, im)
+    in ``column``, 0 elsewhere.  The leading minors of a block-diagonal
+    matrix factor over its blocks, so these are the rationals of eliminating
+    the whole matrix at once.
 
     A zero pivot is yielded too.  With an empty ``column`` elimination goes
     on past it.  With a nonzero ``column`` the form is indefinite; a caller
@@ -96,52 +91,76 @@ def _ldlh(form: HermitianForm):
     row_k += c * row_j, col_k += conj(c) * col_j, which makes the pivot
     a_jj + 2 Re(c * s), with c the first of 1, -1, i that leaves it nonzero.
     """
-    size, den = form.size, form.den
-    re = [[0] * size for _ in range(size)]
-    im = [[0] * size for _ in range(size)]
-    for (i, j), (x, y) in form.cells.items():
-        re[i][j] = x
-        im[i][j] = y
-    prev = 1
+    # union-find with path halving; a block is named by its least index
+    root = list(range(size))
+    for i, j in cells:
+        if i < j:
+            while root[i] != i:
+                root[i] = root[root[i]]
+                i = root[i]
+            while root[j] != j:
+                root[j] = root[root[j]]
+                j = root[j]
+            if i != j:
+                root[max(i, j)] = min(i, j)
+    # each block's indices in basis order, and each index's place in its block
+    members: Dict[int, List[int]] = {}
+    place = []
     for k in range(size):
-        rk, ik = re[k], im[k]
+        root[k] = root[root[k]]  # the parent is a smaller index, already final
+        block = members.setdefault(root[k], [])
+        place.append(len(block))
+        block.append(k)
+    re = {r: [[0] * len(block) for _ in block] for r, block in members.items()}
+    im = {r: [[0] * len(block) for _ in block] for r, block in members.items()}
+    for (i, j), (x, y) in cells.items():
+        r, li = root[i], place[i]
+        re[r][li][place[j]] = x
+        im[r][li][place[j]] = y
+    prev = dict.fromkeys(members, 1)
+    for k in range(size):
+        r, lk = root[k], place[k]
+        block, bre, bim, last = members[r], re[r], im[r], prev[r]
+        m = len(block)
+        rk, ik = bre[lk], bim[lk]
         while True:
-            p = rk[k]
-            column = [(i, re[i][k], im[i][k]) for i in range(k + 1, size) if re[i][k] or im[i][k]]
-            yield k, p, prev * den, column
+            p = rk[lk]
+            column = [(block[i], bre[i][lk], bim[i][lk]) for i in range(lk + 1, m) if bre[i][lk] or bim[i][lk]]
+            yield k, p, last * den, column
             if p or not column:
                 break
             # resumed past an indefinite zero pivot: move it off zero
             j, s_re, s_im = column[0]
-            c_re, c_im = (1, 0) if re[j][j] + 2 * s_re else (-1, 0) if re[j][j] - 2 * s_re else (0, 1)
-            rj, ij = re[j], im[j]
-            for t in range(k, size):
+            j = place[j]  # within the block
+            c_re, c_im = (1, 0) if bre[j][j] + 2 * s_re else (-1, 0) if bre[j][j] - 2 * s_re else (0, 1)
+            rj, ij = bre[j], bim[j]
+            for t in range(lk, m):
                 rk[t] += c_re * rj[t] - c_im * ij[t]
                 ik[t] += c_re * ij[t] + c_im * rj[t]
-            for t in range(k, size):
-                rt, it = re[t], im[t]
-                rt[k] += c_re * rt[j] + c_im * it[j]
-                it[k] += c_re * it[j] - c_im * rt[j]
+            for t in range(lk, m):
+                rt, it = bre[t], bim[t]
+                rt[lk] += c_re * rt[j] + c_im * it[j]
+                it[lk] += c_re * it[j] - c_im * rt[j]
         if not p:
             continue
-        # trailing update of the upper triangle, mirrored to keep it Hermitian
-        for i in range(k + 1, size):
-            ri, ii = re[i], im[i]
-            a_re, a_im = ri[k], ii[k]
-            for j in range(i, size):
+        # trailing update of the block's upper triangle, mirrored to keep it Hermitian
+        for i in range(lk + 1, m):
+            ri, ii = bre[i], bim[i]
+            a_re, a_im = ri[lk], ii[lk]
+            for j in range(i, m):
                 b_re, b_im = rk[j], ik[j]
                 x = p * ri[j] - (a_re * b_re - a_im * b_im)
                 y = p * ii[j] - (a_re * b_im + a_im * b_re)
-                if prev != 1:
-                    x, rx = divmod(x, prev)
-                    y, ry = divmod(y, prev)
+                if last != 1:
+                    x, rx = divmod(x, last)
+                    y, ry = divmod(y, last)
                     if rx or ry:
                         raise ArithmeticError("inexact division in fraction-free elimination")
                 ri[j] = x
                 ii[j] = y
-                re[j][i] = x
-                im[j][i] = -y
-        prev = p
+                bre[j][i] = x
+                bim[j][i] = -y
+        prev[r] = p
 
 
 def inertia(form: HermitianForm) -> Inertia:
@@ -154,7 +173,7 @@ def inertia(form: HermitianForm) -> Inertia:
     when the loop resumes.
     """
     pos = neg = 0
-    for _, pivot, scale, _ in _ldlh(form):
+    for _, pivot, scale, _ in _ldlh(form.size, form.den, form.cells):
         if not pivot:
             continue
         if (pivot > 0) == (scale > 0):
@@ -216,7 +235,7 @@ def extract_sos(form: HermitianForm) -> ScaledMap:
     """
     comps: List[Tuple[Fraction, HoloPoly]] = []
     steps = []  # (index, pivot, column) of each nonzero pivot so far
-    for k, pivot, scale, column in _ldlh(form):
+    for k, pivot, scale, column in _ldlh(form.size, form.den, form.cells):
         if not pivot:
             if column:
                 raise NotSOSError(
@@ -273,112 +292,56 @@ def _zero_pivot_witness(form: HermitianForm, steps, k: int, scale: int, entry):
     return _lift(form.size, steps, {k: alpha, i: GR_ONE})
 
 
-def _row_reduce(
-    rows: Sequence[Mapping[int, Tuple[int, int]]], width: int
-) -> List[Tuple[int, Dict[int, Tuple[int, int]]]]:
-    """Fraction-free Gauss-Jordan elimination of Gaussian-integer rows.
+def _columns(vectors: Sequence[Mapping]) -> List[Dict[int, Tuple[int, int]]]:
+    """The columns of the matrix whose rows are the sparse vectors, as sparse vectors."""
+    columns: Dict[object, Dict[int, Tuple[int, int]]] = {}
+    for a, vector in enumerate(vectors):
+        for key, cell in vector.items():
+            columns.setdefault(key, {})[a] = cell
+    return list(columns.values())
 
-    Each row maps column indices below ``width`` to the numerators (re, im)
-    of its nonzero entries; the callers scale every input row to Z[i] by its
-    own denominator, which changes neither the row space nor the reduced
-    row echelon form.  Columns are taken left to right; the pivot is the first
-    remaining row with a nonzero entry in the column, swapped into place.
-    Every other row then takes the Bareiss step
-    a_ij <- (p * a_ij - a_ic * a_kj) / p_prev, with p = a_kc the new pivot
-    and p_prev the one before (1 at the start).  The entries stay Gaussian
-    integers (minors of the row-permuted input), so the division, done as a
-    multiplication by conj(p_prev) and a division by |p_prev|^2, is exact; a
-    nonzero remainder raises ArithmeticError.
 
-    A row with a_ic = 0 would only be scaled by p / p_prev.  That step is
-    deferred: each row records the pivot d it was last brought up to date
-    with, its next update divides by d in place of p_prev (the skipped
-    scalings telescope), and a pivot row is first scaled by p_prev / d.
+def _gram(vectors: Sequence[Mapping]) -> Dict[Tuple[int, int], Tuple[int, int]]:
+    """The Gram matrix G[a][b] = <v_a, v_b> of sparse Gaussian-integer vectors.
 
-    Returns, for each pivot row in order, its pivot column and its nonzero
-    entries.  Every other pivot column of the row is zero, so the reduced
-    row echelon form is each row divided by its pivot entry, and the rank
-    is the number of rows returned.
+    G = R R^H for R the matrix of the vectors as rows, summed as c c^H over
+    the columns c of R and returned as Hermitian cells for ``_ldlh`` over
+    denominator 1.  G is positive semidefinite with the rank of R, and its
+    k-th pivot is nonzero iff v_k is not in the span of the earlier vectors.
     """
-    re = [[0] * width for _ in rows]
-    im = [[0] * width for _ in rows]
-    for r, row in enumerate(rows):
-        for j, (x, y) in row.items():
-            re[r][j] = x
-            im[r][j] = y
-    size = len(rows)
-    level = [(1, 0)] * size
-
-    def combine(i, start, u, a, k):
-        """Row i <- (u * row i - a * row k) / level[i], from column start on."""
-        (u_re, u_im), (a_re, a_im), (d_re, d_im) = u, a, level[i]
-        unit = d_re == 1 and not d_im
-        norm = d_re * d_re + d_im * d_im
-        ri, ii, rk, ik = re[i], im[i], re[k], im[k]
-        for j in range(start, width):
-            b_re, b_im = rk[j], ik[j]
-            x = u_re * ri[j] - u_im * ii[j] - (a_re * b_re - a_im * b_im)
-            y = u_re * ii[j] + u_im * ri[j] - (a_re * b_im + a_im * b_re)
-            if not unit:
-                x, y = x * d_re + y * d_im, y * d_re - x * d_im
-                x, rx = divmod(x, norm)
-                y, ry = divmod(y, norm)
-                if rx or ry:
-                    raise ArithmeticError("inexact division in fraction-free elimination")
-            ri[j] = x
-            ii[j] = y
-
-    pivots: List[int] = []
-    prev = (1, 0)
-    for c in range(width):
-        r = len(pivots)
-        if r == size:
-            break
-        k = next((i for i in range(r, size) if re[i][c] or im[i][c]), None)
-        if k is None:
-            continue
-        for table in (re, im, level):
-            table[r], table[k] = table[k], table[r]
-        if level[r] != prev:
-            combine(r, c, prev, (0, 0), r)
-        p = (re[r][c], im[r][c])
-        for i in range(size):
-            if i != r and (re[i][c] or im[i][c]):
-                # earlier pivot rows are zero before their pivot; the rest, before c
-                combine(i, pivots[i] if i < r else c, p, (re[i][c], im[i][c]), r)
-                level[i] = p
-        level[r] = p
-        pivots.append(c)
-        prev = p
-    return [
-        (c, {j: (x, y) for j, (x, y) in enumerate(zip(re[r], im[r])) if x or y})
-        for r, c in enumerate(pivots)
-    ]
+    size = len(vectors)
+    g_re = [[0] * size for _ in range(size)]
+    g_im = [[0] * size for _ in range(size)]
+    for column in _columns(vectors):
+        entries = list(column.items())  # ascending vector index
+        for s, (a, (x, y)) in enumerate(entries):
+            ra, ia = g_re[a], g_im[a]
+            for b, (u, w) in entries[s:]:
+                ra[b] += x * u + y * w  # v_a * conj(v_b)
+                ia[b] += y * u - x * w
+    cells = {}
+    for a in range(size):
+        for b in range(a, size):
+            if g_re[a][b] or g_im[a][b]:
+                cells[a, b] = (g_re[a][b], g_im[a][b])
+                cells[b, a] = (g_re[a][b], -g_im[a][b])
+    return cells
 
 
 def reduce_minimal(f) -> Tuple[HoloMap, int]:
-    """A basis of the component span, and its dimension.
+    """The components of f not in the span of the earlier ones, and their count.
 
-    The reduced row echelon form of the coefficient matrix of the
-    components, by the fraction-free kernel.  The returned map's components
-    are linearly independent and span the same space, and their count equals
-    the rank of ||f||^2, because the Gram matrix of a map factors through
-    the component span.  (The returned basis is not isometric to f; use
-    ``extract_sos`` on the form when the squared norm itself must be
-    preserved.)  Scaled maps are accepted; positive weights never change the
-    span.
+    Component k is kept when the k-th pivot of the Gram matrix of the
+    components is nonzero.  The result is an ordered sub-map of f spanning
+    the same space with independent components, so its length is the rank
+    of ||f||^2.  It is not isometric to f (``extract_sos`` on the form is).
+    Scaled maps are accepted and their weights dropped; positive weights
+    never change the span.
     """
-    polys = [poly for _, poly in f.weighted_components() if poly.cells]
-    support = sorted({mon for poly in polys for mon in poly.cells}, key=grlex_key)
-    index = {mon: j for j, mon in enumerate(support)}
-    rows = [{index[mon]: cell for mon, cell in poly.cells.items()} for poly in polys]
-    comps = []
-    for c, row in _row_reduce(rows, len(support)):
-        # (x + y*i) / p = (x + y*i) * conj(p) / |p|^2
-        p_re, p_im = row[c]
-        cells = {support[j]: (x * p_re + y * p_im, y * p_re - x * p_im) for j, (x, y) in row.items()}
-        comps.append(HoloPoly._build(f.n, p_re * p_re + p_im * p_im, cells))
-    return HoloMap(f.n, comps), len(comps)
+    polys = [poly for _, poly in f.weighted_components()]
+    gram = _gram([poly.cells for poly in polys])
+    kept = [polys[k] for k, pivot, _, _ in _ldlh(len(polys), 1, gram) if pivot]
+    return HoloMap(f.n, kept), len(kept)
 
 
 def grams_equal(f, g) -> bool:

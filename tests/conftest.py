@@ -5,7 +5,7 @@ is reproducible.  Oracles here deliberately avoid the code paths they
 check: squared norms are validated by pointwise evaluation over exact
 rationals, inertia by explicit congruence matrices, ranks by counting.
 The references at the end run over ``GaussianRational`` arithmetic on
-dense matrices, sharing no code with the package's fraction-free kernels,
+dense matrices, sharing no code with the package's fraction-free kernel,
 its sparse Gaussian-integer form arithmetic, its integer tensor products,
 or the polynomial division of ``divide_by_norm``.
 """

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import islice
 
@@ -10,6 +11,7 @@ from conftest import (
     rand_hermitian_form,
     rand_invertible,
     rand_plain_map,
+    reference_extract_sos,
     reference_inertia,
 )
 from hermsos import (
@@ -27,8 +29,10 @@ from hermsos import (
     extract_sos,
     grams_equal,
     inertia,
+    monomials_of_degree,
     norm_form,
     one_plus_norm,
+    one_plus_norm_z,
     r_lambda,
     reduce_minimal,
 )
@@ -53,7 +57,7 @@ def diag_form(values):
 )
 def test_zero_pivot_congruence_choices(gram, pivot):
     form = HermitianForm(1, [mono(0), mono(1)], gram)
-    first, second = islice(_ldlh(form), 2)
+    first, second = islice(_ldlh(form.size, form.den, form.cells), 2)
     assert first[:2] == (0, 0) and first[3]  # a zero pivot with a nonzero column
     assert second[:2] == (0, pivot)  # resumed: the same index, moved off zero
     assert inertia(form) == reference_inertia(form) == Inertia(1, 1)
@@ -62,7 +66,64 @@ def test_zero_pivot_congruence_choices(gram, pivot):
 def test_ldlh_passes_over_a_zero_pivot_with_an_empty_column():
     # the zero pivot is yielded once, and no congruence is applied
     gapped = HermitianForm(1, [mono(k) for k in range(3)], [[1, 1, 0], [1, 1, 0], [0, 0, 2]])
-    assert list(_ldlh(gapped)) == [(0, 1, 1, [(1, 1, 0)]), (1, 0, 1, []), (2, 2, 1, [])]
+    steps = list(_ldlh(gapped.size, gapped.den, gapped.cells))
+    assert steps == [(0, 1, 1, [(1, 1, 0)]), (1, 0, 1, []), (2, 2, 1, [])]
+
+
+def interleaved_cells(corner):
+    # blocks {0, 2, 5} and {1, 4, 6} with every cell inside them nonzero, and
+    # index 3 a zero 1x1 block; corner is the (0, 0) cell of the first block
+    first = [[corner, (1, 1), (2, 0)], [(1, -1), (3, 0), (0, 1)], [(2, 0), (0, -1), (4, 0)]]
+    second = [[(2, 0), (1, 0), (1, -1)], [(1, 0), (2, 0), (0, 1)], [(1, 1), (0, -1), (5, 0)]]
+    cells = {}
+    for members, block in (((0, 2, 5), first), ((1, 4, 6), second)):
+        for a, i in enumerate(members):
+            for b, j in enumerate(members):
+                cells[i, j] = block[a][b]
+    return cells
+
+
+@pytest.mark.parametrize("corner", [(3, 0), (0, 0)], ids=["psd", "zero-pivot"])
+def test_interleaved_blocks_are_eliminated_in_basis_order(corner):
+    cells = interleaved_cells(corner)
+    steps = list(_ldlh(7, 1, cells))
+    indices = [k for k, _, _, _ in steps]
+    # one pass in basis order; an index comes again only after an indefinite zero pivot
+    assert sorted(set(indices)) == list(range(7)) and indices == sorted(indices)
+    assert (3, 0, 1, []) in steps
+    # columns stay inside their block
+    blocks = [{0, 2, 5}, {1, 4, 6}, {3}]
+    for k, _, _, column in steps:
+        assert all(any({i, k} <= block for block in blocks) for i, _, _ in column)
+    gram = [[GaussianRational(*cells.get((i, j), (0, 0))) for j in range(7)] for i in range(7)]
+    form = HermitianForm(1, [mono(k) for k in range(7)], gram)
+    assert form.size == 6  # the zero row is dropped
+    assert inertia(form) == reference_inertia(form)
+    try:
+        kernel = list(extract_sos(form).weighted_components())
+    except NotSOSError as exc:
+        kernel = str(exc)
+    try:
+        reference = reference_extract_sos(form)
+    except NotSOSError as exc:
+        reference = str(exc)
+    assert kernel == reference
+    assert isinstance(kernel, list) == (corner != (0, 0))
+
+
+def test_inertia_of_a_large_diagonal_form_is_fast():
+    # (1 + ||z||^2)(1 + ||f||^2) with f every degree-4 monomial in 6 variables
+    # is diagonal: 385 blocks of one index each
+    f = HoloMap(6, [HoloPoly(6, {mon: 1}) for mon in monomials_of_degree(6, 4)])
+    form = one_plus_norm_z(6) * one_plus_norm(f)
+    assert form.size == 385
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        sig = inertia(form)
+        best = min(best, time.perf_counter() - start)
+    assert sig == Inertia(385, 0)
+    assert best < 0.1
 
 
 def test_inertia_with_a_zero_trailing_block():

@@ -1,4 +1,4 @@
-"""The fraction-free kernels, the sparse form arithmetic, the integer tensor
+"""The fraction-free kernel, the sparse form arithmetic, the integer tensor
 products and the bounded division search against rational references, plus
 congruence invariance of inertia and JSON document round trips.
 
@@ -46,7 +46,7 @@ from hermsos import (
     serialize_map_document,
     tensor_power_rank,
 )
-from hermsos.rankdecomp import _row_reduce
+from hermsos.rankdecomp import _ldlh
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -295,7 +295,16 @@ def spanning_maps(draw):
 @PROPERTY
 @given(spanning_maps())
 def test_reduce_minimal_matches_reference(f):
-    assert reduce_minimal(f) == reference_reduce_minimal(f)
+    basis, rank = reduce_minimal(f)
+    polys = [poly for _, poly in f.weighted_components()]
+    assert rank == len(basis) == reference_reduce_minimal(f)[1]
+    # an ordered sub-map of f ...
+    rest = iter(polys)
+    assert all(any(kept == poly for poly in rest) for kept in basis.components)
+    # ... of independent components ...
+    assert reference_reduce_minimal(basis)[1] == len(basis)
+    # ... inside the span of f
+    assert reference_reduce_minimal(HoloMap(f.n, polys + list(basis.components)))[1] == rank
 
 
 @st.composite
@@ -331,6 +340,12 @@ def test_tensor_power_rank_on_a_component_with_thirty_terms():
     poly = HoloPoly(3, {mon: GaussianRational(k % 5 - 2, k % 3) for k, mon in enumerate(mons, 1)})
     f = HoloMap(3, [poly])
     assert tensor_power_rank(f, 3) == reference_tensor_power_rank(f, 3) == 3
+
+
+def test_tensor_power_rank_with_more_products_than_monomials():
+    # 135 products of w and 3w^2 span the 30 monomials w .. w^30
+    f = HoloMap(1, [HoloPoly(1, {Monomial((1,)): 1}), HoloPoly(1, {Monomial((2,)): 3})])
+    assert tensor_power_rank(f, 15) == reference_tensor_power_rank(f, 15) == 30
 
 
 gaussian_integers = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))
@@ -381,34 +396,31 @@ def test_form_documents_round_trip(form):
 
 
 @st.composite
-def integer_rows(draw):
-    """Up to six sparse Gaussian-integer rows over up to six columns."""
-    width = draw(st.integers(1, 6))
-    entry = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
-    rows = []
-    for _ in range(draw(st.integers(1, 6))):
-        cells = draw(st.dictionaries(st.integers(0, width - 1), entry))
-        rows.append({j: cell for j, cell in cells.items() if cell != (0, 0)})
-    return rows, width
+def blocked_forms(draw):
+    """Hermitian forms, often split into interleaved diagonal blocks."""
+    form = draw(hermitian_forms())
+    group = draw(st.lists(st.integers(0, 2), min_size=form.size, max_size=form.size))
+    gram = [
+        [value if group[i] == group[j] else GaussianRational(0) for j, value in enumerate(row)]
+        for i, row in enumerate(form.gram)
+    ]
+    return HermitianForm(form.n, form.basis, gram)
 
 
 @PROPERTY
-@given(integer_rows())
-def test_row_kernel_entries_stay_minors(case):
-    # every entry the kernel returns is, up to sign, a minor of the input,
-    # so Hadamard's inequality bounds it by the product of the squared row
-    # norms
-    rows, width = case
+@given(blocked_forms())
+def test_ldlh_entries_stay_minors(form):
+    # until a zero pivot is moved, every pivot and column entry the kernel
+    # yields is a minor of den * G, so Hadamard's inequality bounds it by the
+    # product of the squared row norms
+    norms = [0] * form.size
+    for (i, _), (x, y) in form.cells.items():
+        norms[i] += x * x + y * y
     bound = 1
-    for row in rows:
-        bound *= max(1, sum(x * x + y * y for x, y in row.values()))
-    for _, row in _row_reduce(rows, width):
-        assert all(x * x + y * y <= bound for x, y in row.values())
-
-
-def test_row_kernel_refuses_an_inexact_division():
-    # a non-integral entry breaks the kernel's Gaussian-integer input; the
-    # second pivot step then divides with a remainder
-    rows = [{0: (2, 0), 1: (1, 0)}, {1: (3, 0), 2: (Fraction(1, 3), 0)}]
-    with pytest.raises(ArithmeticError, match="inexact division"):
-        _row_reduce(rows, 3)
+    for norm in norms:
+        bound *= max(1, norm)
+    for _, pivot, _, column in _ldlh(form.size, form.den, form.cells):
+        assert pivot * pivot <= bound
+        assert all(x * x + y * y <= bound for _, x, y in column)
+        if not pivot and column:
+            break
