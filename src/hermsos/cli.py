@@ -189,8 +189,8 @@ def cmd_tensor_rank(args) -> int:
     products = comb(len(f) + args.t, args.t) - 1 if args.t >= 1 else 0
     if products > TENSOR_ROWS_MAX:
         raise ValueError(
-            f"tensor-rank would row-reduce {products} products of components; "
-            f"the limit is {TENSOR_ROWS_MAX}"
+            f"tensor-rank would eliminate the Gram matrix of {products} "
+            f"products of components; the limit is {TENSOR_ROWS_MAX}"
         )
     rank = tensor_power_rank(f, args.t)
     report = check_power_rank(len(f), args.t, rank)

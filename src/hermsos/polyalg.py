@@ -13,28 +13,29 @@ constructors accept it.  Floats are rejected at the boundary.
 
 The objects:
 
-  * ``Monomial``       an exponent vector, z^a = z0^{a_0} * ... * z_{n-1}^{a_{n-1}}
+  * ``Monomial``       an exponent vector, z^a = z0^{a_0} * ... * z_{n-1}^{a_{n-1}},
+                       with its degree, hash and grlex key computed once
   * ``HoloPoly``       a sparse polynomial: the numerators of its nonzero
                        coefficients keyed by Monomial, over one denominator
   * ``HoloMap``        a tuple of polynomials f = (f_1, ..., f_p) sharing n variables
   * ``HermitianForm``  a Hermitian coefficient matrix over a monomial basis,
                        representing a(z, zbar) = sum_{a,b} G[a][b] z^a zbar^b,
                        stored sparse as Gaussian-integer numerators of its
-                       nonzero entries over one common denominator
+                       nonzero entries over one common denominator, in an
+                       unordered dict keyed by basis index pairs
 
 The squared norm ||f||^2 = sum_k |f_k(z)|^2 of a map is such a form
 (``norm_form``), and products of forms are computed by exact Gram
 convolution over the Gaussian integers.  Monomial bases, tensor
 components, and printed output all follow one global graded lexicographic
 order, so every result is deterministic and structural equality of
-canonical forms coincides with mathematical equality.
+canonical forms coincides with mathematical equality.  The cells of a form
+are not kept in order: ``entries()``, and so printing, sorts them row-major.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import add, neg
 from types import MappingProxyType
@@ -223,21 +224,46 @@ def _mul_cells(a, b):
     return out
 
 
-@dataclass(frozen=True)
 class Monomial:
-    """An exponent vector; the number of variables is its length."""
+    """An exponent vector; the number of variables is its length.
 
-    exponents: Tuple[int, ...]
+    Immutable: ``exponents``, ``degree``, the hash and the ``grlex_key`` are
+    computed once, when it is built, so a monomial is a cheap dict key.  Two
+    monomials are equal iff their exponents are.
+    """
 
-    def __post_init__(self):
-        exps = tuple(self.exponents)
+    __slots__ = ("exponents", "degree", "_grlex", "_hash")
+
+    def __init__(self, exponents: Iterable[int]):
+        exps = tuple(exponents)
         if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exps):
             raise ValueError("exponents must be non-negative integers")
-        object.__setattr__(self, "exponents", exps)
+        degree = sum(exps)
+        init = object.__setattr__
+        init(self, "exponents", exps)
+        init(self, "degree", degree)
+        init(self, "_grlex", (degree, tuple(map(neg, exps))))
+        init(self, "_hash", hash(exps))
 
-    @cached_property
-    def degree(self) -> int:
-        return sum(self.exponents)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Monomial, (self.exponents,)
+
+    def __eq__(self, other):
+        if other.__class__ is not Monomial:
+            return NotImplemented
+        return self.exponents == other.exponents
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Monomial(exponents={self.exponents!r})"
 
     @property
     def n(self) -> int:
@@ -270,8 +296,9 @@ class Monomial:
 
 
 def grlex_key(mon: Monomial):
-    """Sort key for the global graded lexicographic order (z0 before z1)."""
-    return (mon.degree, tuple(map(neg, mon.exponents)))
+    """Sort key for the global graded lexicographic order (z0 before z1):
+    (degree, negated exponents), stored on the monomial when it is built."""
+    return mon._grlex
 
 
 def monomials_of_degree(n: int, d: int) -> List[Monomial]:
@@ -706,11 +733,12 @@ class HermitianForm:
     The representation is sparse and canonical.  ``basis`` is grlex-sorted
     and holds only monomials with a nonzero row (Hermitian symmetry makes
     row and column support coincide).  ``cells`` maps the basis index pair
-    (i, j) of each nonzero entry, in row-major order, to Gaussian-integer
-    numerators (re, im) over one positive denominator ``den``, so that
-    G[i][j] = (re + im*i) / den, and gcd(den, every numerator) = 1.  As a
-    consequence ``==`` is both structural and mathematical equality.  Forms
-    are immutable by convention; ``gram`` is a dense view built on first use.
+    (i, j) of each nonzero entry to Gaussian-integer numerators (re, im)
+    over one positive denominator ``den``, so that G[i][j] = (re + im*i) / den,
+    and gcd(den, every numerator) = 1.  As a consequence ``==`` is both
+    structural and mathematical equality.  ``cells`` is in no particular
+    order; ``entries()`` lists it row-major.  Forms are immutable by
+    convention; ``gram`` is a dense view built on first use.
     """
 
     __slots__ = ("n", "basis", "den", "cells", "_index", "_gram")
@@ -737,7 +765,7 @@ class HermitianForm:
         # per size) until a full garbage collection empties it
         self.basis = tuple([mons[i] for i in rows])
         self.den = den
-        self.cells = dict(sorted(((new[i], new[j]), cell) for (i, j), cell in cells.items()))
+        self.cells = {(new[i], new[j]): cell for (i, j), cell in cells.items()}
         self._index = {mon: k for k, mon in enumerate(self.basis)}
         self._gram = None
 
@@ -804,7 +832,7 @@ class HermitianForm:
         The order is row-major in the grlex order of the basis.
         """
         basis, den = self.basis, self.den
-        for (i, j), (re, im) in self.cells.items():
+        for (i, j), (re, im) in sorted(self.cells.items()):
             yield basis[i], basis[j], _gaussian(re, im, den)
 
     def coefficient(self, ma: Monomial, mb: Monomial) -> GaussianRational:

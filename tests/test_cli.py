@@ -156,7 +156,8 @@ def test_tensor_rank_over_the_ceiling_is_refused_at_once(tmp_path, capsys):
     assert main(["tensor-rank", "--input", doc, "--t", "136"]) == 2
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == (
-        "error: tensor-rank would row-reduce 136 products of components; the limit is 135\n"
+        "error: tensor-rank would eliminate the Gram matrix of 136 products of components; "
+        "the limit is 135\n"
     )
     assert main(["tensor-rank", "--input", doc, "--t", "135"]) == 0
     assert capsys.readouterr().out.startswith("rank: 135\n")

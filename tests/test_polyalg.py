@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import comb
@@ -85,6 +87,46 @@ def test_monomial_validation():
     assert m.n == 3
     assert str(m) == "z0^2*z2"
     assert str(mono(0, 0)) == "1"
+
+
+@pytest.mark.parametrize("exps", [(True, 0), (1, -1), (1, 2.0), (Fraction(1), 0), ("1",)])
+def test_monomial_rejects_bool_negative_and_non_int_exponents(exps):
+    with pytest.raises(ValueError, match="^exponents must be non-negative integers$"):
+        Monomial(exps)
+
+
+def test_monomial_value_semantics():
+    a, b = Monomial((2, 0, 1)), Monomial([2, 0, 1])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a: 1, b: 2}) == 1 and len({a, b}) == 1
+    assert a != Monomial((2, 1, 0)) and a != (2, 0, 1)
+    assert a.exponents == (2, 0, 1) and a.degree == 3
+    assert repr(a) == "Monomial(exponents=(2, 0, 1))"
+
+
+@pytest.mark.parametrize("name", ["exponents", "degree", "_grlex", "_hash", "other"])
+def test_monomial_is_immutable(name):
+    m = mono(1, 2)
+    with pytest.raises(AttributeError):
+        setattr(m, name, (0, 0))
+    with pytest.raises(AttributeError):
+        delattr(m, name)
+    assert m == mono(1, 2) and grlex_key(m) == (3, (-1, -2))
+
+
+@pytest.mark.parametrize("copier", [
+    copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_copy_and_pickle_keep_values(copier):
+    m = mono(1, 2)
+    poly = HoloPoly(2, {m: GaussianRational(Fraction(1, 3), 2), mono(0, 1): 5})
+    form = norm_form(HoloMap(2, [poly, HoloPoly.variable(2, 0)]))
+    m2, poly2, form2 = copier(m), copier(poly), copier(form)
+    assert m2 == m and hash(m2) == hash(m) and grlex_key(m2) == grlex_key(m)
+    assert poly2 == poly and str(poly2) == str(poly)
+    assert form2 == form and str(form2) == str(form)
+    assert form2.coefficient(m, m) == form.coefficient(m, m)
+    assert (form2 + form) == form * HermitianForm.constant(2, 2)
 
 
 def test_grlex_order():

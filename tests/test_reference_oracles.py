@@ -35,6 +35,7 @@ from hermsos import (
     ScaledMap,
     divide_by_norm,
     extract_sos,
+    grlex_key,
     inertia,
     monomials_of_degree,
     monomials_up_to_degree,
@@ -230,6 +231,56 @@ def test_dense_constructor_and_from_entries_agree(form):
     basis = [Monomial((3, 0))] + list(reversed(form.basis))
     gram = [[cells.get((ma, mb), 0) for mb in basis] for ma in basis]
     assert HermitianForm(form.n, basis, gram) == form
+
+
+def assert_same_form(*forms):
+    """The forms are equal, and list and print their entries identically, row-major."""
+    first = forms[0]
+    listing = list(first.entries())
+    assert list(first.basis) == sorted(first.basis, key=grlex_key)
+    place = {mon: k for k, mon in enumerate(first.basis)}
+    rows_cols = [(place[ma], place[mb]) for ma, mb, _ in listing]
+    assert rows_cols == sorted(rows_cols) and len(set(rows_cols)) == len(rows_cols)
+    for other in forms[1:]:
+        assert other == first
+        assert list(other.entries()) == listing
+        assert str(other) == str(first)
+
+
+@PROPERTY
+@given(hermitian_forms(), st.randoms(use_true_random=False))
+def test_from_entries_ignores_the_order_of_the_entries(form, rng):
+    entries = [((ma, mb), value) for ma, mb, value in form.entries()]
+    rng.shuffle(entries)
+    assert_same_form(form, HermitianForm.from_entries(form.n, dict(entries)))
+
+
+@PROPERTY
+@given(form_pairs())
+def test_sums_and_products_do_not_depend_on_the_order_of_the_operands(pair):
+    a, b = pair
+    assert_same_form(a + b, b + a, reference_form_add(a, b))
+    assert_same_form(a * b, b * a, reference_form_mul(a, b))
+
+
+@PROPERTY
+@given(hermitian_forms(), st.data())
+def test_restrict_ignores_the_order_of_the_monomials(form, data):
+    keep = [mon for mon in form.basis if data.draw(st.booleans())]
+    shuffled = data.draw(st.permutations(keep + [Monomial((0, 5))]))
+    assert_same_form(form.restrict(sorted(keep, key=grlex_key)), form.restrict(shuffled))
+
+
+@PROPERTY
+@given(scaled_maps(), st.randoms(use_true_random=False))
+def test_norm_form_ignores_the_order_of_components_and_terms(f, rng):
+    pairs = []
+    for weight, poly in f.weighted_components():
+        terms = list(poly.terms.items())
+        rng.shuffle(terms)
+        pairs.append((weight, HoloPoly(f.n, dict(terms))))
+    rng.shuffle(pairs)
+    assert_same_form(norm_form(f), norm_form(ScaledMap(f.n, tuple(pairs))))
 
 
 @st.composite
