@@ -12,11 +12,11 @@ the polynomial machinery, so they can serve as oracles for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
-from .polyalg import HoloMap, HoloPoly, Monomial
+from .polyalg import HoloMap, HoloPoly
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,12 @@ def _require_positive(**values: int):
             raise ValueError(f"{name} must be a positive integer")
 
 
+def _band(n: int, d: int) -> Tuple[int, int]:
+    """The thm1.1 band of counts for degree d in n variables:
+    (n(d+1) - d(d-1)/2, n(d+1) + d)."""
+    return n * (d + 1) - d * (d - 1) // 2, n * (d + 1) + d
+
+
 def check_modification_rank(n: int, d: int, m: int) -> BoundReport:
     """Admissible component counts m for degree-d modifications in n variables.
 
@@ -57,9 +63,7 @@ def check_modification_rank(n: int, d: int, m: int) -> BoundReport:
     _require_positive(n=n, d=d, m=m)
     inputs = {"n": n, "d": d, "m": m}
     if d <= n:
-        lower = n * (d + 1) - d * (d - 1) // 2
-        upper = n * (d + 1) + d
-        return _report("thm1.1", inputs, m, lower, upper)
+        return _report("thm1.1", inputs, m, *_band(n, d))
     lower = max(n * (n + 3) // 2, d)
     return _report("thm1.1", inputs, m, lower, None)
 
@@ -76,8 +80,8 @@ def gap_intervals(n: int) -> List[Tuple[int, int]]:
     out = [(0, 2 * n)]
     k = 1
     while True:
-        lo = n * (k + 1) + k
-        hi = n * (k + 2) - (k + 1) * k // 2
+        lo = _band(n, k)[1]
+        hi = _band(n, k + 1)[0]
         if lo >= hi:
             break
         out.append((lo, hi))
@@ -95,18 +99,19 @@ def check_gap_feasible(n: int, m: int) -> BoundReport:
     """
     _require_positive(n=n, m=m)
     d = 1
-    while d <= n and n * (d + 1) + d < m:
+    while d <= n and _band(n, d)[1] < m:
         d += 1
     if d <= n:
-        lower = n * (d + 1) - d * (d - 1) // 2
-        upper = n * (d + 1) + d
-        return _report("cor1.3", {"n": n, "m": m, "d": d}, m, lower, upper)
+        return _report("cor1.3", {"n": n, "m": m, "d": d}, m, *_band(n, d))
     return _report("cor1.3", {"n": n, "m": m, "d": m}, m, n * (n + 3) // 2, None)
 
 
 def _power_sum(m: int, a: int) -> int:
-    """sum_{k=1..a} C(m+k-1, k), the count of monomials in m variables of degree 1..a."""
-    return sum(comb(m + k - 1, k) for k in range(1, a + 1))
+    """sum_{k=1..a} C(m+k-1, k), the count of monomials in m variables of degree 1..a.
+
+    By the hockey-stick identity the sum from k = 0 is C(m+a, a).
+    """
+    return comb(m + a, a) - 1
 
 
 def _min_m_with_power_sum(a: int, target: int) -> int:
@@ -139,10 +144,8 @@ def check_rational_modification_rank(n: int, e: int, m: int, a: int, b: int) -> 
     _require_positive(n=n, e=e, m=m, a=a, b=b)
     inputs = {"n": n, "e": e, "m": m, "a": a, "b": b}
     if e <= n and b == 1:
-        lower_target = n * (e + 1) - e * (e - 1) // 2
-        lower = _min_m_with_power_sum(a, lower_target)
-        upper = (n * (e + 1) + e) // a
-        return _report("thm1.4", inputs, m, lower, upper)
+        lower_target, upper_target = _band(n, e)
+        return _report("thm1.4", inputs, m, _min_m_with_power_sum(a, lower_target), upper_target // a)
     lower = _min_m_with_power_sum(a, n * (n + 3) // 2)
     return _report("thm1.4", inputs, m, lower, None)
 

@@ -3,11 +3,12 @@
 Subcommands operate on JSON documents (see ``documents``) and print either
 human-readable text or CSV.  Exit codes: 0 success, 1 a verification that
 ran and failed, 2 malformed input or an invalid value (including a
-``tensor-rank`` job above ``TENSOR_ROWS_MAX`` products, and a ``solve-h``
-block above ``SOLVE_H_BLOCK_MAX`` basis monomials), 3 a map that does not
-vanish at the origin, 4 a map with linearly dependent components, 5 an
-internal invariant violated (an ``ArithmeticError`` from a check that cannot
-fail on correct code, such as an inexact division in elimination).
+``tensor-rank`` job above ``TENSOR_ROWS_MAX`` products, a ``solve-h`` block
+above ``SOLVE_H_BLOCK_MAX`` basis monomials, and a ``bounds`` result of more
+than 4300 digits), 3 a map that does not vanish at the origin, 4 a map with
+linearly dependent components, 5 an internal invariant violated (an
+``ArithmeticError`` from a check that cannot fail on correct code, such as
+an inexact division in elimination).
 
 ``main`` can be called many times in one process.  It builds the parser on
 its first call and reuses it; each call parses into a fresh namespace, so
@@ -23,9 +24,9 @@ import json
 import random
 import re
 import sys
-from math import comb
 
 from .bounds import (
+    _power_sum,
     check_affine_norm_product,
     check_gap_feasible,
     check_homogeneous_norm_product,
@@ -185,8 +186,8 @@ def cmd_verify(args) -> int:
 
 def cmd_tensor_rank(args) -> int:
     f = parse_map_document(_read_json(args.input))
-    # sum_{k=1..t} C(p+k-1, k) = C(p+t, t) - 1, checked before any product is built
-    products = comb(len(f) + args.t, args.t) - 1 if args.t >= 1 else 0
+    # the product count, checked before any product is built
+    products = _power_sum(len(f), args.t) if args.t >= 1 else 0
     if products > TENSOR_ROWS_MAX:
         raise ValueError(
             f"tensor-rank would eliminate the Gram matrix of {products} "
@@ -238,6 +239,9 @@ def cmd_bounds(args) -> int:
             f"theorem {args.theorem} needs exactly: " + " ".join(names)
         )
     report = func(**values)
+    # str() refuses an int of more than 4300 digits; refuse before any line is printed
+    if max(report.lower, report.upper or 0) >= 10**4300:
+        raise ValueError("bound has more than 4300 digits")
     _print_report(report, args.format)
     return 0
 

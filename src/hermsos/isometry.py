@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 from operator import sub
 from typing import Dict, List, Optional, Tuple, Union
 
+from .bounds import _power_sum
 from .polyalg import (
     GaussianRational,
     HermitianForm,
@@ -34,8 +35,8 @@ from .polyalg import (
     _mul_cells,
     norm_form,
 )
-# inertia is unused here but stays importable from this module for callers
-# that reach it through hermsos.isometry
+# inertia is unused here; perfbench/test_perfbench.py reads it as
+# hermsos.isometry.inertia
 from .rankdecomp import (  # noqa: F401
     NotSOSError,
     ScaledMap,
@@ -183,7 +184,7 @@ def tensor_power_rank(f: MapLike, c: int) -> int:
         rows.extend(level.values())
     vectors = _columns(rows) if len(set().union(*rows)) < len(rows) else rows
     e = sum(1 for _, pivot, _, _ in _ldlh(len(vectors), 1, _gram(vectors)) if pivot)
-    low, high = c * d, sum(comb(d + k - 1, k) for k in range(1, c + 1))
+    low, high = c * d, _power_sum(d, c)
     if not low <= e <= high:
         raise ArithmeticError("tensor power rank escaped its proven range")
     return e

@@ -474,12 +474,6 @@ class HoloPoly:
             out = out * self
         return out
 
-    def truncate(self, d: int) -> "HoloPoly":
-        """Drop every term of total degree above d."""
-        if d < 0:
-            raise ValueError("truncation degree must be non-negative")
-        return HoloPoly._build(self.n, self.den, {m: c for m, c in self.cells.items() if m.degree <= d})
-
     def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
         if len(point) != self.n:
             raise ValueError("point has wrong dimension")
@@ -527,9 +521,8 @@ class HoloPoly:
 class HoloMap:
     """A tuple of polynomials in a shared set of variables.
 
-    The zero polynomial is permitted as a component only transiently
-    (e.g. right after truncation); rank-type operations treat it as
-    contributing nothing.
+    The zero polynomial is permitted as a component; rank-type operations
+    treat it as contributing nothing.
     """
 
     __slots__ = ("n", "components")
@@ -599,53 +592,6 @@ def tensor(f: HoloMap, g: HoloMap) -> HoloMap:
         raise ValueError("variable count mismatch")
     comps = [fi * gj for fi in f.components for gj in g.components]
     return HoloMap(f.n, comps)
-
-
-def oplus(f: HoloMap, g: HoloMap) -> HoloMap:
-    """Concatenation (f_1, ..., f_p, g_1, ..., g_q)."""
-    if f.n != g.n:
-        raise ValueError("variable count mismatch")
-    return HoloMap(f.n, f.components + g.components)
-
-
-def homogenize_map(f: HoloMap, d: int) -> HoloMap:
-    """Homogenize to degree d with a new leading variable.
-
-    Component f_i(z) becomes z0^d * f_i(z1/z0, ..., zn/z0) in n+1 variables;
-    the homogenizing variable sits at index 0.  Requires d at least the
-    maximum component degree.
-    """
-    if d < f.max_degree:
-        raise ValueError("homogenization degree is below the maximum component degree")
-    comps = []
-    for comp in f.components:
-        cells = {Monomial((d - mon.degree,) + mon.exponents): cell for mon, cell in comp.cells.items()}
-        comps.append(HoloPoly._build(f.n + 1, comp.den, cells))
-    return HoloMap(f.n + 1, comps)
-
-
-def dehomogenize_map(big_f: HoloMap) -> HoloMap:
-    """Set the leading variable to 1 and drop it.
-
-    Requires every nonzero component to be homogeneous of one common degree,
-    so the operation inverts ``homogenize_map`` exactly.
-    """
-    if big_f.n < 2:
-        raise ValueError("need at least two variables to dehomogenize")
-    degrees = {mon.degree for comp in big_f.components for mon in comp.cells}
-    if len(degrees) > 1:
-        raise ValueError("map is not homogeneous of a common degree")
-    # one common degree, so dropping the leading exponent is injective
-    comps = []
-    for comp in big_f.components:
-        cells = {Monomial(mon.exponents[1:]): cell for mon, cell in comp.cells.items()}
-        comps.append(HoloPoly._build(big_f.n - 1, comp.den, cells))
-    return HoloMap(big_f.n - 1, comps)
-
-
-def truncate_map(f: HoloMap, d: int) -> HoloMap:
-    """Truncate every component to total degree at most d.  Idempotent."""
-    return HoloMap(f.n, [comp.truncate(d) for comp in f.components])
 
 
 def substitute_powers(f: HoloMap, exponents: Sequence[int]) -> HoloMap:
@@ -967,6 +913,32 @@ class HermitianForm:
         return f"HermitianForm(n={self.n}, size={self.size})"
 
 
+def _outer_sum(size: int, columns) -> Dict[Tuple[int, int], Tuple[int, int]]:
+    """The nonzero Hermitian cells of sum s * c c^H over the (s, c) in ``columns``.
+
+    Each s is an integer and each c a sparse Gaussian-integer vector, a list
+    of (index, re, im) in ascending index order with every index below
+    ``size``.  The upper triangle is accumulated and mirrored.
+    """
+    re = [[0] * size for _ in range(size)]
+    im = [[0] * size for _ in range(size)]
+    for s, column in columns:
+        for p, (i, a_re, a_im) in enumerate(column):
+            s_re, s_im = s * a_re, s * a_im
+            re_i, im_i = re[i], im[i]
+            for j, b_re, b_im in column[p:]:
+                re_i[j] += s_re * b_re + s_im * b_im  # s * a_i * conj(a_j)
+                im_i[j] += s_im * b_re - s_re * b_im
+    cells = {}
+    for i, (re_i, im_i) in enumerate(zip(re, im)):
+        for j in range(i, size):
+            x, y = re_i[j], im_i[j]
+            if x or y:
+                cells[i, j] = (x, y)
+                cells[j, i] = (x, -y)
+    return cells
+
+
 def norm_form(f) -> HermitianForm:
     """The squared norm of a map as a Hermitian form.
 
@@ -978,54 +950,16 @@ def norm_form(f) -> HermitianForm:
     pairs = list(f.weighted_components())
     support = sorted({mon for _, poly in pairs for mon in poly.cells}, key=grlex_key)
     index = {mon: i for i, mon in enumerate(support)}
-    size = len(support)
     # Each component is a Gaussian-integer vector v_k over its denominator
     # q_k, so w_k c_k c_k^H = w_k v_k v_k^H / q_k^2; the sum is accumulated
     # over Z[i] at the common denominator of all the w_k / q_k^2.
     vectors = []
     den = 1
     for weight, poly in pairs:
-        vec = [(index[mon], x, y) for mon, (x, y) in poly.cells.items()]
+        vec = sorted((index[mon], x, y) for mon, (x, y) in poly.cells.items())
         scale = weight.denominator * poly.den * poly.den
         den = lcm(den, scale)
         vectors.append((weight.numerator, scale, vec))
-    re = [[0] * size for _ in range(size)]
-    im = [[0] * size for _ in range(size)]
-    for num, scale, vec in vectors:
-        s = num * (den // scale)
-        for i, a_re, a_im in vec:
-            s_re, s_im = s * a_re, s * a_im
-            re_i, im_i = re[i], im[i]
-            for j, b_re, b_im in vec:
-                re_i[j] += s_re * b_re + s_im * b_im
-                im_i[j] += s_im * b_re - s_re * b_im
-    cells = {
-        (i, j): (x, y)
-        for i, (re_i, im_i) in enumerate(zip(re, im))
-        for j, (x, y) in enumerate(zip(re_i, im_i))
-        if x or y
-    }
+    cells = _outer_sum(len(support), [(num * (den // scale), vec) for num, scale, vec in vectors])
     return HermitianForm._build(f.n, support, den, cells)
 
-
-def homogenize_form(a: HermitianForm, d: int) -> HermitianForm:
-    """Homogenize a form to bidegree (d, d) with a new leading variable.
-
-    Basis monomial z^alpha becomes z0^{d-|alpha|} * z^alpha; the Gram matrix
-    is unchanged, so inertia is preserved exactly.
-    """
-    if any(mon.degree > d for mon in a.basis):
-        raise ValueError("homogenization degree is below the maximum basis degree")
-    basis = [Monomial((d - mon.degree,) + mon.exponents) for mon in a.basis]
-    return HermitianForm._build(a.n + 1, basis, a.den, a.cells)
-
-
-def dehomogenize_form(a: HermitianForm) -> HermitianForm:
-    """Set the leading variable to 1 and drop it; colliding entries are summed."""
-    if a.n < 2:
-        raise ValueError("need at least two variables to dehomogenize")
-    position: Dict[Monomial, int] = {}
-    move = [position.setdefault(Monomial(mon.exponents[1:]), len(position)) for mon in a.basis]
-    acc: Dict[Tuple[int, int], Tuple[int, int]] = {}
-    _add_cells(acc, a.cells, move, 1)
-    return HermitianForm._build(a.n - 1, list(position), a.den, acc)

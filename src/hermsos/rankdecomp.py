@@ -41,6 +41,7 @@ from .polyalg import (
     HermitianForm,
     HoloMap,
     HoloPoly,
+    _outer_sum,
     norm_form,
 )
 
@@ -309,23 +310,8 @@ def _gram(vectors: Sequence[Mapping]) -> Dict[Tuple[int, int], Tuple[int, int]]:
     denominator 1.  G is positive semidefinite with the rank of R, and its
     k-th pivot is nonzero iff v_k is not in the span of the earlier vectors.
     """
-    size = len(vectors)
-    g_re = [[0] * size for _ in range(size)]
-    g_im = [[0] * size for _ in range(size)]
-    for column in _columns(vectors):
-        entries = list(column.items())  # ascending vector index
-        for s, (a, (x, y)) in enumerate(entries):
-            ra, ia = g_re[a], g_im[a]
-            for b, (u, w) in entries[s:]:
-                ra[b] += x * u + y * w  # v_a * conj(v_b)
-                ia[b] += y * u - x * w
-    cells = {}
-    for a in range(size):
-        for b in range(a, size):
-            if g_re[a][b] or g_im[a][b]:
-                cells[a, b] = (g_re[a][b], g_im[a][b])
-                cells[b, a] = (g_re[a][b], -g_im[a][b])
-    return cells
+    columns = [(1, [(a, x, y) for a, (x, y) in column.items()]) for column in _columns(vectors)]
+    return _outer_sum(len(vectors), columns)
 
 
 def reduce_minimal(f) -> Tuple[HoloMap, int]:

@@ -154,6 +154,21 @@ def test_power_rank_bounds():
     assert rep.upper == 3 + comb(4, 2) + comb(5, 3)
 
 
+def test_power_rank_upper_is_the_binomial_sum():
+    for p in range(1, 9):
+        for t in range(1, 9):
+            want = sum(comb(p + k - 1, k) for k in range(1, t + 1))
+            assert check_power_rank(p, t, 1).upper == want, (p, t)
+
+
+def test_power_rank_huge_power_is_fast():
+    start = time.perf_counter()
+    rep = check_power_rank(3000, 3000, 5)
+    assert time.perf_counter() - start < 0.5
+    assert rep.lower == 3000 * 3000
+    assert not rep.satisfied
+
+
 def test_min_embedding_dim():
     for n in (1, 2, 5, 12):
         for m in range(1, 30):

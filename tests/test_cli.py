@@ -209,6 +209,16 @@ def test_bounds_errors(capsys):
     capsys.readouterr()
 
 
+def test_bounds_refuses_an_unprintable_bound(capsys):
+    # C(20000, 10000) - 1 has 6019 digits, past what str() of an int allows
+    start = time.perf_counter()
+    assert main(["bounds", "prop2.5", "p=10000", "t=10000", "r=5"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bound has more than 4300 digits\n"
+
+
 def test_primes_output(capsys):
     assert main(["primes", "--n", "2", "--t", "2"]) == 0
     assert capsys.readouterr().out == "3 5\n"

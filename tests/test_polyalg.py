@@ -16,18 +16,12 @@ from hermsos import (
     HoloMap,
     HoloPoly,
     Monomial,
-    dehomogenize_form,
-    dehomogenize_map,
     grlex_key,
-    homogenize_form,
-    homogenize_map,
     monomials_of_degree,
     monomials_up_to_degree,
     norm_form,
-    oplus,
     substitute_powers,
     tensor,
-    truncate_map,
 )
 
 
@@ -174,13 +168,6 @@ def test_poly_arithmetic_matches_evaluation():
         assert ((a * b) * a) == (a * (b * a))
 
 
-def test_poly_truncate():
-    p = HoloPoly(1, {mono(0): 1, mono(2): 3, mono(4): -1})
-    t = p.truncate(2)
-    assert t.terms == {mono(0): GR_ONE, mono(2): GaussianRational(3)}
-    assert t.truncate(2) == t
-
-
 def test_poly_is_homogeneous():
     assert HoloPoly(2, {mono(2, 0): 1, mono(1, 1): -2}).is_homogeneous
     assert not HoloPoly(2, {mono(1, 0): 1, mono(1, 1): 1}).is_homogeneous
@@ -257,45 +244,15 @@ def test_form_pow_requires_positive_exponent():
     assert a ** 1 == a
 
 
-def test_tensor_and_oplus_norm_identities():
+def test_tensor_norm_identity():
     rng = random.Random(505)
     for _ in range(10):
         n = rng.choice((1, 2))
         f = rand_plain_map(rng, n, rng.randint(1, 2))
         g = rand_plain_map(rng, n, rng.randint(1, 2))
         assert norm_form(tensor(f, g)) == norm_form(f) * norm_form(g)
-        assert norm_form(oplus(f, g)) == norm_form(f) + norm_form(g)
     with pytest.raises(ValueError):
         tensor(HoloMap.variables(1), HoloMap.variables(2))
-
-
-def test_homogenize_map_round_trip():
-    rng = random.Random(606)
-    for _ in range(10):
-        n = rng.choice((1, 2))
-        f = rand_plain_map(rng, n, 2, degree_max=3)
-        d = f.max_degree
-        big = homogenize_map(f, d)
-        assert big.n == n + 1
-        assert all(c.is_homogeneous and c.degree == d for c in big.components if not c.is_zero)
-        assert dehomogenize_map(big) == f
-    with pytest.raises(ValueError):
-        homogenize_map(HoloMap(1, [HoloPoly.monomial(1, (3,))]), 2)
-    mixed = HoloMap(2, [HoloPoly(2, {mono(1, 0): 1}), HoloPoly(2, {mono(2, 0): 1})])
-    with pytest.raises(ValueError):
-        dehomogenize_map(mixed)
-
-
-def test_homogenize_form_round_trip():
-    rng = random.Random(707)
-    for _ in range(8):
-        n = rng.choice((1, 2))
-        a = norm_form(rand_plain_map(rng, n, 2))
-        d = max(m.degree for m in a.basis)
-        big = homogenize_form(a, d)
-        assert big.gram == a.gram
-        assert all(m.degree == d for m in big.basis)
-        assert dehomogenize_form(big) == a
 
 
 def test_substitute_powers():
@@ -306,13 +263,6 @@ def test_substitute_powers():
     assert split.components[0] == HoloPoly(1, {mono(1): 1, mono(2): 1})
     with pytest.raises(ValueError):
         substitute_powers(f, (1,))
-
-
-def test_truncate_map():
-    f = HoloMap(1, [HoloPoly(1, {mono(1): 1, mono(3): 2})])
-    t = truncate_map(f, 2)
-    assert t.components[0] == HoloPoly(1, {mono(1): 1})
-    assert truncate_map(t, 2) == t
 
 
 def test_form_constructor_validations():
