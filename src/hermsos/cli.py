@@ -4,11 +4,12 @@ Subcommands operate on JSON documents (see ``documents``) and print either
 human-readable text or CSV.  Exit codes: 0 success, 1 a verification that
 ran and failed, 2 malformed input or an invalid value (including a
 ``tensor-rank`` job above ``TENSOR_ROWS_MAX`` products, a ``solve-h`` block
-above ``SOLVE_H_BLOCK_MAX`` basis monomials, and a ``bounds`` result of more
-than 4300 digits), 3 a map that does not vanish at the origin, 4 a map with
-linearly dependent components, 5 an internal invariant violated (an
-``ArithmeticError`` from a check that cannot fail on correct code, such as
-an inexact division in elimination).
+above ``SOLVE_H_BLOCK_MAX`` basis monomials, and a ``bounds`` or ``example1``
+value of more than 4300 digits), 3 a map that does not vanish at the
+origin, 4 a map with linearly dependent components, 5 an internal invariant
+violated (an ``ArithmeticError`` from a check that cannot fail on correct
+code, such as an inexact division in elimination).  A command that exits 2
+to 5 writes nothing to stdout.
 
 ``main`` can be called many times in one process.  It builds the parser on
 its first call and reuses it; each call parses into a fresh namespace, so
@@ -18,8 +19,11 @@ no option value carries over from one call to the next.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import inspect
+import io
 import json
 import random
 import re
@@ -41,6 +45,7 @@ from .bounds import (
 from .documents import (
     DocumentError,
     EnsembleConfig,
+    _check_keys,
     parse_form_document,
     parse_map_document,
     parse_rational,
@@ -62,15 +67,16 @@ from .isometry import (
 from .polyalg import Monomial, norm_form
 from .rankdecomp import affine_split, extract_sos, inertia
 
+# `bounds` takes each check's parameters, in order, as its key=value names
 THEOREMS = {
-    "thm1.1": (check_modification_rank, ("n", "d", "m")),
-    "cor1.3": (check_gap_feasible, ("n", "m")),
-    "thm1.4": (check_rational_modification_rank, ("n", "e", "m", "a", "b")),
-    "prop2.1": (check_homogeneous_norm_product, ("n", "p", "r")),
-    "thm2.2": (check_norm_product, ("n", "p", "r")),
-    "thm2.4": (check_affine_norm_product, ("n", "p", "r")),
-    "prop2.5": (check_power_rank, ("p", "t", "r")),
-    "rem1.6": (check_min_embedding_dim, ("n", "m")),
+    "thm1.1": check_modification_rank,
+    "cor1.3": check_gap_feasible,
+    "thm1.4": check_rational_modification_rank,
+    "prop2.1": check_homogeneous_norm_product,
+    "thm2.2": check_norm_product,
+    "thm2.4": check_affine_norm_product,
+    "prop2.5": check_power_rank,
+    "rem1.6": check_min_embedding_dim,
 }
 
 
@@ -101,26 +107,33 @@ def _csv_writer(stream):
     return csv.writer(stream, lineterminator="\n")
 
 
-def _print_report(report, fmt: str):
+def _print_record(fmt: str, record: dict):
+    """"key: value" lines, or a CSV header and one row; a None value is
+    left out of the text and written as an empty CSV cell."""
     if fmt == "csv":
         writer = _csv_writer(sys.stdout)
-        writer.writerow(["theorem", "observed", "lower", "upper", "satisfied"])
-        writer.writerow(
-            [
-                report.theorem,
-                report.observed,
-                report.lower,
-                "" if report.upper is None else report.upper,
-                _bool_text(report.satisfied),
-            ]
-        )
+        writer.writerow(record.keys())
+        writer.writerow(record.values())
         return
-    print(f"theorem: {report.theorem}")
-    print("inputs: " + " ".join(f"{k}={v}" for k, v in report.inputs.items()))
-    print(f"observed: {report.observed}")
-    print(f"lower: {report.lower}")
-    print("upper: " + ("none" if report.upper is None else str(report.upper)))
-    print(f"satisfied: {_bool_text(report.satisfied)}")
+    for key, value in record.items():
+        if value is not None:
+            print(f"{key}: {value}")
+
+
+def _check_printable(what: str, values):
+    """Refuse a numerator or denominator of more than 4300 digits, which str()
+    would refuse with the interpreter's message, with the package's own."""
+    if any(abs(q.numerator) >= 10**4300 or q.denominator >= 10**4300 for q in values):
+        raise ValueError(f"{what} has more than 4300 digits")
+
+
+def _print_report(report, fmt: str):
+    record, upper = {"theorem": report.theorem}, report.upper
+    if fmt == "text":  # only the text names the inputs and spells out a missing upper bound
+        record["inputs"] = " ".join(f"{k}={v}" for k, v in report.inputs.items())
+        upper = "none" if upper is None else upper
+    record.update(observed=report.observed, lower=report.lower, upper=upper, satisfied=_bool_text(report.satisfied))
+    _print_record(fmt, record)
 
 
 def cmd_rank(args) -> int:
@@ -133,26 +146,9 @@ def cmd_rank(args) -> int:
     else:
         form = parse_form_document(doc)
     sig = inertia(form)
-    minimal = None if component_count is None else component_count == sig.rank
-    if args.format == "csv":
-        writer = _csv_writer(sys.stdout)
-        writer.writerow(["rank", "positive", "negative", "sos", "minimal"])
-        writer.writerow(
-            [
-                sig.rank,
-                sig.pos,
-                sig.neg,
-                _bool_text(sig.neg == 0),
-                "" if minimal is None else _bool_text(minimal),
-            ]
-        )
-        return 0
-    print(f"rank: {sig.rank}")
-    print(f"positive: {sig.pos}")
-    print(f"negative: {sig.neg}")
-    print(f"sos: {_bool_text(sig.neg == 0)}")
-    if minimal is not None:
-        print(f"minimal: {_bool_text(minimal)}")
+    minimal = None if component_count is None else _bool_text(component_count == sig.rank)
+    record = dict(rank=sig.rank, positive=sig.pos, negative=sig.neg, sos=_bool_text(sig.neg == 0), minimal=minimal)
+    _print_record(args.format, record)
     return 0
 
 
@@ -195,15 +191,8 @@ def cmd_tensor_rank(args) -> int:
         )
     rank = tensor_power_rank(f, args.t)
     report = check_power_rank(len(f), args.t, rank)
-    if args.format == "csv":
-        writer = _csv_writer(sys.stdout)
-        writer.writerow(["rank", "lower", "upper", "satisfied"])
-        writer.writerow([rank, report.lower, report.upper, _bool_text(report.satisfied)])
-        return 0
-    print(f"rank: {rank}")
-    print(f"lower: {report.lower}")
-    print(f"upper: {report.upper}")
-    print(f"satisfied: {_bool_text(report.satisfied)}")
+    record = dict(rank=rank, lower=report.lower, upper=report.upper, satisfied=_bool_text(report.satisfied))
+    _print_record(args.format, record)
     return 0
 
 
@@ -224,7 +213,8 @@ def cmd_bounds(args) -> int:
         raise ValueError(
             f"unknown theorem {args.theorem!r}; known: {', '.join(sorted(THEOREMS))}"
         )
-    func, names = THEOREMS[args.theorem]
+    func = THEOREMS[args.theorem]
+    names = inspect.signature(func).parameters
     values = {}
     for item in args.values:
         key, sep, raw = item.partition("=")
@@ -239,9 +229,7 @@ def cmd_bounds(args) -> int:
             f"theorem {args.theorem} needs exactly: " + " ".join(names)
         )
     report = func(**values)
-    # str() refuses an int of more than 4300 digits; refuse before any line is printed
-    if max(report.lower, report.upper or 0) >= 10**4300:
-        raise ValueError("bound has more than 4300 digits")
+    _check_printable("bound", [report.lower, report.upper or 0])
     _print_report(report, args.format)
     return 0
 
@@ -269,21 +257,23 @@ def cmd_example1(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational lambda {args.lam!r}") from exc
     r = r_lambda(lam)
+    p_form = one_plus_norm_z(1) * r
+    s_form = r * r
+    r_diag, p_diag, s_diag = (
+        [form.coefficient(Monomial((k,)), Monomial((k,))) for k in range(size)]
+        for form, size in ((r, 5), (p_form, 6), (s_form, 9))
+    )
+    _check_printable("a printed value", [lam, *(x for v in r_diag + p_diag + s_diag for x in (v.re, v.im))])
     print(f"lambda: {lam}")
-    r_diag = [r.coefficient(Monomial((k,)), Monomial((k,))) for k in range(5)]
     print("R diagonal: " + " ".join(str(v) for v in r_diag))
     sig = inertia(r)
     print(f"R inertia: positive {sig.pos}, negative {sig.neg}")
     print(f"R sos: {_bool_text(sig.neg == 0)}")
 
-    p_form = one_plus_norm_z(1) * r
-    p_diag = [p_form.coefficient(Monomial((k,)), Monomial((k,))) for k in range(6)]
     print("P = (1+|z|^2) R diagonal: " + " ".join(str(v) for v in p_diag))
     p_ok, m = affine_split(p_form)
     print(f"P splits as 1 + ||f||^2: {_bool_text(p_ok)}" + (f", m = {m}" if p_ok else ""))
 
-    s_form = r * r
-    s_diag = [s_form.coefficient(Monomial((k,)), Monomial((k,))) for k in range(9)]
     print("S = R^2 diagonal: " + " ".join(str(v) for v in s_diag))
     s_ok, d = affine_split(s_form)
     print(f"S splits as 1 + ||g||^2: {_bool_text(s_ok)}" + (f", d = {d}" if s_ok else ""))
@@ -298,40 +288,22 @@ def cmd_example1(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
+    # the config keys, and the dests of the flags, are EnsembleConfig's parameters
+    keys = inspect.signature(EnsembleConfig).parameters
     if args.config:
         doc = _read_json(args.config)
         if not isinstance(doc, dict):
             raise DocumentError("ensemble config must be an object")
-        allowed = {"n", "d_max", "degree_max", "count", "seed", "coefficient_height"}
-        extra = set(doc) - allowed
-        if extra:
-            raise DocumentError(f"unknown config keys {sorted(extra)}")
-        try:
-            cfg = EnsembleConfig(**doc)
-        except TypeError as exc:
-            raise DocumentError(str(exc)) from exc
+        _check_keys(doc, keys, "config")
     else:
-        missing = [
-            flag
-            for flag, value in (
-                ("--n", args.n),
-                ("--d-max", args.d_max),
-                ("--degree-max", args.degree_max),
-                ("--count", args.count),
-                ("--seed", args.seed),
-            )
-            if value is None
-        ]
+        doc = {key: getattr(args, key) for key in keys}
+        missing = ["--" + key.replace("_", "-") for key, value in doc.items() if value is None]
         if missing:
             raise ValueError("missing " + " ".join(missing) + " (or use --config)")
-        cfg = EnsembleConfig(
-            n=args.n,
-            d_max=args.d_max,
-            degree_max=args.degree_max,
-            count=args.count,
-            seed=args.seed,
-            coefficient_height=args.height,
-        )
+    try:
+        cfg = EnsembleConfig(**doc)
+    except TypeError as exc:
+        raise DocumentError(str(exc)) from exc
     rng = random.Random(cfg.seed)
     rows = []
     for _ in range(cfg.count):
@@ -347,7 +319,7 @@ def cmd_ensemble(args) -> int:
                 f.max_degree,
                 m,
                 report.lower,
-                "" if report.upper is None else report.upper,
+                report.upper,  # None is an empty cell
                 _bool_text(not gap.satisfied),
             ]
         )
@@ -421,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree-max", dest="degree_max", type=int)
     p.add_argument("--count", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--height", type=int, default=5, help="coefficient height bound")
+    p.add_argument("--height", dest="coefficient_height", metavar="HEIGHT", type=int, default=5, help="coefficient height bound")
     p.add_argument("--output", help="write the CSV here instead of stdout")
 
     return parser
@@ -448,8 +420,11 @@ def main(argv=None) -> int:
     # the handler is looked up now, not when the parser was built, so a
     # replaced ``cmd_*`` attribute is the one that runs
     handler = globals()["cmd_" + args.command.replace("-", "_")]
+    # stdout is held until the handler returns, so a refused command prints nothing
+    held = io.StringIO()
     try:
-        return handler(args)
+        with contextlib.redirect_stdout(held):
+            code = handler(args)
     except NotNormalizedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -462,6 +437,8 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"error: internal invariant violated: {exc}", file=sys.stderr)
         return 5
+    sys.stdout.write(held.getvalue())
+    return code
 
 
 if __name__ == "__main__":

@@ -107,13 +107,29 @@ def _rational_to_json(num: int, den: int) -> Union[int, str]:
     return text if "/" in text else int(text)
 
 
+def _check_keys(obj: dict, allowed, what: str) -> None:
+    """Refuse any key of obj outside allowed, naming the object as what."""
+    extra = obj.keys() - allowed
+    if extra:
+        raise DocumentError(f"unknown {what} keys {sorted(extra)}")
+
+
+def _exponents(exp, n: int, message: str) -> Tuple[int, ...]:
+    """A JSON exponent list as a tuple; refused with message unless n non-negative ints."""
+    if (
+        not isinstance(exp, list)
+        or len(exp) != n
+        or any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exp)
+    ):
+        raise DocumentError(message)
+    return tuple(exp)
+
+
 def _scalar_from_json(obj) -> Tuple[int, int, int, int]:
     # Bare rationals are taken as real entries; objects carry both parts.
     if not isinstance(obj, dict):
         return _parts_from_json(obj, 0)
-    extra = set(obj) - {"re", "im"}
-    if extra:
-        raise DocumentError(f"unknown scalar keys {sorted(extra)}")
+    _check_keys(obj, ("re", "im"), "scalar")
     return _parts_from_json(obj.get("re", 0), obj.get("im", 0))
 
 
@@ -126,22 +142,13 @@ def _poly_from_terms(n: int, terms, mons: Dict[Tuple[int, ...], Monomial]) -> Ho
     for term in terms:
         if not isinstance(term, dict):
             raise DocumentError("terms must be objects")
-        extra = set(term) - {"exp", "re", "im"}
-        if extra:
-            raise DocumentError(f"unknown term keys {sorted(extra)}")
-        exp = term.get("exp")
-        if (
-            not isinstance(exp, list)
-            or len(exp) != n
-            or any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exp)
-        ):
-            raise DocumentError("term exp must be a list of n non-negative integers")
-        key = tuple(exp)
+        _check_keys(term, ("exp", "re", "im"), "term")
+        key = _exponents(term.get("exp"), n, "term exp must be a list of n non-negative integers")
         mon = mons.get(key)
         if mon is None:
             mon = mons[key] = Monomial(key)
         if mon in values:
-            raise DocumentError(f"duplicate exponent {exp} in one component")
+            raise DocumentError(f"duplicate exponent {list(key)} in one component")
         values[mon] = _parts_from_json(term.get("re", 0), term.get("im", 0))
     return HoloPoly._build(n, *_common_den(values))
 
@@ -150,9 +157,7 @@ def parse_map_document(doc) -> Union[HoloMap, ScaledMap]:
     """Parse a map document; returns a weighted map iff any component has a scale."""
     if not isinstance(doc, dict):
         raise DocumentError("map document must be an object")
-    extra = set(doc) - {"n", "components", "scaled"}
-    if extra:
-        raise DocumentError(f"unknown document keys {sorted(extra)}")
+    _check_keys(doc, ("n", "components", "scaled"), "document")
     n = doc.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DocumentError("n must be a positive integer")
@@ -166,9 +171,7 @@ def parse_map_document(doc) -> Union[HoloMap, ScaledMap]:
     mons = {}
     for comp in raw:
         if isinstance(comp, dict):
-            extra = set(comp) - {"scale", "terms"}
-            if extra:
-                raise DocumentError(f"unknown component keys {sorted(extra)}")
+            _check_keys(comp, ("scale", "terms"), "component")
             weight = Fraction(*_rational_from_json(comp.get("scale", 1)))
             if weight <= 0:
                 raise DocumentError("component scale must be positive")
@@ -226,24 +229,15 @@ def _json_ratio(num: int, den: int) -> str:
 def parse_form_document(doc) -> HermitianForm:
     if not isinstance(doc, dict):
         raise DocumentError("form document must be an object")
-    extra = set(doc) - {"n", "basis", "gram"}
-    if extra:
-        raise DocumentError(f"unknown document keys {sorted(extra)}")
+    _check_keys(doc, ("n", "basis", "gram"), "document")
     n = doc.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DocumentError("n must be a positive integer")
     raw_basis = doc.get("basis")
     if not isinstance(raw_basis, list):
         raise DocumentError("basis must be a list of exponent lists")
-    basis = []
-    for exp in raw_basis:
-        if (
-            not isinstance(exp, list)
-            or len(exp) != n
-            or any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exp)
-        ):
-            raise DocumentError("basis entries must be lists of n non-negative integers")
-        basis.append(Monomial(tuple(exp)))
+    message = "basis entries must be lists of n non-negative integers"
+    basis = [Monomial(_exponents(exp, n, message)) for exp in raw_basis]
     raw_gram = doc.get("gram")
     if not isinstance(raw_gram, list) or any(not isinstance(r, list) for r in raw_gram):
         raise DocumentError("gram must be a list of rows")

@@ -219,6 +219,16 @@ def test_bounds_refuses_an_unprintable_bound(capsys):
     assert captured.err == "error: bound has more than 4300 digits\n"
 
 
+def test_a_refused_solve_h_prints_nothing(tmp_path, capsys):
+    # the answer is complete before the output file turns out to be unwritable
+    f = Path(__file__).parent / "data" / "golden" / "f.json"
+    target = tmp_path / "missing" / "h.json"
+    assert main(["solve-h", "--input", str(f), "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] No such file or directory")
+
+
 def test_primes_output(capsys):
     assert main(["primes", "--n", "2", "--t", "2"]) == 0
     assert capsys.readouterr().out == "3 5\n"
@@ -318,6 +328,19 @@ def test_example1_reads_a_negative_lambda_after_a_space(lam, capsys):
     assert "expected one argument" not in spaced.err
 
 
+def test_example1_refuses_an_unprintable_lambda(capsys):
+    # S = R^2 has lambda^2 on its diagonal: 8001 digits at 1e4000, 4201 at 1e2100
+    assert main(["example1", "--lambda", "1e4000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a printed value has more than 4300 digits\n"
+    assert main(["example1", "--lambda", "1e2100"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.encode()) == 21218
+    lam = 10**2100
+    assert f" {lam**2 - 12 * lam + 70} " in out.split("S = R^2 diagonal:")[1]
+
+
 def test_example1_past_threshold(capsys):
     assert main(["example1", "--lambda", "21/2"]) == 0
     out = capsys.readouterr().out
@@ -375,13 +398,37 @@ def test_ensemble_output_file(tmp_path, capsys):
 
 def test_ensemble_missing_flags(capsys):
     assert main(["ensemble", "--n", "2"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == "error: missing --d-max --degree-max --count --seed (or use --config)\n"
+    assert main(["ensemble", "--n", "2", "--d-max", "1", "--degree-max", "1", "--count", "1"]) == 2
+    assert capsys.readouterr().err == "error: missing --seed (or use --config)\n"
 
 
 def test_ensemble_bad_config(tmp_path, capsys):
-    cfg = write_json(tmp_path / "cfg.json", {"n": 2, "bogus": 1})
+    for doc, message in [
+        ({"n": 2, "bogus": 1}, "unknown config keys ['bogus']"),
+        ({"n": 2, "bogus": 1, "height": 5}, "unknown config keys ['bogus', 'height']"),
+        ([2, 1, 1, 1, 1], "ensemble config must be an object"),
+        ({"n": 2, "d_max": 1, "degree_max": 1, "count": 1, "seed": 1, "coefficient_height": 0},
+         "coefficient_height must be a positive integer"),
+    ]:
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main(["ensemble", "--config", cfg]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    cfg = write_json(tmp_path / "cfg.json", {"n": 2, "d_max": 1, "degree_max": 1, "count": 1})
     assert main(["ensemble", "--config", cfg]) == 2
-    capsys.readouterr()
+    assert "missing 1 required positional argument: 'seed'" in capsys.readouterr().err
+
+
+def test_ensemble_height_flag_is_the_coefficient_height_key(tmp_path, capsys):
+    flags = ["--n", "2", "--d-max", "2", "--degree-max", "2", "--count", "2", "--seed", "3"]
+    assert main(["ensemble", *flags, "--height", "9"]) == 0
+    by_flags = capsys.readouterr().out
+    cfg = write_json(tmp_path / "cfg.json", {"n": 2, "d_max": 2, "degree_max": 2, "count": 2, "seed": 3,
+                                            "coefficient_height": 9})
+    assert main(["ensemble", "--config", cfg]) == 0
+    assert capsys.readouterr().out == by_flags
+    assert main(["ensemble", *flags, "--height", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: coefficient_height must be a positive integer\n")
 
 
 def test_argparse_exits(capsys):

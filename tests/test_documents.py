@@ -81,6 +81,26 @@ def test_map_document_rejections():
         parse_map_document({"n": 1, "stuff": []})
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"n": 1, "components": [], "bogus": 1}, "unknown document keys ['bogus']"),
+    ({"n": 1, "components": [{"terms": [], "weight": 1}]}, "unknown component keys ['weight']"),
+    ({"n": 1, "components": [[{"exp": [1], "re": 1, "x": 0}]]}, "unknown term keys ['x']"),
+    ({"n": 2, "components": [[{"exp": [1], "re": 1}]]}, "term exp must be a list of n non-negative integers"),
+    ({"n": 1, "components": [[{"exp": [True], "re": 1}]]}, "term exp must be a list of n non-negative integers"),
+    ({"n": 1, "components": [[{"exp": [-1], "re": 1}]]}, "term exp must be a list of n non-negative integers"),
+    ({"n": 1, "components": [[{"exp": [1], "re": 1}, {"exp": [1], "im": 1}]]}, "duplicate exponent [1] in one component"),
+    ({"n": 1, "basis": [[0]], "gram": [[1]], "gram2": 0}, "unknown document keys ['gram2']"),
+    ({"n": 1, "basis": [[0]], "gram": [[{"re": 1, "re2": 0}]]}, "unknown scalar keys ['re2']"),
+    ({"n": 1, "basis": [[0, 1]], "gram": [[1]]}, "basis entries must be lists of n non-negative integers"),
+    ({"n": 1, "basis": [(0,)], "gram": [[1]]}, "basis entries must be lists of n non-negative integers"),
+])
+def test_rejection_messages(doc, message):
+    parse = parse_form_document if "basis" in doc else parse_map_document
+    with pytest.raises(DocumentError) as info:
+        parse(doc)
+    assert str(info.value) == message
+
+
 def test_empty_weighted_map_document():
     doc = serialize_map_document(ScaledMap(2, ()))
     assert doc == {"n": 2, "components": [], "scaled": True}
