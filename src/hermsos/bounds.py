@@ -221,18 +221,26 @@ def check_min_embedding_dim(n: int, m: int) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 
+# the first 13 primes, and the least strong pseudoprime to all of them as
+# bases (Sorenson and Webster, Math. Comp. 2017)
+_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
+
+
 def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    if q < 4:
-        return True
-    if q % 2 == 0:
-        return False
-    f = 3
-    while f * f <= q:
-        if q % f == 0:
+    """Whether q is prime: trial division by the 13 bases, then a strong
+    probable-prime test to each.  A proof below psi_13; ValueError from it on."""
+    if q >= _PSI_13:
+        raise ValueError(f"primality is decided only below {_PSI_13}")
+    if q < 2 or any(q % base == 0 for base in _SPRP_BASES):
+        return q in _SPRP_BASES
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for base in _SPRP_BASES:
+        x = pow(base, d, q)
+        if x != 1 and all(pow(x, 2**r, q) != q - 1 for r in range(s)):
             return False
-        f += 2
     return True
 
 
@@ -249,7 +257,8 @@ def prime_substitution(n: int, t: int) -> Tuple[int, ...]:
     picks the two smallest distinct primes exceeding the current degree
     budget T, scales the earlier group by the smaller and the later by the
     larger, and multiplies T by the larger.  Distinct exponent vectors of
-    total degree <= t then map to distinct powers of w.
+    total degree <= t then map to distinct powers of w.  A prime at or past
+    psi_13 (see ``_is_prime``) raises ValueError: n = 8 with t > 1 does.
     """
     _require_positive(n=n, t=t)
     groups: List[List[int]] = [[1] for _ in range(n)]

@@ -295,15 +295,15 @@ def cmd_ensemble(args) -> int:
         if not isinstance(doc, dict):
             raise DocumentError("ensemble config must be an object")
         _check_keys(doc, keys, "config")
+        missing = [key for key, param in keys.items() if param.default is param.empty and key not in doc]
+        if missing:
+            raise DocumentError(f"missing config keys {missing}")
     else:
         doc = {key: getattr(args, key) for key in keys}
         missing = ["--" + key.replace("_", "-") for key, value in doc.items() if value is None]
         if missing:
             raise ValueError("missing " + " ".join(missing) + " (or use --config)")
-    try:
-        cfg = EnsembleConfig(**doc)
-    except TypeError as exc:
-        raise DocumentError(str(exc)) from exc
+    cfg = EnsembleConfig(**doc)
     rng = random.Random(cfg.seed)
     rows = []
     for _ in range(cfg.count):

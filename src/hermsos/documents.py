@@ -114,12 +114,17 @@ def _check_keys(obj: dict, allowed, what: str) -> None:
         raise DocumentError(f"unknown {what} keys {sorted(extra)}")
 
 
+def _is_int_at_least(value, least: int) -> bool:
+    """Whether value is an int, not a bool (a JSON true or false), and at least least."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 def _exponents(exp, n: int, message: str) -> Tuple[int, ...]:
     """A JSON exponent list as a tuple; refused with message unless n non-negative ints."""
     if (
         not isinstance(exp, list)
         or len(exp) != n
-        or any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exp)
+        or not all(_is_int_at_least(e, 0) for e in exp)
     ):
         raise DocumentError(message)
     return tuple(exp)
@@ -159,7 +164,7 @@ def parse_map_document(doc) -> Union[HoloMap, ScaledMap]:
         raise DocumentError("map document must be an object")
     _check_keys(doc, ("n", "components", "scaled"), "document")
     n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int_at_least(n, 1):
         raise DocumentError("n must be a positive integer")
     raw = doc.get("components")
     if not isinstance(raw, list):
@@ -231,7 +236,7 @@ def parse_form_document(doc) -> HermitianForm:
         raise DocumentError("form document must be an object")
     _check_keys(doc, ("n", "basis", "gram"), "document")
     n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int_at_least(n, 1):
         raise DocumentError("n must be a positive integer")
     raw_basis = doc.get("basis")
     if not isinstance(raw_basis, list):
@@ -269,12 +274,11 @@ class EnsembleConfig:
 
     def __post_init__(self):
         for name in ("n", "d_max", "degree_max", "coefficient_height"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if not _is_int_at_least(getattr(self, name), 1):
                 raise ValueError(f"{name} must be a positive integer")
-        if not isinstance(self.count, int) or self.count < 0:
+        if not _is_int_at_least(self.count, 0):
             raise ValueError("count must be a non-negative integer")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not _is_int_at_least(self.seed, 0) or self.seed >= 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 

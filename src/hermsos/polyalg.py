@@ -916,16 +916,21 @@ class HermitianForm:
 def _outer_sum(size: int, columns) -> Dict[Tuple[int, int], Tuple[int, int]]:
     """The nonzero Hermitian cells of sum s * c c^H over the (s, c) in ``columns``.
 
-    Each s is an integer and each c a sparse Gaussian-integer vector, a list
-    of (index, re, im) in ascending index order with every index below
-    ``size``.  The upper triangle is accumulated and mirrored.
+    Each s is an integer and each c a sparse Gaussian-integer vector, a list of
+    (index, re, im) in ascending index order with every index below ``size``.
+    The upper triangle is summed, one int a cell if no c is complex, and mirrored.
     """
     re = [[0] * size for _ in range(size)]
     im = [[0] * size for _ in range(size)]
+    real = not any(a_im for _, column in columns for _, _, a_im in column)
     for s, column in columns:
         for p, (i, a_re, a_im) in enumerate(column):
-            s_re, s_im = s * a_re, s * a_im
-            re_i, im_i = re[i], im[i]
+            s_re, re_i = s * a_re, re[i]
+            if real:
+                for j, b_re, _ in column[p:]:
+                    re_i[j] += s_re * b_re
+                continue
+            s_im, im_i = s * a_im, im[i]
             for j, b_re, b_im in column[p:]:
                 re_i[j] += s_re * b_re + s_im * b_im  # s * a_i * conj(a_j)
                 im_i[j] += s_im * b_re - s_re * b_im

@@ -19,13 +19,14 @@ rank, and ``extract_sos`` achieves the rank, so these routines together
 decide minimality questions exactly.
 
 One fraction-free kernel, ``_ldlh``, does every elimination, by symmetric
-Bareiss steps over Gaussian integers in basis order, each connected block on
-its own and every division exact.  ``inertia`` and ``extract_sos`` eliminate
-the form; a rank of rows R is the number of nonzero pivots of the positive
-semidefinite Gram matrix R R^H (``_gram``), which ``reduce_minimal`` and, in
-``isometry``, the tensor-power rank eliminate.  No gcd is taken inside an
-elimination; results are read out as polynomials of Gaussian-integer
-numerators over one denominator, each reduced by one gcd pass.
+Bareiss steps in basis order, each connected block on its own (over integers
+if no cell of it is imaginary, else Gaussian integers) and every division
+exact.  ``inertia`` and ``extract_sos`` eliminate the form; a rank of rows R
+is the number of nonzero pivots of the positive semidefinite Gram matrix
+R R^H (``_gram``), which ``reduce_minimal`` and, in ``isometry``, the
+tensor-power rank eliminate.  No gcd is taken inside an elimination; results
+are read out as polynomials of Gaussian-integer numerators over one
+denominator, each reduced by one gcd pass.
 """
 
 from __future__ import annotations
@@ -81,9 +82,9 @@ def _ldlh(size: int, den: int, cells: Mapping[Tuple[int, int], Tuple[int, int]])
 
     Yields (index, pivot, scale, column) for each index k in basis order:
     d = pivot / scale, and L[i][k] = (re + im*i) / pivot for each (i, re, im)
-    in ``column``, 0 elsewhere.  The leading minors of a block-diagonal
-    matrix factor over its blocks, so these are the rationals of eliminating
-    the whole matrix at once.
+    in ``column`` (im = 0 in a real block), 0 elsewhere.  The leading minors
+    of a block-diagonal matrix factor over its blocks, so these are the
+    rationals of eliminating the whole matrix at once.
 
     A zero pivot is yielded too.  With an empty ``column`` elimination goes
     on past it.  With a nonzero ``column`` the form is indefinite; a caller
@@ -91,6 +92,8 @@ def _ldlh(size: int, den: int, cells: Mapping[Tuple[int, int], Tuple[int, int]])
     s = a_jk of ``column`` is folded in by the unit congruence
     row_k += c * row_j, col_k += conj(c) * col_j, which makes the pivot
     a_jj + 2 Re(c * s), with c the first of 1, -1, i that leaves it nonzero.
+    A block with no imaginary part in its cells is eliminated as a real one, an
+    int per entry: c is never i there, so it stays real, with the same integers.
     """
     # union-find with path halving; a block is named by its least index
     root = list(range(size))
@@ -113,37 +116,77 @@ def _ldlh(size: int, den: int, cells: Mapping[Tuple[int, int], Tuple[int, int]])
         place.append(len(block))
         block.append(k)
     re = {r: [[0] * len(block) for _ in block] for r, block in members.items()}
-    im = {r: [[0] * len(block) for _ in block] for r, block in members.items()}
+    im = {}  # imaginary parts, of the complex blocks only
     for (i, j), (x, y) in cells.items():
         r, li = root[i], place[i]
         re[r][li][place[j]] = x
-        im[r][li][place[j]] = y
+        if y:
+            if r not in im:
+                im[r] = [[0] * len(members[r]) for _ in members[r]]
+            im[r][li][place[j]] = y
     prev = dict.fromkeys(members, 1)
     for k in range(size):
-        r, lk = root[k], place[k]
-        block, bre, bim, last = members[r], re[r], im[r], prev[r]
-        m = len(block)
-        rk, ik = bre[lk], bim[lk]
-        while True:
-            p = rk[lk]
-            column = [(block[i], bre[i][lk], bim[i][lk]) for i in range(lk + 1, m) if bre[i][lk] or bim[i][lk]]
-            yield k, p, last * den, column
-            if p or not column:
-                break
-            # resumed past an indefinite zero pivot: move it off zero
-            j, s_re, s_im = column[0]
-            j = place[j]  # within the block
-            c_re, c_im = (1, 0) if bre[j][j] + 2 * s_re else (-1, 0) if bre[j][j] - 2 * s_re else (0, 1)
-            rj, ij = bre[j], bim[j]
-            for t in range(lk, m):
-                rk[t] += c_re * rj[t] - c_im * ij[t]
-                ik[t] += c_re * ij[t] + c_im * rj[t]
-            for t in range(lk, m):
-                rt, it = bre[t], bim[t]
-                rt[lk] += c_re * rt[j] + c_im * it[j]
-                it[lk] += c_re * it[j] - c_im * rt[j]
-        if not p:
-            continue
+        r = root[k]
+        if r in im:
+            p = yield from _complex_step(members[r], re[r], im[r], place[k], prev[r], den)
+        else:
+            p = yield from _real_step(members[r], re[r], place[k], prev[r], den)
+        if p:
+            prev[r] = p
+
+
+def _real_step(block, a, lk: int, last: int, den: int):
+    """``_ldlh``'s step at local index lk of a real block; returns the pivot."""
+    m, rk = len(block), a[lk]
+    while True:
+        p = rk[lk]
+        column = [(block[i], a[i][lk], 0) for i in range(lk + 1, m) if a[i][lk]]
+        yield block[lk], p, last * den, column
+        if p or not column:
+            break
+        # resumed past an indefinite zero pivot: move it off zero.  s = a_jk is
+        # real and nonzero, so a_jj + 2s and a_jj - 2s differ by 4s and cannot
+        # both be 0: c = i, which would bring in an imaginary part, is never needed
+        j, s = block.index(column[0][0]), column[0][1]
+        c = 1 if a[j][j] + 2 * s else -1
+        rk[lk:] = [x + c * y for x, y in zip(rk[lk:], a[j][lk:])]
+        for t in range(lk, m):
+            a[t][lk] += c * a[t][j]
+    if p:
+        # trailing update of the block's upper triangle, mirrored to keep it symmetric
+        for i in range(lk + 1, m):
+            ri, a_ik = a[i], a[i][lk]
+            for j in range(i, m):
+                x = p * ri[j] - a_ik * rk[j]
+                if last != 1:
+                    x, rx = divmod(x, last)
+                    if rx:
+                        raise ArithmeticError("inexact division in fraction-free elimination")
+                ri[j] = a[j][i] = x
+    return p
+
+
+def _complex_step(block, bre, bim, lk: int, last: int, den: int):
+    """``_ldlh``'s step at local index lk of a complex block; returns the pivot."""
+    m, rk, ik = len(block), bre[lk], bim[lk]
+    while True:
+        p = rk[lk]
+        column = [(block[i], bre[i][lk], bim[i][lk]) for i in range(lk + 1, m) if bre[i][lk] or bim[i][lk]]
+        yield block[lk], p, last * den, column
+        if p or not column:
+            break
+        # resumed past an indefinite zero pivot: move it off zero
+        j, s_re = block.index(column[0][0]), column[0][1]
+        c_re, c_im = (1, 0) if bre[j][j] + 2 * s_re else (-1, 0) if bre[j][j] - 2 * s_re else (0, 1)
+        rj, ij = bre[j], bim[j]
+        for t in range(lk, m):
+            rk[t] += c_re * rj[t] - c_im * ij[t]
+            ik[t] += c_re * ij[t] + c_im * rj[t]
+        for t in range(lk, m):
+            rt, it = bre[t], bim[t]
+            rt[lk] += c_re * rt[j] + c_im * it[j]
+            it[lk] += c_re * it[j] - c_im * rt[j]
+    if p:
         # trailing update of the block's upper triangle, mirrored to keep it Hermitian
         for i in range(lk + 1, m):
             ri, ii = bre[i], bim[i]
@@ -161,7 +204,7 @@ def _ldlh(size: int, den: int, cells: Mapping[Tuple[int, int], Tuple[int, int]])
                 ii[j] = y
                 bre[j][i] = x
                 bim[j][i] = -y
-        prev[r] = p
+    return p
 
 
 def inertia(form: HermitianForm) -> Inertia:

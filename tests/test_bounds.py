@@ -26,7 +26,7 @@ from hermsos import (
     substitute_powers,
     verify_injective,
 )
-from hermsos.bounds import _min_m_with_power_sum
+from hermsos.bounds import _PSI_13, _is_prime, _min_m_with_power_sum
 
 
 def test_modification_rank_bands():
@@ -189,6 +189,50 @@ def test_prime_substitution_injective():
             exps = prime_substitution(n, t)
             assert verify_injective(exps, n, t)
     assert not verify_injective((1, 1), 2, 1)
+
+
+def test_is_prime_agrees_with_a_sieve():
+    limit = 10**5
+    sieve = [False, False] + [True] * (limit - 2)
+    for q in range(2, int(limit**0.5) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = [False] * len(range(q * q, limit, q))
+    assert [q for q in range(-3, limit) if _is_prime(q)] == [q for q in range(limit) if sieve[q]]
+
+
+def strong_probable_prime(q, base):
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(base, d, q)
+    return x == 1 or any(pow(x, 2**r, q) == q - 1 for r in range(s))
+
+
+@pytest.mark.parametrize("q, bases", [
+    (3215031751, (2, 3, 5, 7)),  # 151 * 751 * 28351
+    (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)),  # 149491 * 747451 * 34233211
+])
+def test_is_prime_rejects_strong_pseudoprimes(q, bases):
+    assert all(strong_probable_prime(q, base) for base in bases)
+    assert not _is_prime(q)
+
+
+def test_is_prime_refuses_at_the_bound_it_is_proved_below():
+    # Mersenne primes, and a product of two of them just below the bound
+    assert _is_prime(2**61 - 1) and _is_prime(2**19 - 1)
+    assert not _is_prime((2**61 - 1) * (2**19 - 1))
+    with pytest.raises(ValueError, match=str(_PSI_13)):
+        _is_prime(_PSI_13)
+
+
+def test_prime_substitution_past_trial_division_is_fast_and_injective():
+    for n, t in [(7, 2), (8, 1)]:
+        start = time.perf_counter()
+        exps = prime_substitution(n, t)
+        assert time.perf_counter() - start < 1.0
+        assert verify_injective(exps, n, t)
+    with pytest.raises(ValueError, match=str(_PSI_13)):
+        prime_substitution(8, 2)
 
 
 def test_substitute_powers_preserves_rank():

@@ -236,6 +236,11 @@ def test_primes_output(capsys):
     assert capsys.readouterr().out == "11 39 65\n"
 
 
+def test_primes_past_the_primality_bound_prints_nothing(capsys):
+    assert main(["primes", "--n", "8", "--t", "2"]) == 2
+    assert capsys.readouterr() == ("", "error: primality is decided only below 3317044064679887385961981\n")
+
+
 def test_divide_quotient(tmp_path, capsys):
     # ||z||^2 * |z0|^2 = |z0^2|^2 + |z0 z1|^2
     doc = write_json(
@@ -416,7 +421,39 @@ def test_ensemble_bad_config(tmp_path, capsys):
         assert capsys.readouterr() == ("", f"error: {message}\n")
     cfg = write_json(tmp_path / "cfg.json", {"n": 2, "d_max": 1, "degree_max": 1, "count": 1})
     assert main(["ensemble", "--config", cfg]) == 2
-    assert "missing 1 required positional argument: 'seed'" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: missing config keys ['seed']\n")
+
+
+def test_ensemble_config_names_every_missing_key(tmp_path, capsys):
+    # in the order of the parameters, as the config spells them; the height has a default
+    for doc, missing in [
+        ({"n": 2, "count": 1}, ["d_max", "degree_max", "seed"]),
+        ({}, ["n", "d_max", "degree_max", "count", "seed"]),
+    ]:
+        cfg = write_json(tmp_path / "cfg.json", doc)
+        assert main(["ensemble", "--config", cfg]) == 2
+        assert capsys.readouterr() == ("", f"error: missing config keys {missing}\n")
+
+
+def test_ensemble_config_refuses_booleans(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", {"n": True, "d_max": True, "degree_max": 1, "count": 1, "seed": False})
+    assert main(["ensemble", "--config", cfg]) == 2
+    assert capsys.readouterr() == ("", "error: n must be a positive integer\n")
+    good = {"n": 2, "d_max": 1, "degree_max": 1, "count": 1, "seed": 1, "coefficient_height": 5}
+    messages = {
+        "n": "n must be a positive integer",
+        "d_max": "d_max must be a positive integer",
+        "degree_max": "degree_max must be a positive integer",
+        "count": "count must be a non-negative integer",
+        "seed": "seed must fit in an unsigned 64-bit integer",
+        "coefficient_height": "coefficient_height must be a positive integer",
+    }
+    for key, message in messages.items():
+        # false would be a valid count and seed as 0, true as 1 everywhere
+        for flag in (True, False):
+            cfg = write_json(tmp_path / "cfg.json", {**good, key: flag})
+            assert main(["ensemble", "--config", cfg]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_ensemble_height_flag_is_the_coefficient_height_key(tmp_path, capsys):

@@ -70,11 +70,15 @@ def test_ldlh_passes_over_a_zero_pivot_with_an_empty_column():
     assert steps == [(0, 1, 1, [(1, 1, 0)]), (1, 0, 1, []), (2, 2, 1, [])]
 
 
-def interleaved_cells(corner):
+def interleaved_cells(corner, real_second=False):
     # blocks {0, 2, 5} and {1, 4, 6} with every cell inside them nonzero, and
-    # index 3 a zero 1x1 block; corner is the (0, 0) cell of the first block
+    # index 3 a zero 1x1 block; corner is the (0, 0) cell of the first block,
+    # and the second block is real symmetric when real_second is set
     first = [[corner, (1, 1), (2, 0)], [(1, -1), (3, 0), (0, 1)], [(2, 0), (0, -1), (4, 0)]]
-    second = [[(2, 0), (1, 0), (1, -1)], [(1, 0), (2, 0), (0, 1)], [(1, 1), (0, -1), (5, 0)]]
+    if real_second:
+        second = [[(2, 0), (1, 0), (1, 0)], [(1, 0), (2, 0), (-1, 0)], [(1, 0), (-1, 0), (5, 0)]]
+    else:
+        second = [[(2, 0), (1, 0), (1, -1)], [(1, 0), (2, 0), (0, 1)], [(1, 1), (0, -1), (5, 0)]]
     cells = {}
     for members, block in (((0, 2, 5), first), ((1, 4, 6), second)):
         for a, i in enumerate(members):
@@ -83,9 +87,14 @@ def interleaved_cells(corner):
     return cells
 
 
-@pytest.mark.parametrize("corner", [(3, 0), (0, 0)], ids=["psd", "zero-pivot"])
-def test_interleaved_blocks_are_eliminated_in_basis_order(corner):
-    cells = interleaved_cells(corner)
+@pytest.mark.parametrize(
+    "corner, real_second",
+    [((3, 0), False), ((0, 0), False), ((3, 0), True)],
+    ids=["psd", "zero-pivot", "psd-beside-a-real-block"],
+)
+def test_interleaved_blocks_are_eliminated_in_basis_order(corner, real_second):
+    # with real_second, one call eliminates a complex and a real block side by side
+    cells = interleaved_cells(corner, real_second)
     steps = list(_ldlh(7, 1, cells))
     indices = [k for k, _, _, _ in steps]
     # one pass in basis order; an index comes again only after an indefinite zero pivot
@@ -95,6 +104,8 @@ def test_interleaved_blocks_are_eliminated_in_basis_order(corner):
     blocks = [{0, 2, 5}, {1, 4, 6}, {3}]
     for k, _, _, column in steps:
         assert all(any({i, k} <= block for block in blocks) for i, _, _ in column)
+        if real_second and k in blocks[1]:
+            assert all(im == 0 for _, _, im in column)
     gram = [[GaussianRational(*cells.get((i, j), (0, 0))) for j in range(7)] for i in range(7)]
     form = HermitianForm(1, [mono(k) for k in range(7)], gram)
     assert form.size == 6  # the zero row is dropped

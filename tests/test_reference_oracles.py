@@ -57,19 +57,27 @@ rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
 # mostly zero, so forms are often sparse and often rank deficient
 sparse_rationals = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), rationals)
 scalars = st.builds(GaussianRational, sparse_rationals, sparse_rationals)
+# the kernels take a real loop when no entry has an imaginary part
+real_scalars = st.builds(GaussianRational, sparse_rationals)
+
+
+def entry_scalars(draw):
+    """One strategy for every entry of a drawn object: all real, or complex."""
+    return real_scalars if draw(st.booleans()) else scalars
 
 
 @st.composite
 def hermitian_forms(draw):
-    """Hermitian forms with complex off-diagonal entries, sometimes a zero diagonal."""
+    """Hermitian forms with real or complex off-diagonal entries, sometimes a zero diagonal."""
     size = draw(st.integers(1, len(BASIS)))
     zero_diagonal = draw(st.booleans())
+    values = entry_scalars(draw)
     gram = [[GaussianRational(0)] * size for _ in range(size)]
     for i in range(size):
         if not zero_diagonal:
             gram[i][i] = GaussianRational(draw(sparse_rationals))
         for j in range(i + 1, size):
-            value = draw(scalars)
+            value = draw(values)
             gram[i][j] = value
             gram[j][i] = value.conjugate()
     return HermitianForm(2, BASIS[:size], gram)
@@ -82,6 +90,7 @@ def form_pairs(draw):
     size = draw(st.integers(1, len(BASIS)))
     start = draw(st.integers(0, len(BASIS) - size))
     basis = BASIS[start:start + size]
+    values = entry_scalars(draw)
     gram = [[GaussianRational(0)] * size for _ in range(size)]
     for i in range(size):
         for j in range(i, size):
@@ -90,7 +99,7 @@ def form_pairs(draw):
             elif i == j:
                 value = GaussianRational(draw(sparse_rationals))
             else:
-                value = draw(scalars)
+                value = draw(values)
             gram[i][j] = value
             gram[j][i] = value.conjugate()
     return a, HermitianForm(2, basis, gram)
@@ -100,9 +109,10 @@ def form_pairs(draw):
 def scaled_maps(draw):
     """Positive-weight maps over a few monomials, so components often depend."""
     support = draw(st.lists(st.sampled_from(BASIS), min_size=1, max_size=4, unique=True))
+    values = entry_scalars(draw)
     comps = []
     for _ in range(draw(st.integers(1, 4))):
-        terms = {mon: draw(scalars) for mon in support}
+        terms = {mon: draw(values) for mon in support}
         weight = Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
         comps.append((weight, HoloPoly(2, terms)))
     return ScaledMap(2, tuple(comps))
