@@ -28,6 +28,7 @@ import json
 import random
 import re
 import sys
+from math import log10
 
 from .bounds import (
     _power_sum,
@@ -125,6 +126,16 @@ def _check_printable(what: str, values):
     would refuse with the interpreter's message, with the package's own."""
     if any(abs(q.numerator) >= 10**4300 or q.denominator >= 10**4300 for q in values):
         raise ValueError(f"{what} has more than 4300 digits")
+
+
+def _check_power_sum_printable(p: int, t: int):
+    """Refuse the bound C(p+t, t) - 1 before it is built, which takes seconds at
+    a million digits, when it surely has more than 4300: for k = min(p, t) >= 1,
+    C(p+t, k) >= ((p+t)/k)^k >= 2^k.  Short of that it is built, and
+    ``_check_printable`` judges it exactly."""
+    k = min(p, t)
+    if k > 14300 or k * (log10(p + t) - log10(k)) > 4301:
+        raise ValueError("bound has more than 4300 digits")
 
 
 def _print_report(report, fmt: str):
@@ -228,6 +239,8 @@ def cmd_bounds(args) -> int:
         raise ValueError(
             f"theorem {args.theorem} needs exactly: " + " ".join(names)
         )
+    if func is check_power_rank and min(values.values()) >= 1:
+        _check_power_sum_printable(values["p"], values["t"])
     report = func(**values)
     _check_printable("bound", [report.lower, report.upper or 0])
     _print_report(report, args.format)

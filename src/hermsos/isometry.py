@@ -4,11 +4,13 @@ The central identity has the shape
 
     (1 + ||z||^2)^b * (1 + ||f(z)||^2)^c  ==  (1 + ||h(z)||^2)^a
 
-for maps f, h vanishing at the origin.  Given f, b, c the left side is an
-explicit Hermitian form; when its non-constant block is positive
-semidefinite the exact square extraction produces a witness h with the
-minimal number of components, and ``verify_identity`` replays the identity
-as an equality of canonical forms, which is exact and certificate-free.
+for maps f, h vanishing at the origin.  Each 1 + ||.||^2 is one norm form,
+with the constant 1 as one more component.  Given f, b, c the left side is an
+explicit Hermitian form, 1 plus a positive semidefinite block not coupled to
+the 1; the exact square extraction of the whole form gives that 1 as its
+first square, read off the factor, and a witness h with the minimal number
+of components as the rest.  ``verify_identity`` replays the identity as an
+equality of canonical forms, which is exact and certificate-free.
 
 ``tensor_power_rank`` gives the rank of (1 + ||f||^2)^c - 1 as the dimension
 of the span of the products of at most c components: the number of nonzero
@@ -31,6 +33,7 @@ from .polyalg import (
     GaussianRational,
     HermitianForm,
     HoloMap,
+    HoloPoly,
     Monomial,
     _mul_cells,
     norm_form,
@@ -40,7 +43,6 @@ from .polyalg import (
 from .rankdecomp import (  # noqa: F401
     NotSOSError,
     ScaledMap,
-    _affine_block,
     _columns,
     _gram,
     _ldlh,
@@ -95,8 +97,9 @@ class ModificationSpec:
 
 
 def one_plus_norm(f: MapLike) -> HermitianForm:
-    """The Hermitian form 1 + ||f||^2."""
-    return norm_form(f) + HermitianForm.constant(f.n, 1)
+    """The Hermitian form 1 + ||f||^2: the norm form of f with the constant 1 as
+    one more component of weight 1, so the 1 needs no second pass over the form."""
+    return norm_form(ScaledMap(f.n, ((1, HoloPoly.constant(f.n, 1)), *f.weighted_components())))
 
 
 def one_plus_norm_z(n: int) -> HermitianForm:
@@ -113,24 +116,26 @@ def solve_h(f: MapLike, b: int, c: int, block_max: Optional[int] = None) -> Scal
     """A minimal map h with 1 + ||h||^2 == (1 + ||z||^2)^b (1 + ||f||^2)^c.
 
     Requires f normalized (f(0) = 0) and minimal.  The left side expands to
-    1 plus a positive semidefinite block, so the extraction always succeeds;
-    it returns rank-many components, which is the least possible count.
-    A block of more than ``block_max`` basis monomials raises ValueError
-    before any elimination; None sets no limit.
+    1 plus a positive semidefinite block not coupled to the 1, so the
+    extraction of the whole form always succeeds: the constant is a 1x1 block
+    of its own, read off the factor as its first component, weight 1 and
+    polynomial 1, and the rest is h, rank-many components, the least possible
+    count.  A block of more than ``block_max`` basis monomials besides the
+    constant raises ValueError before any elimination; None sets no limit.
     """
-    spec = ModificationSpec(f, 1, b, c)
-    block = _affine_block(modification_form(spec))
-    if block is not None:
-        if block_max is not None and block.size > block_max:
-            raise ValueError(
-                f"solving for h would eliminate a block of {block.size} basis monomials; "
-                f"the limit is {block_max}"
-            )
-        try:
-            return extract_sos(block)
-        except NotSOSError:
-            pass
-    raise ArithmeticError("expansion lost positivity; this cannot happen")
+    form = modification_form(ModificationSpec(f, 1, b, c))
+    if block_max is not None and form.size - 1 > block_max:
+        raise ValueError(
+            f"solving for h would eliminate a block of {form.size - 1} basis monomials; "
+            f"the limit is {block_max}"
+        )
+    try:
+        comps = extract_sos(form).components
+    except NotSOSError:
+        comps = ()
+    if comps[:1] != ((1, HoloPoly.constant(f.n, 1)),):
+        raise ArithmeticError("expansion lost positivity; this cannot happen")
+    return ScaledMap(f.n, comps[1:])
 
 
 def verify_identity(f: MapLike, h: MapLike, a: int, b: int, c: int) -> bool:

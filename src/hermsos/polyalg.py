@@ -957,14 +957,17 @@ def norm_form(f) -> HermitianForm:
     index = {mon: i for i, mon in enumerate(support)}
     # Each component is a Gaussian-integer vector v_k over its denominator
     # q_k, so w_k c_k c_k^H = w_k v_k v_k^H / q_k^2; the sum is accumulated
-    # over Z[i] at the common denominator of all the w_k / q_k^2.
+    # over Z[i] at the lcm of the w_k / q_k^2, each in lowest terms first.
+    # A component of ``extract_sos`` has w_k = p_k / (p_{k-1} D) over q_k = p_k,
+    # so unreduced the lcm would carry every pivot p_k squared, not once.
     vectors = []
     den = 1
     for weight, poly in pairs:
         vec = sorted((index[mon], x, y) for mon, (x, y) in poly.cells.items())
-        scale = weight.denominator * poly.den * poly.den
-        den = lcm(den, scale)
-        vectors.append((weight.numerator, scale, vec))
+        num, scale = weight.numerator, weight.denominator * poly.den * poly.den
+        g = gcd(num, scale)
+        den = lcm(den, scale // g)
+        vectors.append((num // g, scale // g, vec))
     cells = _outer_sum(len(support), [(num * (den // scale), vec) for num, scale, vec in vectors])
     return HermitianForm._build(f.n, support, den, cells)
 

@@ -384,19 +384,6 @@ def grams_equal(f, g) -> bool:
     return norm_form(f) == norm_form(g)
 
 
-def _affine_block(form: HermitianForm) -> Optional[HermitianForm]:
-    """The non-constant block B when form == 1 + B with B not coupled to 1, else None."""
-    # the constant monomial comes first in grlex order; 1 is den over den
-    if not form.basis or not form.basis[0].is_constant or form.cells.get((0, 0)) != (form.den, 0):
-        return None
-    block = form.drop_constant()
-    # the constant row and column hold nothing but the 1 iff the block kept
-    # every other cell
-    if len(block.cells) != len(form.cells) - 1:
-        return None
-    return block
-
-
 def affine_split(form: HermitianForm) -> Tuple[bool, int]:
     """Test whether form == 1 + ||h||^2 for some map h.
 
@@ -405,10 +392,13 @@ def affine_split(form: HermitianForm) -> Tuple[bool, int]:
     coupling between the constant and the rest of the basis, and the
     remaining block to be positive semidefinite.
     """
-    block = _affine_block(form)
-    if block is None:
-        return False, 0
-    sig = inertia(block)
-    if sig.neg:
-        return False, 0
-    return True, sig.pos
+    # the constant monomial comes first in grlex order; 1 is den over den
+    if form.basis and form.basis[0].is_constant and form.cells.get((0, 0)) == (form.den, 0):
+        block = form.drop_constant()
+        # the constant row and column hold nothing but the 1 iff the block
+        # kept every other cell
+        if len(block.cells) == len(form.cells) - 1:
+            sig = inertia(block)
+            if not sig.neg:
+                return True, sig.pos
+    return False, 0

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -217,6 +218,42 @@ def test_bounds_refuses_an_unprintable_bound(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: bound has more than 4300 digits\n"
+
+
+def test_bounds_refuses_a_huge_power_sum_before_building_it(capsys):
+    # C(2000000, 1000000) - 1 has 602059 digits; building it takes tens of seconds
+    start = time.perf_counter()
+    assert main(["bounds", "prop2.5", "p=1000000", "t=1000000", "r=5"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bound has more than 4300 digits\n"
+
+
+@pytest.mark.parametrize("k, printed", [(7145, True), (7146, False)])
+def test_bounds_prints_a_power_sum_of_4300_digits_and_no_more(capsys, k, printed):
+    assert main(["bounds", "prop2.5", f"p={k}", f"t={k}", "r=5"]) == (0 if printed else 2)
+    out = capsys.readouterr().out
+    if printed:
+        assert f"\nupper: {comb(2 * k, k) - 1}\n" in out
+        assert len(str(comb(2 * k, k) - 1)) == 4300
+    else:
+        assert out == ""
+
+
+@pytest.mark.parametrize("t", [1, 2, 7, 60, 1000, 7145])
+def test_the_early_power_sum_refusal_spares_every_printable_bound(t):
+    # the least p whose bound is unprintable, by bisection on the exact bound;
+    # the estimate grows with p, so passing at p - 1 passes below it too
+    limit, lo, hi = 10**4300, 1, 1
+    while comb(hi + t, t) - 1 < limit:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if comb(mid + t, t) - 1 < limit else (lo, mid)
+    for p, q in ((hi - 1, t), (t, hi - 1)):
+        cli._check_power_sum_printable(p, q)
+        assert len(str(comb(p + q, q) - 1)) <= 4300
 
 
 def test_a_refused_solve_h_prints_nothing(tmp_path, capsys):

@@ -119,6 +119,15 @@ def test_solve_h_identity_random():
         assert len(h) == inertia(block).pos
 
 
+def test_solve_h_matches_the_factor_of_the_block_without_the_constant():
+    # the old route: restrict the form to its non-constant block, then factor
+    rng = random.Random(2004)
+    for b, c in ((1, 1), (2, 1), (1, 2), (3, 2)):
+        f = random_map(rng, rng.choice((1, 2)), rng.randint(1, 2), 2, 3)
+        block = modification_form(ModificationSpec(f, 1, b, c)).drop_constant()
+        assert solve_h(f, b, c).components == extract_sos(block).components
+
+
 def test_solve_h_two_routes_agree():
     rng = random.Random(2003)
     for _ in range(4):

@@ -40,6 +40,7 @@ from hermsos import (
     monomials_of_degree,
     monomials_up_to_degree,
     norm_form,
+    one_plus_norm,
     parse_form_document,
     parse_map_document,
     reduce_minimal,
@@ -202,6 +203,13 @@ def test_norm_form_matches_direct_sum(f):
     assert norm_form(f) == reference_norm_form(f)
     plain = HoloMap(f.n, [poly for _, poly in f.weighted_components()])
     assert norm_form(plain) == reference_norm_form(plain)
+
+
+@PROPERTY
+@given(scaled_maps())
+def test_one_plus_norm_is_the_norm_form_plus_one(f):
+    # the old route, a second pass that adds the constant form
+    assert one_plus_norm(f) == norm_form(f) + HermitianForm.constant(f.n, 1)
 
 
 def dense_negation(form):
