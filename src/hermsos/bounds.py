@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Optional, Tuple
 
-from .polyalg import HoloMap, HoloPoly
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -294,23 +292,3 @@ def verify_injective(exponents: Tuple[int, ...], n: int, t: int) -> bool:
                 return False
             seen[image] = vec
     return True
-
-
-# ---------------------------------------------------------------------------
-# extremal witnesses
-# ---------------------------------------------------------------------------
-
-
-def extremal_lower(n: int, p: int) -> HoloMap:
-    """The map (z_0, ..., z_{p-1}) in n variables; attains the minimal rank
-    in the affine product bound for p <= n."""
-    _require_positive(n=n, p=p)
-    if p > n:
-        raise ValueError("need p <= n coordinate components")
-    return HoloMap(n, [HoloPoly.variable(n, i) for i in range(p)])
-
-
-def extremal_power_lower(p: int) -> HoloMap:
-    """The one-variable map (z, z^2, ..., z^p); attains rank t*p in the power bound."""
-    _require_positive(p=p)
-    return HoloMap(1, [HoloPoly.monomial(1, (k,)) for k in range(1, p + 1)])

@@ -290,11 +290,17 @@ def random_map(
     Term selection is a coin flip per monomial of degree 1..degree_max;
     coefficients are rationals with numerator and denominator bounded by
     the height.  Draws are rejected until the components are independent
-    and individually nonzero, so the result is always minimal.
+    and individually nonzero, so the result is always minimal.  Raises
+    ValueError when p exceeds the number of monomials of degree 1..degree_max.
     """
     if p < 1 or degree_max < 1 or height < 1:
         raise ValueError("p, degree_max, and height must be positive")
     candidates = [m for m in monomials_up_to_degree(n, degree_max) if m.degree >= 1]
+    # p independent components need p monomials to span; fewer would redraw forever
+    if p > len(candidates):
+        raise ValueError(
+            f"{p} independent components need {p} monomials; degree 1..{degree_max} has {len(candidates)}"
+        )
 
     def draw_poly() -> HoloPoly:
         terms = {}

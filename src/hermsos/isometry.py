@@ -7,17 +7,20 @@ The central identity has the shape
 for maps f, h vanishing at the origin.  Each 1 + ||.||^2 is one norm form,
 with the constant 1 as one more component.  Given f, b, c the left side is an
 explicit Hermitian form, 1 plus a positive semidefinite block not coupled to
-the 1; the exact square extraction of the whole form gives that 1 as its
-first square, read off the factor, and a witness h with the minimal number
-of components as the rest.  ``verify_identity`` replays the identity as an
-equality of canonical forms, which is exact and certificate-free.
+the 1, and ``rankdecomp.affine_split`` reads a witness h with the minimal
+number of components off one exact square extraction of the whole form.
+``verify_identity`` replays the identity as an equality of canonical forms,
+which is exact and certificate-free.
 
 ``tensor_power_rank`` gives the rank of (1 + ||f||^2)^c - 1 as the dimension
-of the span of the products of at most c components: the number of nonzero
-pivots of their Gram matrix, eliminated by the one kernel of ``rankdecomp``.
+of the span of the products of at most c components, counted by
+``rankdecomp._independent``.
 ``divide_by_norm`` answers the converse question of when a squared norm
 factors through ||z||^2 by exact polynomial division by z_0 + ... + z_{n-1},
 one block of the Gram matrix at a time; it needs no elimination.
+
+``r_lambda``, ``extremal_lower`` and ``extremal_power_lower`` build the
+example family and the maps that attain the lower bounds of ``bounds``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from math import gcd
 from operator import sub
 from typing import Dict, List, Optional, Tuple, Union
 
-from .bounds import _power_sum
+from .bounds import _power_sum, _require_positive
 from .polyalg import (
     GaussianRational,
     HermitianForm,
@@ -41,12 +44,10 @@ from .polyalg import (
 # inertia is unused here; perfbench/test_perfbench.py reads it as
 # hermsos.isometry.inertia
 from .rankdecomp import (  # noqa: F401
-    NotSOSError,
     ScaledMap,
     _columns,
-    _gram,
-    _ldlh,
-    extract_sos,
+    _independent,
+    affine_split,
     inertia,
     reduce_minimal,
 )
@@ -116,12 +117,11 @@ def solve_h(f: MapLike, b: int, c: int, block_max: Optional[int] = None) -> Scal
     """A minimal map h with 1 + ||h||^2 == (1 + ||z||^2)^b (1 + ||f||^2)^c.
 
     Requires f normalized (f(0) = 0) and minimal.  The left side expands to
-    1 plus a positive semidefinite block not coupled to the 1, so the
-    extraction of the whole form always succeeds: the constant is a 1x1 block
-    of its own, read off the factor as its first component, weight 1 and
-    polynomial 1, and the rest is h, rank-many components, the least possible
-    count.  A block of more than ``block_max`` basis monomials besides the
-    constant raises ValueError before any elimination; None sets no limit.
+    1 plus a positive semidefinite block not coupled to the 1, so
+    ``affine_split`` of the whole form always returns h, rank-many
+    components, the least possible count.  A block of more than
+    ``block_max`` basis monomials besides the constant raises ValueError
+    before any elimination; None sets no limit.
     """
     form = modification_form(ModificationSpec(f, 1, b, c))
     if block_max is not None and form.size - 1 > block_max:
@@ -129,13 +129,10 @@ def solve_h(f: MapLike, b: int, c: int, block_max: Optional[int] = None) -> Scal
             f"solving for h would eliminate a block of {form.size - 1} basis monomials; "
             f"the limit is {block_max}"
         )
-    try:
-        comps = extract_sos(form).components
-    except NotSOSError:
-        comps = ()
-    if comps[:1] != ((1, HoloPoly.constant(f.n, 1)),):
+    h = affine_split(form)
+    if h is None:
         raise ArithmeticError("expansion lost positivity; this cannot happen")
-    return ScaledMap(f.n, comps[1:])
+    return h
 
 
 def verify_identity(f: MapLike, h: MapLike, a: int, b: int, c: int) -> bool:
@@ -188,7 +185,7 @@ def tensor_power_rank(f: MapLike, c: int) -> int:
         }
         rows.extend(level.values())
     vectors = _columns(rows) if len(set().union(*rows)) < len(rows) else rows
-    e = sum(1 for _, pivot, _, _ in _ldlh(len(vectors), 1, _gram(vectors)) if pivot)
+    e = len(_independent(vectors))
     low, high = c * d, _power_sum(d, c)
     if not low <= e <= high:
         raise ArithmeticError("tensor power rank escaped its proven range")
@@ -270,3 +267,18 @@ def r_lambda(lam) -> HermitianForm:
     """
     diagonal = (1, 4, 6 - Fraction(lam), 4, 1)
     return HermitianForm.from_entries(1, {(Monomial((k,)),) * 2: v for k, v in enumerate(diagonal)})
+
+
+def extremal_lower(n: int, p: int) -> HoloMap:
+    """The map (z_0, ..., z_{p-1}) in n variables; attains the minimal rank
+    in the affine product bound for p <= n."""
+    _require_positive(n=n, p=p)
+    if p > n:
+        raise ValueError("need p <= n coordinate components")
+    return HoloMap(n, [HoloPoly.variable(n, i) for i in range(p)])
+
+
+def extremal_power_lower(p: int) -> HoloMap:
+    """The one-variable map (z, z^2, ..., z^p); attains rank t*p in the power bound."""
+    _require_positive(p=p)
+    return HoloMap(1, [HoloPoly.monomial(1, (k,)) for k in range(1, p + 1)])

@@ -792,24 +792,6 @@ class HermitianForm:
     def degrees(self) -> set:
         return {m.degree for m in self.basis}
 
-    def restrict(self, monomials: Iterable[Monomial]) -> "HermitianForm":
-        """Principal subform over the given subset of basis monomials."""
-        new: Dict[int, int] = {}
-        for mon in monomials:
-            i = self._index.get(mon)
-            if i is not None:
-                new.setdefault(i, len(new))
-        cells = {
-            (new[i], new[j]): cell
-            for (i, j), cell in self.cells.items()
-            if i in new and j in new
-        }
-        return self._build(self.n, [self.basis[i] for i in new], self.den, cells)
-
-    def drop_constant(self) -> "HermitianForm":
-        """The principal subform without the constant monomial's row and column."""
-        return self.restrict(m for m in self.basis if not m.is_constant)
-
     def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
         """Exact value at a point; Hermitian symmetry makes it real."""
         if len(point) != self.n:

@@ -11,8 +11,9 @@ Everything here is exact; scalars are Gaussian rationals:
   * ``reduce_minimal``  keep the components of a map that are not in the
                       span of the earlier ones, giving the rank of its
                       squared norm.
-  * ``affine_split``  test whether a form is 1 + ||h||^2 for some map h and
-                      report the number of squares.
+  * ``affine_split``  the map h vanishing at the origin with the fewest
+                      components such that a form is 1 + ||h||^2, or None,
+                      read off one extraction.
 
 The number of squares in any such representation is bounded below by the
 rank, and ``extract_sos`` achieves the rank, so these routines together
@@ -23,9 +24,9 @@ Bareiss steps in basis order, each connected block on its own (over integers
 if no cell of it is imaginary, else Gaussian integers) and every division
 exact.  ``inertia`` and ``extract_sos`` eliminate the form; a rank of rows R
 is the number of nonzero pivots of the positive semidefinite Gram matrix
-R R^H (``_gram``), which ``reduce_minimal`` and, in ``isometry``, the
-tensor-power rank eliminate.  No gcd is taken inside an elimination; results
-are read out as polynomials of Gaussian-integer numerators over one
+R R^H, which ``_independent`` eliminates for ``reduce_minimal`` and, in
+``isometry``, the tensor-power rank.  No gcd is taken inside an elimination;
+results are read out as polynomials of Gaussian-integer numerators over one
 denominator, each reduced by one gcd pass.
 """
 
@@ -345,31 +346,31 @@ def _columns(vectors: Sequence[Mapping]) -> List[Dict[int, Tuple[int, int]]]:
     return list(columns.values())
 
 
-def _gram(vectors: Sequence[Mapping]) -> Dict[Tuple[int, int], Tuple[int, int]]:
-    """The Gram matrix G[a][b] = <v_a, v_b> of sparse Gaussian-integer vectors.
+def _independent(vectors: Sequence[Mapping]) -> List[int]:
+    """The indices of the sparse Gaussian-integer vectors not in the span of the earlier ones.
 
+    They are the nonzero pivots of the Gram matrix G[a][b] = <v_a, v_b>.
     G = R R^H for R the matrix of the vectors as rows, summed as c c^H over
-    the columns c of R and returned as Hermitian cells for ``_ldlh`` over
-    denominator 1.  G is positive semidefinite with the rank of R, and its
-    k-th pivot is nonzero iff v_k is not in the span of the earlier vectors.
+    the columns c of R and eliminated over denominator 1; G is positive
+    semidefinite with the rank of R, and its k-th pivot is nonzero iff v_k is
+    not in the span of the earlier vectors.
     """
     columns = [(1, [(a, x, y) for a, (x, y) in column.items()]) for column in _columns(vectors)]
-    return _outer_sum(len(vectors), columns)
+    gram = _outer_sum(len(vectors), columns)
+    return [k for k, pivot, _, _ in _ldlh(len(vectors), 1, gram) if pivot]
 
 
 def reduce_minimal(f) -> Tuple[HoloMap, int]:
     """The components of f not in the span of the earlier ones, and their count.
 
-    Component k is kept when the k-th pivot of the Gram matrix of the
-    components is nonzero.  The result is an ordered sub-map of f spanning
-    the same space with independent components, so its length is the rank
-    of ||f||^2.  It is not isometric to f (``extract_sos`` on the form is).
-    Scaled maps are accepted and their weights dropped; positive weights
-    never change the span.
+    The result is an ordered sub-map of f spanning the same space with
+    independent components, so its length is the rank of ||f||^2.  It is
+    not isometric to f (``extract_sos`` on the form is).  Scaled maps are
+    accepted and their weights dropped; positive weights never change the
+    span.
     """
     polys = [poly for _, poly in f.weighted_components()]
-    gram = _gram([poly.cells for poly in polys])
-    kept = [polys[k] for k, pivot, _, _ in _ldlh(len(polys), 1, gram) if pivot]
+    kept = [polys[k] for k in _independent([poly.cells for poly in polys])]
     return HoloMap(f.n, kept), len(kept)
 
 
@@ -384,21 +385,20 @@ def grams_equal(f, g) -> bool:
     return norm_form(f) == norm_form(g)
 
 
-def affine_split(form: HermitianForm) -> Tuple[bool, int]:
-    """Test whether form == 1 + ||h||^2 for some map h.
+def affine_split(form: HermitianForm) -> Optional[ScaledMap]:
+    """The map h with h(0) = 0 and the fewest components such that
+    form == 1 + ||h||^2, or None.
 
-    Returns (True, m) with m the minimal number of components of such an h,
-    or (False, 0).  Requires the constant coefficient to be exactly 1, no
-    coupling between the constant and the rest of the basis, and the
-    remaining block to be positive semidefinite.
+    The constant term of 1 + ||h||^2 is 1 + ||h(0)||^2, so such an h exists
+    iff the form is a sum of squares whose first square (the constant
+    monomial comes first in grlex order) is 1 with weight 1, a 1x1 block of
+    its own.  One extraction decides it, and the remaining squares are h,
+    rank-many components, the least possible count.
     """
-    # the constant monomial comes first in grlex order; 1 is den over den
-    if form.basis and form.basis[0].is_constant and form.cells.get((0, 0)) == (form.den, 0):
-        block = form.drop_constant()
-        # the constant row and column hold nothing but the 1 iff the block
-        # kept every other cell
-        if len(block.cells) == len(form.cells) - 1:
-            sig = inertia(block)
-            if not sig.neg:
-                return True, sig.pos
-    return False, 0
+    try:
+        comps = extract_sos(form).components
+    except NotSOSError:
+        return None
+    if comps[:1] != ((1, HoloPoly.constant(form.n, 1)),):
+        return None
+    return ScaledMap(form.n, comps[1:])

@@ -301,6 +301,14 @@ def reference_norm_form(f) -> HermitianForm:
     return HermitianForm(f.n, support, rows)
 
 
+def drop_constant(form: HermitianForm) -> HermitianForm:
+    """The principal subform without the constant monomial's row and column,
+    rebuilt from the public entries."""
+    return HermitianForm.from_entries(
+        form.n, {(ma, mb): v for ma, mb, v in form.entries() if not (ma.is_constant or mb.is_constant)}
+    )
+
+
 def _dense_form(n, acc: Dict[Tuple[Monomial, Monomial], GaussianRational]) -> HermitianForm:
     """The form with the given coefficients, through the dense constructor."""
     mons = sorted({m for key in acc for m in key}, key=grlex_key)

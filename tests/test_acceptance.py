@@ -13,7 +13,7 @@ from math import comb
 
 import pytest
 
-from conftest import rand_poly
+from conftest import drop_constant, rand_poly
 from hermsos import (
     HoloMap,
     HoloPoly,
@@ -87,18 +87,25 @@ def test_criterion_1_example_family_tables():
         assert (inertia(r).neg == 0) == (lam <= 6)
         assert (inertia(p_form).neg == 0) == (lam <= 10)
         assert (inertia(s_form).neg == 0) == (lam <= 7)
+        # each splits exactly while its block is PSD, with the squares the
+        # reference route factors off that block
+        for form, last in ((p_form, 10), (s_form, 7)):
+            h = affine_split(form)
+            assert (h is not None) == (lam <= last)
+            if h is not None:
+                assert h.components == extract_sos(drop_constant(form)).components
 
 
 def test_criterion_2_example_family_identity():
     lam = Fraction(7)
     p_form = one_plus_norm_z(1) * r_lambda(lam)
     s_form = r_lambda(lam) * r_lambda(lam)
-    p_ok, m = affine_split(p_form)
-    s_ok, d = affine_split(s_form)
-    assert p_ok and m == 5
-    assert s_ok and d == 6
-    f = extract_sos(p_form.drop_constant())
-    h = extract_sos(s_form.drop_constant())
+    m = len(affine_split(p_form))
+    d = len(affine_split(s_form))
+    assert m == 5
+    assert d == 6
+    f = extract_sos(drop_constant(p_form))
+    h = extract_sos(drop_constant(s_form))
     assert len(f) == 5
     assert len(h) == 6
     assert verify_identity(h, f, 2, 2, 1)

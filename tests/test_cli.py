@@ -438,6 +438,14 @@ def test_ensemble_output_file(tmp_path, capsys):
     assert target.read_text().startswith("n,d,degree,m,lower,upper,in_gap\n")
 
 
+def test_ensemble_refuses_more_components_than_monomials_at_once(capsys):
+    # the first sample asks for 2 independent components of degree 1 in 1 variable
+    start = time.perf_counter()
+    assert main(["ensemble", "--n", "1", "--d-max", "5", "--degree-max", "1", "--count", "3", "--seed", "1"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", "error: 2 independent components need 2 monomials; degree 1..1 has 1\n")
+
+
 def test_ensemble_missing_flags(capsys):
     assert main(["ensemble", "--n", "2"]) == 2
     assert capsys.readouterr().err == "error: missing --d-max --degree-max --count --seed (or use --config)\n"

@@ -194,3 +194,12 @@ def test_random_map_minimal_and_reproducible():
         assert reduce_minimal(f1)[1] == 2
     g = random_map(random.Random(5), 3, 3, 2, 3)
     assert reduce_minimal(g)[1] == 3
+
+
+def test_random_map_refuses_more_components_than_monomials():
+    # degree 1..2 in 2 variables has 5 monomials
+    assert reduce_minimal(random_map(random.Random(1), 2, 5, 2))[1] == 5
+    with pytest.raises(ValueError, match="6 independent components need 6 monomials; degree 1..2 has 5"):
+        random_map(random.Random(1), 2, 6, 2)
+    with pytest.raises(ValueError):
+        random_map(random.Random(1), 1, 2, 1)

@@ -1,4 +1,5 @@
-"""The package imports only the standard library and its own modules."""
+"""The package imports only the standard library and its own modules, and
+``bounds`` none of its own."""
 
 import ast
 import sys
@@ -26,3 +27,10 @@ def test_imports_are_stdlib_or_relative():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert not outside
+
+
+def test_bounds_imports_no_module_of_the_package():
+    # its checks are integer arithmetic that serves as an oracle for the rest
+    tree = ast.parse((Path(hermsos.__file__).parent / "bounds.py").read_text())
+    relative = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    assert not relative

@@ -289,9 +289,6 @@ def test_form_constructor_validations():
 def test_form_entries_and_restrict():
     f = HoloMap(2, [HoloPoly(2, {mono(1, 0): 1, mono(0, 1): 2})])
     a = norm_form(f)
-    sub = a.restrict([mono(1, 0)])
-    assert sub.basis == (mono(1, 0),)
-    assert sub.coefficient(mono(1, 0), mono(1, 0)) == GR_ONE
     assert a.coefficient(mono(5, 5), mono(1, 0)) == GR_ZERO
     assert a.degrees() == {1}
     total = HermitianForm.constant(2, 7)

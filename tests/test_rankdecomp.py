@@ -277,22 +277,24 @@ def test_affine_split_cases():
         n = rng.choice((1, 2))
         p = rng.randint(1, 3)
         f = rand_plain_map(rng, n, p)
-        ok, count = affine_split(one_plus_norm(f))
-        assert ok
-        assert count == inertia(norm_form(f)).rank
+        h = affine_split(one_plus_norm(f))
+        assert h is not None
+        assert len(h) == inertia(norm_form(f)).rank
     # constant coefficient must be exactly 1
     bad_const = HermitianForm.constant(1, 2)
-    assert affine_split(bad_const) == (False, 0)
+    assert affine_split(bad_const) is None
     # a zero constant coefficient in a nonzero constant row, and no constant at all
     zero_const = HermitianForm(1, [mono(0), mono(1)], [[0, 1], [1, 1]])
-    assert affine_split(zero_const) == (False, 0)
-    assert affine_split(diag_form([0, 1])) == (False, 0)
+    assert affine_split(zero_const) is None
+    assert affine_split(diag_form([0, 1])) is None
     # no coupling between the constant and the rest
     coupled = norm_form(HoloMap(1, [HoloPoly(1, {mono(0): 1, mono(1): 1})]))
-    assert affine_split(coupled) == (False, 0)
+    assert affine_split(coupled) is None
     # negative block
-    assert affine_split(diag_form([1, -1])) == (False, 0)
-    assert affine_split(diag_form([1, 4, -1, 4, 1])) == (False, 0)
+    assert affine_split(diag_form([1, -1])) is None
+    assert affine_split(diag_form([1, 4, -1, 4, 1])) is None
+    # the constant alone is 1 + ||h||^2 for the empty map
+    assert len(affine_split(HermitianForm.constant(2, 1))) == 0
 
 
 def test_scaled_map_validation():

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    drop_constant,
     reference_divide_by_norm,
     reference_extract_sos,
     reference_form_add,
@@ -33,8 +34,10 @@ from hermsos import (
     Monomial,
     NotSOSError,
     ScaledMap,
+    affine_split,
     divide_by_norm,
     extract_sos,
+    grams_equal,
     grlex_key,
     inertia,
     monomials_of_degree,
@@ -212,6 +215,31 @@ def test_one_plus_norm_is_the_norm_form_plus_one(f):
     assert one_plus_norm(f) == norm_form(f) + HermitianForm.constant(f.n, 1)
 
 
+@PROPERTY
+@given(hermitian_forms(), st.booleans())
+def test_affine_split_is_one_plus_the_factor_of_the_block(form, unit):
+    one = Monomial((0, 0))
+    if unit:  # the constant cell 1 and the rest of its row zero, so the block decides
+        entries = {(ma, mb): v for ma, mb, v in drop_constant(form).entries()}
+        form = HermitianForm.from_entries(form.n, {(one, one): 1, **entries})
+    h = affine_split(form)
+    row = [v for ma, mb, v in form.entries() if ma == one and mb != one]
+    block = sos_outcome(reference_extract_sos, drop_constant(form))
+    assert (h is not None) == (form.coefficient(one, one) == 1 and not row and isinstance(block, list))
+    if h is not None:
+        assert one_plus_norm(h) == form
+        assert list(h.weighted_components()) == block
+
+
+@PROPERTY
+@given(scaled_maps())
+def test_affine_split_recovers_a_map_vanishing_at_zero(f):
+    h = affine_split(one_plus_norm(f))
+    assert (h is not None) == f.vanishes_at_zero
+    if h is not None:
+        assert grams_equal(h, f)
+
+
 def dense_negation(form):
     return HermitianForm(form.n, form.basis, [[-v for v in row] for row in form.gram])
 
@@ -279,14 +307,6 @@ def test_sums_and_products_do_not_depend_on_the_order_of_the_operands(pair):
     a, b = pair
     assert_same_form(a + b, b + a, reference_form_add(a, b))
     assert_same_form(a * b, b * a, reference_form_mul(a, b))
-
-
-@PROPERTY
-@given(hermitian_forms(), st.data())
-def test_restrict_ignores_the_order_of_the_monomials(form, data):
-    keep = [mon for mon in form.basis if data.draw(st.booleans())]
-    shuffled = data.draw(st.permutations(keep + [Monomial((0, 5))]))
-    assert_same_form(form.restrict(sorted(keep, key=grlex_key)), form.restrict(shuffled))
 
 
 @PROPERTY
