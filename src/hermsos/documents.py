@@ -5,11 +5,14 @@ Map documents::
     {"n": 2, "components": [[{"exp": [1, 0], "re": "1", "im": 0}], ...]}
 
 Each component is a list of terms; ``re``/``im`` are exact rationals given
-as integers or strings like ``"3/4"`` (floats are rejected).  Integers and
-the literals "p", "-p", "p/q" and "-p/q" are read straight into integer
-numerators over the component's least common denominator; any other
-string, such as "2.5e-3", is read by ``parse_rational``.  A component
-may instead be an object ``{"scale": "1/2", "terms": [...]}``; if any
+as integers or strings (floats and booleans are rejected).  A string is
+read as Python 3.11's ``Fraction`` reads it, on every version: "p", "p/q"
+or a decimal such as "2.5e-3", with an optional sign and surrounding
+spaces, and an underscore only between two digits, where it is dropped.
+Integers and the ASCII literals "p", "-p", "p/q" and "-p/q" are read
+straight into integer numerators over the component's least common
+denominator; other strings go through ``parse_rational``.  A component may
+instead be an object ``{"scale": "1/2", "terms": [...]}``; if any
 component carries a scale the document parses to a weighted map.  A weighted
 map with no components is written with a top-level ``"scaled": true``, the
 only value that key accepts.
@@ -22,6 +25,12 @@ The gram matrix must be Hermitian, which is checked on the integer
 numerators its literals parse to; the parser re-validates everything the
 constructors validate and converts failures to ``DocumentError`` so
 callers can treat malformed input uniformly.
+
+A term is checked in one pass: its keys, every exponent (an int, not a
+bool, and not negative) before the document's table of monomials is read,
+then its rationals.  Checked values are built with the unvalidated
+``_build`` constructors, which the package keeps for values it built
+itself or has already checked.
 """
 
 from __future__ import annotations
@@ -48,6 +57,8 @@ from .rankdecomp import ScaledMap, reduce_minimal
 
 # the literals read without Fraction: an optional minus, digits, an optional /digits
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# an underscore between two digits, the one place Fraction accepts it from Python 3.11
+_DIGIT_SEPARATOR = re.compile(r"(?<=\d)_(?=\d)")
 
 
 class DocumentError(ValueError):
@@ -55,12 +66,19 @@ class DocumentError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """``Fraction(text)``, refusing a decimal exponent above 4300 in magnitude.
+    """``Fraction(text)`` as Python 3.11 reads it, refusing a decimal exponent
+    above 4300 in magnitude.
 
-    Fraction builds the power of ten in full, so a short literal such as
-    "1e3000000" would take seconds; 4300 is the digit limit CPython puts on
-    integer strings.  Raises ValueError or ZeroDivisionError like Fraction.
+    Python 3.10's Fraction accepts no underscore; from 3.11 one between two
+    digits is dropped, and so it is here on every version.  Fraction builds
+    the power of ten in full, so a short literal such as "1e3000000" would
+    take seconds; 4300 is the digit limit CPython puts on integer strings.
+    Raises ValueError or ZeroDivisionError like Fraction.
     """
+    if "_" in text:
+        text = _DIGIT_SEPARATOR.sub("", text)
+        if "_" in text:
+            raise ValueError("an underscore is allowed only between two digits")
     _, e, exponent = text.lower().partition("e")
     if e and abs(int(exponent)) > 4300:
         raise ValueError(f"decimal exponent of {text!r} is out of range")
@@ -96,11 +114,6 @@ def _rational_from_json(value) -> Tuple[int, int]:
     raise DocumentError(f"bad rational value of type {type(value).__name__}")
 
 
-def _parts_from_json(real, imag) -> Tuple[int, int, int, int]:
-    """real + imag*i from two JSON rationals, as ``polyalg._scalar`` gives a scalar."""
-    return (*_rational_from_json(real), *_rational_from_json(imag))
-
-
 def _rational_to_json(num: int, den: int) -> Union[int, str]:
     """num / den (den > 0) in lowest terms: an int, or a string like "-3/4"."""
     text = _ratio_text(num, den)
@@ -119,28 +132,25 @@ def _is_int_at_least(value, least: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
-def _exponents(exp, n: int, message: str) -> Tuple[int, ...]:
-    """A JSON exponent list as a tuple; refused with message unless n non-negative ints."""
-    if (
-        not isinstance(exp, list)
-        or len(exp) != n
-        or not all(_is_int_at_least(e, 0) for e in exp)
-    ):
-        raise DocumentError(message)
-    return tuple(exp)
+def _is_exponent_list(exp, n: int) -> bool:
+    """Whether exp is a JSON exponent list: a list of n ints (not bools) >= 0."""
+    return isinstance(exp, list) and len(exp) == n and all(type(e) is int and e >= 0 for e in exp)
 
 
 def _scalar_from_json(obj) -> Tuple[int, int, int, int]:
-    # Bare rationals are taken as real entries; objects carry both parts.
+    """A gram entry as (a, b, c, d) for a/b + (c/d)*i, as ``polyalg._scalar`` gives it.
+
+    Bare rationals are taken as real entries; objects carry both parts.
+    """
     if not isinstance(obj, dict):
-        return _parts_from_json(obj, 0)
+        return (*_rational_from_json(obj), 0, 1)
     _check_keys(obj, ("re", "im"), "scalar")
-    return _parts_from_json(obj.get("re", 0), obj.get("im", 0))
+    return (*_rational_from_json(obj.get("re", 0)), *_rational_from_json(obj.get("im", 0)))
 
 
 def _poly_from_terms(n: int, terms, mons: Dict[Tuple[int, ...], Monomial]) -> HoloPoly:
-    """A component from its JSON terms; ``mons`` holds one Monomial per exponent
-    tuple, shared by the components of a document."""
+    """A component from its JSON terms, each checked in one pass; ``mons`` holds
+    one Monomial per exponent tuple, shared by the components of a document."""
     if not isinstance(terms, list):
         raise DocumentError("a component must be a list of terms")
     values = {}
@@ -148,13 +158,20 @@ def _poly_from_terms(n: int, terms, mons: Dict[Tuple[int, ...], Monomial]) -> Ho
         if not isinstance(term, dict):
             raise DocumentError("terms must be objects")
         _check_keys(term, ("exp", "re", "im"), "term")
-        key = _exponents(term.get("exp"), n, "term exp must be a list of n non-negative integers")
+        exp = term.get("exp")
+        # checked before the table is read: (1.0,) and (True,) are equal keys to (1,)
+        if not _is_exponent_list(exp, n):
+            raise DocumentError("term exp must be a list of n non-negative integers")
+        key = tuple(exp)
         mon = mons.get(key)
         if mon is None:
-            mon = mons[key] = Monomial(key)
+            mon = mons[key] = Monomial._build(key)
         if mon in values:
-            raise DocumentError(f"duplicate exponent {list(key)} in one component")
-        values[mon] = _parts_from_json(term.get("re", 0), term.get("im", 0))
+            raise DocumentError(f"duplicate exponent {exp} in one component")
+        real, imag = term.get("re", 0), term.get("im", 0)
+        real = (real, 1) if type(real) is int else _rational_from_json(real)
+        imag = (imag, 1) if type(imag) is int else _rational_from_json(imag)
+        values[mon] = (*real, *imag)
     return HoloPoly._build(n, *_common_den(values))
 
 
@@ -203,9 +220,17 @@ def serialize_map_json(f) -> str:
     lays it out, plus a final newline; written from the integer numerators."""
     plain = isinstance(f, HoloMap)
     pad = " " * (8 if plain else 10)  # the indent of a term's keys
+    tail = f',\n{pad}"im": '
+    heads = {}  # each monomial's term text up to its "re" value, rendered once
     blocks = []
     for weight, poly in f.weighted_components():
-        terms = [_term_json(pad, mon, re, im, poly.den) for mon, (re, im) in poly.sorted_cells()]
+        den = poly.den
+        terms = []
+        for mon, (re, im) in poly.sorted_cells():
+            head = heads.get(mon)
+            if head is None:
+                head = heads[mon] = _term_head(pad, mon)
+            terms.append(f"{head}{_json_ratio(re, den)}{tail}{_json_ratio(im, den)}\n{pad[2:]}}}")
         terms = "[\n" + ",\n".join(terms) + f"\n{pad[4:]}]" if terms else "[]"
         if not plain:
             scale = _json_ratio(weight.numerator, weight.denominator)
@@ -216,13 +241,10 @@ def serialize_map_json(f) -> str:
     return f'{{\n  "n": {f.n},\n  "components": {components}{scaled}\n}}\n'
 
 
-def _term_json(pad: str, mon: Monomial, re: int, im: int, den: int) -> str:
-    """One term object of a map document, its keys indented by pad."""
+def _term_head(pad: str, mon: Monomial) -> str:
+    """A term object of a map document up to its "re" value, its keys indented by pad."""
     exps = f",\n{pad}  ".join(map(str, mon.exponents))
-    return (
-        f'{pad[2:]}{{\n{pad}"exp": [\n{pad}  {exps}\n{pad}],\n'
-        f'{pad}"re": {_json_ratio(re, den)},\n{pad}"im": {_json_ratio(im, den)}\n{pad[2:]}}}'
-    )
+    return f'{pad[2:]}{{\n{pad}"exp": [\n{pad}  {exps}\n{pad}],\n{pad}"re": '
 
 
 def _json_ratio(num: int, den: int) -> str:
@@ -241,8 +263,9 @@ def parse_form_document(doc) -> HermitianForm:
     raw_basis = doc.get("basis")
     if not isinstance(raw_basis, list):
         raise DocumentError("basis must be a list of exponent lists")
-    message = "basis entries must be lists of n non-negative integers"
-    basis = [Monomial(_exponents(exp, n, message)) for exp in raw_basis]
+    if not all(_is_exponent_list(exp, n) for exp in raw_basis):
+        raise DocumentError("basis entries must be lists of n non-negative integers")
+    basis = [Monomial._build(tuple(exp)) for exp in raw_basis]
     raw_gram = doc.get("gram")
     if not isinstance(raw_gram, list) or any(not isinstance(r, list) for r in raw_gram):
         raise DocumentError("gram must be a list of rows")

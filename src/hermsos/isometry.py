@@ -38,6 +38,7 @@ from .polyalg import (
     HoloMap,
     HoloPoly,
     Monomial,
+    _check_variable_count,
     _mul_cells,
     norm_form,
 )
@@ -104,8 +105,12 @@ def one_plus_norm(f: MapLike) -> HermitianForm:
 
 
 def one_plus_norm_z(n: int) -> HermitianForm:
-    """The Hermitian form 1 + ||z||^2 = 1 + sum |z_i|^2."""
-    return one_plus_norm(HoloMap.variables(n))
+    """The Hermitian form 1 + ||z||^2 = 1 + sum |z_i|^2: the unit diagonal over
+    the monomials 1, z_0, ..., z_{n-1}, built from its n + 1 cells."""
+    _check_variable_count(n)
+    mons = [Monomial._build((0,) * n)]
+    mons += [Monomial._build((0,) * i + (1,) + (0,) * (n - 1 - i)) for i in range(n)]
+    return HermitianForm._build(n, mons, 1, {(k, k): (1, 0) for k in range(n + 1)})
 
 
 def modification_form(spec: ModificationSpec) -> HermitianForm:

@@ -229,21 +229,30 @@ class Monomial:
 
     Immutable: ``exponents``, ``degree``, the hash and the ``grlex_key`` are
     computed once, when it is built, so a monomial is a cheap dict key.  Two
-    monomials are equal iff their exponents are.
+    monomials are equal iff their exponents are.  ``Monomial(exponents)``
+    checks its input; ``Monomial._build`` does not, and takes only exponents
+    the package built itself or has already checked.
     """
 
     __slots__ = ("exponents", "degree", "_grlex", "_hash")
 
-    def __init__(self, exponents: Iterable[int]):
+    def __new__(cls, exponents: Iterable[int]):
         exps = tuple(exponents)
         if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exps):
             raise ValueError("exponents must be non-negative integers")
+        return cls._build(exps)
+
+    @classmethod
+    def _build(cls, exps: Tuple[int, ...]) -> "Monomial":
+        """A monomial from a tuple of non-negative ints, unvalidated."""
+        mon = object.__new__(cls)
         degree = sum(exps)
         init = object.__setattr__
-        init(self, "exponents", exps)
-        init(self, "degree", degree)
-        init(self, "_grlex", (degree, tuple(map(neg, exps))))
-        init(self, "_hash", hash(exps))
+        init(mon, "exponents", exps)
+        init(mon, "degree", degree)
+        init(mon, "_grlex", (degree, tuple(map(neg, exps))))
+        init(mon, "_hash", hash(exps))
+        return mon
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -453,7 +462,7 @@ class HoloPoly:
                 {m.exponents: cell for m, cell in self.cells.items()},
                 {m.exponents: cell for m, cell in other.cells.items()},
             )
-            cells = {Monomial(exps): cell for exps, cell in product.items()}
+            cells = {Monomial._build(exps): cell for exps, cell in product.items()}
             return HoloPoly._build(self.n, self.den * other.den, cells)
         scalar = _scalar(other)
         if scalar is None:
@@ -490,6 +499,11 @@ class HoloPoly:
     __hash__ = None
 
     def __str__(self) -> str:
+        return self._text({})
+
+    def _text(self, names: Dict[Monomial, str]) -> str:
+        """``str(self)``, each monomial's text read from names or rendered into it,
+        so a caller printing many polynomials renders each monomial once."""
         if not self.cells:
             return "0"
         den = self.den
@@ -498,14 +512,18 @@ class HoloPoly:
             coeff = _complex_text(_ratio_text(re, den), _ratio_text(im, den))
             if mon.is_constant:
                 parts.append(coeff)
-            elif coeff == "1":
-                parts.append(str(mon))
+                continue
+            name = names.get(mon)
+            if name is None:
+                name = names[mon] = str(mon)
+            if coeff == "1":
+                parts.append(name)
             elif coeff == "-1":
-                parts.append(f"-{mon}")
+                parts.append(f"-{name}")
             elif re and im:
-                parts.append(f"({coeff})*{mon}")
+                parts.append(f"({coeff})*{name}")
             else:
-                parts.append(f"{coeff}*{mon}")
+                parts.append(f"{coeff}*{name}")
         text = parts[0]
         for part in parts[1:]:
             if part.startswith("-"):
@@ -844,7 +862,7 @@ class HermitianForm:
                 k = position.get(exps)
                 if k is None:
                     k = position[exps] = len(mons)
-                    mons.append(Monomial(exps))
+                    mons.append(Monomial._build(exps))
                 row.append(k)
             product.append(row)
         right = [(k, t, b_re, b_im) for (k, t), (b_re, b_im) in other.cells.items()]

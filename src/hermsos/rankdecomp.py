@@ -241,10 +241,11 @@ class ScaledMap:
     components: Tuple[Tuple[Fraction, HoloPoly], ...]
 
     def __post_init__(self):
-        # from a list, as HermitianForm builds its basis
-        comps = tuple([(Fraction(w), p) for w, p in self.components])
+        # from a list, as HermitianForm builds its basis; a Fraction is kept as it
+        # is, and its sign is the sign of its numerator
+        comps = tuple([(w if w.__class__ is Fraction else Fraction(w), p) for w, p in self.components])
         for weight, poly in comps:
-            if weight <= 0:
+            if weight.numerator <= 0:
                 raise ValueError("weights must be positive")
             if not isinstance(poly, HoloPoly) or poly.n != self.n:
                 raise ValueError("component has wrong variable count")

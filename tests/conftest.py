@@ -10,6 +10,8 @@ its sparse Gaussian-integer form arithmetic, its integer tensor products,
 or the polynomial division of ``divide_by_norm``.
 """
 
+import re
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
@@ -411,10 +413,21 @@ def reference_divide_by_norm(s: HermitianForm) -> Optional[HermitianForm]:
     return _dense_form(n, quotient)
 
 
+def reference_fraction(value) -> Fraction:
+    """``Fraction(value)`` as Python 3.11 and later read it.
+
+    Python 3.10's Fraction accepts no underscore in a string; there, one
+    between two digits is dropped first, as 3.11 drops it.
+    """
+    if sys.version_info < (3, 11) and isinstance(value, str):
+        value = re.sub(r"(?<=\d)_(?=\d)", "", value)
+    return Fraction(value)
+
+
 def reference_parse_map_document(doc) -> Tuple[bool, List[Tuple[Fraction, Dict[Monomial, GaussianRational]]]]:
     """Whether a valid map document is weighted, and its (weight, terms) pairs.
 
-    Every literal is read by ``Fraction`` and every coefficient kept as a
+    Every literal is read by ``reference_fraction`` and every coefficient kept as a
     ``GaussianRational``; zero coefficients are dropped.
     """
     scaled = "scaled" in doc
@@ -423,11 +436,11 @@ def reference_parse_map_document(doc) -> Tuple[bool, List[Tuple[Fraction, Dict[M
         weight = Fraction(1)
         if isinstance(comp, dict):
             scaled = scaled or "scale" in comp
-            weight = Fraction(comp.get("scale", 1))
+            weight = reference_fraction(comp.get("scale", 1))
             comp = comp["terms"]
         terms = {}
         for term in comp:
-            value = GaussianRational(Fraction(term.get("re", 0)), Fraction(term.get("im", 0)))
+            value = GaussianRational(reference_fraction(term.get("re", 0)), reference_fraction(term.get("im", 0)))
             if value:
                 terms[Monomial(tuple(term["exp"]))] = value
         pairs.append((weight, terms))

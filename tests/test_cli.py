@@ -80,7 +80,7 @@ def test_solve_h_output_document(pair_map, tmp_path, capsys):
     assert "theorem: thm2.4" in out
     assert "satisfied: true" in out
     written = parse_map_document(json.loads(out_path.read_text()))
-    f = parse_map_document(json.loads(open(pair_map).read()))
+    f = parse_map_document(json.loads(Path(pair_map).read_text(encoding="utf-8")))
     assert grams_equal(written, solve_h(f, 1, 1))
 
 

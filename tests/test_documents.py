@@ -93,6 +93,13 @@ def test_map_document_rejections():
     ({"n": 1, "basis": [[0]], "gram": [[{"re": 1, "re2": 0}]]}, "unknown scalar keys ['re2']"),
     ({"n": 1, "basis": [[0, 1]], "gram": [[1]]}, "basis entries must be lists of n non-negative integers"),
     ({"n": 1, "basis": [(0,)], "gram": [[1]]}, "basis entries must be lists of n non-negative integers"),
+    # (1.0,) == (1,) as a key of the monomial table, so the type is checked before it is read
+    ({"n": 1, "components": [[{"exp": [1], "re": 1}, {"exp": [1.0], "re": 2}]]}, "term exp must be a list of n non-negative integers"),
+    ({"n": 1, "components": [[{"exp": [False], "re": 1}]]}, "term exp must be a list of n non-negative integers"),
+    ({"n": 1, "components": [[{"exp": "1", "re": 1}]]}, "term exp must be a list of n non-negative integers"),
+    ({"n": 1, "components": [[{"re": 1}]]}, "term exp must be a list of n non-negative integers"),
+    ({"n": 1, "components": [[[1]]]}, "terms must be objects"),
+    ({"n": 1, "components": ["z0"]}, "a component must be a list of terms"),
 ])
 def test_rejection_messages(doc, message):
     parse = parse_form_document if "basis" in doc else parse_map_document

@@ -40,6 +40,12 @@ def test_one_plus_norm_z_binomial():
         assert p.coefficient(mono(k), mono(k)) == GaussianRational(comb(3, k))
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_plus_norm_z_is_one_plus_the_norm_of_the_variables(n):
+    # the reference route: the norm form of (z0, ..., z_{n-1}) plus the constant 1
+    assert one_plus_norm_z(n) == one_plus_norm(HoloMap.variables(n))
+
+
 def test_modification_spec_validation():
     f = HoloMap.variables(2)
     spec = ModificationSpec(f, 1, 1, 1)

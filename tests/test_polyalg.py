@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import mono, norm_value, rand_plain_map, rand_point, rand_poly, rand_scalar
 from hermsos import (
@@ -96,6 +98,15 @@ def test_monomial_value_semantics():
     assert a != Monomial((2, 1, 0)) and a != (2, 0, 1)
     assert a.exponents == (2, 0, 1) and a.degree == 3
     assert repr(a) == "Monomial(exponents=(2, 0, 1))"
+
+
+@given(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=6).map(tuple))
+def test_monomial_build_is_the_checked_constructor_without_the_check(exps):
+    # the public constructor is the reference route
+    built, checked = Monomial._build(exps), Monomial(exps)
+    assert built == checked and hash(built) == hash(checked)
+    assert built.degree == checked.degree and grlex_key(built) == grlex_key(checked)
+    assert built.exponents == checked.exponents and str(built) == str(checked)
 
 
 @pytest.mark.parametrize("name", ["exponents", "degree", "_grlex", "_hash", "other"])

@@ -309,3 +309,17 @@ def test_scaled_map_validation():
     assert s.vanishes_at_zero
     assert s.max_degree == 1
     assert len(s) == 1
+
+
+@pytest.mark.parametrize("weight", [0, -1, Fraction(-1, 2)], ids=["0", "-1", "-1/2"])
+def test_scaled_map_refuses_a_weight_that_is_not_positive(weight):
+    with pytest.raises(ValueError, match="^weights must be positive$"):
+        ScaledMap(1, ((weight, HoloPoly.variable(1, 0)),))
+
+
+def test_scaled_map_keeps_a_fraction_and_converts_an_int():
+    z = HoloPoly.variable(1, 0)
+    half = Fraction(1, 2)
+    (w1, _), (w2, _) = ScaledMap(1, ((half, z), (3, z))).components
+    assert w1 is half
+    assert type(w2) is Fraction and w2 == 3
