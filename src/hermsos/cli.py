@@ -51,7 +51,7 @@ from .documents import (
     parse_map_document,
     parse_rational,
     random_map,
-    serialize_form_document,
+    serialize_form_json,
     serialize_map_json,
 )
 from .isometry import (
@@ -170,8 +170,8 @@ def cmd_solve_h(args) -> int:
     names = {}  # each monomial's text, rendered once for all the components
     for i, (weight, poly) in enumerate(h.weighted_components()):
         print(f"component {i}: scale {weight}, poly {poly._text(names)}")
-    if args.b == 1 and args.c == 1:
-        # thm2.4 bounds the rank of (1 + ||z||^2)(1 + ||f||^2) - 1 only
+    if args.b == 1 and args.c == 1 and len(f):
+        # thm2.4 bounds the rank of (1 + ||z||^2)(1 + ||f||^2) - 1 only, for p >= 1
         _print_report(check_affine_norm_product(f.n, len(f), len(h)), "text")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -202,8 +202,10 @@ def cmd_tensor_rank(args) -> int:
             f"products of components; the limit is {TENSOR_ROWS_MAX}"
         )
     rank = tensor_power_rank(f, args.t)
-    report = check_power_rank(len(f), args.t, rank)
-    record = dict(rank=rank, lower=report.lower, upper=report.upper, satisfied=_bool_text(report.satisfied))
+    record = dict(rank=rank, lower=None, upper=None, satisfied=None)
+    if len(f):  # prop2.5 bounds a map of p >= 1 components
+        report = check_power_rank(len(f), args.t, rank)
+        record.update(lower=report.lower, upper=report.upper, satisfied=_bool_text(report.satisfied))
     _print_record(args.format, record)
     return 0
 
@@ -261,7 +263,7 @@ def cmd_divide(args) -> int:
         print("divisible: false")
         return 0
     print("divisible: true")
-    print(json.dumps(serialize_form_document(quotient), indent=2))
+    print(serialize_form_json(quotient), end="")
     return 0
 
 
@@ -274,7 +276,7 @@ def cmd_example1(args) -> int:
     p_form = one_plus_norm_z(1) * r
     s_form = r * r
     r_diag, p_diag, s_diag = (
-        [form.coefficient(Monomial((k,)), Monomial((k,))) for k in range(size)]
+        [form.coefficient(Monomial._build((k,)), Monomial._build((k,))) for k in range(size)]
         for form, size in ((r, 5), (p_form, 6), (s_form, 9))
     )
     _check_printable("a printed value", [lam, *(x for v in r_diag + p_diag + s_diag for x in (v.re, v.im))])

@@ -27,7 +27,7 @@ constructors validate and converts failures to ``DocumentError`` so
 callers can treat malformed input uniformly.
 
 A term is checked in one pass: its keys, every exponent (an int, not a
-bool, and not negative) before the document's table of monomials is read,
+bool, and not negative) before the process-wide table of monomials is read,
 then its rationals.  Checked values are built with the unvalidated
 ``_build`` constructors, which the package keeps for values it built
 itself or has already checked.
@@ -40,7 +40,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple, Union
+from typing import Tuple, Union
 
 from .polyalg import (
     HermitianForm,
@@ -114,12 +114,6 @@ def _rational_from_json(value) -> Tuple[int, int]:
     raise DocumentError(f"bad rational value of type {type(value).__name__}")
 
 
-def _rational_to_json(num: int, den: int) -> Union[int, str]:
-    """num / den (den > 0) in lowest terms: an int, or a string like "-3/4"."""
-    text = _ratio_text(num, den)
-    return text if "/" in text else int(text)
-
-
 def _check_keys(obj: dict, allowed, what: str) -> None:
     """Refuse any key of obj outside allowed, naming the object as what."""
     extra = obj.keys() - allowed
@@ -148,9 +142,8 @@ def _scalar_from_json(obj) -> Tuple[int, int, int, int]:
     return (*_rational_from_json(obj.get("re", 0)), *_rational_from_json(obj.get("im", 0)))
 
 
-def _poly_from_terms(n: int, terms, mons: Dict[Tuple[int, ...], Monomial]) -> HoloPoly:
-    """A component from its JSON terms, each checked in one pass; ``mons`` holds
-    one Monomial per exponent tuple, shared by the components of a document."""
+def _poly_from_terms(n: int, terms) -> HoloPoly:
+    """A component from its JSON terms, each checked in one pass."""
     if not isinstance(terms, list):
         raise DocumentError("a component must be a list of terms")
     values = {}
@@ -159,13 +152,10 @@ def _poly_from_terms(n: int, terms, mons: Dict[Tuple[int, ...], Monomial]) -> Ho
             raise DocumentError("terms must be objects")
         _check_keys(term, ("exp", "re", "im"), "term")
         exp = term.get("exp")
-        # checked before the table is read: (1.0,) and (True,) are equal keys to (1,)
+        # checked before the monomial table is read: (1.0,) and (True,) are equal keys to (1,)
         if not _is_exponent_list(exp, n):
             raise DocumentError("term exp must be a list of n non-negative integers")
-        key = tuple(exp)
-        mon = mons.get(key)
-        if mon is None:
-            mon = mons[key] = Monomial._build(key)
+        mon = Monomial._build(tuple(exp))
         if mon in values:
             raise DocumentError(f"duplicate exponent {exp} in one component")
         real, imag = term.get("re", 0), term.get("im", 0)
@@ -190,7 +180,6 @@ def parse_map_document(doc) -> Union[HoloMap, ScaledMap]:
     if scaled and doc["scaled"] is not True:
         raise DocumentError("scaled must be true")
     pairs = []
-    mons = {}
     for comp in raw:
         if isinstance(comp, dict):
             _check_keys(comp, ("scale", "terms"), "component")
@@ -199,9 +188,9 @@ def parse_map_document(doc) -> Union[HoloMap, ScaledMap]:
                 raise DocumentError("component scale must be positive")
             if "scale" in comp:
                 scaled = True
-            pairs.append((weight, _poly_from_terms(n, comp.get("terms"), mons)))
+            pairs.append((weight, _poly_from_terms(n, comp.get("terms"))))
         else:
-            pairs.append((1, _poly_from_terms(n, comp, mons)))
+            pairs.append((1, _poly_from_terms(n, comp)))
     try:
         if scaled:
             return ScaledMap(n, tuple(pairs))
@@ -248,7 +237,7 @@ def _term_head(pad: str, mon: Monomial) -> str:
 
 
 def _json_ratio(num: int, den: int) -> str:
-    """``json.dumps(_rational_to_json(num, den))``."""
+    """num / den (den > 0) in lowest terms as JSON: an int, or a string like "-3/4"."""
     text = _ratio_text(num, den)
     return f'"{text}"' if "/" in text else text
 
@@ -278,10 +267,23 @@ def parse_form_document(doc) -> HermitianForm:
 
 
 def serialize_form_document(a: HermitianForm) -> dict:
-    gram = [[{"re": 0, "im": 0} for _ in a.basis] for _ in a.basis]
+    """Inverse of ``parse_form_document``: every gram entry as {"re", "im"}."""
+    return json.loads(serialize_form_json(a))
+
+
+def serialize_form_json(a: HermitianForm) -> str:
+    """The form document of a as JSON text, laid out as ``json.dumps(doc, indent=2)``
+    lays it out, plus a final newline; written from the integer numerators."""
+    if not a.basis:
+        return f'{{\n  "n": {a.n},\n  "basis": [],\n  "gram": []\n}}\n'
+    den = a.den
+    zero = '      {\n        "re": 0,\n        "im": 0\n      }'
+    rows = [[zero] * a.size for _ in a.basis]
     for (i, j), (re, im) in a.cells.items():
-        gram[i][j] = {"re": _rational_to_json(re, a.den), "im": _rational_to_json(im, a.den)}
-    return {"n": a.n, "basis": [list(mon.exponents) for mon in a.basis], "gram": gram}
+        rows[i][j] = f'      {{\n        "re": {_json_ratio(re, den)},\n        "im": {_json_ratio(im, den)}\n      }}'
+    basis = ",\n".join("    [\n      " + ",\n      ".join(map(str, mon.exponents)) + "\n    ]" for mon in a.basis)
+    gram = ",\n".join("    [\n" + ",\n".join(row) + "\n    ]" for row in rows)
+    return f'{{\n  "n": {a.n},\n  "basis": [\n{basis}\n  ],\n  "gram": [\n{gram}\n  ]\n}}\n'
 
 
 @dataclass(frozen=True)

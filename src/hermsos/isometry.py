@@ -100,8 +100,10 @@ class ModificationSpec:
 
 def one_plus_norm(f: MapLike) -> HermitianForm:
     """The Hermitian form 1 + ||f||^2: the norm form of f with the constant 1 as
-    one more component of weight 1, so the 1 needs no second pass over the form."""
-    return norm_form(ScaledMap(f.n, ((1, HoloPoly.constant(f.n, 1)), *f.weighted_components())))
+    one more component of weight 1, so the 1 needs no second pass over the form.
+    f is a checked map, so the constant and the scaled map are built unchecked."""
+    one = HoloPoly._build(f.n, 1, {Monomial._build((0,) * f.n): (1, 0)})
+    return norm_form(ScaledMap._build(f.n, ((Fraction(1), one), *f.weighted_components())))
 
 
 def one_plus_norm_z(n: int) -> HermitianForm:
@@ -226,7 +228,7 @@ def divide_by_norm(s: HermitianForm) -> Optional[HermitianForm]:
             gb = tuple(map(sub, ga, diff))
             cells[index.setdefault(ga, len(index)), index.setdefault(gb, len(index))] = cell
     # the divisor has unit coefficients, so the numerators stay over s.den
-    r = HermitianForm._build(n, [Monomial(exps) for exps in index], s.den, cells)
+    r = HermitianForm._build(n, [Monomial._build(exps) for exps in index], s.den, cells)
     # defensive recomposition: each block division is exact, this guards the assembly
     return r if norm_form(HoloMap.variables(n)) * r == s else None
 
@@ -271,7 +273,7 @@ def r_lambda(lam) -> HermitianForm:
     stays a squared norm exactly while lam <= 6.
     """
     diagonal = (1, 4, 6 - Fraction(lam), 4, 1)
-    return HermitianForm.from_entries(1, {(Monomial((k,)),) * 2: v for k, v in enumerate(diagonal)})
+    return HermitianForm.from_entries(1, {(Monomial._build((k,)),) * 2: v for k, v in enumerate(diagonal)})
 
 
 def extremal_lower(n: int, p: int) -> HoloMap:

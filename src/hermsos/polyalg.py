@@ -224,14 +224,27 @@ def _mul_cells(a, b):
     return out
 
 
+# The most monomials ``Monomial._build`` keeps; a full table is emptied at once.
+# A monomial with its key and table slot takes about 360 bytes in 3 variables
+# and 400 in 6 (tracemalloc, CPython 3.11), so a full table about 1.5 MB.
+MONOMIAL_TABLE_MAX = 4096
+
+_MONOMIALS: Dict[Tuple[int, ...], "Monomial"] = {}
+
+
 class Monomial:
     """An exponent vector; the number of variables is its length.
 
     Immutable: ``exponents``, ``degree``, the hash and the ``grlex_key`` are
     computed once, when it is built, so a monomial is a cheap dict key.  Two
     monomials are equal iff their exponents are.  ``Monomial(exponents)``
-    checks its input; ``Monomial._build`` does not, and takes only exponents
-    the package built itself or has already checked.
+    checks its input and builds a new object.  ``Monomial._build`` does not
+    check, takes only exponents the package built itself or has already
+    checked, and returns the one monomial a process-wide table holds for
+    them, so the package's own monomials are built once and a dict finds
+    them by identity before it calls ``__eq__``.  The table holds at most
+    ``MONOMIAL_TABLE_MAX`` monomials and is emptied when full; equality and
+    the hash stay by value, so a monomial from before that compares as any.
     """
 
     __slots__ = ("exponents", "degree", "_grlex", "_hash")
@@ -240,11 +253,21 @@ class Monomial:
         exps = tuple(exponents)
         if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exps):
             raise ValueError("exponents must be non-negative integers")
-        return cls._build(exps)
+        return cls._new(exps)
 
     @classmethod
     def _build(cls, exps: Tuple[int, ...]) -> "Monomial":
-        """A monomial from a tuple of non-negative ints, unvalidated."""
+        """The table's monomial for a tuple of non-negative ints, unvalidated."""
+        mon = _MONOMIALS.get(exps)
+        if mon is None:
+            if len(_MONOMIALS) >= MONOMIAL_TABLE_MAX:
+                _MONOMIALS.clear()
+            mon = _MONOMIALS[exps] = cls._new(exps)
+        return mon
+
+    @classmethod
+    def _new(cls, exps: Tuple[int, ...]) -> "Monomial":
+        """A new monomial from a tuple of non-negative ints, unvalidated."""
         mon = object.__new__(cls)
         degree = sum(exps)
         init = object.__setattr__
@@ -285,7 +308,7 @@ class Monomial:
     def mul(self, other: "Monomial") -> "Monomial":
         if self.n != other.n:
             raise ValueError("variable count mismatch")
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        return Monomial._build(tuple(map(add, self.exponents, other.exponents)))
 
     def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
         out = GR_ONE
@@ -381,7 +404,7 @@ class HoloPoly:
 
     @classmethod
     def constant(cls, n: int, value) -> "HoloPoly":
-        return cls(n, {Monomial((0,) * n): value})
+        return cls(n, {Monomial._build((0,) * n): value})
 
     @classmethod
     def variable(cls, n: int, i: int) -> "HoloPoly":
@@ -389,7 +412,7 @@ class HoloPoly:
             raise ValueError("variable index out of range")
         exps = [0] * n
         exps[i] = 1
-        return cls._build(n, 1, {Monomial(tuple(exps)): (1, 0)})
+        return cls._build(n, 1, {Monomial._build(tuple(exps)): (1, 0)})
 
     @classmethod
     def monomial(cls, n: int, exponents: Sequence[int], coeff=1) -> "HoloPoly":
@@ -417,12 +440,12 @@ class HoloPoly:
         return len({m.degree for m in self.cells}) <= 1
 
     def constant_term(self) -> GaussianRational:
-        cell = self.cells.get(Monomial((0,) * self.n))
+        cell = self.cells.get(Monomial._build((0,) * self.n))
         return GR_ZERO if cell is None else _gaussian(*cell, self.den)
 
     @property
     def vanishes_at_zero(self) -> bool:
-        return Monomial((0,) * self.n) not in self.cells
+        return Monomial._build((0,) * self.n) not in self.cells
 
     def sorted_cells(self) -> List[Tuple[Monomial, Tuple[int, int]]]:
         """The (monomial, numerators) pairs in grlex order."""
@@ -626,7 +649,7 @@ def substitute_powers(f: HoloMap, exponents: Sequence[int]) -> HoloMap:
     for comp in f.components:
         acc: Dict[Monomial, Tuple[int, int]] = {}
         for mon, (re, im) in comp.cells.items():
-            image = Monomial((sum(a * e for a, e in zip(exponents, mon.exponents)),))
+            image = Monomial._build((sum(a * e for a, e in zip(exponents, mon.exponents)),))
             x, y = acc.get(image, (0, 0))
             acc[image] = (x + re, y + im)
         comps.append(HoloPoly._build(1, comp.den, acc))
@@ -716,20 +739,24 @@ class HermitianForm:
 
         Zero cells and the rows left empty are dropped, the rows are sorted
         into grlex order, and the common content of den and the numerators
-        is divided out.
+        is divided out.  Rows that are in grlex order already keep their indices.
         """
         den, cells = _lowest_terms(den, cells)
-        rows = sorted({i for i, _ in cells}, key=lambda i: grlex_key(mons[i]))
-        new = [0] * len(mons)
-        for k, i in enumerate(rows):
-            new[i] = k
+        rows = sorted({i for i, _ in cells}, key=[mon._grlex for mon in mons].__getitem__)
         self.n = n
-        # from a list, not a generator: a tuple grown from a generator is resized,
-        # and once freed it waits in the free list of its final size (up to 2000
-        # per size) until a full garbage collection empties it
-        self.basis = tuple([mons[i] for i in rows])
         self.den = den
-        self.cells = {(new[i], new[j]): cell for (i, j), cell in cells.items()}
+        if rows == list(range(len(rows))):
+            self.basis = tuple(mons[: len(rows)])
+            self.cells = cells
+        else:
+            new = [0] * len(mons)
+            for k, i in enumerate(rows):
+                new[i] = k
+            # from a list, not a generator: a tuple grown from a generator is resized,
+            # and once freed it waits in the free list of its final size (up to 2000
+            # per size) until a full garbage collection empties it
+            self.basis = tuple([mons[i] for i in rows])
+            self.cells = {(new[i], new[j]): cell for (i, j), cell in cells.items()}
         self._index = {mon: k for k, mon in enumerate(self.basis)}
         self._gram = None
 
@@ -771,7 +798,7 @@ class HermitianForm:
 
     @classmethod
     def constant(cls, n: int, value=1) -> "HermitianForm":
-        const = Monomial((0,) * n)
+        const = Monomial._build((0,) * n)
         return cls.from_entries(n, {(const, const): value})
 
     # -- structure ---------------------------------------------------------
@@ -804,7 +831,7 @@ class HermitianForm:
         return GR_ZERO if cell is None else _gaussian(*cell, self.den)
 
     def constant_coefficient(self) -> GaussianRational:
-        const = Monomial((0,) * self.n)
+        const = Monomial._build((0,) * self.n)
         return self.coefficient(const, const)
 
     def degrees(self) -> set:

@@ -43,6 +43,7 @@ from .polyalg import (
     HermitianForm,
     HoloMap,
     HoloPoly,
+    Monomial,
     _outer_sum,
     norm_form,
 )
@@ -251,6 +252,15 @@ class ScaledMap:
                 raise ValueError("component has wrong variable count")
         object.__setattr__(self, "components", comps)
 
+    @classmethod
+    def _build(cls, n: int, components: Tuple[Tuple[Fraction, HoloPoly], ...]) -> "ScaledMap":
+        """A scaled map from a tuple of (positive Fraction, n-variable HoloPoly)
+        pairs, unvalidated."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "n", n)
+        object.__setattr__(h, "components", components)
+        return h
+
     def __len__(self) -> int:
         return len(self.components)
 
@@ -278,6 +288,12 @@ def extract_sos(form: HermitianForm) -> ScaledMap:
     row is not yet eliminated, certifies indefiniteness and raises
     ``NotSOSError`` with a witness vector; for a PSD matrix neither can
     occur, so the basis-order factorization never has to move a pivot.
+
+    The kernel yields d = pivot / scale with scale = p_prev * den, p_prev the
+    block's previous nonzero pivot (or 1) and den > 0.  Every earlier nonzero
+    pivot is positive when a pivot is read, or the loop would have raised, so
+    scale > 0 and the sign of the integer pivot is the sign of d: the test
+    needs no Fraction, and one is built only for a weight.
     """
     comps: List[Tuple[Fraction, HoloPoly]] = []
     steps = []  # (index, pivot, column) of each nonzero pivot so far
@@ -289,10 +305,9 @@ def extract_sos(form: HermitianForm) -> ScaledMap:
                     _zero_pivot_witness(form, steps, k, scale, column[0]),
                 )
             continue
-        d = Fraction(pivot, scale)
-        if d < 0:
+        if pivot < 0:
             raise NotSOSError(
-                f"negative pivot {d} at {form.basis[k]}: not a sum of squares",
+                f"negative pivot {Fraction(pivot, scale)} at {form.basis[k]}: not a sum of squares",
                 _lift(form.size, steps, {k: GR_ONE}),
             )
         steps.append((k, pivot, column))
@@ -300,8 +315,8 @@ def extract_sos(form: HermitianForm) -> ScaledMap:
         cells = {form.basis[k]: (pivot, 0)}
         for i, a_re, a_im in column:
             cells[form.basis[i]] = (a_re, a_im)
-        comps.append((d, HoloPoly._build(form.n, pivot, cells)))
-    return ScaledMap(form.n, tuple(comps))
+        comps.append((Fraction(pivot, scale), HoloPoly._build(form.n, pivot, cells)))
+    return ScaledMap._build(form.n, tuple(comps))
 
 
 def _lift(size: int, steps, u: Dict[int, GaussianRational]) -> Tuple[GaussianRational, ...]:
@@ -394,12 +409,17 @@ def affine_split(form: HermitianForm) -> Optional[ScaledMap]:
     iff the form is a sum of squares whose first square (the constant
     monomial comes first in grlex order) is 1 with weight 1, a 1x1 block of
     its own.  One extraction decides it, and the remaining squares are h,
-    rank-many components, the least possible count.
+    rank-many components, the least possible count.  The first square is
+    read on its fields, weight 1 and the polynomial 1 over den 1, and h is
+    the rest of the extraction, passed on unchecked.
     """
     try:
         comps = extract_sos(form).components
     except NotSOSError:
         return None
-    if comps[:1] != ((1, HoloPoly.constant(form.n, 1)),):
+    if not comps:
         return None
-    return ScaledMap(form.n, comps[1:])
+    weight, first = comps[0]
+    if weight != 1 or first.den != 1 or first.cells != {Monomial._build((0,) * form.n): (1, 0)}:
+        return None
+    return ScaledMap._build(form.n, comps[1:])

@@ -466,3 +466,14 @@ def reference_format_poly(terms: Dict[Monomial, GaussianRational]) -> str:
     return parts[0] + "".join(
         " - " + part[1:] if part.startswith("-") else " + " + part for part in parts[1:]
     )
+
+
+def reference_serialize_form_document(form: HermitianForm) -> dict:
+    """The form document as a dict, every gram entry {"re", "im"} from ``form.gram``:
+    an int, or the text of a Fraction that is not one."""
+
+    def literal(q: Fraction):
+        return q.numerator if q.denominator == 1 else str(q)
+
+    gram = [[{"re": literal(v.re), "im": literal(v.im)} for v in row] for row in form.gram]
+    return {"n": form.n, "basis": [list(mon.exponents) for mon in form.basis], "gram": gram}

@@ -133,6 +133,19 @@ def test_tensor_rank_formats(pair_map, capsys):
     assert capsys.readouterr().out == "rank,lower,upper,satisfied\n5,4,5,true\n"
 
 
+def test_a_map_with_no_components_gets_no_bound_report(tmp_path, capsys):
+    # rank takes it (rank 0, minimal); thm2.4 and prop2.5 bound maps of p >= 1 components only
+    empty = write_json(tmp_path / "empty.json", {"n": 1, "components": []})
+    assert main(["rank", "--input", empty]) == 0
+    assert capsys.readouterr() == ("rank: 0\npositive: 0\nnegative: 0\nsos: true\nminimal: true\n", "")
+    assert main(["solve-h", "--input", empty]) == 0
+    assert capsys.readouterr() == ("m: 1\ncomponent 0: scale 1, poly z0\n", "")
+    assert main(["tensor-rank", "--input", empty, "--t", "2"]) == 0
+    assert capsys.readouterr() == ("rank: 0\n", "")
+    assert main(["tensor-rank", "--input", empty, "--t", "2", "--format", "csv"]) == 0
+    assert capsys.readouterr() == ("rank,lower,upper,satisfied\n0,,,\n", "")
+
+
 def test_tensor_rank_at_the_ceiling(tmp_path, capsys):
     # 15 independent linear forms z_i + z_{i+1} + 2 z_{i+2} (indices mod 15):
     # at t = 2 all 135 products are independent

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import mono, norm_value, rand_plain_map, rand_point, rand_poly, rand_scalar
+from conftest import mono, norm_value, rand_plain_map, rand_point, rand_poly, rand_scalar, reference_form_mul
 from hermsos import (
     GR_I,
     GR_ONE,
@@ -25,6 +25,7 @@ from hermsos import (
     substitute_powers,
     tensor,
 )
+from hermsos import polyalg
 
 
 def test_scalar_rejects_floats():
@@ -107,6 +108,45 @@ def test_monomial_build_is_the_checked_constructor_without_the_check(exps):
     assert built == checked and hash(built) == hash(checked)
     assert built.degree == checked.degree and grlex_key(built) == grlex_key(checked)
     assert built.exponents == checked.exponents and str(built) == str(checked)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=6))
+def test_monomial_build_returns_the_tables_monomial(exps):
+    # tuple() of a list makes a new tuple each time: two equal keys, one monomial
+    assert Monomial._build(tuple(exps)) is Monomial._build(tuple(exps))
+
+
+def test_built_and_fresh_monomials_mix_by_value():
+    built, fresh = Monomial._build((2, 0, 1)), Monomial((2, 0, 1))
+    assert built is not fresh and built == fresh and hash(built) == hash(fresh)
+    assert len({built: 1, fresh: 2}) == 1 and len({built, fresh}) == 1
+    assert {fresh: "x"}[built] == "x" and {built: "y"}[fresh] == "y"
+    assert HoloPoly(3, {fresh: 1}) == HoloPoly(3, {built: 1})
+    assert HoloPoly(3, {fresh: 1}).cells == {built: (1, 0)}
+
+
+def test_monomial_table_is_bounded_and_emptied_whole(monkeypatch):
+    cap = 5
+    monkeypatch.setattr(polyalg, "MONOMIAL_TABLE_MAX", cap)
+    monkeypatch.setattr(polyalg, "_MONOMIALS", {})
+    before = [Monomial._build((k, 0)) for k in range(cap)]
+    assert len(polyalg._MONOMIALS) == cap
+    Monomial._build((cap, 0))  # the table is full: emptied, then it holds this one
+    assert len(polyalg._MONOMIALS) == 1
+    after = []
+    for k in range(cap):
+        after.append(Monomial._build((k, 0)))
+        assert len(polyalg._MONOMIALS) <= cap
+    for old, new in zip(before, after):
+        assert old is not new and old == new and hash(old) == hash(new)
+        assert {old: 1}[new] == 1 and grlex_key(old) == grlex_key(new)
+    rng = random.Random(17)
+    for _ in range(200):
+        Monomial._build((rng.randint(0, 30), rng.randint(0, 30)))
+        assert len(polyalg._MONOMIALS) <= cap
+    # a product whose monomials outnumber the table many times over is still right
+    form = norm_form(HoloMap(2, [HoloPoly(2, {mono(i, j): i - j + 1 for i in range(3) for j in range(3)})]))
+    assert form * form == reference_form_mul(form, form)
 
 
 @pytest.mark.parametrize("name", ["exponents", "degree", "_grlex", "_hash", "other"])

@@ -36,6 +36,7 @@ from hermsos import (
     r_lambda,
     reduce_minimal,
 )
+from hermsos import rankdecomp
 from hermsos.rankdecomp import _ldlh
 
 
@@ -295,6 +296,23 @@ def test_affine_split_cases():
     assert affine_split(diag_form([1, 4, -1, 4, 1])) is None
     # the constant alone is 1 + ||h||^2 for the empty map
     assert len(affine_split(HermitianForm.constant(2, 1))) == 0
+
+
+def test_affine_split_reads_the_first_square_on_its_fields(monkeypatch):
+    one, z = mono(0), mono(1)
+    # the first square is 1 with weight 2: 2 + |z|^2
+    assert affine_split(diag_form([2, 1])) is None
+    # one more cell: |1 + z|^2 + |z|^2
+    assert affine_split(HermitianForm(1, [one, z], [[1, 1], [1, 2]])) is None
+    # den 2: the polynomial 1/2 with weight 1, which no extraction yields, so it is planted
+    half = ScaledMap(1, ((Fraction(1), HoloPoly(1, {one: Fraction(1, 2)})), (Fraction(1), HoloPoly(1, {z: 1}))))
+    assert half.components[0][1].den == 2 and half.components[0][1].cells == {one: (1, 0)}
+    monkeypatch.setattr(rankdecomp, "extract_sos", lambda form: half)
+    assert affine_split(diag_form([1, 1])) is None
+    # the same square over den 1 splits
+    whole = ScaledMap(1, ((Fraction(1), HoloPoly(1, {one: 1})), (Fraction(1), HoloPoly(1, {z: 1}))))
+    monkeypatch.setattr(rankdecomp, "extract_sos", lambda form: whole)
+    assert affine_split(diag_form([1, 1])).components == whole.components[1:]
 
 
 def test_scaled_map_validation():

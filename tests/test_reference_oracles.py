@@ -24,6 +24,7 @@ from conftest import (
     reference_inertia,
     reference_norm_form,
     reference_reduce_minimal,
+    reference_serialize_form_document,
     reference_tensor_power_rank,
 )
 from hermsos import (
@@ -51,6 +52,7 @@ from hermsos import (
     serialize_map_document,
     tensor_power_rank,
 )
+from hermsos.documents import serialize_form_json
 from hermsos.rankdecomp import _ldlh
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -151,6 +153,18 @@ def test_extract_sos_matches_reference_and_recomposes_psd(f):
     assert list(s.weighted_components()) == reference_extract_sos(gram)
     assert norm_form(s) == gram
     assert len(s) == reference_inertia(gram).pos
+
+
+@PROPERTY
+@given(scaled_maps())
+def test_extract_sos_and_affine_split_give_what_the_checked_constructor_gives(f):
+    # both pass their ScaledMap on unchecked; the checked constructor is the reference
+    s = extract_sos(reference_norm_form(f))
+    h = affine_split(one_plus_norm(f))
+    for g in (s, h) if h is not None else (s,):
+        assert all(type(w) is Fraction and w > 0 for w, _ in g.components)
+        assert ScaledMap(g.n, g.components) == g
+        assert all(poly.n == g.n for _, poly in g.components)
 
 
 def quadratic_value(form, v):
@@ -482,6 +496,22 @@ def test_empty_weighted_map_round_trips():
 @given(hermitian_forms())
 def test_form_documents_round_trip(form):
     assert parse_form_document(json_round_trip(serialize_form_document(form))) == form
+
+
+@PROPERTY
+@given(hermitian_forms())
+def test_form_json_is_json_dumps_of_the_reference(form):
+    # complex entries, denominators, 1x1 forms and the zero form, whose basis is empty
+    reference = reference_serialize_form_document(form)
+    assert serialize_form_json(form) == json.dumps(reference, indent=2) + "\n"
+    assert serialize_form_document(form) == reference
+
+
+def test_form_json_of_an_empty_quotient():
+    quotient = divide_by_norm(HermitianForm.zero(3))
+    reference = reference_serialize_form_document(quotient)
+    assert reference == {"n": 3, "basis": [], "gram": []}
+    assert serialize_form_json(quotient) == json.dumps(reference, indent=2) + "\n"
 
 
 @st.composite
