@@ -26,11 +26,19 @@ numerators its literals parse to; the parser re-validates everything the
 constructors validate and converts failures to ``DocumentError`` so
 callers can treat malformed input uniformly.
 
-A term is checked in one pass: its keys, every exponent (an int, not a
-bool, and not negative) before the process-wide table of monomials is read,
-then its rationals.  Checked values are built with the unvalidated
-``_build`` constructors, which the package keeps for values it built
-itself or has already checked.
+A term is read in one pass, and its checks run in this order: its keys,
+its exponents (each an int, not a bool or a float, and not negative), that
+no earlier term of the component has the same exponents, then "re", then
+"im".  An int literal is read without a call.  A component's monomials are
+taken from the process-wide table only after every term has passed, once
+each, and its numerators are put over the lcm of the denominators other
+than 1.  Checked values are built with the unvalidated ``_build``
+constructors, which the package keeps for values it built itself or has
+already checked.
+
+The map writer reads each polynomial's ``term_texts``, the rendering of its
+coefficients that ``str`` also reads, so a map printed and then written
+renders each coefficient once.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Tuple, Union
 
 from .polyalg import (
@@ -47,7 +56,6 @@ from .polyalg import (
     HoloMap,
     HoloPoly,
     Monomial,
-    _common_den,
     _dense_cells,
     _ratio_text,
     monomials_up_to_degree,
@@ -126,11 +134,6 @@ def _is_int_at_least(value, least: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
 
 
-def _is_exponent_list(exp, n: int) -> bool:
-    """Whether exp is a JSON exponent list: a list of n ints (not bools) >= 0."""
-    return isinstance(exp, list) and len(exp) == n and all(type(e) is int and e >= 0 for e in exp)
-
-
 def _scalar_from_json(obj) -> Tuple[int, int, int, int]:
     """A gram entry as (a, b, c, d) for a/b + (c/d)*i, as ``polyalg._scalar`` gives it.
 
@@ -142,27 +145,48 @@ def _scalar_from_json(obj) -> Tuple[int, int, int, int]:
     return (*_rational_from_json(obj.get("re", 0)), *_rational_from_json(obj.get("im", 0)))
 
 
+_TERM_KEYS = frozenset(("exp", "re", "im"))
+
+
 def _poly_from_terms(n: int, terms) -> HoloPoly:
-    """A component from its JSON terms, each checked in one pass."""
+    """A component from its JSON terms, each checked in one pass: its keys, its
+    exponents, that they are new to the component, then "re" and "im"."""
     if not isinstance(terms, list):
         raise DocumentError("a component must be a list of terms")
-    values = {}
+    ints = (int,) * n
+    values = {}  # (a, b, c, d) for a/b + (c/d)*i, keyed by exponent tuple
+    dens = set()  # the denominators other than 1
     for term in terms:
         if not isinstance(term, dict):
             raise DocumentError("terms must be objects")
-        _check_keys(term, ("exp", "re", "im"), "term")
+        if not term.keys() <= _TERM_KEYS:
+            _check_keys(term, _TERM_KEYS, "term")
         exp = term.get("exp")
-        # checked before the monomial table is read: (1.0,) and (True,) are equal keys to (1,)
-        if not _is_exponent_list(exp, n):
+        # by type, not value: 1.0 and True would pass as exponents, and (1.0,) and
+        # (True,) are keys equal to (1,); n >= 1, so min has an argument
+        if not (isinstance(exp, list) and len(exp) == n and tuple(map(type, exp)) == ints and min(exp) >= 0):
             raise DocumentError("term exp must be a list of n non-negative integers")
-        mon = Monomial._build(tuple(exp))
-        if mon in values:
+        exps = tuple(exp)
+        if exps in values:
             raise DocumentError(f"duplicate exponent {exp} in one component")
         real, imag = term.get("re", 0), term.get("im", 0)
-        real = (real, 1) if type(real) is int else _rational_from_json(real)
-        imag = (imag, 1) if type(imag) is int else _rational_from_json(imag)
-        values[mon] = (*real, *imag)
-    return HoloPoly._build(n, *_common_den(values))
+        if type(real) is int:
+            real = (real, 1)
+        else:
+            real = _rational_from_json(real)
+            if real[1] != 1:
+                dens.add(real[1])
+        if type(imag) is int:
+            imag = (imag, 1)
+        else:
+            imag = _rational_from_json(imag)
+            if imag[1] != 1:
+                dens.add(imag[1])
+        values[exps] = (*real, *imag)
+    q = lcm(*dens)
+    build = Monomial._build
+    cells = {build(exps): (a * (q // b), c * (q // d)) for exps, (a, b, c, d) in values.items()}
+    return HoloPoly._build(n, q, cells)
 
 
 def parse_map_document(doc) -> Union[HoloMap, ScaledMap]:
@@ -213,13 +237,16 @@ def serialize_map_json(f) -> str:
     heads = {}  # each monomial's term text up to its "re" value, rendered once
     blocks = []
     for weight, poly in f.weighted_components():
-        den = poly.den
         terms = []
-        for mon, (re, im) in poly.sorted_cells():
+        for mon, re, im in poly.term_texts():
             head = heads.get(mon)
             if head is None:
                 head = heads[mon] = _term_head(pad, mon)
-            terms.append(f"{head}{_json_ratio(re, den)}{tail}{_json_ratio(im, den)}\n{pad[2:]}}}")
+            if "/" in re:
+                re = f'"{re}"'
+            if "/" in im:
+                im = f'"{im}"'
+            terms.append(f"{head}{re}{tail}{im}\n{pad[2:]}}}")
         terms = "[\n" + ",\n".join(terms) + f"\n{pad[4:]}]" if terms else "[]"
         if not plain:
             scale = _json_ratio(weight.numerator, weight.denominator)
@@ -252,7 +279,11 @@ def parse_form_document(doc) -> HermitianForm:
     raw_basis = doc.get("basis")
     if not isinstance(raw_basis, list):
         raise DocumentError("basis must be a list of exponent lists")
-    if not all(_is_exponent_list(exp, n) for exp in raw_basis):
+    ints = (int,) * n  # the exponent check of _poly_from_terms
+    if not all(
+        isinstance(exp, list) and len(exp) == n and tuple(map(type, exp)) == ints and min(exp) >= 0
+        for exp in raw_basis
+    ):
         raise DocumentError("basis entries must be lists of n non-negative integers")
     basis = [Monomial._build(tuple(exp)) for exp in raw_basis]
     raw_gram = doc.get("gram")

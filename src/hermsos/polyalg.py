@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, neg
+from operator import add, attrgetter, neg
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
@@ -333,6 +333,17 @@ def grlex_key(mon: Monomial):
     return mon._grlex
 
 
+# The same key read at C level, with no Python call per monomial.
+_grlex = attrgetter("_grlex")
+
+
+def _cell_grlex(item) -> tuple:
+    """The grlex key of a (monomial, value) pair.  Sorting pairs by it compares
+    keys only; sorting (key, monomial, value) tuples, with no call per pair,
+    compares each key twice over (equal?, then less?) and ran slower."""
+    return item[0]._grlex
+
+
 def monomials_of_degree(n: int, d: int) -> List[Monomial]:
     """All monomials in n variables of total degree exactly d, grlex-ordered."""
     if n < 1:
@@ -359,6 +370,12 @@ def monomials_up_to_degree(n: int, d: int) -> List[Monomial]:
     return out
 
 
+def _check_variable_count(n, what: str = "form") -> None:
+    """Refuse a variable count that is not an int >= 1; a bool is refused too."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"a {what} needs a positive variable count")
+
+
 class HoloPoly:
     """A sparse holomorphic polynomial with Gaussian-rational coefficients.
 
@@ -367,14 +384,15 @@ class HoloPoly:
     positive denominator ``den``, and gcd(den, every numerator) = 1, so
     ``==`` is both structural and mathematical equality.  ``terms`` is a
     read-only Monomial -> GaussianRational view built on each access.
-    Instances are immutable by convention.
+    Instances are immutable by convention, so the text of the coefficients,
+    which ``str`` and the JSON writer share, is rendered once, on first use
+    (``term_texts``), and kept with the polynomial; it takes no part in ``==``.
     """
 
-    __slots__ = ("n", "den", "cells")
+    __slots__ = ("n", "den", "cells", "_texts")
 
     def __init__(self, n: int, terms: Mapping[Monomial, object] | None = None):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("a polynomial needs a positive variable count")
+        _check_variable_count(n, "polynomial")
         values = {}
         for mon, coeff in (terms or {}).items():
             if not isinstance(mon, Monomial):
@@ -387,6 +405,7 @@ class HoloPoly:
             values[mon] = value
         self.n = n
         self.den, self.cells = _lowest_terms(*_common_den(values))
+        self._texts = None
 
     @classmethod
     def _build(cls, n: int, den: int, cells) -> "HoloPoly":
@@ -394,6 +413,7 @@ class HoloPoly:
         poly = object.__new__(cls)
         poly.n = n
         poly.den, poly.cells = _lowest_terms(den, cells)
+        poly._texts = None
         return poly
 
     # -- constructors -----------------------------------------------------
@@ -408,6 +428,7 @@ class HoloPoly:
 
     @classmethod
     def variable(cls, n: int, i: int) -> "HoloPoly":
+        _check_variable_count(n, "polynomial")
         if not 0 <= i < n:
             raise ValueError("variable index out of range")
         exps = [0] * n
@@ -449,7 +470,20 @@ class HoloPoly:
 
     def sorted_cells(self) -> List[Tuple[Monomial, Tuple[int, int]]]:
         """The (monomial, numerators) pairs in grlex order."""
-        return sorted(self.cells.items(), key=lambda kv: grlex_key(kv[0]))
+        return sorted(self.cells.items(), key=_cell_grlex)
+
+    def term_texts(self) -> List[Tuple[Monomial, str, str]]:
+        """(monomial, real part, imaginary part) in grlex order, each part in
+        lowest terms as ``str(Fraction)`` writes it.  Rendered on the first
+        call and kept, so printing and writing a polynomial render it once;
+        the list is shared, not copied, and must not be changed."""
+        texts = self._texts
+        if texts is None:
+            den = self.den
+            texts = self._texts = []
+            for mon, (re, im) in sorted(self.cells.items(), key=_cell_grlex):
+                texts.append((mon, _ratio_text(re, den), _ratio_text(im, den)))
+        return texts
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -529,31 +563,33 @@ class HoloPoly:
         so a caller printing many polynomials renders each monomial once."""
         if not self.cells:
             return "0"
-        den = self.den
+        # each term as a sign and its text without it; the first sign is dropped below
         parts = []
-        for mon, (re, im) in self.sorted_cells():
-            coeff = _complex_text(_ratio_text(re, den), _ratio_text(im, den))
-            if mon.is_constant:
-                parts.append(coeff)
-                continue
-            name = names.get(mon)
-            if name is None:
-                name = names[mon] = str(mon)
-            if coeff == "1":
-                parts.append(name)
-            elif coeff == "-1":
-                parts.append(f"-{name}")
-            elif re and im:
-                parts.append(f"({coeff})*{name}")
+        for mon, re, im in self.term_texts():
+            if im == "0":
+                coeff = re
+            elif re == "0":
+                coeff = im + "i"
+            elif im[0] == "-":
+                coeff = f"({re}{im}i)" if mon.degree else f"{re}{im}i"
             else:
-                parts.append(f"{coeff}*{name}")
-        text = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                text += " - " + part[1:]
+                coeff = f"({re}+{im}i)" if mon.degree else f"{re}+{im}i"
+            if mon.degree:
+                name = names.get(mon)
+                if name is None:
+                    name = names[mon] = str(mon)
+                if coeff == "1":
+                    coeff = name
+                elif coeff == "-1":
+                    coeff = "-" + name
+                else:
+                    coeff = f"{coeff}*{name}"
+            if coeff[0] == "-":
+                parts += (" - ", coeff[1:])
             else:
-                text += " + " + part
-        return text
+                parts += (" + ", coeff)
+        parts[0] = "-" if parts[0] == " - " else ""
+        return "".join(parts)
 
     def __repr__(self) -> str:
         return f"HoloPoly({self.n}, {self})"
@@ -569,8 +605,7 @@ class HoloMap:
     __slots__ = ("n", "components")
 
     def __init__(self, n: int, components: Sequence[HoloPoly]):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("a map needs a positive variable count")
+        _check_variable_count(n, "map")
         comps = tuple(components)
         for comp in comps:
             if not isinstance(comp, HoloPoly):
@@ -659,11 +694,6 @@ def substitute_powers(f: HoloMap, exponents: Sequence[int]) -> HoloMap:
 # ---------------------------------------------------------------------------
 # Hermitian forms
 # ---------------------------------------------------------------------------
-
-
-def _check_variable_count(n) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("a form needs a positive variable count")
 
 
 def _check_monomial(mon, n: int) -> None:
@@ -980,7 +1010,7 @@ def norm_form(f) -> HermitianForm:
     vectors c_k, hence positive semidefinite by construction.
     """
     pairs = list(f.weighted_components())
-    support = sorted({mon for _, poly in pairs for mon in poly.cells}, key=grlex_key)
+    support = sorted({mon for _, poly in pairs for mon in poly.cells}, key=_grlex)
     index = {mon: i for i, mon in enumerate(support)}
     # Each component is a Gaussian-integer vector v_k over its denominator
     # q_k, so w_k c_k c_k^H = w_k v_k v_k^H / q_k^2; the sum is accumulated

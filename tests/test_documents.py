@@ -100,6 +100,14 @@ def test_map_document_rejections():
     ({"n": 1, "components": [[{"re": 1}]]}, "term exp must be a list of n non-negative integers"),
     ({"n": 1, "components": [[[1]]]}, "terms must be objects"),
     ({"n": 1, "components": ["z0"]}, "a component must be a list of terms"),
+    # a bad exponent after a good one
+    ({"n": 2, "components": [[{"exp": [1, True], "re": 1}]]}, "term exp must be a list of n non-negative integers"),
+    ({"n": 2, "components": [[{"exp": [0, 1.0], "re": 1}]]}, "term exp must be a list of n non-negative integers"),
+    ({"n": 2, "components": [[{"exp": [2, -1], "re": 1}]]}, "term exp must be a list of n non-negative integers"),
+    ({"n": 2, "basis": [[0, 0], [1, True]], "gram": [[1, 0], [0, 1]]}, "basis entries must be lists of n non-negative integers"),
+    # the keys are checked before the exponents, and a repeated exponent before the literals
+    ({"n": 1, "components": [[{"exp": [1.0], "re": 1, "x": 0}]]}, "unknown term keys ['x']"),
+    ({"n": 1, "components": [[{"exp": [1], "re": 1}, {"exp": [1], "re": "x"}]]}, "duplicate exponent [1] in one component"),
 ])
 def test_rejection_messages(doc, message):
     parse = parse_form_document if "basis" in doc else parse_map_document

@@ -10,7 +10,9 @@ the serialization and the JSON writer all meet an independent answer.
 Examples are derandomized, so every run checks the same inputs.
 """
 
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -33,6 +35,7 @@ from hermsos import (
     norm_form,
     parse_form_document,
     parse_map_document,
+    reduce_minimal,
     serialize_map_document,
     solve_h,
 )
@@ -149,6 +152,39 @@ def test_map_json_writer_matches_json_dumps(doc):
 )
 def test_map_json_writer_on_fixed_maps(f):
     assert serialize_map_json(f) == json.dumps(serialize_map_document(f), indent=2) + "\n"
+
+
+def text_then_json(f):
+    return [str(poly) for _, poly in f.weighted_components()], serialize_map_json(f)
+
+
+def json_then_text(f):
+    written = serialize_map_json(f)
+    return [str(poly) for _, poly in f.weighted_components()], written
+
+
+@PROPERTY
+@given(map_documents())
+def test_text_and_json_read_one_rendering_in_either_order(doc):
+    """Each polynomial renders its coefficients once, for str and the JSON writer
+    alike: either order gives the same bytes, and so do copies of a rendered map."""
+    f = parse_map_document(doc)
+    # f without its constant terms and its dependent components, so solve_h takes it
+    comps = [poly - HoloPoly.constant(f.n, poly.constant_term()) for _, poly in f.weighted_components()]
+    h = solve_h(reduce_minimal(HoloMap(f.n, comps))[0], 1, 1)
+    # a fresh, unrendered map on each call
+    for make in (lambda: parse_map_document(doc), lambda: copy.deepcopy(h)):
+        want = text_then_json(make())
+        assert json_then_text(make()) == want
+        rendered = make()
+        assert text_then_json(rendered) == want
+        for _, poly in rendered.weighted_components():
+            assert poly.term_texts() is poly.term_texts()
+        for copied in (copy.deepcopy(rendered), pickle.loads(pickle.dumps(rendered))):
+            assert copied == rendered
+            assert text_then_json(copied) == want
+        # a rendered polynomial equals an unrendered one of the same value
+        assert make() == rendered
 
 
 @st.composite

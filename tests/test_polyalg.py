@@ -22,6 +22,7 @@ from hermsos import (
     monomials_of_degree,
     monomials_up_to_degree,
     norm_form,
+    one_plus_norm_z,
     substitute_powers,
     tensor,
 )
@@ -217,6 +218,22 @@ def test_poly_arithmetic_matches_evaluation():
         assert (a * scalar).evaluate(pt) == (scalar * a).evaluate(pt) == a.evaluate(pt) * scalar
         assert (a * b) == (b * a)
         assert ((a * b) * a) == (a * (b * a))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: HoloPoly(True, {}), "a polynomial needs a positive variable count"),
+    (lambda: HoloPoly.variable(True, 0), "a polynomial needs a positive variable count"),
+    (lambda: HoloPoly.constant(True, 1), "a polynomial needs a positive variable count"),
+    (lambda: HoloMap(True, []), "a map needs a positive variable count"),
+    (lambda: HoloMap.variables(True), "a polynomial needs a positive variable count"),
+    (lambda: HermitianForm(True, [], []), "a form needs a positive variable count"),
+    (lambda: HermitianForm.zero(True), "a form needs a positive variable count"),
+    (lambda: one_plus_norm_z(True), "a form needs a positive variable count"),
+], ids=["poly", "poly-variable", "poly-constant", "map", "map-variables", "form", "form-zero", "one-plus-norm-z"])
+def test_a_bool_is_not_a_variable_count(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
 
 
 def test_poly_is_homogeneous():
