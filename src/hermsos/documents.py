@@ -21,10 +21,15 @@ Form documents::
 
     {"n": 1, "basis": [[0], [1]], "gram": [[{"re": 1, "im": 0}, ...], ...]}
 
-The gram matrix must be Hermitian, which is checked on the integer
-numerators its literals parse to; the parser re-validates everything the
-constructors validate and converts failures to ``DocumentError`` so
-callers can treat malformed input uniformly.
+A gram cell is a rational, read as its real part, or an object with "re"
+and "im".  The gram is read in one pass, as a component's terms are: each
+cell's keys, then "re", then "im", an int literal without a call.  Then come,
+in this order, the checks that the basis monomials are distinct, that the
+gram is square over the basis, and that it is Hermitian, made on its integer
+numerators over the lcm of the denominators other than 1 (no lcm is taken
+when every literal is an int).  Every failure, here and of what the
+constructors would check, is a ``DocumentError``, so callers can treat
+malformed input uniformly.
 
 A term is read in one pass, and its checks run in this order: its keys,
 its exponents (each an int, not a bool or a float, and not negative), that
@@ -56,7 +61,7 @@ from .polyalg import (
     HoloMap,
     HoloPoly,
     Monomial,
-    _dense_cells,
+    _check_hermitian,
     _ratio_text,
     monomials_up_to_degree,
 )
@@ -132,17 +137,6 @@ def _check_keys(obj: dict, allowed, what: str) -> None:
 def _is_int_at_least(value, least: int) -> bool:
     """Whether value is an int, not a bool (a JSON true or false), and at least least."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
-def _scalar_from_json(obj) -> Tuple[int, int, int, int]:
-    """A gram entry as (a, b, c, d) for a/b + (c/d)*i, as ``polyalg._scalar`` gives it.
-
-    Bare rationals are taken as real entries; objects carry both parts.
-    """
-    if not isinstance(obj, dict):
-        return (*_rational_from_json(obj), 0, 1)
-    _check_keys(obj, ("re", "im"), "scalar")
-    return (*_rational_from_json(obj.get("re", 0)), *_rational_from_json(obj.get("im", 0)))
 
 
 _TERM_KEYS = frozenset(("exp", "re", "im"))
@@ -269,7 +263,11 @@ def _json_ratio(num: int, den: int) -> str:
     return f'"{text}"' if "/" in text else text
 
 
+_SCALAR_KEYS = frozenset(("re", "im"))
+
+
 def parse_form_document(doc) -> HermitianForm:
+    """Parse a form document; its gram is read in one pass over the cells."""
     if not isinstance(doc, dict):
         raise DocumentError("form document must be an object")
     _check_keys(doc, ("n", "basis", "gram"), "document")
@@ -289,12 +287,43 @@ def parse_form_document(doc) -> HermitianForm:
     raw_gram = doc.get("gram")
     if not isinstance(raw_gram, list) or any(not isinstance(r, list) for r in raw_gram):
         raise DocumentError("gram must be a list of rows")
+    values = {}  # (a, b, c, d) for a/b + (c/d)*i of each nonzero cell, keyed by (i, j)
+    dens = set()  # the denominators other than 1
     # every literal is read first, so a bad literal is reported before a bad shape
-    gram = [[_scalar_from_json(cell) for cell in row] for row in raw_gram]
+    for i, row in enumerate(raw_gram):
+        for j, cell in enumerate(row):
+            if isinstance(cell, dict):
+                if not cell.keys() <= _SCALAR_KEYS:
+                    _check_keys(cell, _SCALAR_KEYS, "scalar")
+                real, imag = cell.get("re", 0), cell.get("im", 0)
+            else:
+                real, imag = cell, 0  # a bare value is the real part
+            if type(real) is int:
+                a, b = real, 1
+            else:
+                a, b = _rational_from_json(real)
+                if b != 1:
+                    dens.add(b)
+            if type(imag) is int:
+                c, d = imag, 1
+            else:
+                c, d = _rational_from_json(imag)
+                if d != 1:
+                    dens.add(d)
+            if a or c:
+                values[i, j] = (a, b, c, d)
+    size = len(basis)
+    if len(set(basis)) != size:
+        raise DocumentError("basis monomials must be distinct")
+    if len(raw_gram) != size or any(len(row) != size for row in raw_gram):
+        raise DocumentError("gram matrix shape does not match the basis")
+    q = lcm(*dens) if dens else 1
+    cells = {key: (a * (q // b), c * (q // d)) for key, (a, b, c, d) in values.items()}
     try:
-        return HermitianForm._build(n, *_dense_cells(n, basis, gram, lambda parts: parts))
+        _check_hermitian(cells)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
+    return HermitianForm._build(n, basis, q, cells)
 
 
 def serialize_form_document(a: HermitianForm) -> dict:

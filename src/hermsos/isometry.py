@@ -110,9 +110,15 @@ def one_plus_norm_z(n: int) -> HermitianForm:
     """The Hermitian form 1 + ||z||^2 = 1 + sum |z_i|^2: the unit diagonal over
     the monomials 1, z_0, ..., z_{n-1}, built from its n + 1 cells."""
     _check_variable_count(n)
-    mons = [Monomial._build((0,) * n)]
+    return _unit_diagonal(n, True)
+
+
+def _unit_diagonal(n: int, constant: bool) -> HermitianForm:
+    """||z||^2, the unit diagonal over z_0, ..., z_{n-1}, or 1 + ||z||^2 if
+    constant puts the monomial 1 first; built from its cells, unchecked."""
+    mons = [Monomial._build((0,) * n)] if constant else []
     mons += [Monomial._build((0,) * i + (1,) + (0,) * (n - 1 - i)) for i in range(n)]
-    return HermitianForm._build(n, mons, 1, {(k, k): (1, 0) for k in range(n + 1)})
+    return HermitianForm._build(n, mons, 1, {(k, k): (1, 0) for k in range(len(mons))})
 
 
 def modification_form(spec: ModificationSpec) -> HermitianForm:
@@ -230,7 +236,7 @@ def divide_by_norm(s: HermitianForm) -> Optional[HermitianForm]:
     # the divisor has unit coefficients, so the numerators stay over s.den
     r = HermitianForm._build(n, [Monomial._build(exps) for exps in index], s.den, cells)
     # defensive recomposition: each block division is exact, this guards the assembly
-    return r if norm_form(HoloMap.variables(n)) * r == s else None
+    return r if _unit_diagonal(n, False) * r == s else None
 
 
 def _divide_by_sum(p: dict, n: int, d: int) -> Optional[dict]:

@@ -346,7 +346,7 @@ def _cell_grlex(item) -> tuple:
 
 def monomials_of_degree(n: int, d: int) -> List[Monomial]:
     """All monomials in n variables of total degree exactly d, grlex-ordered."""
-    if n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("need at least one variable")
     if d < 0:
         raise ValueError("degree must be non-negative")
@@ -701,11 +701,8 @@ def _check_monomial(mon, n: int) -> None:
         raise ValueError("basis monomial has wrong variable count")
 
 
-def _dense_cells(n, basis, gram, read):
-    """The basis list, denominator and nonzero cells of a dense Hermitian Gram matrix.
-
-    ``read`` gives an entry as ``_scalar`` does, or None if it is not exact.
-    """
+def _dense_cells(n, basis, gram):
+    """The basis list, denominator and nonzero cells of a dense Hermitian Gram matrix."""
     _check_variable_count(n)
     mons = list(basis)
     size = len(mons)
@@ -719,7 +716,7 @@ def _dense_cells(n, basis, gram, read):
     values = {}
     for i, row in enumerate(rows):
         for j, raw in enumerate(row):
-            value = read(raw)
+            value = _scalar(raw)
             if value is None:
                 raise TypeError("gram entries must be exact rationals")
             if value[0] or value[2]:
@@ -730,10 +727,16 @@ def _dense_cells(n, basis, gram, read):
 def _exact_cells(values: Mapping[Tuple[int, int], Tuple[int, int, int, int]]):
     """``_common_den(values)`` of nonzero cells, checked to be Hermitian."""
     den, cells = _common_den(values)
+    _check_hermitian(cells)
+    return den, cells
+
+
+def _check_hermitian(cells: Mapping[Tuple[int, int], Tuple[int, int]]) -> None:
+    """Refuse Gaussian-integer cells over one denominator unless cell (j, i)
+    is the conjugate of cell (i, j) for every nonzero cell."""
     for (i, j), (re, im) in cells.items():
         if cells.get((j, i)) != (re, -im):
             raise ValueError("gram matrix is not Hermitian")
-    return den, cells
 
 
 def _add_cells(acc, cells, move, scale: int) -> None:
@@ -762,7 +765,7 @@ class HermitianForm:
 
     def __init__(self, n: int, basis: Sequence[Monomial], gram: Sequence[Sequence[object]]):
         """A form from a dense Gram matrix over ``basis``, validated to be Hermitian."""
-        self._settle(n, *_dense_cells(n, basis, gram, _scalar))
+        self._settle(n, *_dense_cells(n, basis, gram))
 
     def _settle(self, n: int, mons: Sequence[Monomial], den: int, cells) -> None:
         """Set the canonical fields from Gaussian-integer cells over mons at den.

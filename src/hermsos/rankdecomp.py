@@ -44,6 +44,7 @@ from .polyalg import (
     HoloMap,
     HoloPoly,
     Monomial,
+    _check_variable_count,
     _outer_sum,
     norm_form,
 )
@@ -242,6 +243,7 @@ class ScaledMap:
     components: Tuple[Tuple[Fraction, HoloPoly], ...]
 
     def __post_init__(self):
+        _check_variable_count(self.n, "map")
         # from a list, as HermitianForm builds its basis; a Fraction is kept as it
         # is, and its sign is the sign of its numerator
         comps = tuple([(w if w.__class__ is Fraction else Fraction(w), p) for w, p in self.components])

@@ -4,16 +4,21 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import mono, rand_plain_map
 from hermsos import (
+    GR_ZERO,
     DocumentError,
     EnsembleConfig,
     GaussianRational,
+    HermitianForm,
     HoloMap,
     HoloPoly,
     ScaledMap,
     grams_equal,
+    monomials_up_to_degree,
     norm_form,
     parse_form_document,
     parse_map_document,
@@ -108,6 +113,20 @@ def test_map_document_rejections():
     # the keys are checked before the exponents, and a repeated exponent before the literals
     ({"n": 1, "components": [[{"exp": [1.0], "re": 1, "x": 0}]]}, "unknown term keys ['x']"),
     ({"n": 1, "components": [[{"exp": [1], "re": 1}, {"exp": [1], "re": "x"}]]}, "duplicate exponent [1] in one component"),
+    # a gram cell: a bare value is its real part, an object has "re" and "im"
+    ({"n": 1, "basis": [[0]], "gram": [[True]]}, "booleans are not rationals"),
+    ({"n": 1, "basis": [[0]], "gram": [[0.5]]}, 'floats are not accepted; use strings like "3/4"'),
+    ({"n": 1, "basis": [[0]], "gram": [[[1]]]}, "bad rational value of type list"),
+    ({"n": 1, "basis": [[0]], "gram": [[{"re": 1, "zz": 2}]]}, "unknown scalar keys ['zz']"),
+    ({"n": 1, "basis": [[0]], "gram": [[{"im": 0.5}]]}, 'floats are not accepted; use strings like "3/4"'),
+    # a bad literal before a repeated basis monomial before a wrong shape before a non-Hermitian pair
+    ({"n": 1, "basis": [[0]], "gram": [[1, "1/0"]]}, "bad rational literal '1/0'"),
+    ({"n": 1, "basis": [[0], [0]], "gram": [[1, "x"], [0, 1]]}, "bad rational literal 'x'"),
+    ({"n": 1, "basis": [[0], [0]], "gram": [[1]]}, "basis monomials must be distinct"),
+    ({"n": 1, "basis": [[0]], "gram": [[1], [1]]}, "gram matrix shape does not match the basis"),
+    ({"n": 1, "basis": [[0], [1]], "gram": [[1, "1/2"], ["1/3", 1]]}, "gram matrix is not Hermitian"),
+    ({"n": 1, "basis": [[0], [1]], "gram": [[1, "1/2"], ["0/7", 1]]}, "gram matrix is not Hermitian"),
+    ({"n": 1, "basis": [[0]], "gram": [[{"re": 1, "im": "1/2"}]]}, "gram matrix is not Hermitian"),
 ])
 def test_rejection_messages(doc, message):
     parse = parse_form_document if "basis" in doc else parse_map_document
@@ -164,6 +183,73 @@ def test_form_document_bare_rational_entries():
     assert entries[(1,), (2,)] == GaussianRational(0, Fraction(1, 2))
     with pytest.raises(DocumentError):
         parse_form_document({"n": 1, "basis": [[0]], "gram": [[0.5]]})
+
+
+# a gram entry's parts: small fractions, decimals and zero
+form_parts = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9)),
+    st.builds(Fraction, st.integers(-50, 50), st.sampled_from([2, 3, 4, 7, 12])),
+    st.builds(Fraction, st.integers(-999, 999), st.sampled_from([10, 100, 1000])),
+)
+
+
+def form_literal(value: Fraction):
+    """The ways a form document may write value: "p/q" times a common factor,
+    a decimal when the denominator divides 1000, and for an integer also a
+    JSON integer or "p"; zero also as "0/7"."""
+    options = [st.sampled_from([1, 2, 6]).map(lambda k: f"{value.numerator * k}/{value.denominator * k}")]
+    if 1000 % value.denominator == 0:
+        digits = f"{abs(value.numerator) * (1000 // value.denominator):04d}"
+        options.append(st.just(f"{'-' if value < 0 else ''}{digits[:-3]}.{digits[-3:]}"))
+    if value.denominator == 1:
+        options += [st.just(value.numerator), st.just(str(value.numerator))]
+    if not value:
+        options.append(st.just("0/7"))
+    return st.one_of(options)
+
+
+@st.composite
+def form_cells(draw, value: GaussianRational):
+    """A gram cell for value: sometimes bare when it is real, else an object
+    whose "re" or "im" may be left out when that part is zero."""
+    if not value.im and draw(st.booleans()):
+        return draw(form_literal(value.re))
+    cell = {}
+    for key, part in (("re", value.re), ("im", value.im)):
+        if part or draw(st.booleans()):
+            cell[key] = draw(form_literal(part))
+    return cell
+
+
+@st.composite
+def form_documents(draw):
+    """A form document and the gram of the same entries as ``Fraction``s and
+    ``GaussianRational``s, over a basis in drawn order."""
+    n = draw(st.integers(1, 2))
+    basis = draw(st.lists(st.sampled_from(monomials_up_to_degree(n, 2)), unique=True, max_size=5))
+    size = len(basis)
+    gram = [[GR_ZERO] * size for _ in range(size)]
+    for i in range(size):
+        gram[i][i] = GaussianRational(draw(form_parts))
+        for j in range(i + 1, size):
+            gram[i][j] = GaussianRational(draw(form_parts), draw(form_parts))
+            gram[j][i] = gram[i][j].conjugate()
+    doc = {
+        "n": n,
+        "basis": [list(mon.exponents) for mon in basis],
+        "gram": [[draw(form_cells(value)) for value in row] for row in gram],
+    }
+    # a real entry as a Fraction, as HermitianForm also takes it
+    return doc, HermitianForm(n, basis, [[v.re if not v.im else v for v in row] for row in gram])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(form_documents())
+def test_form_document_reads_as_the_constructor_reads_its_entries(case):
+    doc, form = case
+    assert parse_form_document(doc) == form
+    assert parse_form_document(json.loads(json.dumps(doc))) == form
 
 
 def test_form_document_rejections():

@@ -18,6 +18,7 @@ from hermsos import (
     HoloMap,
     HoloPoly,
     Monomial,
+    ScaledMap,
     grlex_key,
     monomials_of_degree,
     monomials_up_to_degree,
@@ -229,7 +230,15 @@ def test_poly_arithmetic_matches_evaluation():
     (lambda: HermitianForm(True, [], []), "a form needs a positive variable count"),
     (lambda: HermitianForm.zero(True), "a form needs a positive variable count"),
     (lambda: one_plus_norm_z(True), "a form needs a positive variable count"),
-], ids=["poly", "poly-variable", "poly-constant", "map", "map-variables", "form", "form-zero", "one-plus-norm-z"])
+    (lambda: ScaledMap(True, ()), "a map needs a positive variable count"),
+    (lambda: ScaledMap(-3, ()), "a map needs a positive variable count"),
+    (lambda: ScaledMap("x", ()), "a map needs a positive variable count"),
+    (lambda: monomials_of_degree(True, 2), "need at least one variable"),
+    (lambda: monomials_of_degree(2.0, 2), "need at least one variable"),
+], ids=[
+    "poly", "poly-variable", "poly-constant", "map", "map-variables", "form", "form-zero", "one-plus-norm-z",
+    "scaled-map-bool", "scaled-map-negative", "scaled-map-str", "monomials-bool", "monomials-float",
+])
 def test_a_bool_is_not_a_variable_count(build, message):
     with pytest.raises(ValueError) as info:
         build()
