@@ -41,8 +41,9 @@ def _report(theorem: str, inputs: Dict[str, int], observed: int, lower: int, upp
 
 
 def _require_positive(**values: int):
+    # polyalg._is_int_at_least's rule, kept here since bounds imports nothing from the package
     for name, value in values.items():
-        if not isinstance(value, int) or value < 1:
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise ValueError(f"{name} must be a positive integer")
 
 

@@ -167,9 +167,8 @@ def cmd_solve_h(args) -> int:
     f = parse_map_document(_read_json(args.input))
     h = solve_h(f, args.b, args.c, SOLVE_H_BLOCK_MAX)
     print(f"m: {len(h)}")
-    names = {}  # each monomial's text, rendered once for all the components
     for i, (weight, poly) in enumerate(h.weighted_components()):
-        print(f"component {i}: scale {weight}, poly {poly._text(names)}")
+        print(f"component {i}: scale {weight}, poly {poly}")
     if args.b == 1 and args.c == 1 and len(f):
         # thm2.4 bounds the rank of (1 + ||z||^2)(1 + ||f||^2) - 1 only, for p >= 1
         _print_report(check_affine_norm_product(f.n, len(f), len(h)), "text")

@@ -5,17 +5,17 @@ Map documents::
     {"n": 2, "components": [[{"exp": [1, 0], "re": "1", "im": 0}], ...]}
 
 Each component is a list of terms; ``re``/``im`` are exact rationals given
-as integers or strings (floats and booleans are rejected).  A string is
-read as Python 3.11's ``Fraction`` reads it, on every version: "p", "p/q"
-or a decimal such as "2.5e-3", with an optional sign and surrounding
-spaces, and an underscore only between two digits, where it is dropped.
-Integers and the ASCII literals "p", "-p", "p/q" and "-p/q" are read
-straight into integer numerators over the component's least common
-denominator; other strings go through ``parse_rational``.  A component may
-instead be an object ``{"scale": "1/2", "terms": [...]}``; if any
-component carries a scale the document parses to a weighted map.  A weighted
-map with no components is written with a top-level ``"scaled": true``, the
-only value that key accepts.
+as integers or strings (floats and booleans are rejected, as the library
+constructors refuse them).  A string is read as Python 3.11's ``Fraction``
+reads it, on every version: "p", "p/q" or a decimal such as "2.5e-3", with
+an optional sign and surrounding spaces, and an underscore only between two
+digits, where it is dropped.  Integers and the ASCII literals "p", "-p",
+"p/q" and "-p/q" are read straight into integers; other strings go through
+``parse_rational``, the reading ``GaussianRational`` gives a string.  A
+component may instead be an object ``{"scale": "1/2", "terms": [...]}``; if
+any component carries a scale the document parses to a weighted map.  A
+weighted map with no components is written with a top-level
+``"scaled": true``, the only value that key accepts.
 
 Form documents::
 
@@ -26,20 +26,23 @@ and "im".  The gram is read in one pass, as a component's terms are: each
 cell's keys, then "re", then "im", an int literal without a call.  Then come,
 in this order, the checks that the basis monomials are distinct, that the
 gram is square over the basis, and that it is Hermitian, made on its integer
-numerators over the lcm of the denominators other than 1 (no lcm is taken
-when every literal is an int).  Every failure, here and of what the
+numerators over one common denominator.  Every failure, here and of what the
 constructors would check, is a ``DocumentError``, so callers can treat
 malformed input uniformly.
 
 A term is read in one pass, and its checks run in this order: its keys,
-its exponents (each an int, not a bool or a float, and not negative), that
-no earlier term of the component has the same exponents, then "re", then
-"im".  An int literal is read without a call.  A component's monomials are
-taken from the process-wide table only after every term has passed, once
-each, and its numerators are put over the lcm of the denominators other
-than 1.  Checked values are built with the unvalidated ``_build``
-constructors, which the package keeps for values it built itself or has
-already checked.
+its exponents (each an int, not a bool or a float, and not negative; a basis
+entry of a form document is checked the same way), that no earlier term of
+the component has the same exponents, then "re", then "im".  An int literal
+is read without a call.  A component's monomials are taken from the
+process-wide table only after every term has passed, once each.  Both
+readers put their numerators over one common denominator with
+``polyalg._common_den``, the route the constructors take; only the
+denominators other than 1 enter its lcm, and none when every literal is an
+int.  A count such as ``n`` meets
+``polyalg._is_int_at_least``, the constructors' rule.  Checked values are
+built with the unvalidated ``_build`` constructors, which the package keeps
+for values it built itself or has already checked.
 
 The map writer reads each polynomial's ``term_texts``, the rendering of its
 coefficients that ``str`` also reads, so a map printed and then written
@@ -53,7 +56,6 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Tuple, Union
 
 from .polyalg import (
@@ -62,6 +64,9 @@ from .polyalg import (
     HoloPoly,
     Monomial,
     _check_hermitian,
+    _common_den,
+    _is_int_at_least,
+    _parse_rational as parse_rational,
     _ratio_text,
     monomials_up_to_degree,
 )
@@ -70,32 +75,10 @@ from .rankdecomp import ScaledMap, reduce_minimal
 
 # the literals read without Fraction: an optional minus, digits, an optional /digits
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-# an underscore between two digits, the one place Fraction accepts it from Python 3.11
-_DIGIT_SEPARATOR = re.compile(r"(?<=\d)_(?=\d)")
 
 
 class DocumentError(ValueError):
     """Malformed or inconsistent document content."""
-
-
-def parse_rational(text: str) -> Fraction:
-    """``Fraction(text)`` as Python 3.11 reads it, refusing a decimal exponent
-    above 4300 in magnitude.
-
-    Python 3.10's Fraction accepts no underscore; from 3.11 one between two
-    digits is dropped, and so it is here on every version.  Fraction builds
-    the power of ten in full, so a short literal such as "1e3000000" would
-    take seconds; 4300 is the digit limit CPython puts on integer strings.
-    Raises ValueError or ZeroDivisionError like Fraction.
-    """
-    if "_" in text:
-        text = _DIGIT_SEPARATOR.sub("", text)
-        if "_" in text:
-            raise ValueError("an underscore is allowed only between two digits")
-    _, e, exponent = text.lower().partition("e")
-    if e and abs(int(exponent)) > 4300:
-        raise ValueError(f"decimal exponent of {text!r} is out of range")
-    return Fraction(text)
 
 
 def _rational_from_json(value) -> Tuple[int, int]:
@@ -134,9 +117,12 @@ def _check_keys(obj: dict, allowed, what: str) -> None:
         raise DocumentError(f"unknown {what} keys {sorted(extra)}")
 
 
-def _is_int_at_least(value, least: int) -> bool:
-    """Whether value is an int, not a bool (a JSON true or false), and at least least."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+def _is_exponent_list(exp, ints: tuple) -> bool:
+    """Whether exp is a list of n non-negative ints, ints being (int,) * n.
+
+    By type, not value: 1.0 and True would pass as exponents, and (1.0,) and
+    (True,) are keys equal to (1,); n >= 1, so min has an argument."""
+    return isinstance(exp, list) and len(exp) == len(ints) and tuple(map(type, exp)) == ints and min(exp) >= 0
 
 
 _TERM_KEYS = frozenset(("exp", "re", "im"))
@@ -149,38 +135,30 @@ def _poly_from_terms(n: int, terms) -> HoloPoly:
         raise DocumentError("a component must be a list of terms")
     ints = (int,) * n
     values = {}  # (a, b, c, d) for a/b + (c/d)*i, keyed by exponent tuple
-    dens = set()  # the denominators other than 1
     for term in terms:
         if not isinstance(term, dict):
             raise DocumentError("terms must be objects")
         if not term.keys() <= _TERM_KEYS:
             _check_keys(term, _TERM_KEYS, "term")
         exp = term.get("exp")
-        # by type, not value: 1.0 and True would pass as exponents, and (1.0,) and
-        # (True,) are keys equal to (1,); n >= 1, so min has an argument
-        if not (isinstance(exp, list) and len(exp) == n and tuple(map(type, exp)) == ints and min(exp) >= 0):
+        if not _is_exponent_list(exp, ints):
             raise DocumentError("term exp must be a list of n non-negative integers")
         exps = tuple(exp)
         if exps in values:
             raise DocumentError(f"duplicate exponent {exp} in one component")
         real, imag = term.get("re", 0), term.get("im", 0)
         if type(real) is int:
-            real = (real, 1)
+            a, b = real, 1
         else:
-            real = _rational_from_json(real)
-            if real[1] != 1:
-                dens.add(real[1])
+            a, b = _rational_from_json(real)
         if type(imag) is int:
-            imag = (imag, 1)
+            c, d = imag, 1
         else:
-            imag = _rational_from_json(imag)
-            if imag[1] != 1:
-                dens.add(imag[1])
-        values[exps] = (*real, *imag)
-    q = lcm(*dens)
+            c, d = _rational_from_json(imag)
+        values[exps] = (a, b, c, d)
+    q, cells = _common_den(values)
     build = Monomial._build
-    cells = {build(exps): (a * (q // b), c * (q // d)) for exps, (a, b, c, d) in values.items()}
-    return HoloPoly._build(n, q, cells)
+    return HoloPoly._build(n, q, {build(exps): cell for exps, cell in cells.items()})
 
 
 def parse_map_document(doc) -> Union[HoloMap, ScaledMap]:
@@ -277,18 +255,14 @@ def parse_form_document(doc) -> HermitianForm:
     raw_basis = doc.get("basis")
     if not isinstance(raw_basis, list):
         raise DocumentError("basis must be a list of exponent lists")
-    ints = (int,) * n  # the exponent check of _poly_from_terms
-    if not all(
-        isinstance(exp, list) and len(exp) == n and tuple(map(type, exp)) == ints and min(exp) >= 0
-        for exp in raw_basis
-    ):
+    ints = (int,) * n
+    if not all(_is_exponent_list(exp, ints) for exp in raw_basis):
         raise DocumentError("basis entries must be lists of n non-negative integers")
     basis = [Monomial._build(tuple(exp)) for exp in raw_basis]
     raw_gram = doc.get("gram")
     if not isinstance(raw_gram, list) or any(not isinstance(r, list) for r in raw_gram):
         raise DocumentError("gram must be a list of rows")
     values = {}  # (a, b, c, d) for a/b + (c/d)*i of each nonzero cell, keyed by (i, j)
-    dens = set()  # the denominators other than 1
     # every literal is read first, so a bad literal is reported before a bad shape
     for i, row in enumerate(raw_gram):
         for j, cell in enumerate(row):
@@ -302,14 +276,10 @@ def parse_form_document(doc) -> HermitianForm:
                 a, b = real, 1
             else:
                 a, b = _rational_from_json(real)
-                if b != 1:
-                    dens.add(b)
             if type(imag) is int:
                 c, d = imag, 1
             else:
                 c, d = _rational_from_json(imag)
-                if d != 1:
-                    dens.add(d)
             if a or c:
                 values[i, j] = (a, b, c, d)
     size = len(basis)
@@ -317,8 +287,7 @@ def parse_form_document(doc) -> HermitianForm:
         raise DocumentError("basis monomials must be distinct")
     if len(raw_gram) != size or any(len(row) != size for row in raw_gram):
         raise DocumentError("gram matrix shape does not match the basis")
-    q = lcm(*dens) if dens else 1
-    cells = {key: (a * (q // b), c * (q // d)) for key, (a, b, c, d) in values.items()}
+    q, cells = _common_den(values)
     try:
         _check_hermitian(cells)
     except ValueError as exc:

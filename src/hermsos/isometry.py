@@ -38,7 +38,9 @@ from .polyalg import (
     HoloMap,
     HoloPoly,
     Monomial,
+    _as_fraction,
     _check_variable_count,
+    _is_int_at_least,
     _mul_cells,
     norm_form,
 )
@@ -86,7 +88,7 @@ class ModificationSpec:
     def __post_init__(self):
         for name in ("a", "b", "c"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if not _is_int_at_least(value, 1):
                 raise ValueError(f"exponent {name} must be a positive integer")
         if gcd(gcd(self.a, self.b), self.c) != 1:
             raise ValueError("exponents must have gcd 1")
@@ -179,7 +181,7 @@ def tensor_power_rank(f: MapLike, c: int) -> int:
     c*d <= e <= sum_{k=1..c} C(d+k-1, k)  where d = len(f); both ends are
     checked defensively before returning.
     """
-    if not isinstance(c, int) or c < 1:
+    if not _is_int_at_least(c, 1):
         raise ValueError("power must be a positive integer")
     _check_normalized(f)
     _check_minimal(f)
@@ -278,7 +280,7 @@ def r_lambda(lam) -> HermitianForm:
     At lam = 0 this is (1 + |z|^2)^4 restricted to its diagonal; the family
     stays a squared norm exactly while lam <= 6.
     """
-    diagonal = (1, 4, 6 - Fraction(lam), 4, 1)
+    diagonal = (1, 4, 6 - _as_fraction(lam), 4, 1)
     return HermitianForm.from_entries(1, {(Monomial._build((k,)),) * 2: v for k, v in enumerate(diagonal)})
 
 

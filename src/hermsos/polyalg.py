@@ -9,7 +9,15 @@ built on them run over Python integers and are exact, and equality of two
 polynomials or forms is a decidable, tolerance-free question.
 ``GaussianRational`` is the scalar type of the public API: coefficient
 lookups, ``terms``, ``entries()`` and evaluation return it, and the
-constructors accept it.  Floats are rejected at the boundary.
+constructors accept it.
+
+Each kind of outside value meets one rule, which the constructors and the
+JSON readers of ``documents`` share: an integer argument is an int and not
+a bool (``_is_int_at_least``); an exact scalar is an int, a ``Fraction`` or
+a ``GaussianRational``, never a float or a bool, and ``GaussianRational``
+also reads a string as the readers do (``_parse_rational``); scalars become
+cells over one denominator through ``_common_den``; and a form's Gram
+entries are checked by ``_checked_cells``.
 
 The objects:
 
@@ -35,6 +43,7 @@ are not kept in order: ``entries()``, and so printing, sorts them row-major.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, attrgetter, neg
@@ -42,14 +51,45 @@ from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 
+# an underscore between two digits, the one place Fraction accepts it from Python 3.11
+_DIGIT_SEPARATOR = re.compile(r"(?<=\d)_(?=\d)")
+
+
+def _parse_rational(text: str) -> Fraction:
+    """``Fraction(text)`` as Python 3.11 reads it, refusing a decimal exponent
+    above 4300 in magnitude.
+
+    Python 3.10's Fraction accepts no underscore; from 3.11 one between two
+    digits is dropped, and so it is here on every version.  Fraction builds
+    the power of ten in full, so a short literal such as "1e3000000" would
+    take seconds; 4300 is the digit limit CPython puts on integer strings.
+    Raises ValueError or ZeroDivisionError like Fraction.
+    """
+    if "_" in text:
+        text = _DIGIT_SEPARATOR.sub("", text)
+        if "_" in text:
+            raise ValueError("an underscore is allowed only between two digits")
+    _, e, exponent = text.lower().partition("e")
+    if e and abs(int(exponent)) > 4300:
+        raise ValueError(f"decimal exponent of {text!r} is out of range")
+    return Fraction(text)
+
+
+def _is_int_at_least(value, least: int) -> bool:
+    """Whether value is an int, not a bool, and at least least: the one rule
+    for an integer argument, so True is no more a count than a JSON true is."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 def _as_fraction(value) -> Fraction:
-    """Coerce to an exact rational.  Floats are deliberately not accepted."""
+    """Coerce to an exact rational.  Floats and bools are deliberately not
+    accepted; a string is read by ``_parse_rational``."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return _parse_rational(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -123,7 +163,7 @@ class GaussianRational:
         return other / self
 
     def __pow__(self, k: int) -> "GaussianRational":
-        if not isinstance(k, int) or k < 0:
+        if not _is_int_at_least(k, 0):
             raise ValueError("exponent must be a non-negative integer")
         out = GR_ONE
         base = self
@@ -151,9 +191,10 @@ class GaussianRational:
 
 
 def _coerce(value):
+    """value as a GaussianRational, or None unless it is an exact scalar."""
     if isinstance(value, GaussianRational):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return GaussianRational(value)
     return None
 
@@ -165,7 +206,7 @@ GR_I = GaussianRational(0, 1)
 
 def _scalar(value) -> Tuple[int, int, int, int] | None:
     """An exact scalar's parts re = a/b, im = c/d as (a, b, c, d), or None."""
-    if isinstance(value, int):
+    if type(value) is int:
         return value, 1, 0, 1
     value = _coerce(value)
     if value is None:
@@ -175,8 +216,17 @@ def _scalar(value) -> Tuple[int, int, int, int] | None:
 
 def _common_den(values: Mapping) -> Tuple[int, dict]:
     """The least common denominator q of (a, b, c, d) values, each a/b + (c/d)*i
-    with b, d > 0, and each key's Gaussian-integer numerators (re, im) over q."""
-    q = lcm(*[den for _, b, _, d in values.values() for den in (b, d)])
+    with b, d > 0, and each key's Gaussian-integer numerators (re, im) over q.
+    The one route from scalars to cells.  Only the distinct denominators other
+    than 1 are collected, and values with integer parts are not scaled."""
+    dens = set()
+    for _, b, _, d in values.values():
+        dens.add(b)
+        dens.add(d)
+    dens.discard(1)
+    if not dens:
+        return 1, {key: (a, c) for key, (a, _, c, _) in values.items()}
+    q = lcm(*dens)
     return q, {key: (a * (q // b), c * (q // d)) for key, (a, b, c, d) in values.items()}
 
 
@@ -247,11 +297,11 @@ class Monomial:
     the hash stay by value, so a monomial from before that compares as any.
     """
 
-    __slots__ = ("exponents", "degree", "_grlex", "_hash")
+    __slots__ = ("exponents", "degree", "_grlex", "_hash", "_name")
 
     def __new__(cls, exponents: Iterable[int]):
         exps = tuple(exponents)
-        if any(not isinstance(e, int) or isinstance(e, bool) or e < 0 for e in exps):
+        if not all(_is_int_at_least(e, 0) for e in exps):
             raise ValueError("exponents must be non-negative integers")
         return cls._new(exps)
 
@@ -275,6 +325,7 @@ class Monomial:
         init(mon, "degree", degree)
         init(mon, "_grlex", (degree, tuple(map(neg, exps))))
         init(mon, "_hash", hash(exps))
+        init(mon, "_name", None)
         return mon
 
     def __setattr__(self, name, value):
@@ -318,13 +369,19 @@ class Monomial:
         return out
 
     def __str__(self) -> str:
-        parts = []
-        for i, e in enumerate(self.exponents):
-            if e == 1:
-                parts.append(f"z{i}")
-            elif e > 1:
-                parts.append(f"z{i}^{e}")
-        return "*".join(parts) if parts else "1"
+        """Like z0^2*z1, or 1; rendered on first use and kept, so a monomial
+        of the table is rendered once however many polynomials print it."""
+        name = self._name
+        if name is None:
+            parts = []
+            for i, e in enumerate(self.exponents):
+                if e == 1:
+                    parts.append(f"z{i}")
+                elif e > 1:
+                    parts.append(f"z{i}^{e}")
+            name = "*".join(parts) if parts else "1"
+            object.__setattr__(self, "_name", name)
+        return name
 
 
 def grlex_key(mon: Monomial):
@@ -337,18 +394,11 @@ def grlex_key(mon: Monomial):
 _grlex = attrgetter("_grlex")
 
 
-def _cell_grlex(item) -> tuple:
-    """The grlex key of a (monomial, value) pair.  Sorting pairs by it compares
-    keys only; sorting (key, monomial, value) tuples, with no call per pair,
-    compares each key twice over (equal?, then less?) and ran slower."""
-    return item[0]._grlex
-
-
 def monomials_of_degree(n: int, d: int) -> List[Monomial]:
     """All monomials in n variables of total degree exactly d, grlex-ordered."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int_at_least(n, 1):
         raise ValueError("need at least one variable")
-    if d < 0:
+    if not _is_int_at_least(d, 0):
         raise ValueError("degree must be non-negative")
 
     def gen(total: int, parts: int):
@@ -364,6 +414,8 @@ def monomials_of_degree(n: int, d: int) -> List[Monomial]:
 
 def monomials_up_to_degree(n: int, d: int) -> List[Monomial]:
     """All monomials in n variables of total degree at most d, grlex-ordered."""
+    if not _is_int_at_least(d, 0):
+        raise ValueError("degree must be non-negative")
     out: List[Monomial] = []
     for k in range(d + 1):
         out.extend(monomials_of_degree(n, k))
@@ -372,7 +424,7 @@ def monomials_up_to_degree(n: int, d: int) -> List[Monomial]:
 
 def _check_variable_count(n, what: str = "form") -> None:
     """Refuse a variable count that is not an int >= 1; a bool is refused too."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int_at_least(n, 1):
         raise ValueError(f"a {what} needs a positive variable count")
 
 
@@ -468,10 +520,6 @@ class HoloPoly:
     def vanishes_at_zero(self) -> bool:
         return Monomial._build((0,) * self.n) not in self.cells
 
-    def sorted_cells(self) -> List[Tuple[Monomial, Tuple[int, int]]]:
-        """The (monomial, numerators) pairs in grlex order."""
-        return sorted(self.cells.items(), key=_cell_grlex)
-
     def term_texts(self) -> List[Tuple[Monomial, str, str]]:
         """(monomial, real part, imaginary part) in grlex order, each part in
         lowest terms as ``str(Fraction)`` writes it.  Rendered on the first
@@ -479,9 +527,10 @@ class HoloPoly:
         the list is shared, not copied, and must not be changed."""
         texts = self._texts
         if texts is None:
-            den = self.den
+            cells, den = self.cells, self.den
             texts = self._texts = []
-            for mon, (re, im) in sorted(self.cells.items(), key=_cell_grlex):
+            for mon in sorted(cells, key=_grlex):
+                re, im = cells[mon]
                 texts.append((mon, _ratio_text(re, den), _ratio_text(im, den)))
         return texts
 
@@ -533,7 +582,7 @@ class HoloPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "HoloPoly":
-        if not isinstance(k, int) or k < 0:
+        if not _is_int_at_least(k, 0):
             raise ValueError("exponent must be a non-negative integer")
         out = HoloPoly.constant(self.n, 1)
         for _ in range(k):
@@ -556,28 +605,16 @@ class HoloPoly:
     __hash__ = None
 
     def __str__(self) -> str:
-        return self._text({})
-
-    def _text(self, names: Dict[Monomial, str]) -> str:
-        """``str(self)``, each monomial's text read from names or rendered into it,
-        so a caller printing many polynomials renders each monomial once."""
         if not self.cells:
             return "0"
         # each term as a sign and its text without it; the first sign is dropped below
         parts = []
         for mon, re, im in self.term_texts():
-            if im == "0":
-                coeff = re
-            elif re == "0":
-                coeff = im + "i"
-            elif im[0] == "-":
-                coeff = f"({re}{im}i)" if mon.degree else f"{re}{im}i"
-            else:
-                coeff = f"({re}+{im}i)" if mon.degree else f"{re}+{im}i"
+            coeff = _complex_text(re, im)
             if mon.degree:
-                name = names.get(mon)
-                if name is None:
-                    name = names[mon] = str(mon)
+                if re != "0" and im != "0":
+                    coeff = f"({coeff})"
+                name = str(mon)
                 if coeff == "1":
                     coeff = name
                 elif coeff == "-1":
@@ -678,7 +715,7 @@ def substitute_powers(f: HoloMap, exponents: Sequence[int]) -> HoloMap:
     """
     if len(exponents) != f.n:
         raise ValueError("exponent vector has wrong length")
-    if any(not isinstance(a, int) or a < 0 for a in exponents):
+    if not all(_is_int_at_least(a, 0) for a in exponents):
         raise ValueError("substitution exponents must be non-negative integers")
     comps = []
     for comp in f.components:
@@ -696,36 +733,21 @@ def substitute_powers(f: HoloMap, exponents: Sequence[int]) -> HoloMap:
 # ---------------------------------------------------------------------------
 
 
-def _check_monomial(mon, n: int) -> None:
-    if not isinstance(mon, Monomial) or mon.n != n:
-        raise ValueError("basis monomial has wrong variable count")
-
-
-def _dense_cells(n, basis, gram):
-    """The basis list, denominator and nonzero cells of a dense Hermitian Gram matrix."""
-    _check_variable_count(n)
-    mons = list(basis)
-    size = len(mons)
-    if len(set(mons)) != size:
-        raise ValueError("basis monomials must be distinct")
+def _checked_cells(n: int, mons: Sequence, raw: Iterable) -> Tuple[int, dict]:
+    """The denominator and nonzero Gaussian-integer cells of the Gram entries
+    ((i, j), value) in raw over the basis mons, after the checks the form
+    constructors share, in this order: every basis monomial has n variables,
+    every value is an exact scalar, and the cells are Hermitian."""
     for mon in mons:
-        _check_monomial(mon, n)
-    rows = [list(row) for row in gram]
-    if len(rows) != size or any(len(row) != size for row in rows):
-        raise ValueError("gram matrix shape does not match the basis")
+        if not isinstance(mon, Monomial) or mon.n != n:
+            raise ValueError("basis monomial has wrong variable count")
     values = {}
-    for i, row in enumerate(rows):
-        for j, raw in enumerate(row):
-            value = _scalar(raw)
-            if value is None:
-                raise TypeError("gram entries must be exact rationals")
-            if value[0] or value[2]:
-                values[(i, j)] = value
-    return (mons, *_exact_cells(values))
-
-
-def _exact_cells(values: Mapping[Tuple[int, int], Tuple[int, int, int, int]]):
-    """``_common_den(values)`` of nonzero cells, checked to be Hermitian."""
+    for key, entry in raw:
+        value = _scalar(entry)
+        if value is None:
+            raise TypeError("gram entries must be exact rationals")
+        if value[0] or value[2]:
+            values[key] = value
     den, cells = _common_den(values)
     _check_hermitian(cells)
     return den, cells
@@ -765,7 +787,16 @@ class HermitianForm:
 
     def __init__(self, n: int, basis: Sequence[Monomial], gram: Sequence[Sequence[object]]):
         """A form from a dense Gram matrix over ``basis``, validated to be Hermitian."""
-        self._settle(n, *_dense_cells(n, basis, gram))
+        _check_variable_count(n)
+        mons = list(basis)
+        size = len(mons)
+        if len(set(mons)) != size:
+            raise ValueError("basis monomials must be distinct")
+        rows = [list(row) for row in gram]
+        if len(rows) != size or any(len(row) != size for row in rows):
+            raise ValueError("gram matrix shape does not match the basis")
+        raw = (((i, j), entry) for i, row in enumerate(rows) for j, entry in enumerate(row))
+        self._settle(n, mons, *_checked_cells(n, mons, raw))
 
     def _settle(self, n: int, mons: Sequence[Monomial], den: int, cells) -> None:
         """Set the canonical fields from Gaussian-integer cells over mons at den.
@@ -811,19 +842,11 @@ class HermitianForm:
         Pairs that are absent are zero.
         """
         _check_variable_count(n)
-        index: Dict[Monomial, int] = {}
-        values = {}
-        for (ma, mb), raw in entries.items():
-            for mon in (ma, mb):
-                if mon not in index:
-                    _check_monomial(mon, n)
-                    index[mon] = len(index)
-            value = _scalar(raw)
-            if value is None:
-                raise TypeError("gram entries must be exact rationals")
-            if value[0] or value[2]:
-                values[(index[ma], index[mb])] = value
-        return cls._build(n, list(index), *_exact_cells(values))
+        index: Dict[Monomial, int] = {}  # each monomial's basis index, in order of first use
+        at = index.setdefault
+        raw = [((at(ma, len(index)), at(mb, len(index))), entry) for (ma, mb), entry in entries.items()]
+        mons = list(index)
+        return cls._build(n, mons, *_checked_cells(n, mons, raw))
 
     @classmethod
     def zero(cls, n: int) -> "HermitianForm":
@@ -938,7 +961,7 @@ class HermitianForm:
         return self._build(self.n, mons, self.den * other.den, acc)
 
     def __pow__(self, t: int) -> "HermitianForm":
-        if not isinstance(t, int) or t < 1:
+        if not _is_int_at_least(t, 1):
             raise ValueError("form powers require a positive integer exponent")
         out = self
         for _ in range(t - 1):

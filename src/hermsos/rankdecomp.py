@@ -44,6 +44,7 @@ from .polyalg import (
     HoloMap,
     HoloPoly,
     Monomial,
+    _as_fraction,
     _check_variable_count,
     _outer_sum,
     norm_form,
@@ -246,7 +247,7 @@ class ScaledMap:
         _check_variable_count(self.n, "map")
         # from a list, as HermitianForm builds its basis; a Fraction is kept as it
         # is, and its sign is the sign of its numerator
-        comps = tuple([(w if w.__class__ is Fraction else Fraction(w), p) for w, p in self.components])
+        comps = tuple([(w if w.__class__ is Fraction else _as_fraction(w), p) for w, p in self.components])
         for weight, poly in comps:
             if weight.numerator <= 0:
                 raise ValueError("weights must be positive")

@@ -17,15 +17,19 @@ from hermsos import (
     HermitianForm,
     HoloMap,
     HoloPoly,
+    ModificationSpec,
     Monomial,
     ScaledMap,
+    check_modification_rank,
     grlex_key,
     monomials_of_degree,
     monomials_up_to_degree,
     norm_form,
     one_plus_norm_z,
+    r_lambda,
     substitute_powers,
     tensor,
+    tensor_power_rank,
 )
 from hermsos import polyalg
 
@@ -151,7 +155,7 @@ def test_monomial_table_is_bounded_and_emptied_whole(monkeypatch):
     assert form * form == reference_form_mul(form, form)
 
 
-@pytest.mark.parametrize("name", ["exponents", "degree", "_grlex", "_hash", "other"])
+@pytest.mark.parametrize("name", ["exponents", "degree", "_grlex", "_hash", "_name", "other"])
 def test_monomial_is_immutable(name):
     m = mono(1, 2)
     with pytest.raises(AttributeError):
@@ -241,6 +245,100 @@ def test_poly_arithmetic_matches_evaluation():
 ])
 def test_a_bool_is_not_a_variable_count(build, message):
     with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+Z0, Z0_2, F2 = mono(1), mono(1, 0), HoloMap(2, [HoloPoly.variable(2, 0), HoloPoly.variable(2, 1)])
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: GaussianRational(True), TypeError, "expected an exact rational, got bool"),
+    (lambda: GaussianRational(1, False), TypeError, "expected an exact rational, got bool"),
+    (lambda: HoloPoly(1, {Z0: True}), TypeError, "coefficients must be exact rationals"),
+    (lambda: HoloPoly(1, {Z0: GaussianRational(1)}) * True, TypeError, None),
+    (lambda: HermitianForm(1, [Z0], [[True]]), TypeError, "gram entries must be exact rationals"),
+    (lambda: HermitianForm.from_entries(1, {(Z0, Z0): False}), TypeError, "gram entries must be exact rationals"),
+    (lambda: HermitianForm.constant(1, True), TypeError, "gram entries must be exact rationals"),
+    (lambda: GaussianRational(2) ** True, ValueError, "exponent must be a non-negative integer"),
+    (lambda: HoloPoly.variable(1, 0) ** True, ValueError, "exponent must be a non-negative integer"),
+    (lambda: one_plus_norm_z(1) ** True, ValueError, "form powers require a positive integer exponent"),
+    (lambda: substitute_powers(F2, [True, 2]), ValueError, "substitution exponents must be non-negative integers"),
+    (lambda: ModificationSpec(F2, True, 1, 1), ValueError, "exponent a must be a positive integer"),
+    (lambda: tensor_power_rank(F2, True), ValueError, "power must be a positive integer"),
+    (lambda: check_modification_rank(True, 1, 3), ValueError, "n must be a positive integer"),
+    (lambda: monomials_of_degree(2, True), ValueError, "degree must be non-negative"),
+    (lambda: monomials_of_degree(1, True), ValueError, "degree must be non-negative"),
+    (lambda: monomials_of_degree(2, 1.0), ValueError, "degree must be non-negative"),
+    (lambda: monomials_up_to_degree(2, 1.5), ValueError, "degree must be non-negative"),
+    (lambda: monomials_up_to_degree(2, True), ValueError, "degree must be non-negative"),
+    (lambda: ScaledMap(1, ((True, HoloPoly.variable(1, 0)),)), TypeError, "expected an exact rational, got bool"),
+    (lambda: ScaledMap(1, ((0.5, HoloPoly.variable(1, 0)),)), TypeError, "expected an exact rational, got float"),
+    (lambda: r_lambda(True), TypeError, "expected an exact rational, got bool"),
+    (lambda: r_lambda(0.5), TypeError, "expected an exact rational, got float"),
+], ids=[
+    "scalar-re", "scalar-im", "poly-coefficient", "poly-times-bool", "form-gram", "form-entries", "form-constant",
+    "scalar-power", "poly-power", "form-power", "substitute-powers", "modification-spec", "tensor-power-rank",
+    "modification-rank", "monomials-degree-bool", "monomials-degree-bool-one-variable", "monomials-degree-float",
+    "monomials-up-to-float", "monomials-up-to-bool", "scaled-map-weight-bool", "scaled-map-weight-float",
+    "r-lambda-bool", "r-lambda-float",
+])
+def test_a_bool_is_neither_a_scalar_nor_an_integer_argument(build, error, message):
+    # the JSON readers refuse a bool as a rational and as a count; so do the constructors
+    with pytest.raises(error) as info:
+        build()
+    if message is not None:
+        assert str(info.value) == message
+
+
+def test_a_scalar_string_reads_as_the_document_reader_reads_it():
+    assert GaussianRational("1_000", "-2_5/1_0") == GaussianRational(1000, Fraction(-5, 2))
+    assert GaussianRational(" 3/4 ") == GaussianRational(Fraction(3, 4))
+    for text in ("1__000", "_1", "1e5000"):
+        with pytest.raises(ValueError):
+            GaussianRational(text)
+
+
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: HermitianForm(1, [Z0_2], [[1]]), ValueError, "basis monomial has wrong variable count"),
+    (lambda: HermitianForm(1, [(1,)], [[1]]), ValueError, "basis monomial has wrong variable count"),
+    (lambda: HermitianForm(1, [Z0, Z0], [[1, 0], [0, 1]]), ValueError, "basis monomials must be distinct"),
+    (lambda: HermitianForm(1, [Z0], [[1, 0]]), ValueError, "gram matrix shape does not match the basis"),
+    (lambda: HermitianForm(1, [Z0], []), ValueError, "gram matrix shape does not match the basis"),
+    (lambda: HermitianForm(1, [Z0], [[0.5]]), TypeError, "gram entries must be exact rationals"),
+    (lambda: HermitianForm(1, [Z0], [["1"]]), TypeError, "gram entries must be exact rationals"),
+    (lambda: HermitianForm(1, [mono(0), Z0], [[1, 1], [2, 1]]), ValueError, "gram matrix is not Hermitian"),
+    (lambda: HermitianForm(1, [Z0], [[GR_I]]), ValueError, "gram matrix is not Hermitian"),
+    # two failures: the first check in the constructor's order is reported
+    (lambda: HermitianForm(1, [Z0, Z0], [[1]]), ValueError, "basis monomials must be distinct"),
+    (lambda: HermitianForm(1, [Z0_2, Z0_2], [[1]]), ValueError, "basis monomials must be distinct"),
+    (lambda: HermitianForm(1, [Z0_2], [[0.5]]), ValueError, "basis monomial has wrong variable count"),
+    (lambda: HermitianForm(1, [Z0], [[0.5, 1]]), ValueError, "gram matrix shape does not match the basis"),
+    (lambda: HermitianForm(1, [mono(0), Z0], [[1, 0.5], [2, 1]]), TypeError, "gram entries must be exact rationals"),
+    (lambda: HermitianForm(1, [mono(0), Z0], [[1, 2], [0.5, 1]]), TypeError, "gram entries must be exact rationals"),
+    (lambda: HermitianForm.from_entries(1, {(Z0, Z0_2): 1}), ValueError, "basis monomial has wrong variable count"),
+    (lambda: HermitianForm.from_entries(1, {(Z0, Z0): 0.5}), TypeError, "gram entries must be exact rationals"),
+    (lambda: HermitianForm.from_entries(1, {(mono(0), Z0): 1}), ValueError, "gram matrix is not Hermitian"),
+    (lambda: HermitianForm.from_entries(1, {(Z0, Z0): GR_I}), ValueError, "gram matrix is not Hermitian"),
+    (lambda: HermitianForm.from_entries(1, {(Z0_2, Z0_2): 0.5}), ValueError, "basis monomial has wrong variable count"),
+    (lambda: HermitianForm.from_entries(1, {(mono(0), Z0): 1, (Z0, Z0): 0.5}), TypeError,
+     "gram entries must be exact rationals"),
+    (lambda: HermitianForm.from_entries(1, {(mono(0), Z0): 1, (Z0, Z0_2): 1}), ValueError,
+     "basis monomial has wrong variable count"),
+    # the shape is checked before the basis monomials, and every basis monomial before any entry
+    (lambda: HermitianForm(1, [Z0_2], [[1, 0]]), ValueError, "gram matrix shape does not match the basis"),
+    (lambda: HermitianForm.from_entries(1, {(Z0, Z0): 0.5, (Z0_2, Z0_2): 1}), ValueError,
+     "basis monomial has wrong variable count"),
+], ids=[
+    "wrong-n", "not-a-monomial", "duplicate", "short-row", "no-rows", "float", "string", "not-hermitian",
+    "complex-diagonal", "duplicate-and-shape", "duplicate-and-wrong-n", "wrong-n-and-float", "shape-and-float",
+    "float-and-not-hermitian", "not-hermitian-and-float", "entries-wrong-n", "entries-float",
+    "entries-not-hermitian", "entries-complex-diagonal", "entries-wrong-n-and-float",
+    "entries-not-hermitian-and-float", "entries-not-hermitian-and-wrong-n", "wrong-n-and-shape",
+    "entries-float-then-wrong-n",
+])
+def test_form_constructor_messages(build, error, message):
+    with pytest.raises(error) as info:
         build()
     assert str(info.value) == message
 
