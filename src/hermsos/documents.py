@@ -56,7 +56,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Tuple
 
 from .polyalg import (
     HermitianForm,
@@ -70,7 +70,7 @@ from .polyalg import (
     _ratio_text,
     monomials_up_to_degree,
 )
-from .rankdecomp import ScaledMap, reduce_minimal
+from .rankdecomp import reduce_minimal
 
 
 # the literals read without Fraction: an optional minus, digits, an optional /digits
@@ -161,8 +161,8 @@ def _poly_from_terms(n: int, terms) -> HoloPoly:
     return HoloPoly._build(n, q, {build(exps): cell for exps, cell in cells.items()})
 
 
-def parse_map_document(doc) -> Union[HoloMap, ScaledMap]:
-    """Parse a map document; returns a weighted map iff any component has a scale."""
+def parse_map_document(doc) -> HoloMap:
+    """Parse a map document; the map is weighted iff any component has a scale."""
     if not isinstance(doc, dict):
         raise DocumentError("map document must be an object")
     _check_keys(doc, ("n", "components", "scaled"), "document")
@@ -175,7 +175,8 @@ def parse_map_document(doc) -> Union[HoloMap, ScaledMap]:
     scaled = "scaled" in doc
     if scaled and doc["scaled"] is not True:
         raise DocumentError("scaled must be true")
-    pairs = []
+    one = Fraction(1)
+    polys, weights = [], []
     for comp in raw:
         if isinstance(comp, dict):
             _check_keys(comp, ("scale", "terms"), "component")
@@ -184,15 +185,13 @@ def parse_map_document(doc) -> Union[HoloMap, ScaledMap]:
                 raise DocumentError("component scale must be positive")
             if "scale" in comp:
                 scaled = True
-            pairs.append((weight, _poly_from_terms(n, comp.get("terms"))))
+            weights.append(weight)
+            polys.append(_poly_from_terms(n, comp.get("terms")))
         else:
-            pairs.append((1, _poly_from_terms(n, comp)))
-    try:
-        if scaled:
-            return ScaledMap(n, tuple(pairs))
-        return HoloMap(n, [poly for _, poly in pairs])
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+            weights.append(one)
+            polys.append(_poly_from_terms(n, comp))
+    # every component and weight is checked, so the map is built unchecked
+    return HoloMap._build(n, tuple(polys), tuple(weights) if scaled else None)
 
 
 def serialize_map_document(f) -> dict:
@@ -203,7 +202,7 @@ def serialize_map_document(f) -> dict:
 def serialize_map_json(f) -> str:
     """The map document of f as JSON text, laid out as ``json.dumps(doc, indent=2)``
     lays it out, plus a final newline; written from the integer numerators."""
-    plain = isinstance(f, HoloMap)
+    plain = f.weights is None
     pad = " " * (8 if plain else 10)  # the indent of a term's keys
     tail = f',\n{pad}"im": '
     heads = {}  # each monomial's term text up to its "re" value, rendered once

@@ -4,7 +4,8 @@ The central identity has the shape
 
     (1 + ||z||^2)^b * (1 + ||f(z)||^2)^c  ==  (1 + ||h(z)||^2)^a
 
-for maps f, h vanishing at the origin.  Each 1 + ||.||^2 is one norm form,
+for maps f, h vanishing at the origin, each a ``HoloMap``, plain or weighted
+(the h of ``solve_h`` is weighted).  Each 1 + ||.||^2 is one norm form,
 with the constant 1 as one more component.  Given f, b, c the left side is an
 explicit Hermitian form, 1 plus a positive semidefinite block not coupled to
 the 1, and ``rankdecomp.affine_split`` reads a witness h with the minimal
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import sub
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from .bounds import _power_sum, _require_positive
 from .polyalg import (
@@ -47,15 +48,12 @@ from .polyalg import (
 # inertia is unused here; perfbench/test_perfbench.py reads it as
 # hermsos.isometry.inertia
 from .rankdecomp import (  # noqa: F401
-    ScaledMap,
     _columns,
     _independent,
     affine_split,
     inertia,
     reduce_minimal,
 )
-
-MapLike = Union[HoloMap, ScaledMap]
 
 
 class NotNormalizedError(ValueError):
@@ -66,12 +64,12 @@ class NotMinimalError(ValueError):
     """The map has linearly dependent components."""
 
 
-def _check_normalized(f: MapLike):
+def _check_normalized(f: HoloMap):
     if not f.vanishes_at_zero:
         raise NotNormalizedError("map must vanish at the origin")
 
 
-def _check_minimal(f: MapLike):
+def _check_minimal(f: HoloMap):
     if reduce_minimal(f)[1] != len(f):
         raise NotMinimalError("map components must be linearly independent")
 
@@ -80,7 +78,7 @@ def _check_minimal(f: MapLike):
 class ModificationSpec:
     """Input data (f, a, b, c) for one modification identity."""
 
-    f: MapLike
+    f: HoloMap
     a: int
     b: int
     c: int
@@ -100,12 +98,13 @@ class ModificationSpec:
         return self.f.n
 
 
-def one_plus_norm(f: MapLike) -> HermitianForm:
+def one_plus_norm(f: HoloMap) -> HermitianForm:
     """The Hermitian form 1 + ||f||^2: the norm form of f with the constant 1 as
     one more component of weight 1, so the 1 needs no second pass over the form.
-    f is a checked map, so the constant and the scaled map are built unchecked."""
+    f is a checked map, so the constant and the longer map are built unchecked."""
     one = HoloPoly._build(f.n, 1, {Monomial._build((0,) * f.n): (1, 0)})
-    return norm_form(ScaledMap._build(f.n, ((Fraction(1), one), *f.weighted_components())))
+    weights = None if f.weights is None else (Fraction(1), *f.weights)
+    return norm_form(HoloMap._build(f.n, (one, *f.components), weights))
 
 
 def one_plus_norm_z(n: int) -> HermitianForm:
@@ -128,7 +127,7 @@ def modification_form(spec: ModificationSpec) -> HermitianForm:
     return one_plus_norm_z(spec.n) ** spec.b * one_plus_norm(spec.f) ** spec.c
 
 
-def solve_h(f: MapLike, b: int, c: int, block_max: Optional[int] = None) -> ScaledMap:
+def solve_h(f: HoloMap, b: int, c: int, block_max: Optional[int] = None) -> HoloMap:
     """A minimal map h with 1 + ||h||^2 == (1 + ||z||^2)^b (1 + ||f||^2)^c.
 
     Requires f normalized (f(0) = 0) and minimal.  The left side expands to
@@ -150,7 +149,7 @@ def solve_h(f: MapLike, b: int, c: int, block_max: Optional[int] = None) -> Scal
     return h
 
 
-def verify_identity(f: MapLike, h: MapLike, a: int, b: int, c: int) -> bool:
+def verify_identity(f: HoloMap, h: HoloMap, a: int, b: int, c: int) -> bool:
     """Exact check of (1 + ||z||^2)^b (1 + ||f||^2)^c == (1 + ||h||^2)^a.
 
     Both sides expand to canonical Hermitian forms; equality of forms is
@@ -159,7 +158,7 @@ def verify_identity(f: MapLike, h: MapLike, a: int, b: int, c: int) -> bool:
     return not identity_mismatch(f, h, a, b, c)
 
 
-def identity_mismatch(f: MapLike, h: MapLike, a: int, b: int, c: int) -> List[Tuple[Monomial, Monomial, GaussianRational]]:
+def identity_mismatch(f: HoloMap, h: HoloMap, a: int, b: int, c: int) -> List[Tuple[Monomial, Monomial, GaussianRational]]:
     """Nonzero entries of left minus right, for diagnostics; empty iff the identity holds."""
     spec = ModificationSpec(f, a, b, c)
     _check_normalized(h)
@@ -168,7 +167,7 @@ def identity_mismatch(f: MapLike, h: MapLike, a: int, b: int, c: int) -> List[Tu
     return [] if left == right else list((left + -right).entries())
 
 
-def tensor_power_rank(f: MapLike, c: int) -> int:
+def tensor_power_rank(f: HoloMap, c: int) -> int:
     """Rank of (1 + ||f||^2)^c - 1 for a normalized minimal map f.
 
     The block is the squared norm of the weighted products of at most c
@@ -185,9 +184,7 @@ def tensor_power_rank(f: MapLike, c: int) -> int:
         raise ValueError("power must be a positive integer")
     _check_normalized(f)
     _check_minimal(f)
-    comps = [
-        {mon.exponents: cell for mon, cell in poly.cells.items()} for _, poly in f.weighted_components()
-    ]
+    comps = [{mon.exponents: cell for mon, cell in poly.cells.items()} for poly in f.components]
     d = len(comps)
     # products of k components, keyed by their non-decreasing index tuples
     level = {(): {(0,) * f.n: (1, 0)}}

@@ -25,7 +25,8 @@ The objects:
                        with its degree, hash and grlex key computed once
   * ``HoloPoly``       a sparse polynomial: the numerators of its nonzero
                        coefficients keyed by Monomial, over one denominator
-  * ``HoloMap``        a tuple of polynomials f = (f_1, ..., f_p) sharing n variables
+  * ``HoloMap``        a tuple of polynomials f = (f_1, ..., f_p) sharing n variables,
+                       with a positive rational weight per component or none
   * ``HermitianForm``  a Hermitian coefficient matrix over a monomial basis,
                        representing a(z, zbar) = sum_{a,b} G[a][b] z^a zbar^b,
                        stored sparse as Gaussian-integer numerators of its
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from operator import add, attrgetter, neg
 from types import MappingProxyType
@@ -181,7 +183,9 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as its real part, as complex does, so it agrees
+        # with the int or Fraction it equals
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __str__(self) -> str:
         return _complex_text(str(self.re), str(self.im))
@@ -197,6 +201,20 @@ def _coerce(value):
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return GaussianRational(value)
     return None
+
+
+def _exact_point(point: Sequence, n: int) -> List[GaussianRational]:
+    """The n coordinates of a point at which to evaluate, as Gaussian rationals;
+    a coordinate that is not an exact scalar is refused by type."""
+    if len(point) != n:
+        raise ValueError("point has wrong dimension")
+    values = []
+    for value in point:
+        exact = _coerce(value)
+        if exact is None:
+            raise TypeError(f"expected an exact scalar coordinate, got {type(value).__name__}")
+        values.append(exact)
+    return values
 
 
 GR_ZERO = GaussianRational(0)
@@ -590,8 +608,7 @@ class HoloPoly:
         return out
 
     def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
-        if len(point) != self.n:
-            raise ValueError("point has wrong dimension")
+        point = _exact_point(point, self.n)
         out = GR_ZERO
         for mon, coeff in self.terms.items():
             out = out + coeff * mon.evaluate(point)
@@ -633,15 +650,22 @@ class HoloPoly:
 
 
 class HoloMap:
-    """A tuple of polynomials in a shared set of variables.
+    """A tuple of polynomials in a shared set of variables, with an optional
+    positive rational weight per component.
 
-    The zero polynomial is permitted as a component; rank-type operations
-    treat it as contributing nothing.
+    ``components`` is a tuple of ``HoloPoly``.  ``weights`` is None for a
+    plain map, or a tuple of positive ``Fraction``s, one per component, for a
+    weighted one, whose squared norm is sum_k w_k |p_k(z)|^2: weights let an
+    extraction stay inside Gaussian rationals where a plain map would need
+    square roots.  A weighted map keeps its weights even when all are 1, so
+    it is written back with them, and it never equals a plain map.  The zero
+    polynomial is permitted as a component; rank-type operations treat it as
+    contributing nothing.
     """
 
-    __slots__ = ("n", "components")
+    __slots__ = ("n", "components", "weights")
 
-    def __init__(self, n: int, components: Sequence[HoloPoly]):
+    def __init__(self, n: int, components: Sequence[HoloPoly], weights: Sequence | None = None):
         _check_variable_count(n, "map")
         comps = tuple(components)
         for comp in comps:
@@ -649,8 +673,27 @@ class HoloMap:
                 raise TypeError("components must be HoloPoly")
             if comp.n != n:
                 raise ValueError("component has wrong variable count")
+        if weights is not None:
+            # from a list, as HermitianForm builds its basis; a Fraction is kept as
+            # it is, and its sign is the sign of its numerator
+            weights = tuple([w if w.__class__ is Fraction else _as_fraction(w) for w in weights])
+            if len(weights) != len(comps):
+                raise ValueError("a weighted map needs one weight per component")
+            if any(w.numerator <= 0 for w in weights):
+                raise ValueError("weights must be positive")
         self.n = n
         self.components = comps
+        self.weights = weights
+
+    @classmethod
+    def _build(cls, n: int, components: Tuple[HoloPoly, ...], weights=None) -> "HoloMap":
+        """A map from a tuple of n-variable polynomials and None or a tuple of
+        positive Fractions, one per polynomial, unvalidated."""
+        f = object.__new__(cls)
+        f.n = n
+        f.components = components
+        f.weights = weights
+        return f
 
     @classmethod
     def variables(cls, n: int) -> "HoloMap":
@@ -661,13 +704,10 @@ class HoloMap:
         return len(self.components)
 
     def weighted_components(self) -> Iterator[Tuple[Fraction, HoloPoly]]:
-        """Uniform view shared with scaled maps: (weight, polynomial) pairs.
-
-        A plain map has every weight equal to 1; the squared norm is
-        sum_k weight_k * |poly_k|^2.
-        """
-        one = Fraction(1)
-        return ((one, comp) for comp in self.components)
+        """(weight, polynomial) pairs; a plain map weights every component by
+        one shared Fraction(1).  The squared norm is sum_k weight_k * |poly_k|^2."""
+        weights = self.weights
+        return zip(repeat(Fraction(1)) if weights is None else weights, self.components)
 
     @property
     def vanishes_at_zero(self) -> bool:
@@ -678,17 +718,22 @@ class HoloMap:
         return max((comp.degree for comp in self.components), default=0)
 
     def evaluate(self, point: Sequence[GaussianRational]) -> List[GaussianRational]:
+        """The values of the components, without their weights."""
+        point = _exact_point(point, self.n)
         return [comp.evaluate(point) for comp in self.components]
 
     def __eq__(self, other):
         if not isinstance(other, HoloMap):
             return NotImplemented
-        return self.n == other.n and self.components == other.components
+        return self.n == other.n and self.components == other.components and self.weights == other.weights
 
     __hash__ = None
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.components) + ")"
+        """Like (z0, z1) for a plain map, (2*|z0|^2, 1*|z1|^2) for a weighted one."""
+        if self.weights is None:
+            return "(" + ", ".join(str(c) for c in self.components) + ")"
+        return "(" + ", ".join(f"{w}*|{p}|^2" for w, p in zip(self.weights, self.components)) + ")"
 
     def __repr__(self) -> str:
         return f"HoloMap({self.n}, {self})"
@@ -700,18 +745,23 @@ class HoloMap:
 
 
 def tensor(f: HoloMap, g: HoloMap) -> HoloMap:
-    """Componentwise product map (f_i * g_j), ordered lexicographically in (i, j)."""
+    """Componentwise product map (f_i * g_j), ordered lexicographically in (i, j).
+
+    The weight of f_i * g_j is the product of theirs, so ||f (x) g||^2 is
+    ||f||^2 ||g||^2; the product is plain iff both maps are.
+    """
     if f.n != g.n:
         raise ValueError("variable count mismatch")
-    comps = [fi * gj for fi in f.components for gj in g.components]
-    return HoloMap(f.n, comps)
+    pairs = [(wi * wj, fi * gj) for wi, fi in f.weighted_components() for wj, gj in g.weighted_components()]
+    weights = None if f.weights is None and g.weights is None else [w for w, _ in pairs]
+    return HoloMap(f.n, [poly for _, poly in pairs], weights)
 
 
 def substitute_powers(f: HoloMap, exponents: Sequence[int]) -> HoloMap:
     """Collapse to one variable by z_i -> w^{a_i}.
 
     A term c * z^alpha becomes c * w^{sum_i a_i alpha_i}; coefficients of
-    colliding images are summed.
+    colliding images are summed.  The weights of f are kept.
     """
     if len(exponents) != f.n:
         raise ValueError("exponent vector has wrong length")
@@ -725,7 +775,7 @@ def substitute_powers(f: HoloMap, exponents: Sequence[int]) -> HoloMap:
             x, y = acc.get(image, (0, 0))
             acc[image] = (x + re, y + im)
         comps.append(HoloPoly._build(1, comp.den, acc))
-    return HoloMap(1, comps)
+    return HoloMap(1, comps, f.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -895,8 +945,7 @@ class HermitianForm:
 
     def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
         """Exact value at a point; Hermitian symmetry makes it real."""
-        if len(point) != self.n:
-            raise ValueError("point has wrong dimension")
+        point = _exact_point(point, self.n)
         values = [mon.evaluate(point) for mon in self.basis]
         out = GR_ZERO
         for (i, j), (re, im) in self.cells.items():
@@ -1027,16 +1076,14 @@ def _outer_sum(size: int, columns) -> Dict[Tuple[int, int], Tuple[int, int]]:
     return cells
 
 
-def norm_form(f) -> HermitianForm:
+def norm_form(f: HoloMap) -> HermitianForm:
     """The squared norm of a map as a Hermitian form.
 
-    Accepts anything exposing ``n`` and ``weighted_components()`` (plain maps
-    weight every component by 1; scaled maps carry positive rational
-    weights): the Gram matrix is sum_k w_k * c_k * c_k^H over the coefficient
-    vectors c_k, hence positive semidefinite by construction.
+    The Gram matrix is sum_k w_k * c_k * c_k^H over the coefficient vectors
+    c_k and the weights w_k of the components (each 1 in a plain map), hence
+    positive semidefinite by construction.
     """
-    pairs = list(f.weighted_components())
-    support = sorted({mon for _, poly in pairs for mon in poly.cells}, key=_grlex)
+    support = sorted({mon for poly in f.components for mon in poly.cells}, key=_grlex)
     index = {mon: i for i, mon in enumerate(support)}
     # Each component is a Gaussian-integer vector v_k over its denominator
     # q_k, so w_k c_k c_k^H = w_k v_k v_k^H / q_k^2; the sum is accumulated
@@ -1045,7 +1092,7 @@ def norm_form(f) -> HermitianForm:
     # so unreduced the lcm would carry every pivot p_k squared, not once.
     vectors = []
     den = 1
-    for weight, poly in pairs:
+    for weight, poly in f.weighted_components():
         vec = sorted((index[mon], x, y) for mon, (x, y) in poly.cells.items())
         num, scale = weight.numerator, weight.denominator * poly.den * poly.den
         g = gcd(num, scale)

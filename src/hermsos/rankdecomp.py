@@ -5,8 +5,9 @@ Everything here is exact; scalars are Gaussian rationals:
   * ``inertia``       signature (positive, negative) of the Gram matrix by
                       Hermitian congruence diagonalization; basis-independent.
   * ``extract_sos``   write a positive semidefinite form as an exact weighted
-                      sum of squared moduli of polynomials (an LDL^H
-                      factorization read off column by column), or raise
+                      sum of squared moduli of polynomials, a weighted
+                      ``HoloMap`` (an LDL^H factorization read off column
+                      by column), or raise
                       ``NotSOSError`` with a witness of indefiniteness.
   * ``reduce_minimal``  keep the components of a map that are not in the
                       span of the earlier ones, giving the rank of its
@@ -32,9 +33,8 @@ denominator, each reduced by one gcd pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .polyalg import (
     GR_ONE,
@@ -44,8 +44,6 @@ from .polyalg import (
     HoloMap,
     HoloPoly,
     Monomial,
-    _as_fraction,
-    _check_variable_count,
     _outer_sum,
     norm_form,
 )
@@ -231,62 +229,10 @@ def inertia(form: HermitianForm) -> Inertia:
     return Inertia(pos, neg)
 
 
-@dataclass(frozen=True)
-class ScaledMap:
-    """A map with a positive rational weight per component.
-
-    Represents the squared-norm decomposition sum_k w_k |p_k(z)|^2; weights
-    let the extraction stay inside Gaussian rationals where a plain map
-    would need square roots.
-    """
-
-    n: int
-    components: Tuple[Tuple[Fraction, HoloPoly], ...]
-
-    def __post_init__(self):
-        _check_variable_count(self.n, "map")
-        # from a list, as HermitianForm builds its basis; a Fraction is kept as it
-        # is, and its sign is the sign of its numerator
-        comps = tuple([(w if w.__class__ is Fraction else _as_fraction(w), p) for w, p in self.components])
-        for weight, poly in comps:
-            if weight.numerator <= 0:
-                raise ValueError("weights must be positive")
-            if not isinstance(poly, HoloPoly) or poly.n != self.n:
-                raise ValueError("component has wrong variable count")
-        object.__setattr__(self, "components", comps)
-
-    @classmethod
-    def _build(cls, n: int, components: Tuple[Tuple[Fraction, HoloPoly], ...]) -> "ScaledMap":
-        """A scaled map from a tuple of (positive Fraction, n-variable HoloPoly)
-        pairs, unvalidated."""
-        h = object.__new__(cls)
-        object.__setattr__(h, "n", n)
-        object.__setattr__(h, "components", components)
-        return h
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def weighted_components(self) -> Iterator[Tuple[Fraction, HoloPoly]]:
-        return iter(self.components)
-
-    @property
-    def vanishes_at_zero(self) -> bool:
-        return all(poly.vanishes_at_zero for _, poly in self.components)
-
-    @property
-    def max_degree(self) -> int:
-        return max((poly.degree for _, poly in self.components), default=0)
-
-    def __str__(self) -> str:
-        inner = ", ".join(f"{w}*|{p}|^2" for w, p in self.components)
-        return f"ScaledMap({inner})"
-
-
-def extract_sos(form: HermitianForm) -> ScaledMap:
+def extract_sos(form: HermitianForm) -> HoloMap:
     """Exact LDL^H decomposition of a positive semidefinite form.
 
-    Returns a scaled map h with rank(form) components whose squared norm
+    Returns a weighted map h with rank(form) components whose squared norm
     reproduces the form.  A negative pivot, or a zero diagonal entry whose
     row is not yet eliminated, certifies indefiniteness and raises
     ``NotSOSError`` with a witness vector; for a PSD matrix neither can
@@ -298,7 +244,8 @@ def extract_sos(form: HermitianForm) -> ScaledMap:
     scale > 0 and the sign of the integer pivot is the sign of d: the test
     needs no Fraction, and one is built only for a weight.
     """
-    comps: List[Tuple[Fraction, HoloPoly]] = []
+    polys: List[HoloPoly] = []
+    weights: List[Fraction] = []
     steps = []  # (index, pivot, column) of each nonzero pivot so far
     for k, pivot, scale, column in _ldlh(form.size, form.den, form.cells):
         if not pivot:
@@ -318,8 +265,9 @@ def extract_sos(form: HermitianForm) -> ScaledMap:
         cells = {form.basis[k]: (pivot, 0)}
         for i, a_re, a_im in column:
             cells[form.basis[i]] = (a_re, a_im)
-        comps.append((Fraction(pivot, scale), HoloPoly._build(form.n, pivot, cells)))
-    return ScaledMap._build(form.n, tuple(comps))
+        weights.append(Fraction(pivot, scale))
+        polys.append(HoloPoly._build(form.n, pivot, cells))
+    return HoloMap._build(form.n, tuple(polys), tuple(weights))
 
 
 def _lift(size: int, steps, u: Dict[int, GaussianRational]) -> Tuple[GaussianRational, ...]:
@@ -379,22 +327,21 @@ def _independent(vectors: Sequence[Mapping]) -> List[int]:
     return [k for k, pivot, _, _ in _ldlh(len(vectors), 1, gram) if pivot]
 
 
-def reduce_minimal(f) -> Tuple[HoloMap, int]:
+def reduce_minimal(f: HoloMap) -> Tuple[HoloMap, int]:
     """The components of f not in the span of the earlier ones, and their count.
 
     The result is an ordered sub-map of f spanning the same space with
     independent components, so its length is the rank of ||f||^2.  It is
-    not isometric to f (``extract_sos`` on the form is).  Scaled maps are
-    accepted and their weights dropped; positive weights never change the
-    span.
+    not isometric to f (``extract_sos`` on the form is).  The weights of a
+    weighted map are dropped; positive weights never change the span.
     """
-    polys = [poly for _, poly in f.weighted_components()]
+    polys = f.components
     kept = [polys[k] for k in _independent([poly.cells for poly in polys])]
     return HoloMap(f.n, kept), len(kept)
 
 
-def grams_equal(f, g) -> bool:
-    """Whether two maps have identical squared norms.
+def grams_equal(f: HoloMap, g: HoloMap) -> bool:
+    """Whether two maps, plain or weighted, have identical squared norms.
 
     This is the right notion of equivalence for decompositions: maps give
     the same form iff they differ by an isometry of the component span.
@@ -404,7 +351,7 @@ def grams_equal(f, g) -> bool:
     return norm_form(f) == norm_form(g)
 
 
-def affine_split(form: HermitianForm) -> Optional[ScaledMap]:
+def affine_split(form: HermitianForm) -> Optional[HoloMap]:
     """The map h with h(0) = 0 and the fewest components such that
     form == 1 + ||h||^2, or None.
 
@@ -417,12 +364,12 @@ def affine_split(form: HermitianForm) -> Optional[ScaledMap]:
     the rest of the extraction, passed on unchecked.
     """
     try:
-        comps = extract_sos(form).components
+        squares = extract_sos(form)
     except NotSOSError:
         return None
+    comps, weights = squares.components, squares.weights
     if not comps:
         return None
-    weight, first = comps[0]
-    if weight != 1 or first.den != 1 or first.cells != {Monomial._build((0,) * form.n): (1, 0)}:
+    if weights[0] != 1 or comps[0].den != 1 or comps[0].cells != {Monomial._build((0,) * form.n): (1, 0)}:
         return None
-    return ScaledMap._build(form.n, comps[1:])
+    return HoloMap._build(form.n, comps[1:], weights[1:])

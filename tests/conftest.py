@@ -28,7 +28,6 @@ from hermsos import (
     Inertia,
     Monomial,
     NotSOSError,
-    ScaledMap,
     grlex_key,
     monomials_of_degree,
     monomials_up_to_degree,
@@ -286,7 +285,7 @@ def reference_tensor_power_rank(f, c: int) -> int:
                 weight *= pairs[i][0]
                 poly = poly * pairs[i][1]
             prods.append((weight, poly))
-    return reference_reduce_minimal(ScaledMap(f.n, tuple(prods)))[1]
+    return reference_reduce_minimal(HoloMap(f.n, [poly for _, poly in prods], [w for w, _ in prods]))[1]
 
 
 def reference_norm_form(f) -> HermitianForm:

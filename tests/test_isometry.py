@@ -15,7 +15,6 @@ from hermsos import (
     ModificationSpec,
     NotMinimalError,
     NotNormalizedError,
-    ScaledMap,
     divide_by_norm,
     extract_sos,
     extremal_power_lower,
@@ -79,14 +78,10 @@ def test_solve_h_single_coordinate():
     f = HoloMap(2, [HoloPoly.variable(2, 0)])
     h = solve_h(f, 1, 1)
     assert len(h) == 4
-    expected = ScaledMap(
+    expected = HoloMap(
         2,
-        (
-            (Fraction(2), HoloPoly.variable(2, 0)),
-            (Fraction(1), HoloPoly.variable(2, 1)),
-            (Fraction(1), HoloPoly.monomial(2, (2, 0))),
-            (Fraction(1), HoloPoly.monomial(2, (1, 1))),
-        ),
+        [HoloPoly.variable(2, 0), HoloPoly.variable(2, 1), HoloPoly.monomial(2, (2, 0)), HoloPoly.monomial(2, (1, 1))],
+        [Fraction(2), Fraction(1), Fraction(1), Fraction(1)],
     )
     assert grams_equal(h, expected)
     assert verify_identity(f, h, 1, 1, 1)
@@ -97,15 +92,16 @@ def test_solve_h_both_coordinates():
     h = solve_h(f, 1, 1)
     # (1+|z0|^2+|z1|^2)^2 expands with multinomial weights; five squares
     assert len(h) == 5
-    expected = ScaledMap(
+    expected = HoloMap(
         2,
-        (
-            (Fraction(2), HoloPoly.variable(2, 0)),
-            (Fraction(2), HoloPoly.variable(2, 1)),
-            (Fraction(1), HoloPoly.monomial(2, (2, 0))),
-            (Fraction(2), HoloPoly.monomial(2, (1, 1))),
-            (Fraction(1), HoloPoly.monomial(2, (0, 2))),
-        ),
+        [
+            HoloPoly.variable(2, 0),
+            HoloPoly.variable(2, 1),
+            HoloPoly.monomial(2, (2, 0)),
+            HoloPoly.monomial(2, (1, 1)),
+            HoloPoly.monomial(2, (0, 2)),
+        ],
+        [Fraction(2), Fraction(2), Fraction(1), Fraction(2), Fraction(1)],
     )
     assert grams_equal(h, expected)
     assert verify_identity(f, h, 1, 1, 1)
@@ -131,7 +127,7 @@ def test_solve_h_matches_the_factor_of_the_block_without_the_constant():
     for b, c in ((1, 1), (2, 1), (1, 2), (3, 2)):
         f = random_map(rng, rng.choice((1, 2)), rng.randint(1, 2), 2, 3)
         block = drop_constant(modification_form(ModificationSpec(f, 1, b, c)))
-        assert solve_h(f, b, c).components == extract_sos(block).components
+        assert solve_h(f, b, c) == extract_sos(block)
 
 
 def test_solve_h_two_routes_agree():
@@ -169,7 +165,7 @@ def test_verify_identity_example_family():
 def test_verify_identity_detects_mismatch():
     f = HoloMap(2, [HoloPoly.variable(2, 0)])
     h = solve_h(f, 1, 1)
-    wrong = ScaledMap(2, tuple((w + 1, p) for w, p in h.components[:1]) + h.components[1:])
+    wrong = HoloMap(2, h.components, (h.weights[0] + 1,) + h.weights[1:])
     assert not verify_identity(f, wrong, 1, 1, 1)
     diff = identity_mismatch(f, wrong, 1, 1, 1)
     assert diff

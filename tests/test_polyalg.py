@@ -19,7 +19,6 @@ from hermsos import (
     HoloPoly,
     ModificationSpec,
     Monomial,
-    ScaledMap,
     check_modification_rank,
     grlex_key,
     monomials_of_degree,
@@ -41,6 +40,15 @@ def test_scalar_rejects_floats():
         GaussianRational(1, 0.25)
     with pytest.raises(TypeError):
         HoloPoly(1, {mono(1): 0.5})
+
+
+def test_a_real_scalar_hashes_as_the_rational_it_equals():
+    # as complex does: equal values are one key of a set or a dict
+    assert GaussianRational(1) in {1}
+    assert GaussianRational(Fraction(1, 2)) in {Fraction(1, 2)}
+    assert {1: "a"}.get(GaussianRational(1)) == "a"
+    assert hash(GaussianRational(-3)) == hash(-3) and hash(GaussianRational(0)) == hash(0)
+    assert {GaussianRational(1, 2), GaussianRational(1, 2), GaussianRational(1)} == {GaussianRational(1, 2), 1}
 
 
 def test_scalar_known_products():
@@ -234,9 +242,9 @@ def test_poly_arithmetic_matches_evaluation():
     (lambda: HermitianForm(True, [], []), "a form needs a positive variable count"),
     (lambda: HermitianForm.zero(True), "a form needs a positive variable count"),
     (lambda: one_plus_norm_z(True), "a form needs a positive variable count"),
-    (lambda: ScaledMap(True, ()), "a map needs a positive variable count"),
-    (lambda: ScaledMap(-3, ()), "a map needs a positive variable count"),
-    (lambda: ScaledMap("x", ()), "a map needs a positive variable count"),
+    (lambda: HoloMap(True, [], ()), "a map needs a positive variable count"),
+    (lambda: HoloMap(-3, [], ()), "a map needs a positive variable count"),
+    (lambda: HoloMap("x", [], ()), "a map needs a positive variable count"),
     (lambda: monomials_of_degree(True, 2), "need at least one variable"),
     (lambda: monomials_of_degree(2.0, 2), "need at least one variable"),
 ], ids=[
@@ -272,8 +280,8 @@ Z0, Z0_2, F2 = mono(1), mono(1, 0), HoloMap(2, [HoloPoly.variable(2, 0), HoloPol
     (lambda: monomials_of_degree(2, 1.0), ValueError, "degree must be non-negative"),
     (lambda: monomials_up_to_degree(2, 1.5), ValueError, "degree must be non-negative"),
     (lambda: monomials_up_to_degree(2, True), ValueError, "degree must be non-negative"),
-    (lambda: ScaledMap(1, ((True, HoloPoly.variable(1, 0)),)), TypeError, "expected an exact rational, got bool"),
-    (lambda: ScaledMap(1, ((0.5, HoloPoly.variable(1, 0)),)), TypeError, "expected an exact rational, got float"),
+    (lambda: HoloMap(1, [HoloPoly.variable(1, 0)], [True]), TypeError, "expected an exact rational, got bool"),
+    (lambda: HoloMap(1, [HoloPoly.variable(1, 0)], [0.5]), TypeError, "expected an exact rational, got float"),
     (lambda: r_lambda(True), TypeError, "expected an exact rational, got bool"),
     (lambda: r_lambda(0.5), TypeError, "expected an exact rational, got float"),
 ], ids=[
@@ -355,6 +363,11 @@ def test_map_basics():
     assert f.max_degree == 1
     assert f.vanishes_at_zero
     assert [w for w, _ in f.weighted_components()] == [Fraction(1)] * 3
+    assert f.weights is None and str(f) == "(z0, z1, z2)"
+    weighted = HoloMap(3, f.components, [Fraction(1, 2), 1, 3])
+    assert weighted != f and HoloMap(3, f.components, [1, 1, 1]) != f
+    assert str(weighted) == "(1/2*|z0|^2, 1*|z1|^2, 3*|z2|^2)"
+    assert repr(weighted) == "HoloMap(3, (1/2*|z0|^2, 1*|z1|^2, 3*|z2|^2))"
     g = HoloMap(3, [HoloPoly.constant(3, 1)])
     assert not g.vanishes_at_zero
     with pytest.raises(ValueError):
@@ -420,12 +433,18 @@ def test_form_pow_requires_positive_exponent():
 
 
 def test_tensor_norm_identity():
-    rng = random.Random(505)
+    rng, weights = random.Random(505), random.Random(507)
     for _ in range(10):
         n = rng.choice((1, 2))
         f = rand_plain_map(rng, n, rng.randint(1, 2))
         g = rand_plain_map(rng, n, rng.randint(1, 2))
         assert norm_form(tensor(f, g)) == norm_form(f) * norm_form(g)
+        assert tensor(f, g).weights is None
+        # weights multiply pairwise, so a weighted factor keeps the identity
+        w = HoloMap(n, f.components, [Fraction(weights.randint(1, 5), weights.randint(1, 3)) for _ in f.components])
+        for a, b in ((w, g), (g, w), (w, w)):
+            assert tensor(a, b).weights is not None
+            assert norm_form(tensor(a, b)) == norm_form(a) * norm_form(b)
     with pytest.raises(ValueError):
         tensor(HoloMap.variables(1), HoloMap.variables(2))
 
@@ -436,6 +455,9 @@ def test_substitute_powers():
     assert collapsed.components[0] == HoloPoly(1, {mono(1): 2})
     split = substitute_powers(f, (1, 2))
     assert split.components[0] == HoloPoly(1, {mono(1): 1, mono(2): 1})
+    assert split.weights is None
+    # a weighted map keeps its weights
+    assert substitute_powers(HoloMap(2, f.components, [Fraction(3, 2)]), (1, 2)) == HoloMap(1, split.components, [Fraction(3, 2)])
     with pytest.raises(ValueError):
         substitute_powers(f, (1,))
 
@@ -468,6 +490,22 @@ def test_form_entries_and_restrict():
     assert a.degrees() == {1}
     total = HermitianForm.constant(2, 7)
     assert total.constant_coefficient() == GaussianRational(7)
+
+
+@pytest.mark.parametrize("value", [0.5, True, "1/2"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("evaluate,exact", [
+    (HoloPoly.variable(2, 0).evaluate, GaussianRational(1, 1)),
+    (HoloMap(2, [HoloPoly.variable(2, 0)]).evaluate, [GaussianRational(1, 1)]),
+    (norm_form(HoloMap(2, [HoloPoly.variable(2, 0)])).evaluate, GaussianRational(2)),
+], ids=["poly", "map", "form"])
+def test_evaluate_refuses_a_coordinate_that_is_not_exact(evaluate, exact, value):
+    # checked where evaluation starts, also at a coordinate whose exponent is 0
+    for point in ([value, 1], [1, value]):
+        with pytest.raises(TypeError) as info:
+            evaluate(point)
+        assert str(info.value) == f"expected an exact scalar coordinate, got {type(value).__name__}"
+    # z0 = 1 + i, and an int or a Fraction is taken as it was before
+    assert evaluate([GaussianRational(1, 1), Fraction(1, 2)]) == evaluate([GaussianRational(1, 1), 3]) == exact
 
 
 def test_form_evaluate_real():

@@ -24,7 +24,6 @@ from hermsos import (
     HoloPoly,
     Inertia,
     NotSOSError,
-    ScaledMap,
     affine_split,
     extract_sos,
     grams_equal,
@@ -249,9 +248,7 @@ def test_reduce_minimal_weights_do_not_change_rank():
     z0 = HoloPoly.variable(2, 0)
     z1 = HoloPoly.variable(2, 1)
     plain = HoloMap(2, [z0 + z1, z1])
-    weighted = ScaledMap(
-        2, ((Fraction(7, 3), z0 + z1), (Fraction(1, 9), z1))
-    )
+    weighted = HoloMap(2, [z0 + z1, z1], [Fraction(7, 3), Fraction(1, 9)])
     assert reduce_minimal(plain)[1] == reduce_minimal(weighted)[1] == 2
 
 
@@ -305,25 +302,28 @@ def test_affine_split_reads_the_first_square_on_its_fields(monkeypatch):
     # one more cell: |1 + z|^2 + |z|^2
     assert affine_split(HermitianForm(1, [one, z], [[1, 1], [1, 2]])) is None
     # den 2: the polynomial 1/2 with weight 1, which no extraction yields, so it is planted
-    half = ScaledMap(1, ((Fraction(1), HoloPoly(1, {one: Fraction(1, 2)})), (Fraction(1), HoloPoly(1, {z: 1}))))
-    assert half.components[0][1].den == 2 and half.components[0][1].cells == {one: (1, 0)}
+    half = HoloMap(1, [HoloPoly(1, {one: Fraction(1, 2)}), HoloPoly(1, {z: 1})], [Fraction(1), Fraction(1)])
+    assert half.components[0].den == 2 and half.components[0].cells == {one: (1, 0)}
     monkeypatch.setattr(rankdecomp, "extract_sos", lambda form: half)
     assert affine_split(diag_form([1, 1])) is None
     # the same square over den 1 splits
-    whole = ScaledMap(1, ((Fraction(1), HoloPoly(1, {one: 1})), (Fraction(1), HoloPoly(1, {z: 1}))))
+    whole = HoloMap(1, [HoloPoly(1, {one: 1}), HoloPoly(1, {z: 1})], [Fraction(1), Fraction(1)])
     monkeypatch.setattr(rankdecomp, "extract_sos", lambda form: whole)
-    assert affine_split(diag_form([1, 1])).components == whole.components[1:]
+    assert affine_split(diag_form([1, 1])) == HoloMap(1, whole.components[1:], whole.weights[1:])
 
 
 def test_scaled_map_validation():
     z = HoloPoly.variable(1, 0)
     with pytest.raises(ValueError):
-        ScaledMap(1, ((Fraction(0), z),))
+        HoloMap(1, [z], [Fraction(0)])
     with pytest.raises(ValueError):
-        ScaledMap(1, ((Fraction(-1), z),))
+        HoloMap(1, [z], [Fraction(-1)])
     with pytest.raises(ValueError):
-        ScaledMap(2, ((Fraction(1), z),))
-    s = ScaledMap(1, ((Fraction(1, 2), z),))
+        HoloMap(2, [z], [Fraction(1)])
+    for weights in ([], [1, 1]):
+        with pytest.raises(ValueError, match="^a weighted map needs one weight per component$"):
+            HoloMap(1, [z], weights)
+    s = HoloMap(1, [z], [Fraction(1, 2)])
     assert s.vanishes_at_zero
     assert s.max_degree == 1
     assert len(s) == 1
@@ -332,12 +332,12 @@ def test_scaled_map_validation():
 @pytest.mark.parametrize("weight", [0, -1, Fraction(-1, 2)], ids=["0", "-1", "-1/2"])
 def test_scaled_map_refuses_a_weight_that_is_not_positive(weight):
     with pytest.raises(ValueError, match="^weights must be positive$"):
-        ScaledMap(1, ((weight, HoloPoly.variable(1, 0)),))
+        HoloMap(1, [HoloPoly.variable(1, 0)], [weight])
 
 
 def test_scaled_map_keeps_a_fraction_and_converts_an_int():
     z = HoloPoly.variable(1, 0)
     half = Fraction(1, 2)
-    (w1, _), (w2, _) = ScaledMap(1, ((half, z), (3, z))).components
+    w1, w2 = HoloMap(1, [z, z], [half, 3]).weights
     assert w1 is half
     assert type(w2) is Fraction and w2 == 3

@@ -1,6 +1,7 @@
 """The fraction-free kernel, the sparse form arithmetic, the integer tensor
 products and the bounded division search against rational references, plus
-congruence invariance of inertia and JSON document round trips.
+congruence invariance of inertia, JSON document round trips, and one
+metamorphic oracle: a unitary change of a map's components keeps its norm form.
 
 The references in conftest run the textbook eliminations, the Gram sum,
 dense form products and sums, tensor products built one by one, and a
@@ -34,7 +35,6 @@ from hermsos import (
     HoloPoly,
     Monomial,
     NotSOSError,
-    ScaledMap,
     affine_split,
     divide_by_norm,
     extract_sos,
@@ -50,7 +50,9 @@ from hermsos import (
     reduce_minimal,
     serialize_form_document,
     serialize_map_document,
+    solve_h,
     tensor_power_rank,
+    verify_identity,
 )
 from hermsos.documents import serialize_form_json
 from hermsos.rankdecomp import _ldlh
@@ -116,12 +118,12 @@ def scaled_maps(draw):
     """Positive-weight maps over a few monomials, so components often depend."""
     support = draw(st.lists(st.sampled_from(BASIS), min_size=1, max_size=4, unique=True))
     values = entry_scalars(draw)
-    comps = []
+    polys, weights = [], []
     for _ in range(draw(st.integers(1, 4))):
         terms = {mon: draw(values) for mon in support}
-        weight = Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
-        comps.append((weight, HoloPoly(2, terms)))
-    return ScaledMap(2, tuple(comps))
+        weights.append(Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 5))))
+        polys.append(HoloPoly(2, terms))
+    return HoloMap(2, polys, weights)
 
 
 def sos_outcome(extract, form):
@@ -158,13 +160,13 @@ def test_extract_sos_matches_reference_and_recomposes_psd(f):
 @PROPERTY
 @given(scaled_maps())
 def test_extract_sos_and_affine_split_give_what_the_checked_constructor_gives(f):
-    # both pass their ScaledMap on unchecked; the checked constructor is the reference
+    # both pass their weighted map on unchecked; the checked constructor is the reference
     s = extract_sos(reference_norm_form(f))
     h = affine_split(one_plus_norm(f))
     for g in (s, h) if h is not None else (s,):
-        assert all(type(w) is Fraction and w > 0 for w, _ in g.components)
-        assert ScaledMap(g.n, g.components) == g
-        assert all(poly.n == g.n for _, poly in g.components)
+        assert g.weights is not None and all(type(w) is Fraction and w > 0 for w in g.weights)
+        assert HoloMap(g.n, g.components, g.weights) == g
+        assert all(poly.n == g.n for poly in g.components)
 
 
 def quadratic_value(form, v):
@@ -332,7 +334,7 @@ def test_norm_form_ignores_the_order_of_components_and_terms(f, rng):
         rng.shuffle(terms)
         pairs.append((weight, HoloPoly(f.n, dict(terms))))
     rng.shuffle(pairs)
-    assert_same_form(norm_form(f), norm_form(ScaledMap(f.n, tuple(pairs))))
+    assert_same_form(norm_form(f), norm_form(HoloMap(f.n, [poly for _, poly in pairs], [w for w, _ in pairs])))
 
 
 @st.composite
@@ -392,7 +394,7 @@ def spanning_maps(draw):
     if draw(st.booleans()):
         return HoloMap(2, polys)
     weights = [Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 4))) for _ in polys]
-    return ScaledMap(2, tuple(zip(weights, polys)))
+    return HoloMap(2, polys, weights)
 
 
 @PROPERTY
@@ -411,8 +413,9 @@ def test_reduce_minimal_matches_reference(f):
 
 
 @st.composite
-def tensor_inputs(draw):
-    """(f, t): a normalized minimal map, n, p, t <= 3, with up to 19 terms a component."""
+def minimal_maps(draw, plain=st.booleans()):
+    """Normalized minimal maps, n, p <= 3, with up to 19 terms a component,
+    plain when ``plain`` draws True and weighted otherwise."""
     n = draw(st.integers(1, 3))
     degree = draw(st.integers(1, 3))
     mons = [m for m in monomials_up_to_degree(n, degree) if m.degree >= 1]
@@ -423,12 +426,18 @@ def tensor_inputs(draw):
         else:
             support = draw(st.lists(st.sampled_from(mons), min_size=1, unique=True))
         polys.append(HoloPoly(n, {mon: draw(scalars) for mon in support}))
-    if draw(st.booleans()):
+    if draw(plain):
         f = HoloMap(n, polys)
     else:
-        f = ScaledMap(n, tuple((Fraction(draw(st.integers(1, 5)), 3), poly) for poly in polys))
+        f = HoloMap(n, polys, [Fraction(draw(st.integers(1, 5)), 3) for _ in polys])
     assume(reference_reduce_minimal(f)[1] == len(polys))
-    return f, draw(st.integers(1, 3))
+    return f
+
+
+@st.composite
+def tensor_inputs(draw):
+    """(f, t): a map of ``minimal_maps`` and t <= 3."""
+    return draw(minimal_maps()), draw(st.integers(1, 3))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -449,6 +458,65 @@ def test_tensor_power_rank_with_more_products_than_monomials():
     # 135 products of w and 3w^2 span the 30 monomials w .. w^30
     f = HoloMap(1, [HoloPoly(1, {Monomial((1,)): 1}), HoloPoly(1, {Monomial((2,)): 3})])
     assert tensor_power_rank(f, 15) == reference_tensor_power_rank(f, 15) == 30
+
+
+@st.composite
+def skew_hermitian_matrices(draw, size):
+    """S over Q(i) with S^H = -S: an imaginary diagonal, and S[j][i] = -conj(S[i][j]).
+    The diagonal is seldom zero, so U = I is rare even for one component."""
+    s = [[GaussianRational(0)] * size for _ in range(size)]
+    for i in range(size):
+        s[i][i] = GaussianRational(0, draw(rationals))
+        for j in range(i + 1, size):
+            s[i][j] = draw(scalars)
+            s[j][i] = -s[i][j].conjugate()
+    return s
+
+
+def cayley_transform(s):
+    """U = (I - S)(I + S)^(-1), unitary for skew-Hermitian S, with entries in Q(i).
+
+    The eigenvalues of S are imaginary, so I + S is invertible, and it commutes
+    with I - S: U is (I + S)^(-1)(I - S), read off Gauss-Jordan on [I + S | I - S]."""
+    size = len(s)
+    rows = [
+        [GaussianRational(int(i == j)) + s[i][j] for j in range(size)]
+        + [GaussianRational(int(i == j)) - s[i][j] for j in range(size)]
+        for i in range(size)
+    ]
+    for c in range(size):
+        pivot = next(r for r in range(c, size) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inverse = GaussianRational(1) / rows[c][c]
+        rows[c] = [v * inverse for v in rows[c]]
+        for r in range(size):
+            if r != c and rows[r][c]:
+                factor = rows[r][c]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
+    return [row[size:] for row in rows]
+
+
+def apply_matrix(u, f):
+    """The map U f, component i the sum over j of U[i][j] f_j, by HoloPoly + and scalar *."""
+    comps = []
+    for row in u:
+        poly = HoloPoly.zero(f.n)
+        for scalar, comp in zip(row, f.components):
+            poly = poly + comp * scalar
+        comps.append(poly)
+    return HoloMap(f.n, comps)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(minimal_maps(plain=st.just(True)), st.data())
+def test_a_unitary_change_of_components_keeps_the_norm_form(f, data):
+    # a metamorphic oracle: ||U f||^2 = ||f||^2 for U unitary, so U f has the
+    # norm form of f, and the h solved for f solves the identity for U f
+    u = cayley_transform(data.draw(skew_hermitian_matrices(len(f))))
+    g = apply_matrix(u, f)
+    assert norm_form(g) == norm_form(f)
+    b, c = data.draw(st.sampled_from([(1, 1), (2, 1), (1, 2)]))
+    assert verify_identity(g, solve_h(f, b, c), 1, b, c)
 
 
 gaussian_integers = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))
@@ -488,7 +556,7 @@ def test_map_documents_round_trip(f):
 
 
 def test_empty_weighted_map_round_trips():
-    f = ScaledMap(2, ())
+    f = HoloMap(2, [], [])
     assert parse_map_document(json_round_trip(serialize_map_document(f))) == f
 
 
