@@ -12,13 +12,11 @@ the polynomial machinery, so they can serve as oracles for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of one bound check.
 
     ``lower``/``upper`` bracket the admissible range for the observed count

@@ -22,7 +22,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import inspect
 import io
 import json
 import random
@@ -227,7 +226,8 @@ def cmd_bounds(args) -> int:
             f"unknown theorem {args.theorem!r}; known: {', '.join(sorted(THEOREMS))}"
         )
     func = THEOREMS[args.theorem]
-    names = inspect.signature(func).parameters
+    code = func.__code__
+    names = code.co_varnames[: code.co_argcount]
     values = {}
     for item in args.values:
         key, sep, raw = item.partition("=")
@@ -301,14 +301,14 @@ def cmd_example1(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    # the config keys, and the dests of the flags, are EnsembleConfig's parameters
-    keys = inspect.signature(EnsembleConfig).parameters
+    # the config keys, and the dests of the flags, are EnsembleConfig's fields
+    keys = EnsembleConfig._fields
     if args.config:
         doc = _read_json(args.config)
         if not isinstance(doc, dict):
             raise DocumentError("ensemble config must be an object")
         _check_keys(doc, keys, "config")
-        missing = [key for key, param in keys.items() if param.default is param.empty and key not in doc]
+        missing = [key for key in keys if key not in EnsembleConfig._field_defaults and key not in doc]
         if missing:
             raise DocumentError(f"missing config keys {missing}")
     else:

@@ -54,7 +54,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Tuple
 
@@ -314,18 +314,15 @@ def serialize_form_json(a: HermitianForm) -> str:
     return f'{{\n  "n": {a.n},\n  "basis": [\n{basis}\n  ],\n  "gram": [\n{gram}\n  ]\n}}\n'
 
 
-@dataclass(frozen=True)
-class EnsembleConfig:
-    """Parameters for a reproducible random-map ensemble."""
+class EnsembleConfig(
+    namedtuple("EnsembleConfig", "n d_max degree_max count seed coefficient_height", defaults=(5,))
+):
+    """Parameters for a reproducible random-map ensemble, checked when built."""
 
-    n: int
-    d_max: int
-    degree_max: int
-    count: int
-    seed: int
-    coefficient_height: int = 5
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("n", "d_max", "degree_max", "coefficient_height"):
             if not _is_int_at_least(getattr(self, name), 1):
                 raise ValueError(f"{name} must be a positive integer")
@@ -333,6 +330,10 @@ class EnsembleConfig:
             raise ValueError("count must be a non-negative integer")
         if not _is_int_at_least(self.seed, 0) or self.seed >= 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
+        return self
+
+    # namedtuple's _make, and so _replace, would build without the checks
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 def random_map(
@@ -346,7 +347,7 @@ def random_map(
     and individually nonzero, so the result is always minimal.  Raises
     ValueError when p exceeds the number of monomials of degree 1..degree_max.
     """
-    if p < 1 or degree_max < 1 or height < 1:
+    if not all(_is_int_at_least(value, 1) for value in (p, degree_max, height)):
         raise ValueError("p, degree_max, and height must be positive")
     candidates = [m for m in monomials_up_to_degree(n, degree_max) if m.degree >= 1]
     # p independent components need p monomials to span; fewer would redraw forever

@@ -13,6 +13,12 @@ number of components off one exact square extraction of the whole form.
 ``verify_identity`` replays the identity as an equality of canonical forms,
 which is exact and certificate-free.
 
+The data (f, a, b, c) of an identity is passed as plain arguments.
+``solve_h`` (with a = 1) and ``identity_mismatch`` check it on entry, in
+this order: a, b, c positive, their gcd 1, f normalized, f minimal.
+``modification_form(f, b, c)`` is the bare expansion of the left side,
+defined for every map.
+
 ``tensor_power_rank`` gives the rank of (1 + ||f||^2)^c - 1 as the dimension
 of the span of the products of at most c components, counted by
 ``rankdecomp._independent``.
@@ -26,7 +32,6 @@ example family and the maps that attain the lower bounds of ``bounds``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import sub
@@ -74,28 +79,16 @@ def _check_minimal(f: HoloMap):
         raise NotMinimalError("map components must be linearly independent")
 
 
-@dataclass(frozen=True)
-class ModificationSpec:
-    """Input data (f, a, b, c) for one modification identity."""
-
-    f: HoloMap
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            value = getattr(self, name)
-            if not _is_int_at_least(value, 1):
-                raise ValueError(f"exponent {name} must be a positive integer")
-        if gcd(gcd(self.a, self.b), self.c) != 1:
-            raise ValueError("exponents must have gcd 1")
-        _check_normalized(self.f)
-        _check_minimal(self.f)
-
-    @property
-    def n(self) -> int:
-        return self.f.n
+def _check_identity(f: HoloMap, a: int, b: int, c: int):
+    """The data (f, a, b, c) of one modification identity: positive exponents
+    with gcd 1, then f normalized and minimal, checked in that order."""
+    for name, value in (("a", a), ("b", b), ("c", c)):
+        if not _is_int_at_least(value, 1):
+            raise ValueError(f"exponent {name} must be a positive integer")
+    if gcd(gcd(a, b), c) != 1:
+        raise ValueError("exponents must have gcd 1")
+    _check_normalized(f)
+    _check_minimal(f)
 
 
 def one_plus_norm(f: HoloMap) -> HermitianForm:
@@ -122,9 +115,10 @@ def _unit_diagonal(n: int, constant: bool) -> HermitianForm:
     return HermitianForm._build(n, mons, 1, {(k, k): (1, 0) for k in range(len(mons))})
 
 
-def modification_form(spec: ModificationSpec) -> HermitianForm:
-    """The left-hand form (1 + ||z||^2)^b (1 + ||f||^2)^c, expanded exactly."""
-    return one_plus_norm_z(spec.n) ** spec.b * one_plus_norm(spec.f) ** spec.c
+def modification_form(f: HoloMap, b: int, c: int) -> HermitianForm:
+    """The left-hand form (1 + ||z||^2)^b (1 + ||f||^2)^c, expanded exactly;
+    defined for every map f and positive integers b, c."""
+    return one_plus_norm_z(f.n) ** b * one_plus_norm(f) ** c
 
 
 def solve_h(f: HoloMap, b: int, c: int, block_max: Optional[int] = None) -> HoloMap:
@@ -137,7 +131,8 @@ def solve_h(f: HoloMap, b: int, c: int, block_max: Optional[int] = None) -> Holo
     ``block_max`` basis monomials besides the constant raises ValueError
     before any elimination; None sets no limit.
     """
-    form = modification_form(ModificationSpec(f, 1, b, c))
+    _check_identity(f, 1, b, c)
+    form = modification_form(f, b, c)
     if block_max is not None and form.size - 1 > block_max:
         raise ValueError(
             f"solving for h would eliminate a block of {form.size - 1} basis monomials; "
@@ -160,9 +155,9 @@ def verify_identity(f: HoloMap, h: HoloMap, a: int, b: int, c: int) -> bool:
 
 def identity_mismatch(f: HoloMap, h: HoloMap, a: int, b: int, c: int) -> List[Tuple[Monomial, Monomial, GaussianRational]]:
     """Nonzero entries of left minus right, for diagnostics; empty iff the identity holds."""
-    spec = ModificationSpec(f, a, b, c)
+    _check_identity(f, a, b, c)
     _check_normalized(h)
-    left = modification_form(spec)
+    left = modification_form(f, b, c)
     right = one_plus_norm(h) ** a
     return [] if left == right else list((left + -right).entries())
 

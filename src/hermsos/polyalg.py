@@ -380,10 +380,14 @@ class Monomial:
         return Monomial._build(tuple(map(add, self.exponents, other.exponents)))
 
     def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
+        return self._evaluate(_exact_point(point, self.n))
+
+    def _evaluate(self, point: List[GaussianRational]) -> GaussianRational:
+        """The value at a point ``_exact_point`` has already converted."""
         out = GR_ONE
         for value, exp in zip(point, self.exponents):
             if exp:
-                out = out * (_coerce(value) ** exp)
+                out = out * value**exp
         return out
 
     def __str__(self) -> str:
@@ -608,10 +612,13 @@ class HoloPoly:
         return out
 
     def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
-        point = _exact_point(point, self.n)
+        return self._evaluate(_exact_point(point, self.n))
+
+    def _evaluate(self, point: List[GaussianRational]) -> GaussianRational:
+        """The value at a point ``_exact_point`` has already converted."""
         out = GR_ZERO
         for mon, coeff in self.terms.items():
-            out = out + coeff * mon.evaluate(point)
+            out = out + coeff * mon._evaluate(point)
         return out
 
     def __eq__(self, other):
@@ -720,7 +727,7 @@ class HoloMap:
     def evaluate(self, point: Sequence[GaussianRational]) -> List[GaussianRational]:
         """The values of the components, without their weights."""
         point = _exact_point(point, self.n)
-        return [comp.evaluate(point) for comp in self.components]
+        return [comp._evaluate(point) for comp in self.components]
 
     def __eq__(self, other):
         if not isinstance(other, HoloMap):
@@ -946,7 +953,7 @@ class HermitianForm:
     def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
         """Exact value at a point; Hermitian symmetry makes it real."""
         point = _exact_point(point, self.n)
-        values = [mon.evaluate(point) for mon in self.basis]
+        values = [mon._evaluate(point) for mon in self.basis]
         out = GR_ZERO
         for (i, j), (re, im) in self.cells.items():
             out = out + _gaussian(re, im, self.den) * values[i] * values[j].conjugate()

@@ -47,6 +47,14 @@ def test_modification_rank_bands():
         check_modification_rank(0, 1, 1)
 
 
+def test_a_report_is_a_named_tuple_of_six_fields():
+    rep = check_modification_rank(2, 1, 4)
+    assert rep._fields == ("theorem", "inputs", "observed", "lower", "upper", "satisfied")
+    assert rep == ("thm1.1", {"n": 2, "d": 1, "m": 4}, 4, 4, 5, True)
+    with pytest.raises(AttributeError):
+        rep.lower = 0
+
+
 def test_gap_intervals_frozen_lists():
     assert gap_intervals(2) == [(0, 4)]
     assert gap_intervals(5) == [(0, 10), (11, 14)]

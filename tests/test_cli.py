@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -221,6 +222,16 @@ def test_bounds_errors(capsys):
     assert main(["bounds", "thm2.4", "n=2", "p=1", "r=x"]) == 2
     assert main(["bounds", "thm2.4", "n", "p=1", "r=4"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("theorem", sorted(cli.THEOREMS))
+def test_bounds_takes_the_parameters_of_its_check(theorem, capsys):
+    # the key=value names are read off the check's code, not written out a second time
+    names = list(inspect.signature(cli.THEOREMS[theorem]).parameters)
+    assert main(["bounds", theorem]) == 2
+    assert capsys.readouterr().err == f"error: theorem {theorem} needs exactly: {' '.join(names)}\n"
+    assert main(["bounds", theorem, *(f"{name}=1" for name in names)]) == 0
+    assert capsys.readouterr().out.startswith(f"theorem: {theorem}\n")
 
 
 def test_bounds_refuses_an_unprintable_bound(capsys):

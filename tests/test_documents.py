@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -283,6 +284,19 @@ def test_ensemble_config_validation():
         EnsembleConfig(n=1, d_max=1, degree_max=1, count=1, seed=2**64)
     with pytest.raises(ValueError):
         EnsembleConfig(n=1, d_max=1, degree_max=1, count=1, seed=-1)
+
+
+def test_ensemble_config_is_a_named_tuple_checked_however_it_is_built():
+    cfg = EnsembleConfig(2, 2, 2, 0, 1)
+    assert cfg == (2, 2, 2, 0, 1, 5)
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
+    assert cfg._replace(count=3).count == 3
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        cfg._replace(n=0)
+    with pytest.raises(ValueError, match="seed must fit"):
+        EnsembleConfig._make([1, 1, 1, 1, -1])
+    with pytest.raises(AttributeError):
+        cfg.n = 3
 
 
 def test_random_map_minimal_and_reproducible():

@@ -1,7 +1,10 @@
-"""The package imports only the standard library and its own modules, and
-``bounds`` none of its own."""
+"""The package imports only the standard library and its own modules,
+``bounds`` none of its own, and ``cli`` neither ``dataclasses`` nor
+``inspect``."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,3 +37,11 @@ def test_bounds_imports_no_module_of_the_package():
     tree = ast.parse((Path(hermsos.__file__).parent / "bounds.py").read_text())
     relative = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
     assert not relative
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # each costs a one-shot process milliseconds of import time; -S keeps site's imports out
+    env = dict(os.environ, PYTHONPATH=str(Path(hermsos.__file__).parent.parent))
+    code = "import sys, hermsos.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

@@ -12,7 +12,6 @@ from hermsos import (
     HermitianForm,
     HoloMap,
     HoloPoly,
-    ModificationSpec,
     NotMinimalError,
     NotNormalizedError,
     divide_by_norm,
@@ -46,18 +45,20 @@ def test_one_plus_norm_z_is_one_plus_the_norm_of_the_variables(n):
 
 
 def test_modification_spec_validation():
+    # the data (f, a, b, c) of an identity, checked where solve_h and identity_mismatch take it
     f = HoloMap.variables(2)
-    spec = ModificationSpec(f, 1, 1, 1)
-    assert spec.n == 2
-    with pytest.raises(ValueError):
-        ModificationSpec(f, 2, 2, 2)
-    with pytest.raises(ValueError):
-        ModificationSpec(f, 0, 1, 1)
+    h = solve_h(f, 1, 1)
+    assert h.n == 2
+    assert identity_mismatch(f, h, 1, 1, 1) == []
+    with pytest.raises(ValueError, match="exponents must have gcd 1"):
+        identity_mismatch(f, h, 2, 2, 2)
+    with pytest.raises(ValueError, match="exponent a must be a positive integer"):
+        identity_mismatch(f, h, 0, 1, 1)
     with pytest.raises(NotNormalizedError):
-        ModificationSpec(HoloMap(1, [HoloPoly.constant(1, 1)]), 1, 1, 1)
+        solve_h(HoloMap(1, [HoloPoly.constant(1, 1)]), 1, 1)
     dep = HoloMap(1, [HoloPoly.variable(1, 0), 2 * HoloPoly.variable(1, 0)])
     with pytest.raises(NotMinimalError):
-        ModificationSpec(dep, 1, 1, 1)
+        solve_h(dep, 1, 1)
 
 
 def test_modification_form_matches_pointwise():
@@ -66,7 +67,7 @@ def test_modification_form_matches_pointwise():
         n = rng.choice((1, 2))
         f = random_map(rng, n, rng.randint(1, 2), 2, 3)
         a, b, c = rng.choice(((1, 1, 1), (2, 2, 1), (1, 2, 1), (3, 1, 2)))
-        form = modification_form(ModificationSpec(f, a, b, c))
+        form = modification_form(f, b, c)
         for _ in range(3):
             pt = rand_point(rng, n, height=2)
             z_norm = Fraction(1) + sum(v.abs2() for v in pt)
@@ -116,7 +117,7 @@ def test_solve_h_identity_random():
         assert verify_identity(f, h, 1, b, c)
         assert h.vanishes_at_zero
         # count equals the rank of the non-constant block
-        total = modification_form(ModificationSpec(f, 1, b, c))
+        total = modification_form(f, b, c)
         block = drop_constant(total)
         assert len(h) == inertia(block).pos
 
@@ -126,7 +127,7 @@ def test_solve_h_matches_the_factor_of_the_block_without_the_constant():
     rng = random.Random(2004)
     for b, c in ((1, 1), (2, 1), (1, 2), (3, 2)):
         f = random_map(rng, rng.choice((1, 2)), rng.randint(1, 2), 2, 3)
-        block = drop_constant(modification_form(ModificationSpec(f, 1, b, c)))
+        block = drop_constant(modification_form(f, b, c))
         assert solve_h(f, b, c) == extract_sos(block)
 
 

@@ -17,15 +17,16 @@ from hermsos import (
     HermitianForm,
     HoloMap,
     HoloPoly,
-    ModificationSpec,
     Monomial,
     check_modification_rank,
     grlex_key,
+    identity_mismatch,
     monomials_of_degree,
     monomials_up_to_degree,
     norm_form,
     one_plus_norm_z,
     r_lambda,
+    random_map,
     substitute_powers,
     tensor,
     tensor_power_rank,
@@ -272,7 +273,7 @@ Z0, Z0_2, F2 = mono(1), mono(1, 0), HoloMap(2, [HoloPoly.variable(2, 0), HoloPol
     (lambda: HoloPoly.variable(1, 0) ** True, ValueError, "exponent must be a non-negative integer"),
     (lambda: one_plus_norm_z(1) ** True, ValueError, "form powers require a positive integer exponent"),
     (lambda: substitute_powers(F2, [True, 2]), ValueError, "substitution exponents must be non-negative integers"),
-    (lambda: ModificationSpec(F2, True, 1, 1), ValueError, "exponent a must be a positive integer"),
+    (lambda: identity_mismatch(F2, F2, True, 1, 1), ValueError, "exponent a must be a positive integer"),
     (lambda: tensor_power_rank(F2, True), ValueError, "power must be a positive integer"),
     (lambda: check_modification_rank(True, 1, 3), ValueError, "n must be a positive integer"),
     (lambda: monomials_of_degree(2, True), ValueError, "degree must be non-negative"),
@@ -284,12 +285,17 @@ Z0, Z0_2, F2 = mono(1), mono(1, 0), HoloMap(2, [HoloPoly.variable(2, 0), HoloPol
     (lambda: HoloMap(1, [HoloPoly.variable(1, 0)], [0.5]), TypeError, "expected an exact rational, got float"),
     (lambda: r_lambda(True), TypeError, "expected an exact rational, got bool"),
     (lambda: r_lambda(0.5), TypeError, "expected an exact rational, got float"),
+    (lambda: random_map(random.Random(1), 1, True, 1), ValueError, "p, degree_max, and height must be positive"),
+    (lambda: random_map(random.Random(1), 1, 1.5, 1), ValueError, "p, degree_max, and height must be positive"),
+    (lambda: random_map(random.Random(1), 1, 1, 2.0), ValueError, "p, degree_max, and height must be positive"),
+    (lambda: random_map(random.Random(1), 1, 1, 1, True), ValueError, "p, degree_max, and height must be positive"),
 ], ids=[
     "scalar-re", "scalar-im", "poly-coefficient", "poly-times-bool", "form-gram", "form-entries", "form-constant",
     "scalar-power", "poly-power", "form-power", "substitute-powers", "modification-spec", "tensor-power-rank",
     "modification-rank", "monomials-degree-bool", "monomials-degree-bool-one-variable", "monomials-degree-float",
     "monomials-up-to-float", "monomials-up-to-bool", "scaled-map-weight-bool", "scaled-map-weight-float",
-    "r-lambda-bool", "r-lambda-float",
+    "r-lambda-bool", "r-lambda-float", "random-map-p-bool", "random-map-p-float", "random-map-degree-float",
+    "random-map-height-bool",
 ])
 def test_a_bool_is_neither_a_scalar_nor_an_integer_argument(build, error, message):
     # the JSON readers refuse a bool as a rational and as a count; so do the constructors
@@ -494,10 +500,11 @@ def test_form_entries_and_restrict():
 
 @pytest.mark.parametrize("value", [0.5, True, "1/2"], ids=["float", "bool", "str"])
 @pytest.mark.parametrize("evaluate,exact", [
+    (Monomial((1, 0)).evaluate, GaussianRational(1, 1)),
     (HoloPoly.variable(2, 0).evaluate, GaussianRational(1, 1)),
     (HoloMap(2, [HoloPoly.variable(2, 0)]).evaluate, [GaussianRational(1, 1)]),
     (norm_form(HoloMap(2, [HoloPoly.variable(2, 0)])).evaluate, GaussianRational(2)),
-], ids=["poly", "map", "form"])
+], ids=["monomial", "poly", "map", "form"])
 def test_evaluate_refuses_a_coordinate_that_is_not_exact(evaluate, exact, value):
     # checked where evaluation starts, also at a coordinate whose exponent is 0
     for point in ([value, 1], [1, value]):
@@ -506,6 +513,20 @@ def test_evaluate_refuses_a_coordinate_that_is_not_exact(evaluate, exact, value)
         assert str(info.value) == f"expected an exact scalar coordinate, got {type(value).__name__}"
     # z0 = 1 + i, and an int or a Fraction is taken as it was before
     assert evaluate([GaussianRational(1, 1), Fraction(1, 2)]) == evaluate([GaussianRational(1, 1), 3]) == exact
+
+
+@pytest.mark.parametrize("evaluate", [
+    Monomial((1, 0)).evaluate,
+    HoloPoly.variable(2, 0).evaluate,
+    HoloMap(2, [HoloPoly.variable(2, 0)]).evaluate,
+    norm_form(HoloMap(2, [HoloPoly.variable(2, 0)])).evaluate,
+], ids=["monomial", "poly", "map", "form"])
+def test_evaluate_refuses_a_point_of_the_wrong_dimension(evaluate):
+    # a point is not zipped short against the exponents, nor cut to their length
+    for point in ([2], [2, 3, 4]):
+        with pytest.raises(ValueError) as info:
+            evaluate(point)
+        assert str(info.value) == "point has wrong dimension"
 
 
 def test_form_evaluate_real():
