@@ -12,6 +12,8 @@ the polynomial machinery, so they can serve as oracles for it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import combinations_with_replacement
 from math import comb
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -121,13 +123,7 @@ def _min_m_with_power_sum(a: int, target: int) -> int:
     while _power_sum(hi, a) < target:
         hi *= 2
     lo = hi // 2 + 1  # every m <= hi // 2 falls short
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _power_sum(mid, a) < target:
-            lo = mid + 1
-        else:
-            hi = mid
-    return hi
+    return lo + bisect_left(range(lo, hi + 1), target, key=lambda m: _power_sum(m, a))
 
 
 def check_rational_modification_rank(n: int, e: int, m: int, a: int, b: int) -> BoundReport:
@@ -271,23 +267,23 @@ def prime_substitution(n: int, t: int) -> Tuple[int, ...]:
 
 
 def verify_injective(exponents: Tuple[int, ...], n: int, t: int) -> bool:
-    """Brute-force check that alpha -> sum a_i alpha_i is injective on degree <= t."""
+    """Brute-force check that alpha -> sum a_i alpha_i is injective on degree <= t.
+
+    A vector alpha of degree k is a multiset of k indices, and its image is
+    the sum of their exponents, so each multiset is drawn once and one set
+    of images finds any collision.
+    """
+    _require_positive(n=n, t=t)
     if len(exponents) != n:
         raise ValueError("exponent vector has wrong length")
-
-    def vectors(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in vectors(total - first, parts - 1):
-                yield (first,) + rest
-
-    seen: Dict[int, Tuple[int, ...]] = {}
+    # polyalg.substitute_powers' rule and message
+    if not all(isinstance(a, int) and not isinstance(a, bool) and a >= 0 for a in exponents):
+        raise ValueError("substitution exponents must be non-negative integers")
+    seen = set()
     for deg in range(t + 1):
-        for vec in vectors(deg, n):
-            image = sum(a * e for a, e in zip(exponents, vec))
-            if image in seen and seen[image] != vec:
+        for multiset in combinations_with_replacement(exponents, deg):
+            image = sum(multiset)
+            if image in seen:
                 return False
-            seen[image] = vec
+            seen.add(image)
     return True

@@ -48,7 +48,6 @@ from .documents import (
     _check_keys,
     parse_form_document,
     parse_map_document,
-    parse_rational,
     random_map,
     serialize_form_json,
     serialize_map_json,
@@ -64,7 +63,7 @@ from .isometry import (
     tensor_power_rank,
     verify_identity,
 )
-from .polyalg import Monomial, norm_form
+from .polyalg import Monomial, _as_fraction, norm_form
 from .rankdecomp import affine_split, inertia
 
 # `bounds` takes each check's parameters, in order, as its key=value names
@@ -268,7 +267,7 @@ def cmd_divide(args) -> int:
 
 def cmd_example1(args) -> int:
     try:
-        lam = parse_rational(args.lam)
+        lam = _as_fraction(args.lam)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational lambda {args.lam!r}") from exc
     r = r_lambda(lam)
@@ -336,14 +335,12 @@ def cmd_ensemble(args) -> int:
                 _bool_text(not gap.satisfied),
             ]
         )
-    stream = open(args.output, "w", encoding="utf-8", newline="") if args.output else sys.stdout
-    try:
+    with (
+        open(args.output, "w", encoding="utf-8", newline="") if args.output else contextlib.nullcontext(sys.stdout)
+    ) as stream:
         writer = _csv_writer(stream)
         writer.writerow(["n", "d", "degree", "m", "lower", "upper", "in_gap"])
         writer.writerows(rows)
-    finally:
-        if args.output:
-            stream.close()
     return 0
 
 

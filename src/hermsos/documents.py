@@ -9,9 +9,10 @@ as integers or strings (floats and booleans are rejected, as the library
 constructors refuse them).  A string is read as Python 3.11's ``Fraction``
 reads it, on every version: "p", "p/q" or a decimal such as "2.5e-3", with
 an optional sign and surrounding spaces, and an underscore only between two
-digits, where it is dropped.  Integers and the ASCII literals "p", "-p",
-"p/q" and "-p/q" are read straight into integers; other strings go through
-``parse_rational``, the reading ``GaussianRational`` gives a string.  A
+digits, where it is dropped.  Integers are read without a call; a string is
+read by ``polyalg._parse_rational``, the one literal reader, which
+``GaussianRational`` and ``example1 --lambda`` use too, and which reads the
+ASCII literals "p", "-p", "p/q" and "-p/q" straight into integers.  A
 component may instead be an object ``{"scale": "1/2", "terms": [...]}``; if
 any component carries a scale the document parses to a weighted map.  A
 weighted map with no components is written with a top-level
@@ -24,8 +25,9 @@ Form documents::
 A gram cell is a rational, read as its real part, or an object with "re"
 and "im".  The gram is read in one pass, as a component's terms are: each
 cell's keys, then "re", then "im", an int literal without a call.  Then come,
-in this order, the checks that the basis monomials are distinct, that the
-gram is square over the basis, and that it is Hermitian, made on its integer
+in this order, the checks that the basis monomials are distinct and that the
+gram is square over the basis (``polyalg._check_square``, the dense
+constructor's check), and that it is Hermitian, made on its integer
 numerators over one common denominator.  Every failure, here and of what the
 constructors would check, is a ``DocumentError``, so callers can treat
 malformed input uniformly.
@@ -53,7 +55,6 @@ from __future__ import annotations
 
 import json
 import random
-import re
 from collections import namedtuple
 from fractions import Fraction
 from typing import Tuple
@@ -64,17 +65,14 @@ from .polyalg import (
     HoloPoly,
     Monomial,
     _check_hermitian,
+    _check_square,
     _common_den,
     _is_int_at_least,
-    _parse_rational as parse_rational,
+    _parse_rational,
     _ratio_text,
     monomials_up_to_degree,
 )
 from .rankdecomp import reduce_minimal
-
-
-# the literals read without Fraction: an optional minus, digits, an optional /digits
-_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 class DocumentError(ValueError):
@@ -82,27 +80,15 @@ class DocumentError(ValueError):
 
 
 def _rational_from_json(value) -> Tuple[int, int]:
-    """A JSON rational as (numerator, denominator > 0), not reduced.
-
-    Integers, and strings of ASCII digits shaped "p", "-p", "p/q" or "-p/q",
-    are read straight into integers; every other string goes through
-    ``parse_rational``, so both ways accept and refuse the same literals.
-    """
+    """A JSON rational as (numerator, denominator > 0), not reduced: an int as
+    itself, a string by ``_parse_rational``."""
     if isinstance(value, bool):
         raise DocumentError("booleans are not rationals")
     if isinstance(value, int):
         return value, 1
     if isinstance(value, str):
         try:
-            plain = _PLAIN_RATIONAL.fullmatch(value)
-            if plain is None:
-                q = parse_rational(value)
-                return q.numerator, q.denominator
-            num, den = plain.groups()
-            den = 1 if den is None else int(den)
-            if not den:
-                raise ZeroDivisionError(value)
-            return int(num), den
+            return _parse_rational(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(f"bad rational literal {value!r}") from exc
     if isinstance(value, float):
@@ -281,13 +267,9 @@ def parse_form_document(doc) -> HermitianForm:
                 c, d = _rational_from_json(imag)
             if a or c:
                 values[i, j] = (a, b, c, d)
-    size = len(basis)
-    if len(set(basis)) != size:
-        raise DocumentError("basis monomials must be distinct")
-    if len(raw_gram) != size or any(len(row) != size for row in raw_gram):
-        raise DocumentError("gram matrix shape does not match the basis")
-    q, cells = _common_den(values)
     try:
+        _check_square(basis, raw_gram)
+        q, cells = _common_den(values)
         _check_hermitian(cells)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc

@@ -15,9 +15,12 @@ Each kind of outside value meets one rule, which the constructors and the
 JSON readers of ``documents`` share: an integer argument is an int and not
 a bool (``_is_int_at_least``); an exact scalar is an int, a ``Fraction`` or
 a ``GaussianRational``, never a float or a bool, and ``GaussianRational``
-also reads a string as the readers do (``_parse_rational``); scalars become
-cells over one denominator through ``_common_den``; and a form's Gram
-entries are checked by ``_checked_cells``.
+also reads a string; a string literal is read by ``_parse_rational``, the
+one reader, which the JSON readers and ``example1 --lambda`` call too;
+scalars become cells over one denominator through ``_common_den``; a dense
+Gram matrix is checked square over distinct monomials by ``_check_square``,
+for a form document too; and a form's Gram entries are checked by
+``_checked_cells``.
 
 The objects:
 
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import repeat
+from itertools import combinations_with_replacement, repeat
 from math import gcd, lcm
 from operator import add, attrgetter, neg
 from types import MappingProxyType
@@ -56,17 +59,29 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 # an underscore between two digits, the one place Fraction accepts it from Python 3.11
 _DIGIT_SEPARATOR = re.compile(r"(?<=\d)_(?=\d)")
 
+# the literals read without Fraction: an optional minus, digits, an optional /digits
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
-def _parse_rational(text: str) -> Fraction:
-    """``Fraction(text)`` as Python 3.11 reads it, refusing a decimal exponent
-    above 4300 in magnitude.
 
+def _parse_rational(text: str) -> Tuple[int, int]:
+    """``Fraction(text)`` as Python 3.11 reads it, as (numerator, denominator > 0),
+    refusing a decimal exponent above 4300 in magnitude.
+
+    The ASCII literals "p", "-p", "p/q" and "-p/q" are read straight into
+    integers and are not reduced; any other string goes through Fraction.
     Python 3.10's Fraction accepts no underscore; from 3.11 one between two
     digits is dropped, and so it is here on every version.  Fraction builds
     the power of ten in full, so a short literal such as "1e3000000" would
     take seconds; 4300 is the digit limit CPython puts on integer strings.
     Raises ValueError or ZeroDivisionError like Fraction.
     """
+    plain = _PLAIN_RATIONAL.fullmatch(text)
+    if plain is not None:
+        num, den = plain.groups()
+        den = 1 if den is None else int(den)
+        if not den:
+            raise ZeroDivisionError(f"Fraction({int(num)}, 0)")
+        return int(num), den
     if "_" in text:
         text = _DIGIT_SEPARATOR.sub("", text)
         if "_" in text:
@@ -74,7 +89,8 @@ def _parse_rational(text: str) -> Fraction:
     _, e, exponent = text.lower().partition("e")
     if e and abs(int(exponent)) > 4300:
         raise ValueError(f"decimal exponent of {text!r} is out of range")
-    return Fraction(text)
+    q = Fraction(text)
+    return q.numerator, q.denominator
 
 
 def _is_int_at_least(value, least: int) -> bool:
@@ -91,7 +107,7 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return _parse_rational(value)
+        return Fraction(*_parse_rational(value))
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -406,14 +422,10 @@ class Monomial:
         return name
 
 
-def grlex_key(mon: Monomial):
-    """Sort key for the global graded lexicographic order (z0 before z1):
-    (degree, negated exponents), stored on the monomial when it is built."""
-    return mon._grlex
-
-
-# The same key read at C level, with no Python call per monomial.
-_grlex = attrgetter("_grlex")
+# Sort key for the global graded lexicographic order (z0 before z1):
+# (degree, negated exponents), stored on the monomial when it is built and
+# read at C level, with no Python call per monomial.
+grlex_key = attrgetter("_grlex")
 
 
 def monomials_of_degree(n: int, d: int) -> List[Monomial]:
@@ -422,16 +434,10 @@ def monomials_of_degree(n: int, d: int) -> List[Monomial]:
         raise ValueError("need at least one variable")
     if not _is_int_at_least(d, 0):
         raise ValueError("degree must be non-negative")
-
-    def gen(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total, -1, -1):
-            for rest in gen(total - first, parts - 1):
-                yield (first,) + rest
-
-    return [Monomial(t) for t in gen(d, n)]
+    # a monomial of degree d is a multiset of d variable indices; the sorted
+    # index tuples come in lex order, and that is grlex order of their exponents
+    variables = range(n)
+    return [Monomial(map(idx.count, variables)) for idx in combinations_with_replacement(variables, d)]
 
 
 def monomials_up_to_degree(n: int, d: int) -> List[Monomial]:
@@ -551,7 +557,7 @@ class HoloPoly:
         if texts is None:
             cells, den = self.cells, self.den
             texts = self._texts = []
-            for mon in sorted(cells, key=_grlex):
+            for mon in sorted(cells, key=grlex_key):
                 re, im = cells[mon]
                 texts.append((mon, _ratio_text(re, den), _ratio_text(im, den)))
         return texts
@@ -810,6 +816,16 @@ def _checked_cells(n: int, mons: Sequence, raw: Iterable) -> Tuple[int, dict]:
     return den, cells
 
 
+def _check_square(mons: Sequence, rows: Sequence[Sequence]) -> None:
+    """Refuse a dense Gram matrix unless the basis monomials are distinct and
+    the rows make a square over them, checked in that order."""
+    size = len(mons)
+    if len(set(mons)) != size:
+        raise ValueError("basis monomials must be distinct")
+    if len(rows) != size or any(len(row) != size for row in rows):
+        raise ValueError("gram matrix shape does not match the basis")
+
+
 def _check_hermitian(cells: Mapping[Tuple[int, int], Tuple[int, int]]) -> None:
     """Refuse Gaussian-integer cells over one denominator unless cell (j, i)
     is the conjugate of cell (i, j) for every nonzero cell."""
@@ -846,12 +862,8 @@ class HermitianForm:
         """A form from a dense Gram matrix over ``basis``, validated to be Hermitian."""
         _check_variable_count(n)
         mons = list(basis)
-        size = len(mons)
-        if len(set(mons)) != size:
-            raise ValueError("basis monomials must be distinct")
         rows = [list(row) for row in gram]
-        if len(rows) != size or any(len(row) != size for row in rows):
-            raise ValueError("gram matrix shape does not match the basis")
+        _check_square(mons, rows)
         raw = (((i, j), entry) for i, row in enumerate(rows) for j, entry in enumerate(row))
         self._settle(n, mons, *_checked_cells(n, mons, raw))
 
@@ -1090,7 +1102,7 @@ def norm_form(f: HoloMap) -> HermitianForm:
     c_k and the weights w_k of the components (each 1 in a plain map), hence
     positive semidefinite by construction.
     """
-    support = sorted({mon for poly in f.components for mon in poly.cells}, key=_grlex)
+    support = sorted({mon for poly in f.components for mon in poly.cells}, key=grlex_key)
     index = {mon: i for i, mon in enumerate(support)}
     # Each component is a Gaussian-integer vector v_k over its denominator
     # q_k, so w_k c_k c_k^H = w_k v_k v_k^H / q_k^2; the sum is accumulated

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import product
 from math import comb
 
 import pytest
@@ -197,6 +198,20 @@ def test_prime_substitution_injective():
             exps = prime_substitution(n, t)
             assert verify_injective(exps, n, t)
     assert not verify_injective((1, 1), 2, 1)
+
+
+def test_verify_injective_matches_a_brute_force_over_all_vectors():
+    rng = random.Random(23)
+    verdicts = set()
+    for _ in range(400):
+        n, t = rng.randint(1, 3), rng.randint(1, 4)
+        exps = tuple(rng.randint(0, 9) for _ in range(n))
+        vectors = [v for v in product(range(t + 1), repeat=n) if sum(v) <= t]
+        images = {sum(a * e for a, e in zip(exps, v)) for v in vectors}
+        verdict = len(images) == len(vectors)
+        assert verify_injective(exps, n, t) == verdict, (exps, t)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_is_prime_agrees_with_a_sieve():

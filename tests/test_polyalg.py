@@ -30,6 +30,7 @@ from hermsos import (
     substitute_powers,
     tensor,
     tensor_power_rank,
+    verify_injective,
 )
 from hermsos import polyalg
 
@@ -203,6 +204,7 @@ def test_monomials_of_degree_counts():
             assert len(mons) == comb(n + d - 1, d)
             assert len(set(mons)) == len(mons)
             assert all(m.degree == d for m in mons)
+            assert mons == sorted(mons, key=grlex_key), (n, d)
 
 
 def test_poly_constructors_and_structure():
@@ -289,13 +291,21 @@ Z0, Z0_2, F2 = mono(1), mono(1, 0), HoloMap(2, [HoloPoly.variable(2, 0), HoloPol
     (lambda: random_map(random.Random(1), 1, 1.5, 1), ValueError, "p, degree_max, and height must be positive"),
     (lambda: random_map(random.Random(1), 1, 1, 2.0), ValueError, "p, degree_max, and height must be positive"),
     (lambda: random_map(random.Random(1), 1, 1, 1, True), ValueError, "p, degree_max, and height must be positive"),
+    (lambda: verify_injective((1,), 1, 1.5), ValueError, "t must be a positive integer"),
+    (lambda: verify_injective((1,), 1, True), ValueError, "t must be a positive integer"),
+    (lambda: verify_injective((1, 2), 2, -1), ValueError, "t must be a positive integer"),
+    (lambda: verify_injective((1,), True, 1), ValueError, "n must be a positive integer"),
+    (lambda: verify_injective((1.5,), 1, 2), ValueError, "substitution exponents must be non-negative integers"),
+    (lambda: verify_injective((-1,), 1, 2), ValueError, "substitution exponents must be non-negative integers"),
+    (lambda: verify_injective((True,), 1, 2), ValueError, "substitution exponents must be non-negative integers"),
 ], ids=[
     "scalar-re", "scalar-im", "poly-coefficient", "poly-times-bool", "form-gram", "form-entries", "form-constant",
     "scalar-power", "poly-power", "form-power", "substitute-powers", "modification-spec", "tensor-power-rank",
     "modification-rank", "monomials-degree-bool", "monomials-degree-bool-one-variable", "monomials-degree-float",
     "monomials-up-to-float", "monomials-up-to-bool", "scaled-map-weight-bool", "scaled-map-weight-float",
     "r-lambda-bool", "r-lambda-float", "random-map-p-bool", "random-map-p-float", "random-map-degree-float",
-    "random-map-height-bool",
+    "random-map-height-bool", "injective-t-float", "injective-t-bool", "injective-t-negative", "injective-n-bool",
+    "injective-exponent-float", "injective-exponent-negative", "injective-exponent-bool",
 ])
 def test_a_bool_is_neither_a_scalar_nor_an_integer_argument(build, error, message):
     # the JSON readers refuse a bool as a rational and as a count; so do the constructors
@@ -311,6 +321,17 @@ def test_a_scalar_string_reads_as_the_document_reader_reads_it():
     for text in ("1__000", "_1", "1e5000"):
         with pytest.raises(ValueError):
             GaussianRational(text)
+    # the plain literals are read into integers, with Fraction's message for a zero denominator
+    with pytest.raises(ZeroDivisionError, match=r"^Fraction\(-1, 0\)$"):
+        GaussianRational("-1/0")
+
+
+@pytest.mark.parametrize("text,pair", [
+    ("7", (7, 1)), ("-4/6", (-4, 6)), ("007/010", (7, 10)), ("-0", (0, 1)),
+    (" 3/4 ", (3, 4)), ("1_3/2", (13, 2)), ("2.5e0", (5, 2)), ("-4/6 ", (-2, 3)),
+])
+def test_the_literal_reader_returns_a_pair_unreduced_only_for_plain_literals(text, pair):
+    assert polyalg._parse_rational(text) == pair
 
 
 @pytest.mark.parametrize("build,error,message", [

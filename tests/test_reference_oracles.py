@@ -1,7 +1,9 @@
 """The fraction-free kernel, the sparse form arithmetic, the integer tensor
 products and the bounded division search against rational references, plus
-congruence invariance of inertia, JSON document round trips, and one
-metamorphic oracle: a unitary change of a map's components keeps its norm form.
+congruence invariance of inertia, JSON document round trips, and two
+metamorphic oracles: a unitary change of a map's components keeps its norm
+form, and a unitary change of its variables keeps its ranks, the inertia of
+its modification form and the identity its h solves.
 
 The references in conftest run the textbook eliminations, the Gram sum,
 dense form products and sums, tensor products built one by one, and a
@@ -41,6 +43,7 @@ from hermsos import (
     grams_equal,
     grlex_key,
     inertia,
+    modification_form,
     monomials_of_degree,
     monomials_up_to_degree,
     norm_form,
@@ -413,10 +416,10 @@ def test_reduce_minimal_matches_reference(f):
 
 
 @st.composite
-def minimal_maps(draw, plain=st.booleans()):
-    """Normalized minimal maps, n, p <= 3, with up to 19 terms a component,
-    plain when ``plain`` draws True and weighted otherwise."""
-    n = draw(st.integers(1, 3))
+def minimal_maps(draw, plain=st.booleans(), n_max=3):
+    """Normalized minimal maps, n <= n_max and p <= 3, with up to 19 terms a
+    component, plain when ``plain`` draws True and weighted otherwise."""
+    n = draw(st.integers(1, n_max))
     degree = draw(st.integers(1, 3))
     mons = [m for m in monomials_up_to_degree(n, degree) if m.degree >= 1]
     polys = []
@@ -517,6 +520,41 @@ def test_a_unitary_change_of_components_keeps_the_norm_form(f, data):
     assert norm_form(g) == norm_form(f)
     b, c = data.draw(st.sampled_from([(1, 1), (2, 1), (1, 2)]))
     assert verify_identity(g, solve_h(f, b, c), 1, b, c)
+
+
+def compose_linear(f, v):
+    """The map f(V z), each z_i replaced by the sum over j of V[i][j] z_j, by
+    HoloPoly +, * and ** only; the weights of f are kept."""
+    linear = apply_matrix(v, HoloMap.variables(f.n)).components
+    comps = []
+    for comp in f.components:
+        poly = HoloPoly.zero(f.n)
+        for mon, coeff in comp.terms.items():
+            term = HoloPoly.constant(f.n, coeff)
+            for z, exp in zip(linear, mon.exponents):
+                term = term * z**exp
+            poly = poly + term
+        comps.append(poly)
+    return HoloMap(f.n, comps, f.weights)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(minimal_maps(n_max=2), st.data())
+def test_a_unitary_change_of_variables_keeps_ranks_inertia_and_the_identity(f, data):
+    # a metamorphic oracle: ||V z||^2 = ||z||^2 for V unitary, so f and f(V z)
+    # have congruent modification forms and the same ranks, and h(V z) solves
+    # the identity for f(V z); V mixes the monomials of each degree, so the
+    # kernel meets other blocks and pivots on a second basis
+    v = cayley_transform(data.draw(skew_hermitian_matrices(f.n)))
+    g = compose_linear(f, v)
+    b, c = data.draw(st.sampled_from([(1, 1), (2, 1), (1, 2)]))
+    t = data.draw(st.integers(1, 3))
+    assert inertia(modification_form(g, b, c)) == inertia(modification_form(f, b, c))
+    h = solve_h(f, b, c)
+    assert len(solve_h(g, b, c)) == len(h)
+    assert reduce_minimal(g)[1] == reduce_minimal(f)[1]
+    assert tensor_power_rank(g, t) == tensor_power_rank(f, t)
+    assert verify_identity(g, compose_linear(h, v), 1, b, c)
 
 
 gaussian_integers = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))
