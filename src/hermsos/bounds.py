@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class BoundReport(NamedTuple):
@@ -274,9 +274,11 @@ def verify_injective(exponents: Tuple[int, ...], n: int, t: int) -> bool:
     of images finds any collision.
     """
     _require_positive(n=n, t=t)
+    # polyalg._check_exponent_vector's rule and messages
+    if not isinstance(exponents, Sequence):
+        raise TypeError("substitution exponents must be a sequence")
     if len(exponents) != n:
         raise ValueError("exponent vector has wrong length")
-    # polyalg.substitute_powers' rule and message
     if not all(isinstance(a, int) and not isinstance(a, bool) and a >= 0 for a in exponents):
         raise ValueError("substitution exponents must be non-negative integers")
     seen = set()

@@ -13,7 +13,10 @@ to 5 writes nothing to stdout.
 
 ``main`` can be called many times in one process.  It builds the parser on
 its first call and reuses it; each call parses into a fresh namespace, so
-no option value carries over from one call to the next.
+no option value carries over from one call to the next.  An argv whose first
+string names a subcommand is parsed once, by that subcommand's parser alone;
+any other argv (none, -h, an unknown or abbreviated command) by the full
+parser.  Both give the same namespace, exit code and messages.
 """
 
 from __future__ import annotations
@@ -232,6 +235,8 @@ def cmd_bounds(args) -> int:
         key, sep, raw = item.partition("=")
         if not sep:
             raise ValueError(f"expected key=value, got {item!r}")
+        if key in values:
+            raise ValueError(f"key {key!r} is given more than once")
         try:
             values[key] = int(raw)
         except ValueError as exc:
@@ -346,6 +351,12 @@ def cmd_ensemble(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser; ``main`` runs subcommand ``x-y`` by ``cmd_x_y``."""
+    return _build_parsers()[0]
+
+
+def _build_parsers():
+    """The command line parser, and the parsers of its subcommands by name:
+    the ``choices`` of its subparsers action, the parsers it dispatches to."""
     parser = argparse.ArgumentParser(
         prog="hermsos",
         description="Exact rank, square decompositions, and bounds for Hermitian squared-norm forms.",
@@ -406,22 +417,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", dest="coefficient_height", metavar="HEIGHT", type=int, default=5, help="coefficient height bound")
     p.add_argument("--output", help="write the CSV here instead of stdout")
 
-    return parser
+    return parser, sub.choices
 
 
 @functools.cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on its first call.
+def _shared_parser():
+    """The parser ``main`` uses and its subcommand parsers by name, built on
+    its first call.
 
     Parsing leaves a parser unchanged and fills a new namespace each time,
     so one parser serves every later call.
     """
-    return build_parser()
+    return _build_parsers()
+
+
+def _parse(argv):
+    """The namespace of argv, as ``parse_args`` of the full parser gives it.
+
+    When argv[0] names a subcommand, only that subcommand's parser reads the
+    rest, and a string it leaves is reported as the full parse reports it, by
+    the top-level parser.  Any other argv (empty, -h, an unknown or
+    abbreviated command) goes through the full parse.
+    """
+    parser, commands = _shared_parser()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:])
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         code = exc.code
         if code is None:

@@ -770,16 +770,24 @@ def tensor(f: HoloMap, g: HoloMap) -> HoloMap:
     return HoloMap(f.n, [poly for _, poly in pairs], weights)
 
 
+def _check_exponent_vector(exponents: Sequence[int], n: int) -> None:
+    """Refuse substitution exponents unless they are a sequence of n ints,
+    none a bool or below 0, checked in that order."""
+    if not isinstance(exponents, Sequence):
+        raise TypeError("substitution exponents must be a sequence")
+    if len(exponents) != n:
+        raise ValueError("exponent vector has wrong length")
+    if not all(_is_int_at_least(a, 0) for a in exponents):
+        raise ValueError("substitution exponents must be non-negative integers")
+
+
 def substitute_powers(f: HoloMap, exponents: Sequence[int]) -> HoloMap:
     """Collapse to one variable by z_i -> w^{a_i}.
 
     A term c * z^alpha becomes c * w^{sum_i a_i alpha_i}; coefficients of
     colliding images are summed.  The weights of f are kept.
     """
-    if len(exponents) != f.n:
-        raise ValueError("exponent vector has wrong length")
-    if not all(_is_int_at_least(a, 0) for a in exponents):
-        raise ValueError("substitution exponents must be non-negative integers")
+    _check_exponent_vector(exponents, f.n)
     comps = []
     for comp in f.components:
         acc: Dict[Monomial, Tuple[int, int]] = {}
@@ -816,14 +824,24 @@ def _checked_cells(n: int, mons: Sequence, raw: Iterable) -> Tuple[int, dict]:
     return den, cells
 
 
-def _check_square(mons: Sequence, rows: Sequence[Sequence]) -> None:
-    """Refuse a dense Gram matrix unless the basis monomials are distinct and
-    the rows make a square over them, checked in that order."""
+def _check_square(basis: Iterable, gram: Iterable[Iterable]) -> Tuple[list, list]:
+    """The basis and the rows of a dense Gram matrix as lists, refused unless
+    the basis, the gram and each row are iterable, the basis monomials are
+    distinct and the rows make a square over them, checked in that order."""
+    if not isinstance(basis, Iterable):
+        raise TypeError("basis must be a sequence of monomials")
+    if not isinstance(gram, Iterable):
+        raise TypeError("gram must be a sequence of rows")
+    mons, rows = list(basis), list(gram)
+    if not all(isinstance(row, Iterable) for row in rows):
+        raise TypeError("gram must be a sequence of rows")
+    rows = [list(row) for row in rows]
     size = len(mons)
     if len(set(mons)) != size:
         raise ValueError("basis monomials must be distinct")
     if len(rows) != size or any(len(row) != size for row in rows):
         raise ValueError("gram matrix shape does not match the basis")
+    return mons, rows
 
 
 def _check_hermitian(cells: Mapping[Tuple[int, int], Tuple[int, int]]) -> None:
@@ -861,9 +879,7 @@ class HermitianForm:
     def __init__(self, n: int, basis: Sequence[Monomial], gram: Sequence[Sequence[object]]):
         """A form from a dense Gram matrix over ``basis``, validated to be Hermitian."""
         _check_variable_count(n)
-        mons = list(basis)
-        rows = [list(row) for row in gram]
-        _check_square(mons, rows)
+        mons, rows = _check_square(basis, gram)
         raw = (((i, j), entry) for i, row in enumerate(rows) for j, entry in enumerate(row))
         self._settle(n, mons, *_checked_cells(n, mons, raw))
 

@@ -96,6 +96,7 @@ def _ldlh(size: int, den: int, cells: Mapping[Tuple[int, int], Tuple[int, int]])
     a_jj + 2 Re(c * s), with c the first of 1, -1, i that leaves it nonzero.
     A block with no imaginary part in its cells is eliminated as a real one, an
     int per entry: c is never i there, so it stays real, with the same integers.
+    A block of one index k is yielded as (k, a_kk, den, []) without a step.
     """
     # union-find with path halving; a block is named by its least index
     root = list(range(size))
@@ -129,6 +130,10 @@ def _ldlh(size: int, den: int, cells: Mapping[Tuple[int, int], Tuple[int, int]])
     prev = dict.fromkeys(members, 1)
     for k in range(size):
         r = root[k]
+        if len(members[r]) == 1:
+            # what either step yields for a block of one index, without starting it
+            yield k, re[r][0][0], den, []
+            continue
         if r in im:
             p = yield from _complex_step(members[r], re[r], im[r], place[k], prev[r], den)
         else:

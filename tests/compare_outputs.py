@@ -10,9 +10,12 @@ and 7, so both sides run the same documents.  Each checkout runs in its own
 subprocess, which imports ``hermsos`` from that checkout's ``src/``, runs
 every job's calls through ``hermsos.cli.main`` in a fresh temporary
 directory, and prints one digest per job of its exit codes, stdout, stderr
-(with the directory masked) and the files it wrote.  The script prints one
-line per job that differs, naming the parts that differ, then the count,
-and exits 1 if any job differs, else 0.
+(with the directory masked) and the files it wrote.  Every job succeeds, so
+the command lines of ``ARGV``, the usage output, help and refusals of the
+CLI, are run as well, on the golden documents of this checkout, and their
+exit codes, stdout and stderr compared the same way.  The script prints one
+line per job or command line that differs, naming the parts that differ,
+then the two counts, and exits 1 if any differs, else 0.
 """
 
 from __future__ import annotations
@@ -28,9 +31,29 @@ from pathlib import Path
 from typing import List, Tuple
 
 HERE = Path(__file__).resolve().parents[1]
+GOLDEN = HERE / "tests" / "data" / "golden"
 WORKLOADS = ("corpus", "roundtrip", "forms")
 SEEDS = (1, 7)
 PARTS = ("exit", "stdout", "stderr", "files")
+ARGV_PARTS = PARTS[:3]
+COMMANDS = ("rank", "solve-h", "verify", "tensor-rank", "gaps", "bounds", "primes", "divide", "example1", "ensemble")
+# command lines that stop in the parser or before any work; "@name" is the
+# golden document of that name
+ARGV = [
+    [],
+    ["--help"],
+    ["-h"],
+    ["frobnicate"],  # an unknown command
+    ["solve"],  # an abbreviated one
+    *([command, "-h"] for command in COMMANDS),
+    ["solve-h"],  # a missing required option
+    ["solve-h", "--input", "@f.json", "--b", "two"],  # a bad int
+    ["rank", "--input", "@form.json", "extra"],  # an extra positional
+    ["gaps", "--n", "2", "--frobnicate"],  # an unknown option after a subcommand
+    ["gaps", "--n", "2", "--", "3"],  # an argument after --
+    ["bounds", "thm2.4", "--", "n=2", "p=1", "r=4"],
+    ["example1", "--lambda", "-1/7"],
+]
 
 
 def _digest(values) -> str:
@@ -67,19 +90,39 @@ def job_digests(workload: str, seed: int) -> List[dict]:
     return records
 
 
-def run_checkout(root: Path, workload: str, seed: int) -> List[dict]:
-    """``job_digests`` in a subprocess with root's ``src/`` first on the path."""
+def argv_digests() -> List[dict]:
+    """Run each command line of ARGV through the ``hermsos.cli`` on sys.path;
+    one dict per command line: a digest of its exit code, stdout and stderr."""
+    from hermsos.cli import main
+
+    records = []
+    for call in ARGV:
+        argv = [str(GOLDEN / arg[1:]) if arg.startswith("@") else arg for arg in call]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except Exception as exc:
+                code = f"raised {type(exc).__name__}"
+        outcome = {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+        records.append({part: _digest(outcome[part]) for part in ARGV_PARTS})
+    return records
+
+
+def run_checkout(root: Path, call: str) -> List[dict]:
+    """The digests ``compare_outputs.<call>`` prints in a subprocess with
+    root's ``src/`` first on the path."""
     code = (
         "import json, sys\n"
         f"sys.path.insert(0, {str(root / 'src')!r})\n"
         f"sys.path.insert(0, {str(HERE / 'tests')!r})\n"
         "import compare_outputs\n"
-        f"print(json.dumps(compare_outputs.job_digests({workload!r}, {seed!r})))\n"
+        f"print(json.dumps(compare_outputs.{call}))\n"
     )
     with tempfile.TemporaryDirectory() as cwd:
         proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise SystemExit(f"{root}: {workload} seed {seed} exited {proc.returncode}\n{proc.stderr}")
+        raise SystemExit(f"{root}: {call} exited {proc.returncode}\n{proc.stderr}")
     return json.loads(proc.stdout)
 
 
@@ -87,7 +130,8 @@ def differences(parent: Path, change: Path, runs: List[Tuple[str, int]]) -> Tupl
     """The number of jobs compared, and one line per job whose outputs differ."""
     count, lines = 0, []
     for workload, seed in runs:
-        before, after = run_checkout(parent, workload, seed), run_checkout(change, workload, seed)
+        call = f"job_digests({workload!r}, {seed!r})"
+        before, after = run_checkout(parent, call), run_checkout(change, call)
         if len(before) != len(after):
             raise SystemExit(f"{workload} seed {seed}: {len(before)} jobs against {len(after)}")
         count += len(before)
@@ -96,6 +140,17 @@ def differences(parent: Path, change: Path, runs: List[Tuple[str, int]]) -> Tupl
             if parts:
                 lines.append(f"{workload} seed {seed} job {i} ({old['kind']}): {', '.join(parts)} differ")
     return count, lines
+
+
+def argv_differences(parent: Path, change: Path) -> List[str]:
+    """One line per command line of ARGV whose outputs differ."""
+    before, after = run_checkout(parent, "argv_digests()"), run_checkout(change, "argv_digests()")
+    lines = []
+    for call, old, new in zip(ARGV, before, after):
+        parts = [part for part in ARGV_PARTS if old[part] != new[part]]
+        if parts:
+            lines.append(f"hermsos {' '.join(call)}: {', '.join(parts)} differ")
+    return lines
 
 
 def main(argv: List[str]) -> int:
@@ -108,10 +163,12 @@ def main(argv: List[str]) -> int:
             print(f"{side} checkout {root} has no src/hermsos/cli.py", file=sys.stderr)
             return 2
     count, lines = differences(roots["parent"], roots["change"], [(w, s) for w in WORKLOADS for s in SEEDS])
-    for line in lines:
+    argv_lines = argv_differences(roots["parent"], roots["change"])
+    for line in lines + argv_lines:
         print(line)
     print(f"{len(lines)} of {count} jobs differ")
-    return 1 if lines else 0
+    print(f"{len(argv_lines)} of {len(ARGV)} command lines differ")
+    return 1 if lines or argv_lines else 0
 
 
 if __name__ == "__main__":

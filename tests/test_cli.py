@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import compare_outputs
 import hermsos
 from hermsos import (
     HermitianForm,
@@ -222,6 +223,13 @@ def test_bounds_errors(capsys):
     assert main(["bounds", "thm2.4", "n=2", "p=1", "r=x"]) == 2
     assert main(["bounds", "thm2.4", "n", "p=1", "r=4"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("values", [["n=2", "p=1", "r=4", "r=5"], ["r=4", "n=2", "r=4", "p=1"]])
+def test_bounds_refuses_a_repeated_key(values, capsys):
+    # a dict would keep the last value and drop the first without a word
+    assert main(["bounds", "thm2.4", *values]) == 2
+    assert capsys.readouterr() == ("", "error: key 'r' is given more than once\n")
 
 
 @pytest.mark.parametrize("theorem", sorted(cli.THEOREMS))
@@ -700,6 +708,42 @@ def test_a_handler_replaced_after_the_first_call_runs(pair_map, monkeypatch, cap
     monkeypatch.undo()
     assert main(["rank", "--input", pair_map]) == 0
     assert capsys.readouterr().out.startswith("rank: 2\n")
+
+
+# the command lines compare_outputs runs against a base commit: usage output,
+# help and refusals, none of which a benchmark job reaches
+@pytest.mark.parametrize("call", compare_outputs.ARGV, ids=lambda call: " ".join(call) or "no-arguments")
+def test_main_parses_as_the_full_top_level_parse(call, monkeypatch, capsys):
+    argv = [str(compare_outputs.GOLDEN / arg[1:]) if arg.startswith("@") else arg for arg in call]
+    code = main(argv)
+    dispatched = (code, *capsys.readouterr())
+    # the reference: the top-level parser reads the whole argv, then the same handler runs
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli._shared_parser()[0].parse_args(argv))
+    assert (main(argv), *capsys.readouterr()) == dispatched
+
+
+def test_a_subcommand_is_parsed_by_its_own_parser_alone(pair_map, monkeypatch, capsys):
+    parser, commands = cli._shared_parser()
+    assert set(commands) == set(compare_outputs.COMMANDS)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a subcommand's argv")
+
+    monkeypatch.setattr(parser, "parse_known_args", refuse)
+    assert main(["rank", "--input", pair_map]) == 0
+    assert capsys.readouterr().out.startswith("rank: 2\n")
+    # a leftover string is reported by the top-level parser, as parse_args reports it
+    assert main(["gaps", "--n", "2", "--frobnicate"]) == 2
+    assert capsys.readouterr() == ("", parser.format_usage() + "hermsos: error: unrecognized arguments: --frobnicate\n")
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["hermsos", "gaps", "--n", "2"])
+    assert main() == 0
+    assert capsys.readouterr().out == "(0,4)\n"
+    monkeypatch.setattr(sys, "argv", ["hermsos"])
+    assert main() == 2
+    assert capsys.readouterr().err.startswith("usage: hermsos")
 
 
 def test_import_builds_no_parser_and_calls_build_one(monkeypatch, capsys):

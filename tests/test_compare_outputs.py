@@ -1,4 +1,4 @@
-"""``compare_outputs`` reports exactly the jobs whose outputs differ."""
+"""``compare_outputs`` reports exactly the jobs and command lines whose outputs differ."""
 
 from pathlib import Path
 
@@ -35,3 +35,31 @@ def test_a_changed_stdout_is_reported(tmp_path):
     # "--b 2" is passed to the B jobs only: three in each of the 8 blocks of 20
     assert len(lines) == 24
     assert all(line.endswith("(roundtrip-B): stdout differ") for line in lines)
+
+
+def test_every_command_line_is_run_and_a_changed_one_is_reported(tmp_path):
+    parent = fake_checkout(tmp_path / "parent", "")
+    change = fake_checkout(tmp_path / "change", "!")
+    assert compare_outputs.argv_differences(parent, parent) == []
+    # of the command lines, only the two "gaps --n 2" ones pass a "2"
+    assert compare_outputs.argv_differences(parent, change) == [
+        "hermsos gaps --n 2 --frobnicate: stdout differ",
+        "hermsos gaps --n 2 -- 3: stdout differ",
+    ]
+    # each run sees every command line: the fake prints its words, the golden paths
+    # left out, and an empty MARK after a "2"
+    seen = [record["stdout"] for record in compare_outputs.run_checkout(parent, "argv_digests()")]
+    words = [[arg for arg in call if not arg.startswith("@")] for call in compare_outputs.ARGV]
+    assert seen == [compare_outputs._digest(" ".join(w + [""] if "2" in w else w) + "\n") for w in words]
+
+
+def test_the_command_lines_cover_help_usage_and_refusals():
+    calls = compare_outputs.ARGV
+    assert [[], ["--help"], ["-h"]] == calls[:3]
+    # the help of every subcommand
+    assert [call[0] for call in calls if call[1:] == ["-h"]] == list(compare_outputs.COMMANDS)
+    assert ["example1", "--lambda", "-1/7"] in calls
+    assert any("--" in call for call in calls)
+    # the golden documents they name exist
+    names = {arg[1:] for call in calls for arg in call if arg.startswith("@")}
+    assert names and all((compare_outputs.GOLDEN / name).is_file() for name in names)

@@ -378,6 +378,27 @@ def test_form_constructor_messages(build, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: HermitianForm(1, [Z0], 5), "gram must be a sequence of rows"),
+    (lambda: HermitianForm(1, [Z0], [5]), "gram must be a sequence of rows"),
+    (lambda: HermitianForm(1, 5, [[1]]), "basis must be a sequence of monomials"),
+    # checked before the basis monomials are compared
+    (lambda: HermitianForm(1, [Z0, Z0], 5), "gram must be a sequence of rows"),
+    (lambda: verify_injective(5, 1, 1), "substitution exponents must be a sequence"),
+    (lambda: substitute_powers(F2, 5), "substitution exponents must be a sequence"),
+    (lambda: substitute_powers(F2, iter([1, 2])), "substitution exponents must be a sequence"),
+], ids=["gram", "row", "basis", "gram-and-duplicate", "verify-injective", "substitute-powers", "iterator"])
+def test_a_container_argument_that_is_not_one_is_refused(build, message):
+    with pytest.raises(TypeError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_the_dense_constructor_takes_any_iterables():
+    listed = HermitianForm(1, [mono(0), Z0], [[1, 2], [2, 5]])
+    assert HermitianForm(1, (m for m in (mono(0), Z0)), iter([iter([1, 2]), (2, 5)])) == listed
+
+
 def test_poly_is_homogeneous():
     assert HoloPoly(2, {mono(2, 0): 1, mono(1, 1): -2}).is_homogeneous
     assert not HoloPoly(2, {mono(1, 0): 1, mono(1, 1): 1}).is_homogeneous

@@ -122,6 +122,53 @@ def test_interleaved_blocks_are_eliminated_in_basis_order(corner, real_second):
     assert isinstance(kernel, list) == (corner != (0, 0))
 
 
+def test_a_one_index_block_yields_what_either_step_yields():
+    # the blocks of interleaved_cells spread over indices 0..9, with three more
+    # 1x1 blocks between them: a positive, a negative and a zero pivot
+    spread = [0, 2, 3, 5, 6, 7, 9]
+    compact = interleaved_cells((3, 0))
+    cells = {(spread[i], spread[j]): cell for (i, j), cell in compact.items()}
+    singles = {1: 4, 4: -6, 8: 0}
+    cells.update({(k, k): (x, 0) for k, x in singles.items() if x})
+    steps = list(_ldlh(10, 3, cells))
+    # the larger blocks step as they do with no 1x1 block beside them
+    alone = [(spread[k], p, s, [(spread[i], x, y) for i, x, y in column])
+             for k, p, s, column in _ldlh(7, 3, compact)]
+    assert [step for step in steps if step[0] not in singles] == alone
+    # index 5 is the zero 1x1 block of interleaved_cells
+    for k, x in {**singles, 5: 0}.items():
+        real = next(rankdecomp._real_step([k], [[x]], 0, 1, 3))
+        complex_ = next(rankdecomp._complex_step([k], [[x]], [[0]], 0, 1, 3))
+        assert [step for step in steps if step[0] == k] == [real] == [complex_] == [(k, x, 3, [])]
+
+
+def test_a_zero_vector_is_a_zero_one_index_block_of_independent():
+    v = {mono(0): (1, 0), mono(1): (0, 2)}
+    w = {mono(1): (3, 0)}
+    assert rankdecomp._independent([v, {}, w, v, {}]) == [0, 2]
+    assert rankdecomp._independent([{}]) == []
+    first, last = HoloPoly(1, {mono(0): 1, mono(1): GaussianRational(0, 2)}), HoloPoly(1, {mono(1): 3})
+    f = HoloMap(1, [first, HoloPoly.zero(1), last])
+    kept, rank = reduce_minimal(f)
+    assert rank == 2 and kept == HoloMap(1, [first, last])
+
+
+def test_extract_sos_refuses_a_negative_one_index_block_with_its_witness():
+    # a 2x2 block on indices 0 and 2, and the 1x1 block -3/2 between them
+    gram = [[2, 0, 1], [0, Fraction(-3, 2), 0], [1, 0, 2]]
+    form = HermitianForm(1, [mono(k) for k in range(3)], gram)
+    assert inertia(form) == reference_inertia(form) == Inertia(2, 1)
+    with pytest.raises(NotSOSError) as kernel:
+        extract_sos(form)
+    with pytest.raises(NotSOSError) as reference:
+        reference_extract_sos(form)
+    assert str(kernel.value) == str(reference.value) == "negative pivot -3/2 at z0: not a sum of squares"
+    v = kernel.value.witness
+    assert v == (GR_ZERO, GR_ONE, GR_ZERO)
+    value = sum((v[i].conjugate() * form.gram[i][j] * v[j] for i in range(3) for j in range(3)), GR_ZERO)
+    assert value == GaussianRational(Fraction(-3, 2))
+
+
 def test_inertia_of_a_large_diagonal_form_is_fast():
     # (1 + ||z||^2)(1 + ||f||^2) with f every degree-4 monomial in 6 variables
     # is diagonal: 385 blocks of one index each

@@ -1,9 +1,11 @@
 """The fraction-free kernel, the sparse form arithmetic, the integer tensor
 products and the bounded division search against rational references, plus
-congruence invariance of inertia, JSON document round trips, and two
+congruence invariance of inertia, JSON document round trips, and
 metamorphic oracles: a unitary change of a map's components keeps its norm
-form, and a unitary change of its variables keeps its ranks, the inertia of
-its modification form and the identity its h solves.
+form, and of the components of the h it solves for, the identity; a unitary
+change of its variables keeps its ranks, the inertia of its modification
+form, the identity its h solves, and whether its squared norm is divisible
+by ||z||^2.
 
 The references in conftest run the textbook eliminations, the Gram sum,
 dense form products and sums, tensor products built one by one, and a
@@ -555,6 +557,61 @@ def test_a_unitary_change_of_variables_keeps_ranks_inertia_and_the_identity(f, d
     assert reduce_minimal(g)[1] == reduce_minimal(f)[1]
     assert tensor_power_rank(g, t) == tensor_power_rank(f, t)
     assert verify_identity(g, compose_linear(h, v), 1, b, c)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(minimal_maps(n_max=2), st.data())
+def test_a_unitary_change_of_the_components_of_h_keeps_the_identity(f, data):
+    # h = solve_h(f, b, c) is weighted, ||h||^2 = h^H W h with W its diagonal of
+    # weights.  M = Cayley(W^-1 K), K skew-Hermitian, has M^H W M = W: W^-1 K is
+    # skew-Hermitian for the inner product of W.  So M h, with the weights of h,
+    # has the squared norm of h and solves the identity h solves.  M mixes up to
+    # three components of h and keeps the rest, so that its entries stay small
+    b, c = data.draw(st.sampled_from([(1, 1), (2, 1), (1, 2)]))
+    h = solve_h(f, b, c)
+    assert verify_identity(f, h, 1, b, c)
+    mixed = data.draw(st.lists(st.integers(0, len(h) - 1), min_size=1, max_size=3, unique=True))
+    k = data.draw(skew_hermitian_matrices(len(mixed)))
+    block = cayley_transform([[value * GaussianRational(1 / h.weights[i]) for value in row] for row, i in zip(k, mixed)])
+    m = [[GaussianRational(int(i == j)) for j in range(len(h))] for i in range(len(h))]
+    for row, i in zip(block, mixed):
+        for value, j in zip(row, mixed):
+            m[i][j] = value
+    g = HoloMap(h.n, apply_matrix(m, h).components, h.weights)
+    assert verify_identity(f, g, 1, b, c)
+
+
+@st.composite
+def homogeneous_maps(draw):
+    """Maps in n <= 2 variables with components homogeneous of one degree
+    d <= 3: half of them (z_i g_j) for all i, j, whose squared norm
+    ||z||^2 ||g||^2 is divisible by ||z||^2, the other half random."""
+    n = draw(st.integers(1, 2))
+    d = draw(st.integers(1, 3))
+
+    def random_polys(degree, count):
+        mons = st.lists(st.sampled_from(monomials_of_degree(n, degree)), min_size=1, unique=True)
+        return [HoloPoly(n, {mon: draw(scalars) for mon in draw(mons)}) for _ in range(count)]
+
+    if draw(st.booleans()):
+        g = random_polys(d - 1, draw(st.integers(1, 2)))
+        comps = [z * poly for z in HoloMap.variables(n).components for poly in g]
+    else:
+        comps = random_polys(d, draw(st.integers(1, 3)))
+    return HoloMap(n, comps)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(homogeneous_maps(), st.data())
+def test_a_unitary_change_of_variables_keeps_divisibility_by_the_norm(f, data):
+    # ||V z||^2 = ||z||^2, so ||f(V z)||^2 is divisible by ||z||^2 iff ||f||^2
+    # is, and the two quotients are congruent
+    g = compose_linear(f, cayley_transform(data.draw(skew_hermitian_matrices(f.n))))
+    quotient = divide_by_norm(norm_form(f))
+    moved = divide_by_norm(norm_form(g))
+    assert (moved is None) == (quotient is None)
+    if quotient is not None:
+        assert inertia(moved) == inertia(quotient)
 
 
 gaussian_integers = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-2, 2))
