@@ -10,8 +10,12 @@ with the constant 1 as one more component.  Given f, b, c the left side is an
 explicit Hermitian form, 1 plus a positive semidefinite block not coupled to
 the 1, and ``rankdecomp.affine_split`` reads a witness h with the minimal
 number of components off one exact square extraction of the whole form.
-``verify_identity`` replays the identity as an equality of canonical forms,
-which is exact and certificate-free.
+``verify_identity`` replays the identity exactly and without a certificate.
+With a = 1, the case ``solve_h`` answers, the cells of 1 + ||h||^2 are
+compared with the canonical left side by cross-multiplying the
+denominators, not reduced to lowest terms first; with a > 1, and whenever
+that comparison fails, both sides are canonical forms and equality is
+structural.
 
 The data (f, a, b, c) of an identity is passed as plain arguments.
 ``solve_h`` (with a = 1) and ``identity_mismatch`` check it on entry, in
@@ -48,6 +52,7 @@ from .polyalg import (
     _check_variable_count,
     _is_int_at_least,
     _mul_cells,
+    _norm_cells,
     norm_form,
 )
 # inertia is unused here; perfbench/test_perfbench.py reads it as
@@ -93,11 +98,16 @@ def _check_identity(f: HoloMap, a: int, b: int, c: int):
 
 def one_plus_norm(f: HoloMap) -> HermitianForm:
     """The Hermitian form 1 + ||f||^2: the norm form of f with the constant 1 as
-    one more component of weight 1, so the 1 needs no second pass over the form.
-    f is a checked map, so the constant and the longer map are built unchecked."""
+    one more component of weight 1, so the 1 needs no second pass over the form."""
+    return norm_form(_with_one(f))
+
+
+def _with_one(f: HoloMap) -> HoloMap:
+    """The map (1, f), with weight 1 on the 1 if f is weighted.  f is a checked
+    map, so the constant and the longer map are built unchecked."""
     one = HoloPoly._build(f.n, 1, {Monomial._build((0,) * f.n): (1, 0)})
     weights = None if f.weights is None else (Fraction(1), *f.weights)
-    return norm_form(HoloMap._build(f.n, (one, *f.components), weights))
+    return HoloMap._build(f.n, (one, *f.components), weights)
 
 
 def one_plus_norm_z(n: int) -> HermitianForm:
@@ -147,19 +157,48 @@ def solve_h(f: HoloMap, b: int, c: int, block_max: Optional[int] = None) -> Holo
 def verify_identity(f: HoloMap, h: HoloMap, a: int, b: int, c: int) -> bool:
     """Exact check of (1 + ||z||^2)^b (1 + ||f||^2)^c == (1 + ||h||^2)^a.
 
-    Both sides expand to canonical Hermitian forms; equality of forms is
-    structural equality.  Exponents must be positive with gcd 1.
+    Exponents must be positive with gcd 1.  ``identity_mismatch`` decides it.
     """
     return not identity_mismatch(f, h, a, b, c)
 
 
 def identity_mismatch(f: HoloMap, h: HoloMap, a: int, b: int, c: int) -> List[Tuple[Monomial, Monomial, GaussianRational]]:
-    """Nonzero entries of left minus right, for diagnostics; empty iff the identity holds."""
+    """Nonzero entries of left minus right, for diagnostics; empty iff the identity holds.
+
+    With a = 1 the right side 1 + ||h||^2 is not brought to lowest terms
+    first: its unreduced cells are compared with the canonical left side by
+    ``_equals_unreduced``, and only when that finds a difference is the
+    canonical right side built from them, which decides through ``==`` and
+    lists the mismatch.  With a > 1 both sides are canonical forms.
+    """
     _check_identity(f, a, b, c)
     _check_normalized(h)
     left = modification_form(f, b, c)
-    right = one_plus_norm(h) ** a
+    if a == 1:
+        support, den, cells = _norm_cells(_with_one(h))
+        if _equals_unreduced(left, support, den, cells):
+            return []
+        right = HermitianForm._build(h.n, support, den, cells)
+    else:
+        right = one_plus_norm(h) ** a
     return [] if left == right else list((left + -right).entries())
+
+
+def _equals_unreduced(form: HermitianForm, support: List[Monomial], den: int, cells) -> bool:
+    """Whether the nonzero Hermitian cells over support at den are those of
+    form, without reducing them: the support must be form's basis, and every
+    cell (re, im) must cross-multiply to form's, form.den * (re, im) ==
+    den * cell.  Each product is of a large and a small integer, and no gcd,
+    division or sort is taken.  It can say no to an equal form only if the
+    support has a zero row, which a norm form's has not."""
+    if len(cells) != len(form.cells) or tuple(support) != form.basis:
+        return False
+    d, get = form.den, form.cells.get
+    for key, (re, im) in cells.items():
+        other = get(key)
+        if other is None or d * re != den * other[0] or d * im != den * other[1]:
+            return False
+    return True
 
 
 def tensor_power_rank(f: HoloMap, c: int) -> int:

@@ -807,10 +807,12 @@ def substitute_powers(f: HoloMap, exponents: Sequence[int]) -> HoloMap:
 def _checked_cells(n: int, mons: Sequence, raw: Iterable) -> Tuple[int, dict]:
     """The denominator and nonzero Gaussian-integer cells of the Gram entries
     ((i, j), value) in raw over the basis mons, after the checks the form
-    constructors share, in this order: every basis monomial has n variables,
-    every value is an exact scalar, and the cells are Hermitian."""
+    constructors share, in this order: every basis entry is a Monomial of n
+    variables, every value is an exact scalar, and the cells are Hermitian."""
     for mon in mons:
-        if not isinstance(mon, Monomial) or mon.n != n:
+        if not isinstance(mon, Monomial):
+            raise TypeError("basis entries must be Monomial")
+        if mon.n != n:
             raise ValueError("basis monomial has wrong variable count")
     values = {}
     for key, entry in raw:
@@ -1118,6 +1120,14 @@ def norm_form(f: HoloMap) -> HermitianForm:
     c_k and the weights w_k of the components (each 1 in a plain map), hence
     positive semidefinite by construction.
     """
+    return HermitianForm._build(f.n, *_norm_cells(f))
+
+
+def _norm_cells(f: HoloMap) -> Tuple[List[Monomial], int, Dict[Tuple[int, int], Tuple[int, int]]]:
+    """The grlex-sorted support of f, a denominator and the nonzero Hermitian
+    Gaussian-integer cells of ``norm_form(f)`` over them, not in lowest terms.
+    Every monomial of the support has a nonzero row, as the weights are
+    positive, so the support is the basis of ``norm_form(f)``."""
     support = sorted({mon for poly in f.components for mon in poly.cells}, key=grlex_key)
     index = {mon: i for i, mon in enumerate(support)}
     # Each component is a Gaussian-integer vector v_k over its denominator
@@ -1133,6 +1143,5 @@ def norm_form(f: HoloMap) -> HermitianForm:
         g = gcd(num, scale)
         den = lcm(den, scale // g)
         vectors.append((num // g, scale // g, vec))
-    cells = _outer_sum(len(support), [(num * (den // scale), vec) for num, scale, vec in vectors])
-    return HermitianForm._build(f.n, support, den, cells)
+    return support, den, _outer_sum(len(support), [(num * (den // scale), vec) for num, scale, vec in vectors])
 

@@ -75,12 +75,15 @@ def _ldlh(size: int, den: int, cells: Mapping[Tuple[int, int], Tuple[int, int]])
 
     ``cells`` maps index pairs (i, j) below ``size`` to the Gaussian-integer
     numerators (re, im) of D * G, D = ``den`` > 0; absent pairs are zero.
+    G is Hermitian, so only the pairs with i <= j are read.
     Each connected block of indices is eliminated on its own by symmetric
     Bareiss steps a_ij <- (p * a_ij - a_ik * a_kj) / p_prev, p_prev being the
     block's previous nonzero pivot (1 at its start).  Entries stay Gaussian
     integers (minors of D * G, or of a unit congruent copy once a zero pivot
     has been moved) and pivots real, so every division is by a real integer
-    and exact; a nonzero remainder raises ArithmeticError.
+    and exact; a nonzero remainder raises ArithmeticError.  A block is stored
+    as a dense matrix of which only the upper triangle (j >= i) is read and
+    updated: the entries a_ik below a pivot are read off row k, conjugated.
 
     Yields (index, pivot, scale, column) for each index k in basis order:
     d = pivot / scale, and L[i][k] = (re + im*i) / pivot for each (i, re, im)
@@ -94,6 +97,9 @@ def _ldlh(size: int, den: int, cells: Mapping[Tuple[int, int], Tuple[int, int]])
     s = a_jk of ``column`` is folded in by the unit congruence
     row_k += c * row_j, col_k += conj(c) * col_j, which makes the pivot
     a_jj + 2 Re(c * s), with c the first of 1, -1, i that leaves it nonzero.
+    It reads whole rows and columns, so it first fills in the block's
+    trailing lower triangle from the upper one; only indefinite forms pay
+    for that.
     A block with no imaginary part in its cells is eliminated as a real one, an
     int per entry: c is never i there, so it stays real, with the same integers.
     A block of one index k is yielded as (k, a_kk, den, []) without a step.
@@ -121,6 +127,8 @@ def _ldlh(size: int, den: int, cells: Mapping[Tuple[int, int], Tuple[int, int]])
     re = {r: [[0] * len(block) for _ in block] for r, block in members.items()}
     im = {}  # imaginary parts, of the complex blocks only
     for (i, j), (x, y) in cells.items():
+        if j < i:
+            continue  # the upper triangle is the whole matrix
         r, li = root[i], place[i]
         re[r][li][place[j]] = x
         if y:
@@ -147,29 +155,34 @@ def _real_step(block, a, lk: int, last: int, den: int):
     m, rk = len(block), a[lk]
     while True:
         p = rk[lk]
-        column = [(block[i], a[i][lk], 0) for i in range(lk + 1, m) if a[i][lk]]
+        column = [(block[i], rk[i], 0) for i in range(lk + 1, m) if rk[i]]
         yield block[lk], p, last * den, column
         if p or not column:
             break
         # resumed past an indefinite zero pivot: move it off zero.  s = a_jk is
         # real and nonzero, so a_jj + 2s and a_jj - 2s differ by 4s and cannot
-        # both be 0: c = i, which would bring in an imaginary part, is never needed
+        # both be 0: c = i, which would bring in an imaginary part, is never needed.
+        # It reads whole rows and columns: fill in the trailing lower triangle
+        for i in range(lk, m):
+            ri = a[i]
+            for j in range(i + 1, m):
+                a[j][i] = ri[j]
         j, s = block.index(column[0][0]), column[0][1]
         c = 1 if a[j][j] + 2 * s else -1
         rk[lk:] = [x + c * y for x, y in zip(rk[lk:], a[j][lk:])]
         for t in range(lk, m):
             a[t][lk] += c * a[t][j]
     if p:
-        # trailing update of the block's upper triangle, mirrored to keep it symmetric
+        # trailing update of the block's upper triangle, a_ik = a_ki read off row k
         for i in range(lk + 1, m):
-            ri, a_ik = a[i], a[i][lk]
+            ri, a_ik = a[i], rk[i]
             for j in range(i, m):
                 x = p * ri[j] - a_ik * rk[j]
                 if last != 1:
                     x, rx = divmod(x, last)
                     if rx:
                         raise ArithmeticError("inexact division in fraction-free elimination")
-                ri[j] = a[j][i] = x
+                ri[j] = x
     return p
 
 
@@ -178,11 +191,17 @@ def _complex_step(block, bre, bim, lk: int, last: int, den: int):
     m, rk, ik = len(block), bre[lk], bim[lk]
     while True:
         p = rk[lk]
-        column = [(block[i], bre[i][lk], bim[i][lk]) for i in range(lk + 1, m) if bre[i][lk] or bim[i][lk]]
+        column = [(block[i], rk[i], -ik[i]) for i in range(lk + 1, m) if rk[i] or ik[i]]
         yield block[lk], p, last * den, column
         if p or not column:
             break
-        # resumed past an indefinite zero pivot: move it off zero
+        # resumed past an indefinite zero pivot: move it off zero, after
+        # filling in the trailing lower triangle
+        for i in range(lk, m):
+            ri, ii = bre[i], bim[i]
+            for j in range(i + 1, m):
+                bre[j][i] = ri[j]
+                bim[j][i] = -ii[j]
         j, s_re = block.index(column[0][0]), column[0][1]
         c_re, c_im = (1, 0) if bre[j][j] + 2 * s_re else (-1, 0) if bre[j][j] - 2 * s_re else (0, 1)
         rj, ij = bre[j], bim[j]
@@ -194,10 +213,10 @@ def _complex_step(block, bre, bim, lk: int, last: int, den: int):
             rt[lk] += c_re * rt[j] + c_im * it[j]
             it[lk] += c_re * it[j] - c_im * rt[j]
     if p:
-        # trailing update of the block's upper triangle, mirrored to keep it Hermitian
+        # trailing update of the block's upper triangle, a_ik = conj(a_ki) read off row k
         for i in range(lk + 1, m):
             ri, ii = bre[i], bim[i]
-            a_re, a_im = ri[lk], ii[lk]
+            a_re, a_im = rk[i], -ik[i]
             for j in range(i, m):
                 b_re, b_im = rk[j], ik[j]
                 x = p * ri[j] - (a_re * b_re - a_im * b_im)
@@ -209,8 +228,6 @@ def _complex_step(block, bre, bim, lk: int, last: int, den: int):
                         raise ArithmeticError("inexact division in fraction-free elimination")
                 ri[j] = x
                 ii[j] = y
-                bre[j][i] = x
-                bim[j][i] = -y
     return p
 
 

@@ -25,8 +25,8 @@ CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
 
 def replay(case: dict, workdir: Path) -> List[str]:
     """Run one case through ``hermsos.cli.main`` in-process; the differences
-    from the recorded exit code, stdout, stderr (always empty) and written
-    file, as text, empty if there is none."""
+    from the recorded exit code, stdout, stderr (empty unless the case records
+    one) and written file, as text, empty if there is none."""
     # imported here, so that run as a script it comes from the src/ put on the path below
     from hermsos.cli import main
 
@@ -42,8 +42,8 @@ def replay(case: dict, workdir: Path) -> List[str]:
         diffs.append(f"exit {code}, recorded {case['exit']}")
     if out.getvalue() != case["stdout"]:
         diffs.append(f"stdout {out.getvalue()!r}, recorded {case['stdout']!r}")
-    if err.getvalue():
-        diffs.append(f"stderr {err.getvalue()!r}, recorded ''")
+    if err.getvalue() != case.get("stderr", ""):
+        diffs.append(f"stderr {err.getvalue()!r}, recorded {case.get('stderr', '')!r}")
     if "output" in case and (not written.is_file() or written.read_bytes() != (GOLDEN / case["output"]).read_bytes()):
         diffs.append(f"{written.name} differs from {case['output']}")
     return diffs

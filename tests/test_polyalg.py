@@ -336,7 +336,9 @@ def test_the_literal_reader_returns_a_pair_unreduced_only_for_plain_literals(tex
 
 @pytest.mark.parametrize("build,error,message", [
     (lambda: HermitianForm(1, [Z0_2], [[1]]), ValueError, "basis monomial has wrong variable count"),
-    (lambda: HermitianForm(1, [(1,)], [[1]]), ValueError, "basis monomial has wrong variable count"),
+    (lambda: HermitianForm(1, [(1,)], [[1]]), TypeError, "basis entries must be Monomial"),
+    (lambda: HermitianForm(1, [5], [[1]]), TypeError, "basis entries must be Monomial"),
+    (lambda: HermitianForm.from_entries(1, {(Z0, (1,)): 1}), TypeError, "basis entries must be Monomial"),
     (lambda: HermitianForm(1, [Z0, Z0], [[1, 0], [0, 1]]), ValueError, "basis monomials must be distinct"),
     (lambda: HermitianForm(1, [Z0], [[1, 0]]), ValueError, "gram matrix shape does not match the basis"),
     (lambda: HermitianForm(1, [Z0], []), ValueError, "gram matrix shape does not match the basis"),
@@ -365,7 +367,7 @@ def test_the_literal_reader_returns_a_pair_unreduced_only_for_plain_literals(tex
     (lambda: HermitianForm.from_entries(1, {(Z0, Z0): 0.5, (Z0_2, Z0_2): 1}), ValueError,
      "basis monomial has wrong variable count"),
 ], ids=[
-    "wrong-n", "not-a-monomial", "duplicate", "short-row", "no-rows", "float", "string", "not-hermitian",
+    "wrong-n", "not-a-monomial", "an-int", "entries-not-a-monomial", "duplicate", "short-row", "no-rows", "float", "string", "not-hermitian",
     "complex-diagonal", "duplicate-and-shape", "duplicate-and-wrong-n", "wrong-n-and-float", "shape-and-float",
     "float-and-not-hermitian", "not-hermitian-and-float", "entries-wrong-n", "entries-float",
     "entries-not-hermitian", "entries-complex-diagonal", "entries-wrong-n-and-float",

@@ -1,7 +1,9 @@
+import json
 import random
 import time
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +153,105 @@ def test_a_zero_vector_is_a_zero_one_index_block_of_independent():
     f = HoloMap(1, [first, HoloPoly.zero(1), last])
     kept, rank = reduce_minimal(f)
     assert rank == 2 and kept == HoloMap(1, [first, last])
+
+
+# ---------------------------------------------------------------------------
+# The kernel's full yield sequence, pinned
+# ---------------------------------------------------------------------------
+
+LDLH_YIELDS = Path(__file__).parent / "data" / "ldlh_yields.json"
+
+
+def pinned_kernel_inputs():
+    """Seeded (size, den, cells) inputs of ``_ldlh`` by name: real and complex
+    Hermitian matrices with a zero diagonal, which are indefinite and make the
+    kernel move zero pivots, and Gram matrices R^H R of a few Gaussian-integer
+    rows, positive semidefinite and often singular; the last input puts a
+    zero-diagonal block and a PSD block side by side, interleaved."""
+    rng = random.Random(2504)
+    inputs = {}
+
+    def entry(complex_):
+        return rng.randint(-3, 3), rng.randint(-3, 3) if complex_ else 0
+
+    for t in range(10):
+        for kind in ("real", "complex"):
+            size, cells = rng.randint(4, 8), {}
+            for i in range(size):
+                for j in range(i + 1, size):
+                    x, y = entry(kind == "complex") if rng.random() < 0.7 else (0, 0)
+                    if x or y:
+                        cells[i, j], cells[j, i] = (x, y), (x, -y)
+            inputs[f"{kind}-zero-diagonal-{t}"] = (size, rng.randint(1, 3), cells)
+    for t in range(3):
+        for kind in ("real", "complex"):
+            size = rng.randint(4, 8)
+            rows = [[entry(kind == "complex") for _ in range(size)] for _ in range(rng.randint(2, size))]
+            cells = {}
+            for i in range(size):
+                for j in range(size):
+                    x = sum(r[i][0] * r[j][0] + r[i][1] * r[j][1] for r in rows)
+                    y = sum(r[i][1] * r[j][0] - r[i][0] * r[j][1] for r in rows)
+                    if x or y:
+                        cells[i, j] = (x, y)
+            inputs[f"{kind}-psd-{t}"] = (size, rng.randint(1, 3), cells)
+    # the indices of complex-zero-diagonal-0 and real-psd-0 taken in turn
+    blocks = [inputs["complex-zero-diagonal-0"], inputs["real-psd-0"]]
+    order = sorted((2 * i + side, side, i) for side, (size, _, _) in enumerate(blocks) for i in range(size))
+    move = [{}, {}]
+    for new, (_, side, i) in enumerate(order):
+        move[side][i] = new
+    cells = {(move[side][i], move[side][j]): cell for side, (_, _, block) in enumerate(blocks) for (i, j), cell in block.items()}
+    inputs["interleaved"] = (len(order), 2, cells)
+    return inputs
+
+
+def kernel_yields(size, den, cells):
+    """``_ldlh``'s yields as JSON lists, resuming past every zero pivot."""
+    return [[k, pivot, scale, [list(entry) for entry in column]] for k, pivot, scale, column in _ldlh(size, den, cells)]
+
+
+def congruence_choices(steps):
+    """The unit c of each zero-pivot congruence, read off the yields alone.
+
+    After row_k += c * row_j and col_k += conj(c) * col_j, with s = a_jk the
+    first entry of the zero pivot's column, the new pivot is
+    a_jj + 2 Re(c * s) and the new a_jk is s + conj(c) * a_jj.  Eliminating
+    the unknown a_jj, c = 1 gives pivot = Re(s + a_jk'), c = -1 gives
+    pivot = -Re(s + a_jk') and c = i gives pivot = -Im(s + a_jk'); the
+    kernel takes the first that leaves the pivot nonzero, so the first of
+    these that holds names it.
+    """
+    choices = []
+    for (k, zero, _, column), (k2, pivot, _, moved) in zip(steps, steps[1:]):
+        if k2 != k or zero or not column:
+            continue
+        j, s_re, s_im = column[0]
+        t_re, t_im = next(((x, y) for i, x, y in moved if i == j), (0, 0))
+        for c, value in (("1", s_re + t_re), ("-1", -s_re - t_re), ("i", -s_im - t_im)):
+            if pivot == value:
+                choices.append(c)
+                break
+        else:
+            raise AssertionError(f"no unit congruence explains the pivot at index {k}")
+    return choices
+
+
+def test_ldlh_yields_are_pinned():
+    # recorded with the kernel that stored and updated both triangles
+    recorded = json.loads(LDLH_YIELDS.read_text(encoding="utf-8"))
+    inputs = pinned_kernel_inputs()
+    assert sorted(recorded) == sorted(inputs)
+    choices = set()  # (kind of the indefinite block, c); interleaved's is complex
+    for name, (size, den, cells) in inputs.items():
+        steps = kernel_yields(size, den, cells)
+        assert steps == recorded[name], name
+        kind = "real" if name.startswith("real") else "complex"
+        choices.update((kind, c) for c in congruence_choices(steps))
+        if "psd" in name:
+            assert all(pivot >= 0 for _, pivot, _, _ in steps)
+    # every unit occurs, and c = i only in a complex block
+    assert choices == {("real", "1"), ("real", "-1"), ("complex", "1"), ("complex", "-1"), ("complex", "i")}
 
 
 def test_extract_sos_refuses_a_negative_one_index_block_with_its_witness():

@@ -5,7 +5,9 @@ metamorphic oracles: a unitary change of a map's components keeps its norm
 form, and of the components of the h it solves for, the identity; a unitary
 change of its variables keeps its ranks, the inertia of its modification
 form, the identity its h solves, and whether its squared norm is divisible
-by ||z||^2.
+by ||z||^2.  The check of the identity with a = 1, which compares the
+unreduced cells of 1 + ||h||^2 with the left side, is held to equality of
+the canonical forms on h and on small changes of it.
 
 The references in conftest run the textbook eliminations, the Gram sum,
 dense form products and sums, tensor products built one by one, and a
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     drop_constant,
+    mono,
     reference_divide_by_norm,
     reference_extract_sos,
     reference_form_add,
@@ -60,6 +63,8 @@ from hermsos import (
     verify_identity,
 )
 from hermsos.documents import serialize_form_json
+from hermsos.isometry import _equals_unreduced, _with_one
+from hermsos.polyalg import _norm_cells
 from hermsos.rankdecomp import _ldlh
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -372,14 +377,22 @@ def test_divide_by_norm_matches_exhaustive_reference(s):
 
 
 def test_inexact_division_is_refused():
-    # a Gram matrix that breaks the Hermitian invariant the constructor
-    # enforces; elimination then reaches a division with a remainder
+    # cells that break the invariant the constructors enforce, integer
+    # numerators over one denominator; elimination then reaches a division
+    # with a remainder
     basis = [Monomial((k,)) for k in range(3)]
     form = HermitianForm(1, basis, [[1 if i == j else 0 for j in range(3)] for i in range(3)])
-    tampered = ((3, -2, 1), (-2, 2, -2), (3, -3, 3))
+    half = Fraction(1, 2)
+    tampered = ((3, -2, 1), (-2, 2, half), (1, half, 3))
     form.cells = {(i, j): (v, 0) for i, row in enumerate(tampered) for j, v in enumerate(row)}
     with pytest.raises(ArithmeticError, match="inexact division"):
         inertia(form)
+    # the kernel reads the upper triangle alone, so cells that break only the
+    # Hermitian symmetry are read as the Hermitian matrix of their upper triangle
+    asymmetric = ((3, -2, 1), (-2, 2, -2), (3, -3, 3))
+    form.cells = {(i, j): (v, 0) for i, row in enumerate(asymmetric) for j, v in enumerate(row)}
+    upper = [[asymmetric[min(i, j)][max(i, j)] for j in range(3)] for i in range(3)]
+    assert inertia(form) == reference_inertia(HermitianForm(1, basis, upper))
 
 
 @st.composite
@@ -523,6 +536,70 @@ def test_a_unitary_change_of_components_keeps_the_norm_form(f, data):
     b, c = data.draw(st.sampled_from([(1, 1), (2, 1), (1, 2)]))
     assert verify_identity(g, solve_h(f, b, c), 1, b, c)
 
+
+def changed_map(h, i, poly=None, weight=None):
+    """The weighted map h with component i replaced by poly, or its weight by weight."""
+    comps, weights = list(h.components), list(h.weights)
+    if poly is not None:
+        comps[i] = poly
+    if weight is not None:
+        weights[i] = weight
+    return HoloMap(h.n, comps, weights)
+
+
+def identity_variants(h, i, mon):
+    """h; h with the coefficient of mon in component i shifted by 1, by -1 and
+    by the imaginary unit; h with the weight of component i doubled; and h
+    with its grlex-last monomial multiplied by z_{n-1} wherever it occurs,
+    whose 1 + ||h||^2 has the same cells as that of h over another support."""
+    terms = dict(h.components[i].terms)
+    out = [h]
+    for shift in (GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1)):
+        out.append(changed_map(h, i, poly=HoloPoly(h.n, {**terms, mon: terms[mon] + shift})))
+    out.append(changed_map(h, i, weight=2 * h.weights[i]))
+    last = max((m for poly in h.components for m in poly.terms), key=grlex_key)
+    raised = last.mul(Monomial((0,) * (h.n - 1) + (1,)))
+    moved = [HoloPoly(h.n, {raised if m == last else m: v for m, v in poly.terms.items()}) for poly in h.components]
+    out.append(HoloMap(h.n, moved, h.weights))
+    return out
+
+
+def identity_decisions(f, b, c, i, mon):
+    """For each of ``identity_variants`` of h = solve_h(f, b, c), whether
+    1 + ||h||^2 equals the left side, as ``identity_mismatch`` decides it
+    before reducing the right side, after checking that this agrees with
+    canonical ``==`` and with ``verify_identity``."""
+    left = modification_form(f, b, c)
+    decisions = []
+    for g in identity_variants(solve_h(f, b, c), i, mon):
+        unreduced = _equals_unreduced(left, *_norm_cells(_with_one(g)))
+        assert unreduced == (left == one_plus_norm(g)) == verify_identity(f, g, 1, b, c)
+        decisions.append(unreduced)
+    # h solves it, and the moved support never does
+    assert decisions[0] and not decisions[-1]
+    return decisions
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(minimal_maps(n_max=2), st.data())
+def test_the_unreduced_identity_decision_is_equality_of_canonical_forms(f, data):
+    b, c = data.draw(st.sampled_from([(1, 1), (2, 1), (1, 2)]))
+    h = solve_h(f, b, c)
+    i = data.draw(st.integers(0, len(h) - 1))
+    mon = data.draw(st.sampled_from(sorted(h.components[i].terms, key=grlex_key)))
+    identity_decisions(f, b, c, i, mon)
+
+
+def test_the_unreduced_identity_decision_scales_by_the_left_denominator():
+    # rational complex coefficients put the left side over a denominator above 1
+    f = HoloMap(2, [
+        HoloPoly(2, {mono(1, 0): 1, mono(0, 1): GaussianRational(Fraction(-3, 4), Fraction(1, 2))}),
+        HoloPoly(2, {mono(0, 1): Fraction(5, 3), mono(1, 1): GaussianRational(Fraction(1, 2), Fraction(-7, 6))}),
+    ])
+    for b, c in [(1, 1), (2, 1), (1, 2)]:
+        assert modification_form(f, b, c).den > 1
+        decisions = identity_decisions(f, b, c, 0, mono(1, 0))
+        assert decisions.count(True) == 1
 
 def compose_linear(f, v):
     """The map f(V z), each z_i replaced by the sum over j of V[i][j] z_j, by
