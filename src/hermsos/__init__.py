@@ -6,6 +6,8 @@ computations, isometry identities between such norms, and the integer
 bounds constraining how many squares those identities can use.
 """
 
+from types import ModuleType as _Module
+
 from .bounds import (
     BoundReport,
     check_affine_norm_product,
@@ -58,7 +60,6 @@ from .polyalg import (
     monomials_up_to_degree,
     norm_form,
     substitute_powers,
-    tensor,
 )
 from .rankdecomp import (
     Inertia,
@@ -70,58 +71,5 @@ from .rankdecomp import (
     reduce_minimal,
 )
 
-__all__ = [
-    "BoundReport",
-    "DocumentError",
-    "EnsembleConfig",
-    "GR_I",
-    "GR_ONE",
-    "GR_ZERO",
-    "GaussianRational",
-    "HermitianForm",
-    "HoloMap",
-    "HoloPoly",
-    "Inertia",
-    "Monomial",
-    "NotMinimalError",
-    "NotNormalizedError",
-    "NotSOSError",
-    "affine_split",
-    "check_affine_norm_product",
-    "check_gap_feasible",
-    "check_homogeneous_norm_product",
-    "check_min_embedding_dim",
-    "check_modification_rank",
-    "check_norm_product",
-    "check_power_rank",
-    "check_rational_modification_rank",
-    "divide_by_norm",
-    "extract_sos",
-    "extremal_lower",
-    "extremal_power_lower",
-    "gap_intervals",
-    "grams_equal",
-    "grlex_key",
-    "identity_mismatch",
-    "inertia",
-    "modification_form",
-    "monomials_of_degree",
-    "monomials_up_to_degree",
-    "norm_form",
-    "one_plus_norm",
-    "one_plus_norm_z",
-    "parse_form_document",
-    "parse_map_document",
-    "prime_substitution",
-    "r_lambda",
-    "random_map",
-    "reduce_minimal",
-    "serialize_form_document",
-    "serialize_map_document",
-    "solve_h",
-    "substitute_powers",
-    "tensor",
-    "tensor_power_rank",
-    "verify_identity",
-    "verify_injective",
-]
+# every public name imported above; the imports also bind each submodule's name
+__all__ = sorted(name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _Module)))

@@ -96,6 +96,16 @@ TENSOR_ROWS_MAX = 135
 SOLVE_H_BLOCK_MAX = 256
 
 
+def _int(text: str) -> int:
+    """An integer option or ``bounds`` value: ASCII digits after an optional
+    minus, as in a JSON integer.  ``int`` alone also takes spaces, "+", "_"
+    and non-ASCII digits; the message is the one argparse gives for it."""
+    if re.fullmatch(r"-?[0-9]+", text):
+        with contextlib.suppress(ValueError):  # more than 4300 digits
+            return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
@@ -238,8 +248,8 @@ def cmd_bounds(args) -> int:
         if key in values:
             raise ValueError(f"key {key!r} is given more than once")
         try:
-            values[key] = int(raw)
-        except ValueError as exc:
+            values[key] = _int(raw)
+        except argparse.ArgumentTypeError as exc:
             raise ValueError(f"value for {key!r} must be an integer") from exc
     if set(values) != set(names):
         raise ValueError(
@@ -349,11 +359,6 @@ def cmd_ensemble(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The command line parser; ``main`` runs subcommand ``x-y`` by ``cmd_x_y``."""
-    return _build_parsers()[0]
-
-
 def _build_parsers():
     """The command line parser, and the parsers of its subcommands by name:
     the ``choices`` of its subparsers action, the parsers it dispatches to."""
@@ -369,24 +374,24 @@ def _build_parsers():
 
     p = sub.add_parser("solve-h", help="minimal h with 1+||h||^2 = (1+||z||^2)^b (1+||f||^2)^c")
     p.add_argument("--input", required=True, help="path to the map document for f")
-    p.add_argument("--b", type=int, default=1, help="exponent on 1+||z||^2")
-    p.add_argument("--c", type=int, default=1, help="exponent on 1+||f||^2")
+    p.add_argument("--b", type=_int, default=1, help="exponent on 1+||z||^2")
+    p.add_argument("--c", type=_int, default=1, help="exponent on 1+||f||^2")
     p.add_argument("--output", help="write h as a map document to this path")
 
     p = sub.add_parser("verify", help="check (1+||z||^2)^b (1+||f||^2)^c == (1+||h||^2)^a")
     p.add_argument("f", help="path to the map document for f")
     p.add_argument("h", help="path to the map document for h")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
+    p.add_argument("--a", type=_int, required=True)
+    p.add_argument("--b", type=_int, required=True)
+    p.add_argument("--c", type=_int, required=True)
 
     p = sub.add_parser("tensor-rank", help="rank of (1+||f||^2)^t - 1")
     p.add_argument("--input", required=True, help="path to the map document for f")
-    p.add_argument("--t", type=int, required=True, help="power")
+    p.add_argument("--t", type=_int, required=True, help="power")
     p.add_argument("--format", choices=("text", "csv"), default="text")
 
     p = sub.add_parser("gaps", help="impossible component-count intervals for n variables")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.add_argument("--format", choices=("text", "csv"), default="text")
 
     p = sub.add_parser("bounds", help="evaluate one bound check, e.g. bounds thm2.4 n=2 p=1 r=4")
@@ -395,8 +400,8 @@ def _build_parsers():
     p.add_argument("--format", choices=("text", "csv"), default="text")
 
     p = sub.add_parser("primes", help="power substitution exponents injective up to degree t")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--t", type=_int, required=True)
 
     p = sub.add_parser("divide", help="exact quotient of a bihomogeneous form by ||z||^2")
     p.add_argument("--input", required=True, help="path to a form JSON document")
@@ -409,12 +414,12 @@ def _build_parsers():
 
     p = sub.add_parser("ensemble", help="random minimal maps; CSV of counts against bounds")
     p.add_argument("--config", help="path to a JSON config object")
-    p.add_argument("--n", type=int)
-    p.add_argument("--d-max", dest="d_max", type=int)
-    p.add_argument("--degree-max", dest="degree_max", type=int)
-    p.add_argument("--count", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--height", dest="coefficient_height", metavar="HEIGHT", type=int, default=5, help="coefficient height bound")
+    p.add_argument("--n", type=_int)
+    p.add_argument("--d-max", dest="d_max", type=_int)
+    p.add_argument("--degree-max", dest="degree_max", type=_int)
+    p.add_argument("--count", type=_int)
+    p.add_argument("--seed", type=_int)
+    p.add_argument("--height", dest="coefficient_height", metavar="HEIGHT", type=_int, default=5, help="coefficient height bound")
     p.add_argument("--output", help="write the CSV here instead of stdout")
 
     return parser, sub.choices

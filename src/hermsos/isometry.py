@@ -173,6 +173,8 @@ def identity_mismatch(f: HoloMap, h: HoloMap, a: int, b: int, c: int) -> List[Tu
     """
     _check_identity(f, a, b, c)
     _check_normalized(h)
+    if f.n != h.n:
+        raise ValueError("variable count mismatch")
     left = modification_form(f, b, c)
     if a == 1:
         support, den, cells = _norm_cells(_with_one(h))

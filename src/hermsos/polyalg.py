@@ -38,11 +38,11 @@ The objects:
 
 The squared norm ||f||^2 = sum_k |f_k(z)|^2 of a map is such a form
 (``norm_form``), and products of forms are computed by exact Gram
-convolution over the Gaussian integers.  Monomial bases, tensor
-components, and printed output all follow one global graded lexicographic
-order, so every result is deterministic and structural equality of
-canonical forms coincides with mathematical equality.  The cells of a form
-are not kept in order: ``entries()``, and so printing, sorts them row-major.
+convolution over the Gaussian integers.  Monomial bases and printed
+output follow one global graded lexicographic order, so every result is
+deterministic and structural equality of canonical forms coincides with
+mathematical equality.  The cells of a form are not kept in order:
+``entries()``, and so printing, sorts them row-major.
 """
 
 from __future__ import annotations
@@ -390,11 +390,6 @@ class Monomial:
     def is_constant(self) -> bool:
         return self.degree == 0
 
-    def mul(self, other: "Monomial") -> "Monomial":
-        if self.n != other.n:
-            raise ValueError("variable count mismatch")
-        return Monomial._build(tuple(map(add, self.exponents, other.exponents)))
-
     def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
         return self._evaluate(_exact_point(point, self.n))
 
@@ -535,14 +530,6 @@ class HoloPoly:
     def degree(self) -> int:
         """Total degree; the zero polynomial reports 0."""
         return max((m.degree for m in self.cells), default=0)
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return len({m.degree for m in self.cells}) <= 1
-
-    def constant_term(self) -> GaussianRational:
-        cell = self.cells.get(Monomial._build((0,) * self.n))
-        return GR_ZERO if cell is None else _gaussian(*cell, self.den)
 
     @property
     def vanishes_at_zero(self) -> bool:
@@ -757,19 +744,6 @@ class HoloMap:
 # ---------------------------------------------------------------------------
 
 
-def tensor(f: HoloMap, g: HoloMap) -> HoloMap:
-    """Componentwise product map (f_i * g_j), ordered lexicographically in (i, j).
-
-    The weight of f_i * g_j is the product of theirs, so ||f (x) g||^2 is
-    ||f||^2 ||g||^2; the product is plain iff both maps are.
-    """
-    if f.n != g.n:
-        raise ValueError("variable count mismatch")
-    pairs = [(wi * wj, fi * gj) for wi, fi in f.weighted_components() for wj, gj in g.weighted_components()]
-    weights = None if f.weights is None and g.weights is None else [w for w, _ in pairs]
-    return HoloMap(f.n, [poly for _, poly in pairs], weights)
-
-
 def _check_exponent_vector(exponents: Sequence[int], n: int) -> None:
     """Refuse substitution exponents unless they are a sequence of n ints,
     none a bool or below 0, checked in that order."""
@@ -972,10 +946,6 @@ class HermitianForm:
     def coefficient(self, ma: Monomial, mb: Monomial) -> GaussianRational:
         cell = self.cells.get((self._index.get(ma), self._index.get(mb)))
         return GR_ZERO if cell is None else _gaussian(*cell, self.den)
-
-    def constant_coefficient(self) -> GaussianRational:
-        const = Monomial._build((0,) * self.n)
-        return self.coefficient(const, const)
 
     def degrees(self) -> set:
         return {m.degree for m in self.basis}

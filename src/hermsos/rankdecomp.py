@@ -97,9 +97,11 @@ def _ldlh(size: int, den: int, cells: Mapping[Tuple[int, int], Tuple[int, int]])
     s = a_jk of ``column`` is folded in by the unit congruence
     row_k += c * row_j, col_k += conj(c) * col_j, which makes the pivot
     a_jj + 2 Re(c * s), with c the first of 1, -1, i that leaves it nonzero.
-    It reads whole rows and columns, so it first fills in the block's
-    trailing lower triangle from the upper one; only indefinite forms pay
-    for that.
+    The move touches row k alone, in O(m) for a block of m indices: row j
+    left of its diagonal is read off column j, a_jt = conj(a_tj), and the
+    column move writes only a_kk += conj(c) * a_kj (the new a_kj), as no
+    step reads its other entries, below the diagonal or in finished rows.
+    A pivot still zero after it raises ArithmeticError: one move per index.
     A block with no imaginary part in its cells is eliminated as a real one, an
     int per entry: c is never i there, so it stays real, with the same integers.
     A block of one index k is yielded as (k, a_kk, den, []) without a step.
@@ -162,16 +164,13 @@ def _real_step(block, a, lk: int, last: int, den: int):
         # resumed past an indefinite zero pivot: move it off zero.  s = a_jk is
         # real and nonzero, so a_jj + 2s and a_jj - 2s differ by 4s and cannot
         # both be 0: c = i, which would bring in an imaginary part, is never needed.
-        # It reads whole rows and columns: fill in the trailing lower triangle
-        for i in range(lk, m):
-            ri = a[i]
-            for j in range(i + 1, m):
-                a[j][i] = ri[j]
         j, s = block.index(column[0][0]), column[0][1]
         c = 1 if a[j][j] + 2 * s else -1
-        rk[lk:] = [x + c * y for x, y in zip(rk[lk:], a[j][lk:])]
-        for t in range(lk, m):
-            a[t][lk] += c * a[t][j]
+        row_j = [a[t][j] for t in range(lk, j)] + a[j][j:]
+        rk[lk:] = [x + c * y for x, y in zip(rk[lk:], row_j)]
+        rk[lk] += c * rk[j]
+        if not rk[lk]:
+            raise ArithmeticError("zero pivot after a congruence")
     if p:
         # trailing update of the block's upper triangle, a_ik = a_ki read off row k
         for i in range(lk + 1, m):
@@ -195,23 +194,18 @@ def _complex_step(block, bre, bim, lk: int, last: int, den: int):
         yield block[lk], p, last * den, column
         if p or not column:
             break
-        # resumed past an indefinite zero pivot: move it off zero, after
-        # filling in the trailing lower triangle
-        for i in range(lk, m):
-            ri, ii = bre[i], bim[i]
-            for j in range(i + 1, m):
-                bre[j][i] = ri[j]
-                bim[j][i] = -ii[j]
+        # resumed past an indefinite zero pivot: move it off zero
         j, s_re = block.index(column[0][0]), column[0][1]
         c_re, c_im = (1, 0) if bre[j][j] + 2 * s_re else (-1, 0) if bre[j][j] - 2 * s_re else (0, 1)
-        rj, ij = bre[j], bim[j]
-        for t in range(lk, m):
-            rk[t] += c_re * rj[t] - c_im * ij[t]
-            ik[t] += c_re * ij[t] + c_im * rj[t]
-        for t in range(lk, m):
-            rt, it = bre[t], bim[t]
-            rt[lk] += c_re * rt[j] + c_im * it[j]
-            it[lk] += c_re * it[j] - c_im * rt[j]
+        rj = [bre[t][j] for t in range(lk, j)] + bre[j][j:]
+        ij = [-bim[t][j] for t in range(lk, j)] + bim[j][j:]
+        for t, x, y in zip(range(lk, m), rj, ij):
+            rk[t] += c_re * x - c_im * y
+            ik[t] += c_re * y + c_im * x
+        rk[lk] += c_re * rk[j] + c_im * ik[j]
+        ik[lk] += c_re * ik[j] - c_im * rk[j]
+        if not rk[lk]:
+            raise ArithmeticError("zero pivot after a congruence")
     if p:
         # trailing update of the block's upper triangle, a_ik = conj(a_ki) read off row k
         for i in range(lk + 1, m):

@@ -20,15 +20,15 @@ then the two counts, and exits 1 if any differs, else 0.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import json
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 from typing import List, Tuple
+
+from cli_runner import run
 
 HERE = Path(__file__).resolve().parents[1]
 GOLDEN = HERE / "tests" / "data" / "golden"
@@ -65,7 +65,6 @@ def job_digests(workload: str, seed: int) -> List[dict]:
     dict per job: its kind and a digest of each of PARTS."""
     sys.path.insert(0, str(HERE / "perfbench"))
     import workloads
-    from hermsos.cli import main
 
     records = []
     for job in workloads.WORKLOADS[workload](seed):
@@ -75,16 +74,10 @@ def job_digests(workload: str, seed: int) -> List[dict]:
                 (work / name).write_text(text, encoding="utf-8")
             outcome = {"exit": [], "stdout": [], "stderr": []}
             for call in job.calls:
-                argv = [str(work / arg[1:]) if arg.startswith("@") else arg for arg in call]
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    try:
-                        code = main(argv)
-                    except Exception as exc:  # a traceback is an outcome to compare, not a stop
-                        code = f"raised {type(exc).__name__}"
+                code, out, err = run(call, work)
                 outcome["exit"].append(code)
-                outcome["stdout"].append(out.getvalue().replace(tmp, "<work>"))
-                outcome["stderr"].append(err.getvalue().replace(tmp, "<work>"))
+                outcome["stdout"].append(out.replace(tmp, "<work>"))
+                outcome["stderr"].append(err.replace(tmp, "<work>"))
             outcome["files"] = sorted((path.name, path.read_bytes()) for path in work.iterdir())
         records.append({"kind": job.kind, **{part: _digest(outcome[part]) for part in PARTS}})
     return records
@@ -93,20 +86,7 @@ def job_digests(workload: str, seed: int) -> List[dict]:
 def argv_digests() -> List[dict]:
     """Run each command line of ARGV through the ``hermsos.cli`` on sys.path;
     one dict per command line: a digest of its exit code, stdout and stderr."""
-    from hermsos.cli import main
-
-    records = []
-    for call in ARGV:
-        argv = [str(GOLDEN / arg[1:]) if arg.startswith("@") else arg for arg in call]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except Exception as exc:
-                code = f"raised {type(exc).__name__}"
-        outcome = {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
-        records.append({part: _digest(outcome[part]) for part in ARGV_PARTS})
-    return records
+    return [{part: _digest(value) for part, value in zip(ARGV_PARTS, run(call, GOLDEN))} for call in ARGV]
 
 
 def run_checkout(root: Path, call: str) -> List[dict]:

@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
+from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from hermsos import (
@@ -334,7 +335,7 @@ def reference_form_mul(a: HermitianForm, b: HermitianForm) -> HermitianForm:
     acc: Dict[Tuple[Monomial, Monomial], GaussianRational] = {}
     for ma, mb, va in _dense_cells(a):
         for mc, md, vb in _dense_cells(b):
-            key = (ma.mul(mc), mb.mul(md))
+            key = (Monomial(map(add, ma.exponents, mc.exponents)), Monomial(map(add, mb.exponents, md.exponents)))
             acc[key] = acc.get(key, GR_ZERO) + va * vb
     return _dense_form(a.n, acc)
 

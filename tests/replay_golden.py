@@ -11,13 +11,13 @@ the number of cases and exits 0.  ``tests/test_golden.py`` runs the same
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import sys
 import tempfile
 from pathlib import Path
 from typing import List
+
+from cli_runner import run
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
@@ -27,23 +27,16 @@ def replay(case: dict, workdir: Path) -> List[str]:
     """Run one case through ``hermsos.cli.main`` in-process; the differences
     from the recorded exit code, stdout, stderr (empty unless the case records
     one) and written file, as text, empty if there is none."""
-    # imported here, so that run as a script it comes from the src/ put on the path below
-    from hermsos.cli import main
-
-    argv = [str(GOLDEN / arg[1:]) if arg.startswith("@") else arg for arg in case["argv"]]
     written = workdir / "h.json"
-    if "output" in case:
-        argv += ["--output", str(written)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    argv = case["argv"] + (["--output", str(written)] if "output" in case else [])
+    code, out, err = run(argv, GOLDEN)
     diffs = []
     if code != case["exit"]:
         diffs.append(f"exit {code}, recorded {case['exit']}")
-    if out.getvalue() != case["stdout"]:
-        diffs.append(f"stdout {out.getvalue()!r}, recorded {case['stdout']!r}")
-    if err.getvalue() != case.get("stderr", ""):
-        diffs.append(f"stderr {err.getvalue()!r}, recorded {case.get('stderr', '')!r}")
+    if out != case["stdout"]:
+        diffs.append(f"stdout {out!r}, recorded {case['stdout']!r}")
+    if err != case.get("stderr", ""):
+        diffs.append(f"stderr {err!r}, recorded {case.get('stderr', '')!r}")
     if "output" in case and (not written.is_file() or written.read_bytes() != (GOLDEN / case["output"]).read_bytes()):
         diffs.append(f"{written.name} differs from {case['output']}")
     return diffs

@@ -225,6 +225,20 @@ def test_bounds_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["gaps", "--n", "\u0663"], "argument --n: invalid int value: '\u0663'\n"),
+    (["primes", "--n", "2", "--t", "+3"], "argument --t: invalid int value: '+3'\n"),
+    (["bounds", "thm2.4", "n=\u0662", "p=1", "r= 4"], "error: value for 'n' must be an integer\n"),
+    (["bounds", "thm2.4", "n=2", "p=1", "r= 4"], "error: value for 'r' must be an integer\n"),
+    (["bounds", "thm2.4", "n=2", "p=1", "r=1_0"], "error: value for 'r' must be an integer\n"),
+], ids=["arabic-indic-digit", "plus-sign", "two-bad-values", "space", "underscore"])
+def test_an_integer_is_ascii_digits_after_an_optional_minus(argv, message, capsys):
+    # int() takes each of these, a JSON document none
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(message)
+
+
 @pytest.mark.parametrize("values", [["n=2", "p=1", "r=4", "r=5"], ["r=4", "n=2", "r=4", "p=1"]])
 def test_bounds_refuses_a_repeated_key(values, capsys):
     # a dict would keep the last value and drop the first without a word

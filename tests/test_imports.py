@@ -45,3 +45,13 @@ def test_the_cli_imports_neither_dataclasses_nor_inspect():
     code = "import sys, hermsos.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def test_all_lists_each_public_name_once():
+    names = hermsos.__all__
+    assert names == sorted(set(names))
+    assert all(hasattr(hermsos, name) for name in names)
+    # names that had no caller outside the tests, and the submodules
+    gone = {"build_parser", "tensor", "is_homogeneous", "constant_term", "constant_coefficient", "mul"}
+    submodules = {path.stem for path in SOURCES}
+    assert not (gone | submodules) & set(names)

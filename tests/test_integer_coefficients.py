@@ -28,6 +28,7 @@ from conftest import (
 from hermsos import (
     HoloMap,
     HoloPoly,
+    Monomial,
     extract_sos,
     grlex_key,
     monomials_up_to_degree,
@@ -169,7 +170,8 @@ def test_text_and_json_read_one_rendering_in_either_order(doc):
     alike: either order gives the same bytes, and so do copies of a rendered map."""
     f = parse_map_document(doc)
     # f without its constant terms and its dependent components, so solve_h takes it
-    comps = [poly - HoloPoly.constant(f.n, poly.constant_term()) for _, poly in f.weighted_components()]
+    const = Monomial((0,) * f.n)
+    comps = [poly - HoloPoly.constant(f.n, poly.terms.get(const, 0)) for _, poly in f.weighted_components()]
     h = solve_h(reduce_minimal(HoloMap(f.n, comps))[0], 1, 1)
     # a fresh, unrendered map on each call
     for make in (lambda: parse_map_document(doc), lambda: copy.deepcopy(h)):
@@ -225,7 +227,7 @@ def test_accepted_literals_read_as_fraction_reads_them(literal):
     doc = {"n": 1, "components": [[{"exp": [1], "re": literal, "im": literal}]]}
     assert dict(parse_map_document(doc).components[0].terms) == reference_parse_map_document(doc)[1][0][1]
     form = parse_form_document({"n": 1, "basis": [[0]], "gram": [[literal]]})
-    assert form.constant_coefficient() == reference_fraction(literal)
+    assert form.coefficient(Monomial((0,)), Monomial((0,))) == reference_fraction(literal)
 
 
 REFUSED = [

@@ -173,6 +173,18 @@ def test_verify_identity_detects_mismatch():
     assert all(value for _, _, value in diff)
 
 
+@pytest.mark.parametrize("a", [1, 2])
+def test_a_variable_count_mismatch_is_refused_before_any_expansion(a, monkeypatch):
+    f, h = HoloMap.variables(2), HoloMap.variables(1)
+
+    def expand(*args):
+        raise AssertionError("modification_form was called")
+
+    monkeypatch.setattr("hermsos.isometry.modification_form", expand)
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        identity_mismatch(f, h, a, 1, 1)
+
+
 def test_verify_identity_gcd_guard():
     f = HoloMap(2, [HoloPoly.variable(2, 0)])
     h = solve_h(f, 1, 1)

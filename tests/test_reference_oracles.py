@@ -17,6 +17,7 @@ arithmetic.  Examples are derandomized, so every run checks the same inputs.
 
 import json
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import assume, given, settings
@@ -558,7 +559,7 @@ def identity_variants(h, i, mon):
         out.append(changed_map(h, i, poly=HoloPoly(h.n, {**terms, mon: terms[mon] + shift})))
     out.append(changed_map(h, i, weight=2 * h.weights[i]))
     last = max((m for poly in h.components for m in poly.terms), key=grlex_key)
-    raised = last.mul(Monomial((0,) * (h.n - 1) + (1,)))
+    raised = Monomial(map(add, last.exponents, (0,) * (h.n - 1) + (1,)))
     moved = [HoloPoly(h.n, {raised if m == last else m: v for m, v in poly.terms.items()}) for poly in h.components]
     out.append(HoloMap(h.n, moved, h.weights))
     return out
