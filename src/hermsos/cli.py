@@ -82,10 +82,10 @@ THEOREMS = {
 }
 
 
-# The most products of components `tensor-rank` eliminates, as the smaller
-# of their two Gram matrices.  On a 2-vCPU x86-64 VM, 15 independent linear
-# forms at t = 2 (135 products) take 0.28 s with 3 terms each and 2.6 s with
-# 15 complex ones; components of higher degree take longer at the same count.
+# The most products of components `tensor-rank` eliminates, as the smaller of
+# their two Gram matrices.  15 independent linear forms at t = 2 (135 products)
+# take 0.09 s with 3 terms each and 1.3 s with 15 complex ones (medians of 5
+# runs, 2-vCPU Intel Xeon VM, CPython 3.11), more for higher-degree components.
 TENSOR_ROWS_MAX = 135
 
 # The most basis monomials in the block `solve-h` eliminates; the time is

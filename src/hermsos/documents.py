@@ -96,6 +96,14 @@ def _rational_from_json(value) -> Tuple[int, int]:
     raise DocumentError(f"bad rational value of type {type(value).__name__}")
 
 
+def _parts(real, imag) -> Tuple[int, int, int, int]:
+    """(a, b, c, d) for the JSON parts real = a/b and imag = c/d; an int is
+    taken as it is, without the literal reader."""
+    a, b = (real, 1) if type(real) is int else _rational_from_json(real)
+    c, d = (imag, 1) if type(imag) is int else _rational_from_json(imag)
+    return a, b, c, d
+
+
 def _check_keys(obj: dict, allowed, what: str) -> None:
     """Refuse any key of obj outside allowed, naming the object as what."""
     extra = obj.keys() - allowed
@@ -132,16 +140,7 @@ def _poly_from_terms(n: int, terms) -> HoloPoly:
         exps = tuple(exp)
         if exps in values:
             raise DocumentError(f"duplicate exponent {exp} in one component")
-        real, imag = term.get("re", 0), term.get("im", 0)
-        if type(real) is int:
-            a, b = real, 1
-        else:
-            a, b = _rational_from_json(real)
-        if type(imag) is int:
-            c, d = imag, 1
-        else:
-            c, d = _rational_from_json(imag)
-        values[exps] = (a, b, c, d)
+        values[exps] = _parts(term.get("re", 0), term.get("im", 0))
     q, cells = _common_den(values)
     build = Monomial._build
     return HoloPoly._build(n, q, {build(exps): cell for exps, cell in cells.items()})
@@ -257,14 +256,7 @@ def parse_form_document(doc) -> HermitianForm:
                 real, imag = cell.get("re", 0), cell.get("im", 0)
             else:
                 real, imag = cell, 0  # a bare value is the real part
-            if type(real) is int:
-                a, b = real, 1
-            else:
-                a, b = _rational_from_json(real)
-            if type(imag) is int:
-                c, d = imag, 1
-            else:
-                c, d = _rational_from_json(imag)
+            a, b, c, d = _parts(real, imag)
             if a or c:
                 values[i, j] = (a, b, c, d)
     try:

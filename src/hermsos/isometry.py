@@ -25,7 +25,7 @@ defined for every map.
 
 ``tensor_power_rank`` gives the rank of (1 + ||f||^2)^c - 1 as the dimension
 of the span of the products of at most c components, counted by
-``rankdecomp._independent``.
+the pivots of the smaller of their two Gram matrices.
 ``divide_by_norm`` answers the converse question of when a squared norm
 factors through ||z||^2 by exact polynomial division by z_0 + ... + z_{n-1},
 one block of the Gram matrix at a time; it needs no elimination.
@@ -51,19 +51,16 @@ from .polyalg import (
     _as_fraction,
     _check_variable_count,
     _is_int_at_least,
+    _largest_exponent,
     _mul_cells,
     _norm_cells,
+    _outer_sum,
+    _packed,
     norm_form,
 )
 # inertia is unused here; perfbench/test_perfbench.py reads it as
 # hermsos.isometry.inertia
-from .rankdecomp import (  # noqa: F401
-    _columns,
-    _independent,
-    affine_split,
-    inertia,
-    reduce_minimal,
-)
+from .rankdecomp import _independent, _ldlh, affine_split, inertia  # noqa: F401
 
 
 class NotNormalizedError(ValueError):
@@ -80,7 +77,7 @@ def _check_normalized(f: HoloMap):
 
 
 def _check_minimal(f: HoloMap):
-    if reduce_minimal(f)[1] != len(f):
+    if len(_independent([poly.cells for poly in f.components])) != len(f):
         raise NotMinimalError("map components must be linearly independent")
 
 
@@ -210,9 +207,10 @@ def tensor_power_rank(f: HoloMap, c: int) -> int:
     components, so its rank is the dimension of their span.  Positive
     weights never change a span, so the products are formed without them,
     over the Gaussian integers (each component scaled by its denominator),
-    each k-fold product once as its (k-1)-fold prefix times one component.
+    each k-fold product once as its (k-1)-fold prefix times one component,
+    keyed by exponents packed in base c * (largest exponent of f) + 1.
     Their rank is that of R R^H and of R^H R, R the matrix of products by
-    monomials; the smaller Gram matrix is eliminated.  The rank e satisfies
+    monomials; only the smaller Gram matrix is built.  The rank e satisfies
     c*d <= e <= sum_{k=1..c} C(d+k-1, k)  where d = len(f); both ends are
     checked defensively before returning.
     """
@@ -220,20 +218,23 @@ def tensor_power_rank(f: HoloMap, c: int) -> int:
         raise ValueError("power must be a positive integer")
     _check_normalized(f)
     _check_minimal(f)
-    comps = [{mon.exponents: cell for mon, cell in poly.cells.items()} for poly in f.components]
+    base = c * _largest_exponent(f.components) + 1
+    comps = [_packed(poly, base) for poly in f.components]
     d = len(comps)
-    # products of k components, keyed by their non-decreasing index tuples
-    level = {(): {(0,) * f.n: (1, 0)}}
+    # the products of k components with non-decreasing indices, each with its last index
+    level = [(0, {0: (1, 0)})]
     rows = []
     for _ in range(c):
-        level = {
-            combo + (j,): _mul_cells(prod, comps[j])
-            for combo, prod in level.items()
-            for j in range(combo[-1] if combo else 0, d)
-        }
-        rows.extend(level.values())
-    vectors = _columns(rows) if len(set().union(*rows)) < len(rows) else rows
-    e = len(_independent(vectors))
+        level = [(j, _mul_cells(prod, comps[j])) for last, prod in level for j in range(last, d)]
+        rows += [prod for _, prod in level]
+    keys = set().union(*rows)
+    if len(keys) < len(rows):
+        # the smaller Gram matrix, sum r r^H over the rows r indexed by monomial
+        index = {key: i for i, key in enumerate(keys)}
+        gram = _outer_sum(len(keys), [(1, sorted((index[k], x, y) for k, (x, y) in r.items())) for r in rows])
+        e = sum(1 for _, pivot, _, _ in _ldlh(len(keys), 1, gram) if pivot)
+    else:
+        e = len(_independent(rows))
     low, high = c * d, _power_sum(d, c)
     if not low <= e <= high:
         raise ArithmeticError("tensor power rank escaped its proven range")

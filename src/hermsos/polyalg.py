@@ -51,7 +51,7 @@ import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, repeat
 from math import gcd, lcm
-from operator import add, attrgetter, neg
+from operator import add, attrgetter, mul, neg
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
@@ -297,12 +297,25 @@ def _complex_text(re: str, im: str) -> str:
     return f"{re}{im}i" if im.startswith("-") else f"{re}+{im}i"
 
 
+def _packed(poly: "HoloPoly", base: int) -> dict:
+    """The cells of poly keyed by exponent vector packed into one int, the
+    exponent of z_i its digit i in base: the sum of two keys is the key of
+    the product as long as no exponent of the product reaches base."""
+    powers = [base**i for i in range(poly.n)]
+    return {sum(map(mul, mon.exponents, powers)): cell for mon, cell in poly.cells.items()}
+
+
+def _largest_exponent(polys) -> int:
+    """The largest exponent of one variable in any term of the polys; 0 if none."""
+    return max((max(mon.exponents) for poly in polys for mon in poly.cells), default=0)
+
+
 def _mul_cells(a, b):
-    """Product of polynomials given as Gaussian-integer numerators keyed by exponent tuple."""
+    """Product of polynomials given as Gaussian-integer numerators keyed by ``_packed`` exponents."""
     out = {}
     for ea, (a_re, a_im) in a.items():
         for eb, (b_re, b_im) in b.items():
-            key = tuple(map(add, ea, eb))
+            key = ea + eb
             x, y = out.get(key, (0, 0))
             out[key] = (x + a_re * b_re - a_im * b_im, y + a_re * b_im + a_im * b_re)
     return out
@@ -579,11 +592,10 @@ class HoloPoly:
     def __mul__(self, other):
         if isinstance(other, HoloPoly):
             self._check_same_n(other)
-            product = _mul_cells(
-                {m.exponents: cell for m, cell in self.cells.items()},
-                {m.exponents: cell for m, cell in other.cells.items()},
-            )
-            cells = {Monomial._build(exps): cell for exps, cell in product.items()}
+            base = _largest_exponent([self]) + _largest_exponent([other]) + 1
+            product = _mul_cells(_packed(self, base), _packed(other, base))
+            powers = [base**i for i in range(self.n)]
+            cells = {Monomial._build(tuple(key // w % base for w in powers)): cell for key, cell in product.items()}
             return HoloPoly._build(self.n, self.den * other.den, cells)
         scalar = _scalar(other)
         if scalar is None:

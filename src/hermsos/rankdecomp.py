@@ -25,8 +25,9 @@ Bareiss steps in basis order, each connected block on its own (over integers
 if no cell of it is imaginary, else Gaussian integers) and every division
 exact.  ``inertia`` and ``extract_sos`` eliminate the form; a rank of rows R
 is the number of nonzero pivots of the positive semidefinite Gram matrix
-R R^H, which ``_independent`` eliminates for ``reduce_minimal`` and, in
-``isometry``, the tensor-power rank.  No gcd is taken inside an elimination;
+R R^H, which ``_independent`` eliminates for ``reduce_minimal`` and the
+minimality checks of ``isometry``; the tensor-power rank there eliminates
+R^H R instead when that is smaller.  No gcd is taken inside an elimination;
 results are read out as polynomials of Gaussian-integer numerators over one
 denominator, each reduced by one gcd pass.
 """
@@ -320,26 +321,20 @@ def _zero_pivot_witness(form: HermitianForm, steps, k: int, scale: int, entry):
     return _lift(form.size, steps, {k: alpha, i: GR_ONE})
 
 
-def _columns(vectors: Sequence[Mapping]) -> List[Dict[int, Tuple[int, int]]]:
-    """The columns of the matrix whose rows are the sparse vectors, as sparse vectors."""
-    columns: Dict[object, Dict[int, Tuple[int, int]]] = {}
-    for a, vector in enumerate(vectors):
-        for key, cell in vector.items():
-            columns.setdefault(key, {})[a] = cell
-    return list(columns.values())
-
-
 def _independent(vectors: Sequence[Mapping]) -> List[int]:
     """The indices of the sparse Gaussian-integer vectors not in the span of the earlier ones.
 
     They are the nonzero pivots of the Gram matrix G[a][b] = <v_a, v_b>.
     G = R R^H for R the matrix of the vectors as rows, summed as c c^H over
-    the columns c of R and eliminated over denominator 1; G is positive
-    semidefinite with the rank of R, and its k-th pivot is nonzero iff v_k is
-    not in the span of the earlier vectors.
+    the columns c of R, gathered in one pass, and eliminated over denominator
+    1; G is positive semidefinite with the rank of R, and its k-th pivot is
+    nonzero iff v_k is not in the span of the earlier vectors.
     """
-    columns = [(1, [(a, x, y) for a, (x, y) in column.items()]) for column in _columns(vectors)]
-    gram = _outer_sum(len(vectors), columns)
+    columns: Dict[object, List[Tuple[int, int, int]]] = {}
+    for a, vector in enumerate(vectors):
+        for key, (x, y) in vector.items():
+            columns.setdefault(key, []).append((a, x, y))
+    gram = _outer_sum(len(vectors), [(1, column) for column in columns.values()])
     return [k for k, pivot, _, _ in _ldlh(len(vectors), 1, gram) if pivot]
 
 

@@ -270,7 +270,9 @@ def reference_tensor_power_rank(f, c: int) -> int:
     """Dimension of the span of every weighted product of at most c components.
 
     Each product is built on its own, with its binomial and multinomial
-    weight, and the span is taken by ``reference_reduce_minimal``.
+    weight, term by term over ``GaussianRational`` with exponent tuples
+    added coordinate by coordinate, and the span is taken by
+    ``reference_reduce_minimal``.
     """
     pairs = list(f.weighted_components())
     prods: List[Tuple[Fraction, HoloPoly]] = []
@@ -281,11 +283,16 @@ def reference_tensor_power_rank(f, c: int) -> int:
             for i in set(combo):
                 weight *= comb(total, combo.count(i))
                 total -= combo.count(i)
-            poly = HoloPoly.constant(f.n, 1)
+            terms = {(0,) * f.n: GR_ONE}
             for i in combo:
                 weight *= pairs[i][0]
-                poly = poly * pairs[i][1]
-            prods.append((weight, poly))
+                product: Dict[Tuple[int, ...], GaussianRational] = {}
+                for ea, va in terms.items():
+                    for mb, vb in pairs[i][1].terms.items():
+                        exps = tuple(map(add, ea, mb.exponents))
+                        product[exps] = product.get(exps, GR_ZERO) + va * vb
+                terms = product
+            prods.append((weight, HoloPoly(f.n, {Monomial(exps): v for exps, v in terms.items()})))
     return reference_reduce_minimal(HoloMap(f.n, [poly for _, poly in prods], [w for w, _ in prods]))[1]
 
 

@@ -231,6 +231,9 @@ def test_poly_arithmetic_matches_evaluation():
         assert (a ** 2).evaluate(pt) == a.evaluate(pt) ** 2
         scalar = rand_scalar(rng)
         assert (a * scalar).evaluate(pt) == (scalar * a).evaluate(pt) == a.evaluate(pt) * scalar
+        # a and b have real coefficients; these two factors have complex ones
+        ca, cb = a + b * GR_I, b + a * scalar
+        assert (ca * cb).evaluate(pt) == ca.evaluate(pt) * cb.evaluate(pt)
         assert (a * b) == (b * a)
         assert ((a * b) * a) == (a * (b * a))
 

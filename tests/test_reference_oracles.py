@@ -466,6 +466,37 @@ def test_tensor_power_rank_matches_reference(case):
     assert tensor_power_rank(f, t) == reference_tensor_power_rank(f, t)
 
 
+@st.composite
+def carry_boundary_inputs(draw):
+    """(f, t), n = 1 or 5 and t <= 4, whose t-th power of the first component
+    reaches exponent t * k, k the largest exponent of f: the highest digit the
+    packed exponent keys of ``tensor_power_rank`` hold before a carry.  Each
+    component is a complex multiple of a power z_i^e, e <= k and e = k for the
+    first, plus a multiple, often zero, of one variable; plain or weighted."""
+    n = draw(st.sampled_from((1, 5)))
+    k = draw(st.integers(1, 3))
+    variable = st.integers(0, n - 1)
+    polys = []
+    for e in [k] + draw(st.lists(st.integers(1, k), max_size=2)):
+        i, j = draw(variable), draw(variable)
+        terms = {Monomial(tuple(e * (v == i) for v in range(n))): draw(scalars.filter(bool))}
+        terms.setdefault(Monomial(tuple(int(v == j) for v in range(n))), draw(scalars))
+        polys.append(HoloPoly(n, terms))
+    if draw(st.booleans()):
+        f = HoloMap(n, polys)
+    else:
+        f = HoloMap(n, polys, [Fraction(draw(st.integers(1, 5)), 3) for _ in polys])
+    assume(reference_reduce_minimal(f)[1] == len(polys))
+    return f, draw(st.integers(1, 4))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(carry_boundary_inputs())
+def test_tensor_power_rank_at_the_packing_carry_boundary(case):
+    f, t = case
+    assert tensor_power_rank(f, t) == reference_tensor_power_rank(f, t)
+
+
 def test_tensor_power_rank_on_a_component_with_thirty_terms():
     mons = [m for m in monomials_up_to_degree(3, 4) if m.degree >= 1][:30]
     poly = HoloPoly(3, {mon: GaussianRational(k % 5 - 2, k % 3) for k, mon in enumerate(mons, 1)})
