@@ -91,8 +91,9 @@ TENSOR_ROWS_MAX = 135
 # The most basis monomials in the block `solve-h` eliminates; the time is
 # cubic in its largest connected part.  On a 2-vCPU x86-64 VM a connected
 # block of 252 monomials at full rank takes 5.3 s, while the diagonal block of
-# (z0) in 2 variables at b = 20 (251 monomials) takes 0.035 s, and at b = 40
-# (901) 0.18 s, also the time to refuse it.  `ensemble` is not limited.
+# (z0) in 2 variables at b = 20 (251 monomials) takes 0.035 s.  A block is
+# counted before it is expanded: b = 40 (901) exits 2 at once, and b = 200
+# (20501) in 0.11 s, interpreter start included.  `ensemble` is not limited.
 SOLVE_H_BLOCK_MAX = 256
 
 

@@ -37,8 +37,9 @@ example family and the maps that attain the lower bounds of ``bounds``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from operator import sub
+from itertools import combinations_with_replacement
+from math import comb, gcd
+from operator import add, sub
 from typing import Dict, List, Optional, Tuple
 
 from .bounds import _power_sum, _require_positive
@@ -136,15 +137,24 @@ def solve_h(f: HoloMap, b: int, c: int, block_max: Optional[int] = None) -> Holo
     ``affine_split`` of the whole form always returns h, rank-many
     components, the least possible count.  A block of more than
     ``block_max`` basis monomials besides the constant raises ValueError
-    before any elimination; None sets no limit.
+    before (1 + ||z||^2)^b is expanded, counted only if the monomials of
+    degree 1 to b + c * deg f, C(n + b + c * deg f, n) - 1, are more.
     """
     _check_identity(f, 1, b, c)
-    form = modification_form(f, b, c)
-    if block_max is not None and form.size - 1 > block_max:
-        raise ValueError(
-            f"solving for h would eliminate a block of {form.size - 1} basis monomials; "
-            f"the limit is {block_max}"
-        )
+    if block_max is None or comb(f.n + b + c * f.max_degree, f.n) - 1 <= block_max:
+        form = modification_form(f, b, c)
+    else:
+        # (1 + ||z||^2)^b is a positive diagonal over the monomials of degree <= b,
+        # so the basis of the product is that of (1 + ||f||^2)^c shifted by each
+        # of them: the successive differences of each non-decreasing q in [0, b]^n
+        right = one_plus_norm(f) ** c
+        shifts = [tuple(map(sub, q, (0, *q))) for q in combinations_with_replacement(range(b + 1), f.n)]
+        size = len({tuple(map(add, mon.exponents, shift)) for mon in right.basis for shift in shifts}) - 1
+        if size > block_max:
+            raise ValueError(
+                f"solving for h would eliminate a block of {size} basis monomials; the limit is {block_max}"
+            )
+        form = one_plus_norm_z(f.n) ** b * right
     h = affine_split(form)
     if h is None:
         raise ArithmeticError("expansion lost positivity; this cannot happen")

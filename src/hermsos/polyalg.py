@@ -284,6 +284,8 @@ def _gaussian(re: int, im: int, den: int) -> GaussianRational:
 
 def _ratio_text(num: int, den: int) -> str:
     """``str(Fraction(num, den))`` for den > 0."""
+    if den == 1 or not num:
+        return str(num)
     g = gcd(num, den)
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
@@ -498,10 +500,14 @@ class HoloPoly:
     @classmethod
     def _build(cls, n: int, den: int, cells) -> "HoloPoly":
         """A polynomial from Gaussian-integer cells over den > 0, unvalidated."""
+        return cls._canonical(n, *_lowest_terms(den, cells))
+
+    @classmethod
+    def _canonical(cls, n: int, den: int, cells) -> "HoloPoly":
+        """A polynomial from nonzero Gaussian-integer cells over den > 0 that
+        already share no factor with den, unvalidated and not reduced."""
         poly = object.__new__(cls)
-        poly.n = n
-        poly.den, poly.cells = _lowest_terms(den, cells)
-        poly._texts = None
+        poly.n, poly.den, poly.cells, poly._texts = n, den, cells, None
         return poly
 
     # -- constructors -----------------------------------------------------
@@ -557,7 +563,7 @@ class HoloPoly:
         if texts is None:
             cells, den = self.cells, self.den
             texts = self._texts = []
-            for mon in sorted(cells, key=grlex_key):
+            for mon in sorted(cells, key=grlex_key) if len(cells) > 1 else cells:
                 re, im = cells[mon]
                 texts.append((mon, _ratio_text(re, den), _ratio_text(im, den)))
         return texts
@@ -636,6 +642,10 @@ class HoloPoly:
     def __str__(self) -> str:
         if not self.cells:
             return "0"
+        if len(self.cells) == 1 and self.den == 1:
+            ((mon, cell),) = self.cells.items()
+            if cell == (1, 0):
+                return str(mon)  # a monomial alone, as the loop below writes it
         # each term as a sign and its text without it; the first sign is dropped below
         parts = []
         for mon, re, im in self.term_texts():
@@ -727,7 +737,7 @@ class HoloMap:
 
     @property
     def max_degree(self) -> int:
-        return max((comp.degree for comp in self.components), default=0)
+        return max((mon.degree for comp in self.components for mon in comp.cells), default=0)
 
     def evaluate(self, point: Sequence[GaussianRational]) -> List[GaussianRational]:
         """The values of the components, without their weights."""
@@ -1069,11 +1079,12 @@ def _outer_sum(size: int, columns) -> Dict[Tuple[int, int], Tuple[int, int]]:
 
     Each s is an integer and each c a sparse Gaussian-integer vector, a list of
     (index, re, im) in ascending index order with every index below ``size``.
-    The upper triangle is summed, one int a cell if no c is complex, and mirrored.
+    The upper triangle is summed and mirrored; if no c is complex it is one
+    int a cell, and no matrix of imaginary parts is allocated or scanned.
     """
-    re = [[0] * size for _ in range(size)]
-    im = [[0] * size for _ in range(size)]
     real = not any(a_im for _, column in columns for _, _, a_im in column)
+    re = [[0] * size for _ in range(size)]
+    im = None if real else [[0] * size for _ in range(size)]
     for s, column in columns:
         for p, (i, a_re, a_im) in enumerate(column):
             s_re, re_i = s * a_re, re[i]
@@ -1086,6 +1097,12 @@ def _outer_sum(size: int, columns) -> Dict[Tuple[int, int], Tuple[int, int]]:
                 re_i[j] += s_re * b_re + s_im * b_im  # s * a_i * conj(a_j)
                 im_i[j] += s_im * b_re - s_re * b_im
     cells = {}
+    if real:
+        for i, re_i in enumerate(re):
+            for j in range(i, size):
+                if re_i[j]:
+                    cells[i, j] = cells[j, i] = (re_i[j], 0)
+        return cells
     for i, (re_i, im_i) in enumerate(zip(re, im)):
         for j in range(i, size):
             x, y = re_i[j], im_i[j]

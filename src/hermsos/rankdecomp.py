@@ -82,9 +82,10 @@ def _ldlh(size: int, den: int, cells: Mapping[Tuple[int, int], Tuple[int, int]])
     block's previous nonzero pivot (1 at its start).  Entries stay Gaussian
     integers (minors of D * G, or of a unit congruent copy once a zero pivot
     has been moved) and pivots real, so every division is by a real integer
-    and exact; a nonzero remainder raises ArithmeticError.  A block is stored
-    as a dense matrix of which only the upper triangle (j >= i) is read and
-    updated: the entries a_ik below a pivot are read off row k, conjugated.
+    and exact; a nonzero remainder raises ArithmeticError.  A block of more
+    than one index is stored as a dense matrix of which only the upper
+    triangle (j >= i) is read and updated: the entries a_ik below a pivot are
+    read off row k, conjugated.
 
     Yields (index, pivot, scale, column) for each index k in basis order:
     d = pivot / scale, and L[i][k] = (re + im*i) / pivot for each (i, re, im)
@@ -105,7 +106,8 @@ def _ldlh(size: int, den: int, cells: Mapping[Tuple[int, int], Tuple[int, int]])
     A pivot still zero after it raises ArithmeticError: one move per index.
     A block with no imaginary part in its cells is eliminated as a real one, an
     int per entry: c is never i there, so it stays real, with the same integers.
-    A block of one index k is yielded as (k, a_kk, den, []) without a step.
+    A block of one index k has no matrix: it is yielded as (k, a_kk, den, [])
+    without a step, a_kk read straight off ``cells`` (0 if the cell is absent).
     """
     # union-find with path halving; a block is named by its least index
     root = list(range(size))
@@ -127,23 +129,24 @@ def _ldlh(size: int, den: int, cells: Mapping[Tuple[int, int], Tuple[int, int]])
         block = members.setdefault(root[k], [])
         place.append(len(block))
         block.append(k)
-    re = {r: [[0] * len(block) for _ in block] for r, block in members.items()}
+    re = {r: [[0] * len(block) for _ in block] for r, block in members.items() if len(block) > 1}
     im = {}  # imaginary parts, of the complex blocks only
     for (i, j), (x, y) in cells.items():
-        if j < i:
-            continue  # the upper triangle is the whole matrix
-        r, li = root[i], place[i]
+        r = root[i]
+        if j < i or r not in re:
+            continue  # the upper triangle is the whole matrix, and a one-index block is read off cells
+        li = place[i]
         re[r][li][place[j]] = x
         if y:
             if r not in im:
                 im[r] = [[0] * len(members[r]) for _ in members[r]]
             im[r][li][place[j]] = y
-    prev = dict.fromkeys(members, 1)
+    prev = dict.fromkeys(re, 1)
     for k in range(size):
         r = root[k]
-        if len(members[r]) == 1:
+        if r not in re:
             # what either step yields for a block of one index, without starting it
-            yield k, re[r][0][0], den, []
+            yield k, cells.get((k, k), (0, 0))[0], den, []
             continue
         if r in im:
             p = yield from _complex_step(members[r], re[r], im[r], place[k], prev[r], den)
@@ -259,7 +262,9 @@ def extract_sos(form: HermitianForm) -> HoloMap:
     block's previous nonzero pivot (or 1) and den > 0.  Every earlier nonzero
     pivot is positive when a pivot is read, or the loop would have raised, so
     scale > 0 and the sign of the integer pivot is the sign of d: the test
-    needs no Fraction, and one is built only for a weight.
+    needs no Fraction, and one is built only for a weight.  A pivot with an
+    empty column, as every one-index block has, gives the component 1 * z^a
+    over den 1 directly, the canonical form of pivot * z^a over the pivot.
     """
     polys: List[HoloPoly] = []
     weights: List[Fraction] = []
@@ -278,11 +283,14 @@ def extract_sos(form: HermitianForm) -> HoloMap:
                 _lift(form.size, steps, {k: GR_ONE}),
             )
         steps.append((k, pivot, column))
+        weights.append(Fraction(pivot, scale))
+        if not column:  # the monomial alone, already in lowest terms
+            polys.append(HoloPoly._canonical(form.n, 1, {form.basis[k]: (1, 0)}))
+            continue
         # column k of the factor over the pivot, so the pivot coefficient is 1
         cells = {form.basis[k]: (pivot, 0)}
         for i, a_re, a_im in column:
             cells[form.basis[i]] = (a_re, a_im)
-        weights.append(Fraction(pivot, scale))
         polys.append(HoloPoly._build(form.n, pivot, cells))
     return HoloMap._build(form.n, tuple(polys), tuple(weights))
 

@@ -192,6 +192,18 @@ def test_solve_h_over_the_block_ceiling_is_refused_at_once(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("m: ")
 
 
+def test_solve_h_counts_a_large_block_without_expanding_it(tmp_path, capsys):
+    # (1 + ||z||^2)^200 (1 + |z0|^2) in 2 variables has a 20501-monomial block,
+    # counted from the 2 basis monomials of 1 + |z0|^2 and the shifts of degree <= 200
+    doc = write_json(tmp_path / "z0.json", {"n": 2, "components": [[{"exp": [1, 0], "re": 1}]]})
+    start = time.perf_counter()
+    assert main(["solve-h", "--input", doc, "--b", "200", "--c", "1"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "error: solving for h would eliminate a block of 20501 basis monomials; the limit is 256\n"
+    )
+
+
 def test_ensemble_is_not_limited_by_the_solve_h_block_ceiling(capsys):
     # the third sample, of degree 22 in 2 variables, has a 296-monomial block
     argv = ["ensemble", "--n", "2", "--d-max", "3", "--degree-max", "22", "--count", "3", "--seed", "1"]

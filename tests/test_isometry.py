@@ -26,6 +26,7 @@ from hermsos import (
     one_plus_norm_z,
     r_lambda,
     random_map,
+    reduce_minimal,
     solve_h,
     tensor_power_rank,
     verify_identity,
@@ -120,6 +121,26 @@ def test_solve_h_identity_random():
         total = modification_form(f, b, c)
         block = drop_constant(total)
         assert len(h) == inertia(block).pos
+
+
+def test_solve_h_counts_its_block_only_past_the_degree_bound():
+    # f = (z0^12) in 2 variables at b = 12: the monomials of degree <= 24 besides 1
+    # number C(26, 2) - 1 = 324, but the block has 2 * C(14, 2) - 2 = 180
+    f = HoloMap(2, [HoloPoly.monomial(2, (12, 0))])
+    assert modification_form(f, 12, 1).size - 1 == 180
+    assert solve_h(f, 12, 1, 180) == solve_h(f, 12, 1)
+    with pytest.raises(ValueError, match="a block of 180 basis monomials; the limit is 179$"):
+        solve_h(f, 12, 1, 179)
+    # the count is the size of the expanded block, complex and weighted maps too
+    rng = random.Random(2801)
+    for _ in range(20):
+        n, b, c = rng.choice((1, 2)), rng.randint(1, 3), rng.randint(1, 2)
+        f, _ = reduce_minimal(rand_plain_map(rng, n, rng.randint(1, 2)))
+        if rng.random() < 0.5:
+            f = HoloMap(n, f.components, [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in f.components])
+        size = modification_form(f, b, c).size - 1
+        with pytest.raises(ValueError, match=f"a block of {size} basis monomials; the limit is 0$"):
+            solve_h(f, b, c, 0)
 
 
 def test_solve_h_matches_the_factor_of_the_block_without_the_constant():

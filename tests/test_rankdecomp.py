@@ -144,6 +144,71 @@ def test_a_one_index_block_yields_what_either_step_yields():
         assert [step for step in steps if step[0] == k] == [real] == [complex_] == [(k, x, 3, [])]
 
 
+def interleave(rng, blocks, singles):
+    """(size, cells) of the dense blocks given as (size, cells) and one-index
+    blocks with the diagonals ``singles``, no cell at all where one is 0, their
+    indices shuffled together, each dense block's own order kept."""
+    labels = [side for side, (size, _) in enumerate(blocks) for _ in range(size)] + [None] * len(singles)
+    rng.shuffle(labels)
+    move, cells, taken = [[] for _ in blocks], {}, iter(singles)
+    for new, side in enumerate(labels):
+        if side is None:
+            x = next(taken)
+            if x:
+                cells[new, new] = (x, 0)
+        else:
+            move[side].append(new)
+    for places, (_, block) in zip(move, blocks):
+        cells.update({(places[i], places[j]): cell for (i, j), cell in block.items()})
+    return len(labels), cells
+
+
+def mixed_one_index_cells(rng, psd):
+    """A seeded ``_ldlh`` input: up to three dense blocks, each real or complex
+    and R^H R or R + R^H, interleaved with one to eight one-index blocks with a
+    diagonal in [-3, 3].  With ``psd`` every dense block is R^H R and every
+    diagonal at least 0, so the matrix is positive semidefinite."""
+    blocks = []
+    for _ in range(rng.randint(0, 3)):
+        size, complex_ = rng.randint(2, 4), rng.random() < 0.5
+        r = [[(rng.randint(-3, 3), rng.randint(-3, 3) if complex_ else 0) for _ in range(size)] for _ in range(size)]
+        gram = psd or rng.random() < 0.5
+        cells = {}
+        for i in range(size):
+            for j in range(size):
+                if gram:  # sum over k of conj(r_ki) r_kj
+                    cell = (sum(a[i][0] * a[j][0] + a[i][1] * a[j][1] for a in r),
+                            sum(a[i][0] * a[j][1] - a[i][1] * a[j][0] for a in r))
+                else:  # r_ij + conj(r_ji)
+                    cell = (r[i][j][0] + r[j][i][0], r[i][j][1] - r[j][i][1])
+                if cell != (0, 0):
+                    cells[i, j] = cell
+        blocks.append((size, cells))
+    singles = [rng.randint(0 if psd else -3, 3) for _ in range(rng.randint(1, 8))]
+    size, cells = interleave(rng, blocks, singles)
+    return size, rng.randint(1, 3), cells
+
+
+def test_one_index_blocks_among_dense_ones_match_the_references():
+    rng = random.Random(2801)
+    for t in range(60):
+        size, den, cells = mixed_one_index_cells(rng, psd=t % 2 == 0)
+        gram = [[GaussianRational(Fraction(x, den), Fraction(y, den))
+                 for x, y in (cells.get((i, j), (0, 0)) for j in range(size))] for i in range(size)]
+        form = HermitianForm(1, [mono(k) for k in range(size)], gram)
+        assert inertia(form) == reference_inertia(form)
+        try:
+            kernel = list(extract_sos(form).weighted_components())
+        except NotSOSError as exc:
+            kernel = str(exc)
+        try:
+            reference = reference_extract_sos(form)
+        except NotSOSError as exc:
+            reference = str(exc)
+        assert kernel == reference
+        assert isinstance(kernel, list) or t % 2
+
+
 def test_a_zero_vector_is_a_zero_one_index_block_of_independent():
     v = {mono(0): (1, 0), mono(1): (0, 2)}
     w = {mono(1): (3, 0)}
@@ -167,7 +232,8 @@ def pinned_kernel_inputs():
     Hermitian matrices with a zero diagonal, which are indefinite and make the
     kernel move zero pivots, and Gram matrices R^H R of a few Gaussian-integer
     rows, positive semidefinite and often singular; the last input puts a
-    zero-diagonal block and a PSD block side by side, interleaved."""
+    zero-diagonal block and a PSD block side by side, interleaved, and the one
+    after it puts one-index blocks between three dense ones."""
     rng = random.Random(2504)
     inputs = {}
 
@@ -203,6 +269,11 @@ def pinned_kernel_inputs():
         move[side][i] = new
     cells = {(move[side][i], move[side][j]): cell for side, (_, _, block) in enumerate(blocks) for (i, j), cell in block.items()}
     inputs["interleaved"] = (len(order), 2, cells)
+    # one-index blocks with a positive, a negative or a zero diagonal between
+    # the indices of a real PSD, a complex PSD and a complex zero-diagonal block
+    blocks = [inputs[name] for name in ("real-psd-1", "complex-psd-1", "complex-zero-diagonal-2")]
+    size, cells = interleave(rng, [(size, block) for size, _, block in blocks], [5, -2, 0, 1, 0, -7, 3, 0])
+    inputs["one-index-interleaved"] = (size, 3, cells)
     return inputs
 
 
@@ -238,7 +309,8 @@ def congruence_choices(steps):
 
 
 def test_ldlh_yields_are_pinned():
-    # recorded with the kernel that stored and updated both triangles
+    # recorded with the kernel that stored and updated both triangles, and
+    # one-index-interleaved with the one that gave a one-index block a 1x1 matrix
     recorded = json.loads(LDLH_YIELDS.read_text(encoding="utf-8"))
     inputs = pinned_kernel_inputs()
     assert sorted(recorded) == sorted(inputs)
