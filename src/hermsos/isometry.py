@@ -141,20 +141,18 @@ def solve_h(f: HoloMap, b: int, c: int, block_max: Optional[int] = None) -> Holo
     degree 1 to b + c * deg f, C(n + b + c * deg f, n) - 1, are more.
     """
     _check_identity(f, 1, b, c)
-    if block_max is None or comb(f.n + b + c * f.max_degree, f.n) - 1 <= block_max:
-        form = modification_form(f, b, c)
-    else:
+    right = one_plus_norm(f) ** c
+    if block_max is not None and comb(f.n + b + c * f.max_degree, f.n) - 1 > block_max:
         # (1 + ||z||^2)^b is a positive diagonal over the monomials of degree <= b,
         # so the basis of the product is that of (1 + ||f||^2)^c shifted by each
         # of them: the successive differences of each non-decreasing q in [0, b]^n
-        right = one_plus_norm(f) ** c
         shifts = [tuple(map(sub, q, (0, *q))) for q in combinations_with_replacement(range(b + 1), f.n)]
         size = len({tuple(map(add, mon.exponents, shift)) for mon in right.basis for shift in shifts}) - 1
         if size > block_max:
             raise ValueError(
                 f"solving for h would eliminate a block of {size} basis monomials; the limit is {block_max}"
             )
-        form = one_plus_norm_z(f.n) ** b * right
+    form = one_plus_norm_z(f.n) ** b * right
     h = affine_split(form)
     if h is None:
         raise ArithmeticError("expansion lost positivity; this cannot happen")

@@ -563,7 +563,7 @@ class HoloPoly:
         if texts is None:
             cells, den = self.cells, self.den
             texts = self._texts = []
-            for mon in sorted(cells, key=grlex_key) if len(cells) > 1 else cells:
+            for mon in sorted(cells, key=grlex_key):
                 re, im = cells[mon]
                 texts.append((mon, _ratio_text(re, den), _ratio_text(im, den)))
         return texts

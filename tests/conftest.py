@@ -58,9 +58,9 @@ def rand_point(rng, n, height=3) -> List[GaussianRational]:
     return [rand_scalar(rng, height) for _ in range(n)]
 
 
-def rand_poly(rng, n, degree_max=2, height=4, vanish=True, homogeneous=None, real=False) -> HoloPoly:
+def rand_poly(rng, n, degree_max=2, height=4, vanish=True, homogeneous=None) -> HoloPoly:
     """A random nonzero polynomial; ``homogeneous=d`` restricts support to degree d.
-    About half of its terms have an imaginary part, none if ``real`` is set."""
+    About half of its terms have an imaginary part."""
     if homogeneous is not None:
         mons = monomials_of_degree(n, homogeneous)
     else:
@@ -71,7 +71,7 @@ def rand_poly(rng, n, degree_max=2, height=4, vanish=True, homogeneous=None, rea
         for m in mons:
             if rng.random() < 0.5:
                 value = rand_fraction(rng, height)
-                if not real and rng.random() < 0.5:
+                if rng.random() < 0.5:
                     value = GaussianRational(value, rand_fraction(rng, height))
                 if value:
                     terms[m] = value
@@ -80,9 +80,9 @@ def rand_poly(rng, n, degree_max=2, height=4, vanish=True, homogeneous=None, rea
             return poly
 
 
-def rand_plain_map(rng, n, p, degree_max=2, height=4, vanish=True, real=False) -> HoloMap:
+def rand_plain_map(rng, n, p, degree_max=2, height=4, vanish=True) -> HoloMap:
     """A random map; components may be linearly dependent."""
-    return HoloMap(n, [rand_poly(rng, n, degree_max, height, vanish, real=real) for _ in range(p)])
+    return HoloMap(n, [rand_poly(rng, n, degree_max, height, vanish) for _ in range(p)])
 
 
 def norm_value(f, point) -> Fraction:
