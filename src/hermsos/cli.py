@@ -91,9 +91,10 @@ TENSOR_ROWS_MAX = 135
 # The most basis monomials in the block `solve-h` eliminates; the time is
 # cubic in its largest connected part.  On a 2-vCPU x86-64 VM a connected
 # block of 252 monomials at full rank takes 5.3 s, while the diagonal block of
-# (z0) in 2 variables at b = 20 (251 monomials) takes 0.035 s.  A block is
-# counted before it is expanded: b = 40 (901) exits 2 at once, and b = 200
-# (20501) in 0.11 s, interpreter start included.  `ensemble` is not limited.
+# (z0) in 2 variables at b = 20 (251 monomials) takes 2 ms in-process.  A
+# block is counted on the product's basis before any cell is added: b = 40
+# (901) exits 2 in 0.07 s and b = 200 (20501) in 0.10 s, interpreter start
+# included (medians of 7 runs, CPython 3.11).  `ensemble` is not limited.
 SOLVE_H_BLOCK_MAX = 256
 
 
@@ -178,9 +179,9 @@ def cmd_rank(args) -> int:
 def cmd_solve_h(args) -> int:
     f = parse_map_document(_read_json(args.input))
     h = solve_h(f, args.b, args.c, SOLVE_H_BLOCK_MAX)
-    print(f"m: {len(h)}")
-    for i, (weight, poly) in enumerate(h.weighted_components()):
-        print(f"component {i}: scale {weight}, poly {poly}")
+    lines = [f"m: {len(h)}\n"]
+    lines += [f"component {i}: scale {weight}, poly {poly}\n" for i, (weight, poly) in enumerate(h.weighted_components())]
+    sys.stdout.write("".join(lines))
     if args.b == 1 and args.c == 1 and len(f):
         # thm2.4 bounds the rank of (1 + ||z||^2)(1 + ||f||^2) - 1 only, for p >= 1
         _print_report(check_affine_norm_product(f.n, len(f), len(h)), "text")
@@ -423,6 +424,10 @@ def _build_parsers():
     p.add_argument("--height", dest="coefficient_height", metavar="HEIGHT", type=_int, default=5, help="coefficient height bound")
     p.add_argument("--output", help="write the CSV here instead of stdout")
 
+    # spelled out as argparse 3.10-3.12 wrap it at 80 columns, so that 3.13,
+    # which puts the "..." on the line of the choices, prints the same bytes
+    indent = "\n" + " " * len("usage: hermsos ")
+    parser.usage = "%(prog)s [-h]" + indent + "{" + ",".join(sub.choices) + "}" + indent + "..."
     return parser, sub.choices
 
 

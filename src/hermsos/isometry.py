@@ -17,9 +17,18 @@ denominators, not reduced to lowest terms first; with a > 1, and whenever
 that comparison fails, both sides are canonical forms and equality is
 structural.
 
+The left side is built one way, by ``_left_side``, for ``solve_h``,
+``identity_mismatch`` and ``modification_form``: (1 + ||z||^2)^b is a
+positive diagonal, so the product is a sum of shifted copies of
+(1 + ||f||^2)^c, each scaled by a multinomial, added cell by cell over the
+shifted basis and settled once.  That basis, built first, is the count
+``solve_h`` refuses a large block on.
+
 The data (f, a, b, c) of an identity is passed as plain arguments.
 ``solve_h`` (with a = 1) and ``identity_mismatch`` check it on entry, in
 this order: a, b, c positive, their gcd 1, f normalized, f minimal.
+Minimality is read off the cells of 1 + ||f||^2 that the left side is
+expanded from when f has no more distinct monomials than components.
 ``modification_form(f, b, c)`` is the bare expansion of the left side,
 defined for every map.
 
@@ -38,7 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, gcd
+from math import factorial, gcd
 from operator import add, sub
 from typing import Dict, List, Optional, Tuple
 
@@ -49,6 +58,7 @@ from .polyalg import (
     HoloMap,
     HoloPoly,
     Monomial,
+    _add_cells,
     _as_fraction,
     _check_variable_count,
     _is_int_at_least,
@@ -77,21 +87,40 @@ def _check_normalized(f: HoloMap):
         raise NotNormalizedError("map must vanish at the origin")
 
 
-def _check_minimal(f: HoloMap):
-    if len(_independent([poly.cells for poly in f.components])) != len(f):
+def _check_minimal(f: HoloMap, one_plus=None):
+    """Refuse f unless its components are linearly independent.
+
+    one_plus, if given, is ``_norm_cells(_with_one(f))`` for a normalized f.
+    When f has no more distinct monomials than components, the Gram matrix
+    of those cells is no larger than that of the components, and one
+    elimination of it decides: f(0) = 0 leaves the 1 a block of its own, and
+    positive weights never change a rank, so rank(1 + ||f||^2) is 1 plus the
+    rank of the components.  Otherwise the Gram matrix of the components is
+    eliminated.
+    """
+    if one_plus is not None and len(one_plus[0]) <= len(f) + 1:
+        support, den, cells = one_plus
+        rank = sum(1 for _, pivot, _, _ in _ldlh(len(support), den, cells) if pivot) - 1
+    else:
+        rank = len(_independent([poly.cells for poly in f.components]))
+    if rank != len(f):
         raise NotMinimalError("map components must be linearly independent")
 
 
 def _check_identity(f: HoloMap, a: int, b: int, c: int):
     """The data (f, a, b, c) of one modification identity: positive exponents
-    with gcd 1, then f normalized and minimal, checked in that order."""
+    with gcd 1, then f normalized and minimal, checked in that order.
+    Returns the cells of 1 + ||f||^2 that minimality was read from, for
+    ``_left_side`` to expand."""
     for name, value in (("a", a), ("b", b), ("c", c)):
         if not _is_int_at_least(value, 1):
             raise ValueError(f"exponent {name} must be a positive integer")
     if gcd(gcd(a, b), c) != 1:
         raise ValueError("exponents must have gcd 1")
     _check_normalized(f)
-    _check_minimal(f)
+    one_plus = _norm_cells(_with_one(f))
+    _check_minimal(f, one_plus)
+    return one_plus
 
 
 def one_plus_norm(f: HoloMap) -> HermitianForm:
@@ -124,36 +153,67 @@ def _unit_diagonal(n: int, constant: bool) -> HermitianForm:
 
 
 def modification_form(f: HoloMap, b: int, c: int) -> HermitianForm:
-    """The left-hand form (1 + ||z||^2)^b (1 + ||f||^2)^c, expanded exactly;
-    defined for every map f and positive integers b, c."""
-    return one_plus_norm_z(f.n) ** b * one_plus_norm(f) ** c
+    """The left-hand form (1 + ||z||^2)^b (1 + ||f||^2)^c, expanded exactly by
+    ``_left_side``; defined for every map f and positive integers b, c."""
+    if not (_is_int_at_least(b, 1) and _is_int_at_least(c, 1)):
+        raise ValueError("form powers require a positive integer exponent")
+    return _left_side(f.n, b, c, _norm_cells(_with_one(f)))
+
+
+def _left_side(n: int, b: int, c: int, one_plus, block_max: Optional[int] = None) -> HermitianForm:
+    """(1 + ||z||^2)^b R with R = (1 + ||f||^2)^c, from one_plus, the cells
+    ``_norm_cells(_with_one(f))`` of 1 + ||f||^2; R is those cells themselves
+    when c = 1.
+
+    (1 + ||z||^2)^b is the positive diagonal sum over |alpha| <= b of
+    mult(b; alpha) |z^alpha|^2, mult(b; alpha) = b! / (alpha! (b - |alpha|)!),
+    so the product is the sum of the copies z^alpha R zbar^alpha, each scaled
+    by its multinomial: R's cells re-keyed to the shifted basis and added,
+    and the sum settled once.  Every basis monomial of R has a positive
+    diagonal entry, so every shifted monomial has one in the sum: the shifted
+    basis, built first, is the product's basis, and a block (the basis
+    without the constant) of more than block_max monomials raises ValueError
+    before any cell is added.  Each alpha is read off a non-decreasing
+    q in [0, b]^n as the successive differences of (0, *q).
+    """
+    if c == 1:
+        base, den, cells = one_plus
+    else:
+        power = HermitianForm._build(n, *one_plus) ** c
+        base, den, cells = power.basis, power.den, power.cells
+    exponents = [mon.exponents for mon in base]
+    alphas = [tuple(map(sub, q, (0, *q))) for q in combinations_with_replacement(range(b + 1), n)]
+    position: Dict[Tuple[int, ...], int] = {}
+    at = position.setdefault
+    # the product's basis index of each shifted monomial, len(exponents) of them per alpha
+    moves = [at(tuple(map(add, exps, alpha)), len(position)) for alpha in alphas for exps in exponents]
+    size = len(position) - 1
+    if block_max is not None and size > block_max:
+        raise ValueError(f"solving for h would eliminate a block of {size} basis monomials; the limit is {block_max}")
+    acc: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    b_factorial, m = factorial(b), len(exponents)
+    for k, alpha in enumerate(alphas):
+        mult = b_factorial // factorial(b - sum(alpha))
+        for e in alpha:
+            mult //= factorial(e)
+        _add_cells(acc, cells, moves[k * m : (k + 1) * m], mult)
+    return HermitianForm._build(n, [Monomial._build(exps) for exps in position], den, acc)
 
 
 def solve_h(f: HoloMap, b: int, c: int, block_max: Optional[int] = None) -> HoloMap:
     """A minimal map h with 1 + ||h||^2 == (1 + ||z||^2)^b (1 + ||f||^2)^c.
 
-    Requires f normalized (f(0) = 0) and minimal.  The left side expands to
-    1 plus a positive semidefinite block not coupled to the 1, so
+    Requires f normalized (f(0) = 0) and minimal; minimality is read off the
+    cells of 1 + ||f||^2 that ``_left_side`` then expands when f has no more
+    distinct monomials than components.  The left side is 1 plus a positive
+    semidefinite block not coupled to the 1, so
     ``affine_split`` of the whole form always returns h, rank-many
     components, the least possible count.  A block of more than
-    ``block_max`` basis monomials besides the constant raises ValueError
-    before (1 + ||z||^2)^b is expanded, counted only if the monomials of
-    degree 1 to b + c * deg f, C(n + b + c * deg f, n) - 1, are more.
+    ``block_max`` basis monomials besides the constant raises ValueError,
+    counted on the product's basis before any of its cells is added.
     """
-    _check_identity(f, 1, b, c)
-    right = one_plus_norm(f) ** c
-    if block_max is not None and comb(f.n + b + c * f.max_degree, f.n) - 1 > block_max:
-        # (1 + ||z||^2)^b is a positive diagonal over the monomials of degree <= b,
-        # so the basis of the product is that of (1 + ||f||^2)^c shifted by each
-        # of them: the successive differences of each non-decreasing q in [0, b]^n
-        shifts = [tuple(map(sub, q, (0, *q))) for q in combinations_with_replacement(range(b + 1), f.n)]
-        size = len({tuple(map(add, mon.exponents, shift)) for mon in right.basis for shift in shifts}) - 1
-        if size > block_max:
-            raise ValueError(
-                f"solving for h would eliminate a block of {size} basis monomials; the limit is {block_max}"
-            )
-    form = one_plus_norm_z(f.n) ** b * right
-    h = affine_split(form)
+    one_plus = _check_identity(f, 1, b, c)
+    h = affine_split(_left_side(f.n, b, c, one_plus, block_max))
     if h is None:
         raise ArithmeticError("expansion lost positivity; this cannot happen")
     return h
@@ -176,11 +236,11 @@ def identity_mismatch(f: HoloMap, h: HoloMap, a: int, b: int, c: int) -> List[Tu
     canonical right side built from them, which decides through ``==`` and
     lists the mismatch.  With a > 1 both sides are canonical forms.
     """
-    _check_identity(f, a, b, c)
+    one_plus = _check_identity(f, a, b, c)
     _check_normalized(h)
     if f.n != h.n:
         raise ValueError("variable count mismatch")
-    left = modification_form(f, b, c)
+    left = _left_side(f.n, b, c, one_plus)
     if a == 1:
         support, den, cells = _norm_cells(_with_one(h))
         if _equals_unreduced(left, support, den, cells):

@@ -2,9 +2,12 @@
 
 Standard library only:
 
-    python tests/compare_outputs.py PARENT_ROOT [CHANGE_ROOT]
+    python tests/compare_outputs.py [--change-python PATH] PARENT_ROOT [CHANGE_ROOT]
 
-CHANGE_ROOT defaults to the checkout this script is in.  The jobs are those
+CHANGE_ROOT defaults to the checkout this script is in.  The parent side
+runs under the interpreter that runs this script, the change side under
+PATH if given, else the same one: with the same checkout on both sides,
+``--change-python`` compares two interpreters.  The jobs are those
 of ``perfbench/workloads.py`` in this checkout, every workload at seeds 1
 and 7, so both sides run the same documents.  Each checkout runs in its own
 subprocess, which imports ``hermsos`` from that checkout's ``src/``, runs
@@ -20,6 +23,7 @@ then the two counts, and exits 1 if any differs, else 0.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -89,9 +93,9 @@ def argv_digests() -> List[dict]:
     return [{part: _digest(value) for part, value in zip(ARGV_PARTS, run(call, GOLDEN))} for call in ARGV]
 
 
-def run_checkout(root: Path, call: str) -> List[dict]:
-    """The digests ``compare_outputs.<call>`` prints in a subprocess with
-    root's ``src/`` first on the path."""
+def run_checkout(root: Path, call: str, python: str = sys.executable) -> List[dict]:
+    """The digests ``compare_outputs.<call>`` prints in a subprocess of the
+    interpreter python with root's ``src/`` first on the path."""
     code = (
         "import json, sys\n"
         f"sys.path.insert(0, {str(root / 'src')!r})\n"
@@ -100,18 +104,21 @@ def run_checkout(root: Path, call: str) -> List[dict]:
         f"print(json.dumps(compare_outputs.{call}))\n"
     )
     with tempfile.TemporaryDirectory() as cwd:
-        proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True)
+        proc = subprocess.run([python, "-c", code], cwd=cwd, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{root}: {call} exited {proc.returncode}\n{proc.stderr}")
     return json.loads(proc.stdout)
 
 
-def differences(parent: Path, change: Path, runs: List[Tuple[str, int]]) -> Tuple[int, List[str]]:
-    """The number of jobs compared, and one line per job whose outputs differ."""
+def differences(
+    parent: Path, change: Path, runs: List[Tuple[str, int]], change_python: str = sys.executable
+) -> Tuple[int, List[str]]:
+    """The number of jobs compared, and one line per job whose outputs differ;
+    the change side runs under change_python."""
     count, lines = 0, []
     for workload, seed in runs:
         call = f"job_digests({workload!r}, {seed!r})"
-        before, after = run_checkout(parent, call), run_checkout(change, call)
+        before, after = run_checkout(parent, call), run_checkout(change, call, change_python)
         if len(before) != len(after):
             raise SystemExit(f"{workload} seed {seed}: {len(before)} jobs against {len(after)}")
         count += len(before)
@@ -122,9 +129,11 @@ def differences(parent: Path, change: Path, runs: List[Tuple[str, int]]) -> Tupl
     return count, lines
 
 
-def argv_differences(parent: Path, change: Path) -> List[str]:
-    """One line per command line of ARGV whose outputs differ."""
-    before, after = run_checkout(parent, "argv_digests()"), run_checkout(change, "argv_digests()")
+def argv_differences(parent: Path, change: Path, change_python: str = sys.executable) -> List[str]:
+    """One line per command line of ARGV whose outputs differ; the change
+    side runs under change_python."""
+    before = run_checkout(parent, "argv_digests()")
+    after = run_checkout(change, "argv_digests()", change_python)
     lines = []
     for call, old, new in zip(ARGV, before, after):
         parts = [part for part in ARGV_PARTS if old[part] != new[part]]
@@ -134,16 +143,19 @@ def argv_differences(parent: Path, change: Path) -> List[str]:
 
 
 def main(argv: List[str]) -> int:
-    if len(argv) not in (1, 2):
-        print("usage: python tests/compare_outputs.py PARENT_ROOT [CHANGE_ROOT]", file=sys.stderr)
-        return 2
-    roots = {"parent": Path(argv[0]).resolve(), "change": Path(argv[1] if len(argv) == 2 else HERE).resolve()}
+    parser = argparse.ArgumentParser(prog="python tests/compare_outputs.py")
+    parser.add_argument("--change-python", default=sys.executable, metavar="PATH", help="interpreter of the change side")
+    parser.add_argument("parent_root", metavar="PARENT_ROOT")
+    parser.add_argument("change_root", metavar="CHANGE_ROOT", nargs="?", default=str(HERE))
+    args = parser.parse_args(argv)
+    roots = {"parent": Path(args.parent_root).resolve(), "change": Path(args.change_root).resolve()}
     for side, root in roots.items():
         if not (root / "src" / "hermsos" / "cli.py").is_file():
             print(f"{side} checkout {root} has no src/hermsos/cli.py", file=sys.stderr)
             return 2
-    count, lines = differences(roots["parent"], roots["change"], [(w, s) for w in WORKLOADS for s in SEEDS])
-    argv_lines = argv_differences(roots["parent"], roots["change"])
+    runs = [(w, s) for w in WORKLOADS for s in SEEDS]
+    count, lines = differences(roots["parent"], roots["change"], runs, args.change_python)
+    argv_lines = argv_differences(roots["parent"], roots["change"], args.change_python)
     for line in lines + argv_lines:
         print(line)
     print(f"{len(lines)} of {count} jobs differ")

@@ -204,6 +204,16 @@ def test_solve_h_counts_a_large_block_without_expanding_it(tmp_path, capsys):
     )
 
 
+def test_solve_h_refuses_a_dependent_map_before_counting_its_block(tmp_path, capsys):
+    # (z0, 2*z0) at b = 200 is over the block limit too, but minimality is checked first
+    doc = write_json(
+        tmp_path / "dep.json",
+        {"n": 2, "components": [[{"exp": [1, 0], "re": 1}], [{"exp": [1, 0], "re": 2}]]},
+    )
+    assert main(["solve-h", "--input", doc, "--b", "200", "--c", "1"]) == 4
+    assert capsys.readouterr().err == "error: map components must be linearly independent\n"
+
+
 def test_ensemble_is_not_limited_by_the_solve_h_block_ceiling(capsys):
     # the third sample, of degree 22 in 2 variables, has a 296-monomial block
     argv = ["ensemble", "--n", "2", "--d-max", "3", "--degree-max", "22", "--count", "3", "--seed", "1"]

@@ -1,5 +1,6 @@
 """``compare_outputs`` reports exactly the jobs and command lines whose outputs differ."""
 
+import sys
 from pathlib import Path
 
 import compare_outputs
@@ -63,3 +64,20 @@ def test_the_command_lines_cover_help_usage_and_refusals():
     # the golden documents they name exist
     names = {arg[1:] for call in calls for arg in call if arg.startswith("@")}
     assert names and all((compare_outputs.GOLDEN / name).is_file() for name in names)
+
+
+def test_the_change_side_runs_under_the_interpreter_it_is_given(tmp_path):
+    # one checkout whose CLI prints the SIDE variable, and an interpreter that
+    # sets it: every command line differs under that interpreter alone
+    root = tmp_path / "checkout"
+    package = root / "src" / "hermsos"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text('import os\n\ndef main(argv):\n    print(os.environ.get("SIDE", ""))\n    return 0\n')
+    python = tmp_path / "python"
+    python.write_text(f'#!/bin/sh\nSIDE=change exec "{sys.executable}" "$@"\n')
+    python.chmod(0o755)
+    assert compare_outputs.argv_differences(root, root) == []
+    lines = compare_outputs.argv_differences(root, root, str(python))
+    assert len(lines) == len(compare_outputs.ARGV)
+    assert all(line.endswith(": stdout differ") for line in lines)

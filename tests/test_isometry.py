@@ -21,6 +21,7 @@ from hermsos import (
     identity_mismatch,
     inertia,
     modification_form,
+    monomials_up_to_degree,
     norm_form,
     one_plus_norm,
     one_plus_norm_z,
@@ -31,6 +32,8 @@ from hermsos import (
     tensor_power_rank,
     verify_identity,
 )
+from hermsos.isometry import _check_minimal, _with_one
+from hermsos.polyalg import _norm_cells
 
 
 def test_one_plus_norm_z_binomial():
@@ -143,6 +146,65 @@ def test_solve_h_counts_its_block_only_past_the_degree_bound():
             solve_h(f, b, c, 0)
 
 
+def test_the_left_side_is_the_product_of_the_powers_of_the_two_norms():
+    # the shifted copies of (1 + ||f||^2)^c against the Gram convolution of the powers,
+    # on plain maps with real coefficients, weighted maps and plain complex maps
+    rng = random.Random(2901)
+    for i in range(36):
+        n, b, c = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 2)
+        f = rand_plain_map(rng, n, rng.randint(0, 3))
+        if i % 3 == 0:
+            f = HoloMap(n, [HoloPoly(n, {m: v.re for m, v in poly.terms.items()}) for poly in f.components])
+        elif i % 3 == 1:
+            f = HoloMap(n, f.components, [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in f.components])
+        assert modification_form(f, b, c) == one_plus_norm_z(n) ** b * one_plus_norm(f) ** c
+
+
+def few_monomial_map(rng, n, p):
+    """A random map of p components, each a combination of the same at most p
+    monomials with coefficients in {-1, 0, 1, i}, so that dependent components
+    and zero components are common."""
+    pool = [m for m in monomials_up_to_degree(n, 2) if m.degree]
+    mons = rng.sample(pool, rng.randint(1, min(p, len(pool))))
+    values = (-1, 0, 0, 1, GaussianRational(0, 1))
+    return HoloMap(n, [HoloPoly(n, {m: rng.choice(values) for m in mons}) for _ in range(p)])
+
+
+def test_minimality_read_off_the_cells_of_one_plus_the_norm():
+    # with no more distinct monomials than components, minimality is read off one
+    # elimination of 1 + ||f||^2; it must agree with the Gram matrix of the components
+    rng = random.Random(2902)
+    x0, x1 = HoloPoly.variable(2, 0), HoloPoly.variable(2, 1)
+    maps = [
+        HoloMap(2, [x0, 2 * x0]),
+        HoloMap(2, [x0 + x1, x0, x1]),
+        HoloMap(2, [x0, HoloPoly.zero(2)]),
+        HoloMap(2, [x0 + x1, x0 - x1]),
+        HoloMap(2, []),
+    ]
+    maps += [few_monomial_map(rng, rng.randint(1, 3), rng.randint(1, 4)) for _ in range(60)]
+    minimal = []
+    for f in maps:
+        if f.components and rng.random() < 0.5:
+            f = HoloMap(f.n, f.components, [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in f.components])
+        one_plus = _norm_cells(_with_one(f))
+        assert len(one_plus[0]) <= len(f) + 1  # the cells decide, not the components
+        expected = reduce_minimal(f)[1] == len(f)
+        minimal.append(expected)
+        if expected:
+            _check_minimal(f, one_plus)
+            assert len(solve_h(f, 1, 1)) == len(solve_h(f, 1, 1, 10**6))
+        else:
+            with pytest.raises(NotMinimalError):
+                _check_minimal(f, one_plus)
+            with pytest.raises(NotMinimalError):
+                solve_h(f, 1, 1)
+            with pytest.raises(NotMinimalError):
+                identity_mismatch(f, HoloMap(f.n, []), 1, 1, 1)
+    assert minimal[:5] == [False, False, False, True, True]
+    assert 10 < minimal.count(True) < len(maps) - 10
+
+
 def test_solve_h_matches_the_factor_of_the_block_without_the_constant():
     # the old route: restrict the form to its non-constant block, then factor
     rng = random.Random(2004)
@@ -199,9 +261,9 @@ def test_a_variable_count_mismatch_is_refused_before_any_expansion(a, monkeypatc
     f, h = HoloMap.variables(2), HoloMap.variables(1)
 
     def expand(*args):
-        raise AssertionError("modification_form was called")
+        raise AssertionError("the left side was expanded")
 
-    monkeypatch.setattr("hermsos.isometry.modification_form", expand)
+    monkeypatch.setattr("hermsos.isometry._left_side", expand)
     with pytest.raises(ValueError, match="variable count mismatch"):
         identity_mismatch(f, h, a, 1, 1)
 
