@@ -82,10 +82,10 @@ THEOREMS = {
 }
 
 
-# The most products of components `tensor-rank` eliminates, as the smaller of
-# their two Gram matrices.  15 independent linear forms at t = 2 (135 products)
-# take 0.09 s with 3 terms each and 1.3 s with 15 complex ones (medians of 5
-# runs, 2-vCPU Intel Xeon VM, CPython 3.11), more for higher-degree components.
+# The most products of components `tensor-rank` ranks, mod a prime and exactly only
+# when that falls short: 15 linear forms at t = 2 (135 products) take 0.006 s with 3
+# terms each and 0.09 s with 15 complex ones, 6 dense quartics in 3 variables at
+# t = 3 (83) 0.26 s (medians of 5 runs, 2-vCPU Intel Xeon VM, CPython 3.11).
 TENSOR_ROWS_MAX = 135
 
 # The most basis monomials in the block `solve-h` eliminates; the time is

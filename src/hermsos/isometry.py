@@ -28,13 +28,14 @@ The data (f, a, b, c) of an identity is passed as plain arguments.
 ``solve_h`` (with a = 1) and ``identity_mismatch`` check it on entry, in
 this order: a, b, c positive, their gcd 1, f normalized, f minimal.
 Minimality is read off the cells of 1 + ||f||^2 that the left side is
-expanded from when f has no more distinct monomials than components.
+expanded from when f has no more distinct monomials than components, else
+off the components, ranked mod a prime and exactly only if that falls short.
 ``modification_form(f, b, c)`` is the bare expansion of the left side,
 defined for every map.
 
 ``tensor_power_rank`` gives the rank of (1 + ||f||^2)^c - 1 as the dimension
-of the span of the products of at most c components, counted by
-the pivots of the smaller of their two Gram matrices.
+of the span of the products of at most c components, mod a prime when that
+reaches min(products, monomials), else by the smaller of their Gram matrices.
 ``divide_by_norm`` answers the converse question of when a squared norm
 factors through ||z||^2 by exact polynomial division by z_0 + ... + z_{n-1},
 one block of the Gram matrix at a time; it needs no elimination.
@@ -71,7 +72,7 @@ from .polyalg import (
 )
 # inertia is unused here; perfbench/test_perfbench.py reads it as
 # hermsos.isometry.inertia
-from .rankdecomp import _independent, _ldlh, affine_split, inertia  # noqa: F401
+from .rankdecomp import _gram_pivots, _independent, _ldlh, _rank_mod_p, affine_split, inertia  # noqa: F401
 
 
 class NotNormalizedError(ValueError):
@@ -95,8 +96,8 @@ def _check_minimal(f: HoloMap, one_plus=None):
     of those cells is no larger than that of the components, and one
     elimination of it decides: f(0) = 0 leaves the 1 a block of its own, and
     positive weights never change a rank, so rank(1 + ||f||^2) is 1 plus the
-    rank of the components.  Otherwise the Gram matrix of the components is
-    eliminated.
+    rank of the components.  Otherwise ``_independent`` decides on the
+    components: modulo a prime when that rank is their count, else exactly.
     """
     if one_plus is not None and len(one_plus[0]) <= len(f) + 1:
         support, den, cells = one_plus
@@ -277,8 +278,9 @@ def tensor_power_rank(f: HoloMap, c: int) -> int:
     over the Gaussian integers (each component scaled by its denominator),
     each k-fold product once as its (k-1)-fold prefix times one component,
     keyed by exponents packed in base c * (largest exponent of f) + 1.
-    Their rank is that of R R^H and of R^H R, R the matrix of products by
-    monomials; only the smaller Gram matrix is built.  The rank e satisfies
+    Their rank mod a prime is exact when it reaches min(products, monomials),
+    the rank bound of R, the matrix of products by monomials; else it is that
+    of R R^H and of R^H R, and only the smaller is built.  The rank e satisfies
     c*d <= e <= sum_{k=1..c} C(d+k-1, k)  where d = len(f); both ends are
     checked defensively before returning.
     """
@@ -296,13 +298,14 @@ def tensor_power_rank(f: HoloMap, c: int) -> int:
         level = [(j, _mul_cells(prod, comps[j])) for last, prod in level for j in range(last, d)]
         rows += [prod for _, prod in level]
     keys = set().union(*rows)
-    if len(keys) < len(rows):
+    e = _rank_mod_p(rows)  # exact unless below min(len(rows), len(keys))
+    if e < len(rows) <= len(keys):
+        e = len(_gram_pivots(rows))
+    elif e < len(keys) < len(rows):
         # the smaller Gram matrix, sum r r^H over the rows r indexed by monomial
         index = {key: i for i, key in enumerate(keys)}
         gram = _outer_sum(len(keys), [(1, sorted((index[k], x, y) for k, (x, y) in r.items())) for r in rows])
         e = sum(1 for _, pivot, _, _ in _ldlh(len(keys), 1, gram) if pivot)
-    else:
-        e = len(_independent(rows))
     low, high = c * d, _power_sum(d, c)
     if not low <= e <= high:
         raise ArithmeticError("tensor power rank escaped its proven range")

@@ -20,16 +20,16 @@ The number of squares in any such representation is bounded below by the
 rank, and ``extract_sos`` achieves the rank, so these routines together
 decide minimality questions exactly.
 
-One fraction-free kernel, ``_ldlh``, does every elimination, by symmetric
-Bareiss steps in basis order, each connected block on its own (over integers
-if no cell of it is imaginary, else Gaussian integers) and every division
-exact.  ``inertia`` and ``extract_sos`` eliminate the form; a rank of rows R
-is the number of nonzero pivots of the positive semidefinite Gram matrix
-R R^H, which ``_independent`` eliminates for ``reduce_minimal`` and the
-minimality checks of ``isometry``; the tensor-power rank there eliminates
-R^H R instead when that is smaller.  No gcd is taken inside an elimination;
-results are read out as polynomials of Gaussian-integer numerators over one
-denominator, each reduced by one gcd pass.
+One fraction-free kernel, ``_ldlh``, does every exact elimination, by
+symmetric Bareiss steps in basis order, each connected block on its own (over
+integers if no cell of it is imaginary, else Gaussian integers) and every
+division exact.  ``inertia`` and ``extract_sos`` eliminate the form.  A rank
+of rows R (``_independent``, for ``reduce_minimal`` and ``isometry``) is first
+taken mod a prime, which certifies it when it reaches a proven upper bound;
+only otherwise is it the number of nonzero pivots of the positive
+semidefinite Gram matrix R R^H, or R^H R when smaller.  No gcd is taken in
+an elimination; results are read out as polynomials of Gaussian-integer
+numerators over one denominator, each reduced by one gcd pass.
 """
 
 from __future__ import annotations
@@ -329,10 +329,47 @@ def _zero_pivot_witness(form: HermitianForm, steps, k: int, scale: int, entry):
     return _lift(form.size, steps, {k: alpha, i: GR_ONE})
 
 
-def _independent(vectors: Sequence[Mapping]) -> List[int]:
-    """The indices of the sparse Gaussian-integer vectors not in the span of the earlier ones.
+# p = 1 (mod 4) below 2^30, so a residue is one CPython digit, and r^2 = -1 (mod p)
+_PRIME, _ROOT = 1073741789, 933053945
 
-    They are the nonzero pivots of the Gram matrix G[a][b] = <v_a, v_b>.
+
+def _rank_mod_p(vectors: Sequence[Mapping]) -> int:
+    """The rank of the sparse Gaussian-integer vectors over F_p, p = ``_PRIME``.
+
+    i -> ``_ROOT`` makes Z[i] -> F_p a ring map, so a minor that vanishes over
+    Q(i) vanishes mod p: the result is never above the exact rank, and is it
+    once it reaches a proven upper bound.  Each vector is reduced by the pivot
+    rows so far, in order; a nonzero remainder, scaled to a leading 1, joins them.
+    """
+    p, r, pivots = _PRIME, _ROOT, []  # (column, row) with row[column] = 1
+    for vector in vectors:
+        row = {key: v for key, (x, y) in vector.items() if (v := (x + r * y) % p)}
+        for col, pivot_row in pivots:
+            s = row.get(col)
+            if s:
+                for key, v in pivot_row.items():
+                    if w := (row.get(key, 0) - s * v) % p:
+                        row[key] = w
+                    else:
+                        del row[key]  # present: s * v is not 0 mod p
+        if row:
+            col = next(iter(row))
+            inv = pow(row[col], -1, p)
+            pivots.append((col, {key: v * inv % p for key, v in row.items()}))
+    return len(pivots)
+
+
+def _independent(vectors: Sequence[Mapping]) -> List[int]:
+    """The indices of the sparse Gaussian-integer vectors not in the span of the
+    earlier ones: all of them if their rank mod p is their count, else exactly."""
+    if _rank_mod_p(vectors) == len(vectors):
+        return list(range(len(vectors)))
+    return _gram_pivots(vectors)
+
+
+def _gram_pivots(vectors: Sequence[Mapping]) -> List[int]:
+    """``_independent`` exactly: the nonzero pivots of the Gram matrix G[a][b] = <v_a, v_b>.
+
     G = R R^H for R the matrix of the vectors as rows, summed as c c^H over
     the columns c of R, gathered in one pass, and eliminated over denominator
     1; G is positive semidefinite with the rank of R, and its k-th pivot is

@@ -1,7 +1,10 @@
 import random
 import time
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations_with_replacement
 from math import comb
+from operator import mul
 
 import pytest
 
@@ -34,6 +37,7 @@ from hermsos import (
 )
 from hermsos.isometry import _check_minimal, _with_one
 from hermsos.polyalg import _norm_cells
+from hermsos.rankdecomp import _PRIME, _ROOT, _rank_mod_p
 
 
 def test_one_plus_norm_z_binomial():
@@ -285,6 +289,43 @@ def test_tensor_power_rank_extremes():
         for t in (1, 2):
             want = sum(comb(n + k - 1, k) for k in range(1, t + 1))
             assert tensor_power_rank(f, t) == want
+
+
+def test_tensor_power_rank_falls_back_to_the_exact_rank_below_the_bound():
+    # the modular rank of the products falls short of their exact rank, so of
+    # min(products, monomials) too: it certifies nothing and the exact rank is returned
+    x0, x1 = HoloPoly.variable(2, 0), HoloPoly.variable(2, 1)
+    w, w2 = HoloPoly.variable(1, 0), HoloPoly.monomial(1, (2,))
+    zero_mod_p = GaussianRational(-_ROOT, 1)  # i -> r sends it to 0
+    for f, t, rank in (
+        (HoloMap(2, [x0, _PRIME * x1]), 1, 2),
+        (HoloMap(2, [x0, _PRIME * x1]), 2, 5),  # as many monomials as products
+        (HoloMap(2, [x0, zero_mod_p * x1]), 2, 5),
+        (HoloMap(1, [w, _PRIME * w2]), 2, 4),  # fewer monomials than products
+    ):
+        products = [
+            reduce(mul, combo) for k in range(1, t + 1) for combo in combinations_with_replacement(f.components, k)
+        ]
+        assert _rank_mod_p([poly.cells for poly in products]) < rank
+        assert tensor_power_rank(f, t) == rank, (f, t)
+
+
+def test_minimality_falls_back_to_the_exact_rank_below_the_component_count():
+    # more distinct monomials than components, so the components' rank decides
+    x0, x1, x2 = (HoloPoly.variable(3, i) for i in range(3))
+    zero_mod_p = GaussianRational(-_ROOT, 1)
+    s = x0 + x1 + x2
+    for f in (HoloMap(3, [s, x0 + x1 + (1 + _PRIME) * x2]), HoloMap(3, [zero_mod_p * s])):
+        assert _rank_mod_p([poly.cells for poly in f.components]) < len(f) == reduce_minimal(f)[1]
+        one_plus = _norm_cells(_with_one(f))
+        assert len(one_plus[0]) > len(f) + 1
+        _check_minimal(f, one_plus)
+        h = solve_h(f, 1, 1)
+        assert verify_identity(f, h, 1, 1, 1)
+        assert len(h) == inertia(drop_constant(modification_form(f, 1, 1))).rank
+    for dependent in (HoloMap(3, [s, _PRIME * s]), HoloMap(3, [s, GaussianRational(0, 1) * s])):
+        with pytest.raises(NotMinimalError):
+            solve_h(dependent, 1, 1)
 
 
 def test_tensor_power_rank_matches_block_rank():

@@ -221,6 +221,49 @@ def test_a_zero_vector_is_a_zero_one_index_block_of_independent():
 
 
 # ---------------------------------------------------------------------------
+# The rank modulo a prime, and the exact fallback where it falls short
+# ---------------------------------------------------------------------------
+
+P, R = rankdecomp._PRIME, rankdecomp._ROOT
+
+
+def test_the_modulus_is_a_prime_one_mod_four_with_a_square_root_of_minus_one():
+    assert P < 2**30 and P % 4 == 1
+    assert all(P % d for d in range(2, int(P**0.5) + 1))
+    assert R * R % P == P - 1
+
+
+def test_a_coefficient_equal_to_the_prime_falls_back_to_the_exact_rank():
+    u = {mono(0): (1, 0), mono(1): (2, 0)}
+    w = {mono(0): (1, 0), mono(1): (2 + P, 0)}  # u mod p, but not u
+    for vectors, exact in (([{mono(0): (P, 0)}], [0]), ([u, w], [0, 1]), ([u, w, u], [0, 1])):
+        assert rankdecomp._rank_mod_p(vectors) < len(exact)
+        assert rankdecomp._independent(vectors) == exact
+    x0, x1 = HoloPoly.variable(2, 0), HoloPoly.variable(2, 1)
+    f = HoloMap(2, [x0, P * x1, x0 + x1])
+    kept, rank = reduce_minimal(f)
+    assert rank == 2 and kept == HoloMap(2, [x0, P * x1])
+
+
+def test_a_gaussian_coefficient_that_reduces_to_zero_falls_back_to_the_exact_rank():
+    # i -> r sends -r + i to 0 mod p
+    zero_mod_p = {mono(0): (-R, 1), mono(2): (-2 * R, 2)}
+    assert rankdecomp._rank_mod_p([zero_mod_p]) == 0
+    assert rankdecomp._independent([zero_mod_p]) == [0]
+    poly = HoloPoly(1, {mono(1): GaussianRational(-R, 1)})
+    assert reduce_minimal(HoloMap(1, [poly, HoloPoly.variable(1, 0)])) == (HoloMap(1, [poly]), 1)
+
+
+def test_a_complex_dependency_is_a_dependency_modulo_the_prime():
+    # v and i*v span one dimension over Q(i); a root other than sqrt(-1) separates them
+    v = {mono(0): (1, 0), mono(1): (2, 3), mono(2): (0, -5)}
+    iv = {key: (-y, x) for key, (x, y) in v.items()}
+    assert rankdecomp._rank_mod_p([v, iv]) == 1
+    assert rankdecomp._independent([v, iv]) == [0]
+    assert rankdecomp._independent([iv, {mono(3): (7, 0)}, v]) == [0, 1]
+
+
+# ---------------------------------------------------------------------------
 # The kernel's full yield sequence, pinned
 # ---------------------------------------------------------------------------
 

@@ -66,7 +66,7 @@ from hermsos import (
 from hermsos.documents import serialize_form_json
 from hermsos.isometry import _equals_unreduced, _with_one
 from hermsos.polyalg import _norm_cells
-from hermsos.rankdecomp import _ldlh
+from hermsos.rankdecomp import _ldlh, _rank_mod_p
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -429,6 +429,39 @@ def test_reduce_minimal_matches_reference(f):
     assert reference_reduce_minimal(basis)[1] == len(basis)
     # ... inside the span of f
     assert reference_reduce_minimal(HoloMap(f.n, polys + list(basis.components)))[1] == rank
+
+
+gaussian_integer_pairs = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+
+
+@st.composite
+def gaussian_integer_vectors(draw):
+    """Sparse Gaussian-integer vectors over BASIS, some of them Gaussian-integer
+    combinations of earlier ones, i * v among them, and some zero."""
+    vectors = []
+    for _ in range(draw(st.integers(0, 7))):
+        if vectors and draw(st.booleans()):
+            vector = {}
+            for earlier in vectors:
+                s_re, s_im = draw(gaussian_integer_pairs)
+                for key, (x, y) in earlier.items():
+                    a, b = vector.get(key, (0, 0))
+                    vector[key] = (a + s_re * x - s_im * y, b + s_re * y + s_im * x)
+            vector = {key: cell for key, cell in vector.items() if cell != (0, 0)}
+        else:
+            support = draw(st.lists(st.sampled_from(BASIS), max_size=len(BASIS), unique=True))
+            vector = {mon: cell for mon in support if (cell := draw(gaussian_integer_pairs)) != (0, 0)}
+        vectors.append(vector)
+    return vectors
+
+
+@PROPERTY
+@given(gaussian_integer_vectors())
+def test_the_rank_modulo_the_prime_is_the_reference_rank(vectors):
+    f = HoloMap(2, [HoloPoly(2, {mon: GaussianRational(x, y) for mon, (x, y) in v.items()}) for v in vectors])
+    rank = reference_reduce_minimal(f)[1]
+    assert _rank_mod_p(vectors) <= rank  # never above, whatever the prime
+    assert _rank_mod_p(vectors) == rank  # and equal on these inputs
 
 
 @st.composite
