@@ -38,9 +38,7 @@ from .isometry import (
     extremal_lower,
     extremal_power_lower,
     identity_mismatch,
-    modification_form,
     one_plus_norm,
-    one_plus_norm_z,
     r_lambda,
     solve_h,
     tensor_power_rank,

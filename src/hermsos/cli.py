@@ -60,13 +60,13 @@ from .isometry import (
     NotNormalizedError,
     divide_by_norm,
     identity_mismatch,
-    one_plus_norm_z,
+    one_plus_norm,
     r_lambda,
     solve_h,
     tensor_power_rank,
     verify_identity,
 )
-from .polyalg import Monomial, _as_fraction, norm_form
+from .polyalg import HoloMap, Monomial, _as_fraction, norm_form
 from .rankdecomp import affine_split, inertia
 
 # `bounds` takes each check's parameters, in order, as its key=value names
@@ -288,7 +288,7 @@ def cmd_example1(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational lambda {args.lam!r}") from exc
     r = r_lambda(lam)
-    p_form = one_plus_norm_z(1) * r
+    p_form = one_plus_norm(HoloMap.variables(1)) * r
     s_form = r * r
     r_diag, p_diag, s_diag = (
         [form.coefficient(Monomial._build((k,)), Monomial._build((k,))) for k in range(size)]

@@ -17,25 +17,20 @@ denominators, not reduced to lowest terms first; with a > 1, and whenever
 that comparison fails, both sides are canonical forms and equality is
 structural.
 
-The left side is built one way, by ``_left_side``, for ``solve_h``,
-``identity_mismatch`` and ``modification_form``: (1 + ||z||^2)^b is a
-positive diagonal, so the product is a sum of shifted copies of
-(1 + ||f||^2)^c, each scaled by a multinomial, added cell by cell over the
-shifted basis and settled once.  That basis, built first, is the count
-``solve_h`` refuses a large block on.
+The left side is built one way, by ``_left_side``, for ``solve_h`` and
+``identity_mismatch``: (1 + ||z||^2)^b is a positive diagonal, so the
+product is a sum of shifted copies of (1 + ||f||^2)^c, each scaled by a
+multinomial, added cell by cell over the shifted basis and settled once.
+That basis, built first, is the count ``solve_h`` refuses a large block on.
 
 The data (f, a, b, c) of an identity is passed as plain arguments.
 ``solve_h`` (with a = 1) and ``identity_mismatch`` check it on entry, in
 this order: a, b, c positive, their gcd 1, f normalized, f minimal.
-Minimality is read off the cells of 1 + ||f||^2 that the left side is
-expanded from when f has no more distinct monomials than components, else
-off the components, ranked mod a prime and exactly only if that falls short.
-``modification_form(f, b, c)`` is the bare expansion of the left side,
-defined for every map.
+Minimality is the rank of the components, by ``rankdecomp._rank``.
 
 ``tensor_power_rank`` gives the rank of (1 + ||f||^2)^c - 1 as the dimension
-of the span of the products of at most c components, mod a prime when that
-reaches min(products, monomials), else by the smaller of their Gram matrices.
+of the span of the products of at most c components, by ``rankdecomp._rank``
+as minimality is.
 ``divide_by_norm`` answers the converse question of when a squared norm
 factors through ||z||^2 by exact polynomial division by z_0 + ... + z_{n-1},
 one block of the Gram matrix at a time; it needs no elimination.
@@ -61,18 +56,16 @@ from .polyalg import (
     Monomial,
     _add_cells,
     _as_fraction,
-    _check_variable_count,
     _is_int_at_least,
     _largest_exponent,
     _mul_cells,
     _norm_cells,
-    _outer_sum,
     _packed,
     norm_form,
 )
 # inertia is unused here; perfbench/test_perfbench.py reads it as
 # hermsos.isometry.inertia
-from .rankdecomp import _gram_pivots, _independent, _ldlh, _rank_mod_p, affine_split, inertia  # noqa: F401
+from .rankdecomp import _rank, affine_split, inertia  # noqa: F401
 
 
 class NotNormalizedError(ValueError):
@@ -88,40 +81,23 @@ def _check_normalized(f: HoloMap):
         raise NotNormalizedError("map must vanish at the origin")
 
 
-def _check_minimal(f: HoloMap, one_plus=None):
-    """Refuse f unless its components are linearly independent.
-
-    one_plus, if given, is ``_norm_cells(_with_one(f))`` for a normalized f.
-    When f has no more distinct monomials than components, the Gram matrix
-    of those cells is no larger than that of the components, and one
-    elimination of it decides: f(0) = 0 leaves the 1 a block of its own, and
-    positive weights never change a rank, so rank(1 + ||f||^2) is 1 plus the
-    rank of the components.  Otherwise ``_independent`` decides on the
-    components: modulo a prime when that rank is their count, else exactly.
-    """
-    if one_plus is not None and len(one_plus[0]) <= len(f) + 1:
-        support, den, cells = one_plus
-        rank = sum(1 for _, pivot, _, _ in _ldlh(len(support), den, cells) if pivot) - 1
-    else:
-        rank = len(_independent([poly.cells for poly in f.components]))
-    if rank != len(f):
+def _check_minimal(f: HoloMap):
+    """Refuse f unless its components are linearly independent, that is,
+    unless their rank by ``_rank`` is their count."""
+    if _rank([poly.cells for poly in f.components]) != len(f):
         raise NotMinimalError("map components must be linearly independent")
 
 
 def _check_identity(f: HoloMap, a: int, b: int, c: int):
     """The data (f, a, b, c) of one modification identity: positive exponents
-    with gcd 1, then f normalized and minimal, checked in that order.
-    Returns the cells of 1 + ||f||^2 that minimality was read from, for
-    ``_left_side`` to expand."""
+    with gcd 1, then f normalized and minimal, checked in that order."""
     for name, value in (("a", a), ("b", b), ("c", c)):
         if not _is_int_at_least(value, 1):
             raise ValueError(f"exponent {name} must be a positive integer")
     if gcd(gcd(a, b), c) != 1:
         raise ValueError("exponents must have gcd 1")
     _check_normalized(f)
-    one_plus = _norm_cells(_with_one(f))
-    _check_minimal(f, one_plus)
-    return one_plus
+    _check_minimal(f)
 
 
 def one_plus_norm(f: HoloMap) -> HermitianForm:
@@ -138,33 +114,17 @@ def _with_one(f: HoloMap) -> HoloMap:
     return HoloMap._build(f.n, (one, *f.components), weights)
 
 
-def one_plus_norm_z(n: int) -> HermitianForm:
-    """The Hermitian form 1 + ||z||^2 = 1 + sum |z_i|^2: the unit diagonal over
-    the monomials 1, z_0, ..., z_{n-1}, built from its n + 1 cells."""
-    _check_variable_count(n)
-    return _unit_diagonal(n, True)
+def _unit_diagonal(n: int) -> HermitianForm:
+    """||z||^2, the unit diagonal over z_0, ..., z_{n-1}, built from its
+    cells, unchecked."""
+    mons = [Monomial._build((0,) * i + (1,) + (0,) * (n - 1 - i)) for i in range(n)]
+    return HermitianForm._build(n, mons, 1, {(k, k): (1, 0) for k in range(n)})
 
 
-def _unit_diagonal(n: int, constant: bool) -> HermitianForm:
-    """||z||^2, the unit diagonal over z_0, ..., z_{n-1}, or 1 + ||z||^2 if
-    constant puts the monomial 1 first; built from its cells, unchecked."""
-    mons = [Monomial._build((0,) * n)] if constant else []
-    mons += [Monomial._build((0,) * i + (1,) + (0,) * (n - 1 - i)) for i in range(n)]
-    return HermitianForm._build(n, mons, 1, {(k, k): (1, 0) for k in range(len(mons))})
-
-
-def modification_form(f: HoloMap, b: int, c: int) -> HermitianForm:
-    """The left-hand form (1 + ||z||^2)^b (1 + ||f||^2)^c, expanded exactly by
-    ``_left_side``; defined for every map f and positive integers b, c."""
-    if not (_is_int_at_least(b, 1) and _is_int_at_least(c, 1)):
-        raise ValueError("form powers require a positive integer exponent")
-    return _left_side(f.n, b, c, _norm_cells(_with_one(f)))
-
-
-def _left_side(n: int, b: int, c: int, one_plus, block_max: Optional[int] = None) -> HermitianForm:
-    """(1 + ||z||^2)^b R with R = (1 + ||f||^2)^c, from one_plus, the cells
-    ``_norm_cells(_with_one(f))`` of 1 + ||f||^2; R is those cells themselves
-    when c = 1.
+def _left_side(f: HoloMap, b: int, c: int, block_max: Optional[int] = None) -> HermitianForm:
+    """(1 + ||z||^2)^b R with R = (1 + ||f||^2)^c, expanded from the cells
+    ``_norm_cells(_with_one(f))`` of 1 + ||f||^2; R is those cells
+    themselves when c = 1.
 
     (1 + ||z||^2)^b is the positive diagonal sum over |alpha| <= b of
     mult(b; alpha) |z^alpha|^2, mult(b; alpha) = b! / (alpha! (b - |alpha|)!),
@@ -177,6 +137,7 @@ def _left_side(n: int, b: int, c: int, one_plus, block_max: Optional[int] = None
     before any cell is added.  Each alpha is read off a non-decreasing
     q in [0, b]^n as the successive differences of (0, *q).
     """
+    n, one_plus = f.n, _norm_cells(_with_one(f))
     if c == 1:
         base, den, cells = one_plus
     else:
@@ -204,17 +165,15 @@ def _left_side(n: int, b: int, c: int, one_plus, block_max: Optional[int] = None
 def solve_h(f: HoloMap, b: int, c: int, block_max: Optional[int] = None) -> HoloMap:
     """A minimal map h with 1 + ||h||^2 == (1 + ||z||^2)^b (1 + ||f||^2)^c.
 
-    Requires f normalized (f(0) = 0) and minimal; minimality is read off the
-    cells of 1 + ||f||^2 that ``_left_side`` then expands when f has no more
-    distinct monomials than components.  The left side is 1 plus a positive
-    semidefinite block not coupled to the 1, so
-    ``affine_split`` of the whole form always returns h, rank-many
-    components, the least possible count.  A block of more than
-    ``block_max`` basis monomials besides the constant raises ValueError,
-    counted on the product's basis before any of its cells is added.
+    Requires f normalized (f(0) = 0) and minimal.  The left side is 1 plus
+    a positive semidefinite block not coupled to the 1, so ``affine_split``
+    of the whole form always returns h, rank-many components, the least
+    possible count.  A block of more than ``block_max`` basis monomials
+    besides the constant raises ValueError, counted on the product's basis
+    before any of its cells is added.
     """
-    one_plus = _check_identity(f, 1, b, c)
-    h = affine_split(_left_side(f.n, b, c, one_plus, block_max))
+    _check_identity(f, 1, b, c)
+    h = affine_split(_left_side(f, b, c, block_max))
     if h is None:
         raise ArithmeticError("expansion lost positivity; this cannot happen")
     return h
@@ -237,11 +196,11 @@ def identity_mismatch(f: HoloMap, h: HoloMap, a: int, b: int, c: int) -> List[Tu
     canonical right side built from them, which decides through ``==`` and
     lists the mismatch.  With a > 1 both sides are canonical forms.
     """
-    one_plus = _check_identity(f, a, b, c)
+    _check_identity(f, a, b, c)
     _check_normalized(h)
     if f.n != h.n:
         raise ValueError("variable count mismatch")
-    left = _left_side(f.n, b, c, one_plus)
+    left = _left_side(f, b, c)
     if a == 1:
         support, den, cells = _norm_cells(_with_one(h))
         if _equals_unreduced(left, support, den, cells):
@@ -277,10 +236,9 @@ def tensor_power_rank(f: HoloMap, c: int) -> int:
     weights never change a span, so the products are formed without them,
     over the Gaussian integers (each component scaled by its denominator),
     each k-fold product once as its (k-1)-fold prefix times one component,
-    keyed by exponents packed in base c * (largest exponent of f) + 1.
-    Their rank mod a prime is exact when it reaches min(products, monomials),
-    the rank bound of R, the matrix of products by monomials; else it is that
-    of R R^H and of R^H R, and only the smaller is built.  The rank e satisfies
+    keyed by exponents packed in base c * (largest exponent of f) + 1, and
+    ranked by ``_rank``: mod a prime when that reaches min(products,
+    monomials), else exactly by the smaller Gram matrix.  The rank e satisfies
     c*d <= e <= sum_{k=1..c} C(d+k-1, k)  where d = len(f); both ends are
     checked defensively before returning.
     """
@@ -297,15 +255,7 @@ def tensor_power_rank(f: HoloMap, c: int) -> int:
     for _ in range(c):
         level = [(j, _mul_cells(prod, comps[j])) for last, prod in level for j in range(last, d)]
         rows += [prod for _, prod in level]
-    keys = set().union(*rows)
-    e = _rank_mod_p(rows)  # exact unless below min(len(rows), len(keys))
-    if e < len(rows) <= len(keys):
-        e = len(_gram_pivots(rows))
-    elif e < len(keys) < len(rows):
-        # the smaller Gram matrix, sum r r^H over the rows r indexed by monomial
-        index = {key: i for i, key in enumerate(keys)}
-        gram = _outer_sum(len(keys), [(1, sorted((index[k], x, y) for k, (x, y) in r.items())) for r in rows])
-        e = sum(1 for _, pivot, _, _ in _ldlh(len(keys), 1, gram) if pivot)
+    e = _rank(rows)
     low, high = c * d, _power_sum(d, c)
     if not low <= e <= high:
         raise ArithmeticError("tensor power rank escaped its proven range")
@@ -343,7 +293,7 @@ def divide_by_norm(s: HermitianForm) -> Optional[HermitianForm]:
     # the divisor has unit coefficients, so the numerators stay over s.den
     r = HermitianForm._build(n, [Monomial._build(exps) for exps in index], s.den, cells)
     # defensive recomposition: each block division is exact, this guards the assembly
-    return r if _unit_diagonal(n, False) * r == s else None
+    return r if _unit_diagonal(n) * r == s else None
 
 
 def _divide_by_sum(p: dict, n: int, d: int) -> Optional[dict]:

@@ -23,13 +23,17 @@ decide minimality questions exactly.
 One fraction-free kernel, ``_ldlh``, does every exact elimination, by
 symmetric Bareiss steps in basis order, each connected block on its own (over
 integers if no cell of it is imaginary, else Gaussian integers) and every
-division exact.  ``inertia`` and ``extract_sos`` eliminate the form.  A rank
-of rows R (``_independent``, for ``reduce_minimal`` and ``isometry``) is first
-taken mod a prime, which certifies it when it reaches a proven upper bound;
-only otherwise is it the number of nonzero pivots of the positive
-semidefinite Gram matrix R R^H, or R^H R when smaller.  No gcd is taken in
-an elimination; results are read out as polynomials of Gaussian-integer
-numerators over one denominator, each reduced by one gcd pass.
+division exact.  ``inertia`` and ``extract_sos`` eliminate the form.  Every
+rank of rows R, of sparse Gaussian-integer vectors, follows one policy: it
+is first taken mod a prime, which certifies it when it reaches a proven
+upper bound, and only otherwise is it the number of nonzero pivots of a
+positive semidefinite Gram matrix.  ``_rank`` (for ``isometry``'s
+minimality check and tensor power rank) certifies at min(rows, columns)
+and eliminates the smaller of R R^H and R^H R; ``_independent`` (for
+``reduce_minimal``) certifies at the row count and eliminates R R^H, whose
+pivots name the independent rows.  No gcd is taken in an elimination;
+results are read out as polynomials of Gaussian-integer numerators over one
+denominator, each reduced by one gcd pass.
 """
 
 from __future__ import annotations
@@ -359,6 +363,24 @@ def _rank_mod_p(vectors: Sequence[Mapping]) -> int:
     return len(pivots)
 
 
+def _rank(vectors: Sequence[Mapping]) -> int:
+    """The rank of the sparse Gaussian-integer vectors: mod p when that
+    reaches min(vectors, distinct keys), the rank bound of the matrix R of
+    vectors by keys; else the nonzero pivots of R R^H, or of R^H R, the Gram
+    matrix of the columns, when there are fewer keys than vectors."""
+    keys = set().union(*vectors)
+    rank = _rank_mod_p(vectors)
+    if rank == min(len(vectors), len(keys)):
+        return rank
+    if len(keys) < len(vectors):
+        columns: Dict[object, Dict[int, Tuple[int, int]]] = {}
+        for a, vector in enumerate(vectors):
+            for key, cell in vector.items():
+                columns.setdefault(key, {})[a] = cell
+        vectors = list(columns.values())
+    return len(_gram_pivots(vectors))
+
+
 def _independent(vectors: Sequence[Mapping]) -> List[int]:
     """The indices of the sparse Gaussian-integer vectors not in the span of the
     earlier ones: all of them if their rank mod p is their count, else exactly."""
@@ -368,7 +390,8 @@ def _independent(vectors: Sequence[Mapping]) -> List[int]:
 
 
 def _gram_pivots(vectors: Sequence[Mapping]) -> List[int]:
-    """``_independent`` exactly: the nonzero pivots of the Gram matrix G[a][b] = <v_a, v_b>.
+    """The exact fallback of ``_independent`` and ``_rank``: the nonzero pivots
+    of the Gram matrix G[a][b] = <v_a, v_b>.
 
     G = R R^H for R the matrix of the vectors as rows, summed as c c^H over
     the columns c of R, gathered in one pass, and eliminated over denominator

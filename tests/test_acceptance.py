@@ -34,7 +34,7 @@ from hermsos import (
     inertia,
     monomials_up_to_degree,
     norm_form,
-    one_plus_norm_z,
+    one_plus_norm,
     prime_substitution,
     r_lambda,
     random_map,
@@ -72,7 +72,7 @@ def test_criterion_1_example_family_tables():
         want_r = [Fraction(1), Fraction(4), Fraction(6) - lam, Fraction(4), Fraction(1)]
         assert [v.re for v in diag_of(r, 5)] == want_r
 
-        p_form = one_plus_norm_z(1) * r
+        p_form = one_plus_norm(HoloMap.variables(1)) * r
         want_p = [Fraction(1), Fraction(5), Fraction(10) - lam, Fraction(10) - lam,
                   Fraction(5), Fraction(1)]
         assert [v.re for v in diag_of(p_form, 6)] == want_p
@@ -97,7 +97,7 @@ def test_criterion_1_example_family_tables():
 
 def test_criterion_2_example_family_identity():
     lam = Fraction(7)
-    p_form = one_plus_norm_z(1) * r_lambda(lam)
+    p_form = one_plus_norm(HoloMap.variables(1)) * r_lambda(lam)
     s_form = r_lambda(lam) * r_lambda(lam)
     m = len(affine_split(p_form))
     d = len(affine_split(s_form))

@@ -15,6 +15,7 @@ from hermsos import (
     HermitianForm,
     HoloMap,
     HoloPoly,
+    Monomial,
     NotMinimalError,
     NotNormalizedError,
     divide_by_norm,
@@ -23,11 +24,9 @@ from hermsos import (
     grams_equal,
     identity_mismatch,
     inertia,
-    modification_form,
     monomials_up_to_degree,
     norm_form,
     one_plus_norm,
-    one_plus_norm_z,
     r_lambda,
     random_map,
     reduce_minimal,
@@ -35,21 +34,23 @@ from hermsos import (
     tensor_power_rank,
     verify_identity,
 )
-from hermsos.isometry import _check_minimal, _with_one
-from hermsos.polyalg import _norm_cells
+from hermsos.isometry import _check_minimal, _left_side, _unit_diagonal
 from hermsos.rankdecomp import _PRIME, _ROOT, _rank_mod_p
 
 
 def test_one_plus_norm_z_binomial():
-    p = one_plus_norm_z(1) ** 3
+    p = one_plus_norm(HoloMap.variables(1)) ** 3
     for k in range(4):
         assert p.coefficient(mono(k), mono(k)) == GaussianRational(comb(3, k))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_one_plus_norm_z_is_one_plus_the_norm_of_the_variables(n):
-    # the reference route: the norm form of (z0, ..., z_{n-1}) plus the constant 1
-    assert one_plus_norm_z(n) == one_plus_norm(HoloMap.variables(n))
+    # 1 + ||z||^2 written out as the unit diagonal over 1, z_0, ..., z_{n-1};
+    # ||z||^2 built from its cells, for divide_by_norm, is the norm form of the variables
+    mons = [Monomial([0] * n)] + [Monomial([int(i == k) for i in range(n)]) for k in range(n)]
+    assert one_plus_norm(HoloMap.variables(n)) == HermitianForm.from_entries(n, {(m, m): 1 for m in mons})
+    assert _unit_diagonal(n) == norm_form(HoloMap.variables(n))
 
 
 def test_modification_spec_validation():
@@ -75,7 +76,7 @@ def test_modification_form_matches_pointwise():
         n = rng.choice((1, 2))
         f = random_map(rng, n, rng.randint(1, 2), 2, 3)
         a, b, c = rng.choice(((1, 1, 1), (2, 2, 1), (1, 2, 1), (3, 1, 2)))
-        form = modification_form(f, b, c)
+        form = _left_side(f, b, c)
         for _ in range(3):
             pt = rand_point(rng, n, height=2)
             z_norm = Fraction(1) + sum(v.abs2() for v in pt)
@@ -125,7 +126,7 @@ def test_solve_h_identity_random():
         assert verify_identity(f, h, 1, b, c)
         assert h.vanishes_at_zero
         # count equals the rank of the non-constant block
-        total = modification_form(f, b, c)
+        total = _left_side(f, b, c)
         block = drop_constant(total)
         assert len(h) == inertia(block).pos
 
@@ -134,7 +135,7 @@ def test_solve_h_counts_its_block_only_past_the_degree_bound():
     # f = (z0^12) in 2 variables at b = 12: the monomials of degree <= 24 besides 1
     # number C(26, 2) - 1 = 324, but the block has 2 * C(14, 2) - 2 = 180
     f = HoloMap(2, [HoloPoly.monomial(2, (12, 0))])
-    assert modification_form(f, 12, 1).size - 1 == 180
+    assert _left_side(f, 12, 1).size - 1 == 180
     assert solve_h(f, 12, 1, 180) == solve_h(f, 12, 1)
     with pytest.raises(ValueError, match="a block of 180 basis monomials; the limit is 179$"):
         solve_h(f, 12, 1, 179)
@@ -145,7 +146,7 @@ def test_solve_h_counts_its_block_only_past_the_degree_bound():
         f, _ = reduce_minimal(rand_plain_map(rng, n, rng.randint(1, 2)))
         if rng.random() < 0.5:
             f = HoloMap(n, f.components, [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in f.components])
-        size = modification_form(f, b, c).size - 1
+        size = _left_side(f, b, c).size - 1
         with pytest.raises(ValueError, match=f"a block of {size} basis monomials; the limit is 0$"):
             solve_h(f, b, c, 0)
 
@@ -161,7 +162,7 @@ def test_the_left_side_is_the_product_of_the_powers_of_the_two_norms():
             f = HoloMap(n, [HoloPoly(n, {m: v.re for m, v in poly.terms.items()}) for poly in f.components])
         elif i % 3 == 1:
             f = HoloMap(n, f.components, [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in f.components])
-        assert modification_form(f, b, c) == one_plus_norm_z(n) ** b * one_plus_norm(f) ** c
+        assert _left_side(f, b, c) == one_plus_norm(HoloMap.variables(n)) ** b * one_plus_norm(f) ** c
 
 
 def few_monomial_map(rng, n, p):
@@ -174,9 +175,9 @@ def few_monomial_map(rng, n, p):
     return HoloMap(n, [HoloPoly(n, {m: rng.choice(values) for m in mons}) for _ in range(p)])
 
 
-def test_minimality_read_off_the_cells_of_one_plus_the_norm():
-    # with no more distinct monomials than components, minimality is read off one
-    # elimination of 1 + ||f||^2; it must agree with the Gram matrix of the components
+def test_minimality_of_maps_with_no_more_monomials_than_components():
+    # dependent and zero components are common here; the check must agree with
+    # the reference route, reduce_minimal
     rng = random.Random(2902)
     x0, x1 = HoloPoly.variable(2, 0), HoloPoly.variable(2, 1)
     maps = [
@@ -191,16 +192,14 @@ def test_minimality_read_off_the_cells_of_one_plus_the_norm():
     for f in maps:
         if f.components and rng.random() < 0.5:
             f = HoloMap(f.n, f.components, [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in f.components])
-        one_plus = _norm_cells(_with_one(f))
-        assert len(one_plus[0]) <= len(f) + 1  # the cells decide, not the components
         expected = reduce_minimal(f)[1] == len(f)
         minimal.append(expected)
         if expected:
-            _check_minimal(f, one_plus)
+            _check_minimal(f)
             assert len(solve_h(f, 1, 1)) == len(solve_h(f, 1, 1, 10**6))
         else:
             with pytest.raises(NotMinimalError):
-                _check_minimal(f, one_plus)
+                _check_minimal(f)
             with pytest.raises(NotMinimalError):
                 solve_h(f, 1, 1)
             with pytest.raises(NotMinimalError):
@@ -209,12 +208,27 @@ def test_minimality_read_off_the_cells_of_one_plus_the_norm():
     assert 10 < minimal.count(True) < len(maps) - 10
 
 
+def test_more_components_than_monomials_are_refused_by_the_modular_rank(monkeypatch):
+    # the modular rank reaches the count of distinct monomials, the rank bound,
+    # so it certifies the dependency and no Gram matrix is eliminated
+    def eliminate(vectors):
+        raise AssertionError("a Gram matrix was eliminated")
+
+    monkeypatch.setattr("hermsos.rankdecomp._gram_pivots", eliminate)
+    x0, x1 = HoloPoly.variable(2, 0), HoloPoly.variable(2, 1)
+    for f in (HoloMap(2, [x0, 2 * x0]), HoloMap(2, [x0 + x1, x0, x1 - GaussianRational(0, 1) * x0])):
+        with pytest.raises(NotMinimalError):
+            _check_minimal(f)
+        with pytest.raises(NotMinimalError):
+            solve_h(f, 1, 1)
+
+
 def test_solve_h_matches_the_factor_of_the_block_without_the_constant():
     # the old route: restrict the form to its non-constant block, then factor
     rng = random.Random(2004)
     for b, c in ((1, 1), (2, 1), (1, 2), (3, 2)):
         f = random_map(rng, rng.choice((1, 2)), rng.randint(1, 2), 2, 3)
-        block = drop_constant(modification_form(f, b, c))
+        block = drop_constant(_left_side(f, b, c))
         assert solve_h(f, b, c) == extract_sos(block)
 
 
@@ -240,7 +254,7 @@ def test_solve_h_rejections():
 
 
 def test_verify_identity_example_family():
-    p_form = one_plus_norm_z(1) * r_lambda(7)
+    p_form = one_plus_norm(HoloMap.variables(1)) * r_lambda(7)
     s_form = r_lambda(7) * r_lambda(7)
     f = extract_sos(drop_constant(p_form))
     g = extract_sos(drop_constant(s_form))
@@ -317,12 +331,10 @@ def test_minimality_falls_back_to_the_exact_rank_below_the_component_count():
     s = x0 + x1 + x2
     for f in (HoloMap(3, [s, x0 + x1 + (1 + _PRIME) * x2]), HoloMap(3, [zero_mod_p * s])):
         assert _rank_mod_p([poly.cells for poly in f.components]) < len(f) == reduce_minimal(f)[1]
-        one_plus = _norm_cells(_with_one(f))
-        assert len(one_plus[0]) > len(f) + 1
-        _check_minimal(f, one_plus)
+        _check_minimal(f)
         h = solve_h(f, 1, 1)
         assert verify_identity(f, h, 1, 1, 1)
-        assert len(h) == inertia(drop_constant(modification_form(f, 1, 1))).rank
+        assert len(h) == inertia(drop_constant(_left_side(f, 1, 1))).rank
     for dependent in (HoloMap(3, [s, _PRIME * s]), HoloMap(3, [s, GaussianRational(0, 1) * s])):
         with pytest.raises(NotMinimalError):
             solve_h(dependent, 1, 1)

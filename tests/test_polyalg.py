@@ -24,7 +24,6 @@ from hermsos import (
     monomials_of_degree,
     monomials_up_to_degree,
     norm_form,
-    one_plus_norm_z,
     r_lambda,
     random_map,
     substitute_powers,
@@ -246,14 +245,14 @@ def test_poly_arithmetic_matches_evaluation():
     (lambda: HoloMap.variables(True), "a polynomial needs a positive variable count"),
     (lambda: HermitianForm(True, [], []), "a form needs a positive variable count"),
     (lambda: HermitianForm.zero(True), "a form needs a positive variable count"),
-    (lambda: one_plus_norm_z(True), "a form needs a positive variable count"),
+    (lambda: HermitianForm.from_entries(True, {}), "a form needs a positive variable count"),
     (lambda: HoloMap(True, [], ()), "a map needs a positive variable count"),
     (lambda: HoloMap(-3, [], ()), "a map needs a positive variable count"),
     (lambda: HoloMap("x", [], ()), "a map needs a positive variable count"),
     (lambda: monomials_of_degree(True, 2), "need at least one variable"),
     (lambda: monomials_of_degree(2.0, 2), "need at least one variable"),
 ], ids=[
-    "poly", "poly-variable", "poly-constant", "map", "map-variables", "form", "form-zero", "one-plus-norm-z",
+    "poly", "poly-variable", "poly-constant", "map", "map-variables", "form", "form-zero", "form-from-entries",
     "scaled-map-bool", "scaled-map-negative", "scaled-map-str", "monomials-bool", "monomials-float",
 ])
 def test_a_bool_is_not_a_variable_count(build, message):
@@ -275,7 +274,7 @@ Z0, Z0_2, F2 = mono(1), mono(1, 0), HoloMap(2, [HoloPoly.variable(2, 0), HoloPol
     (lambda: HermitianForm.constant(1, True), TypeError, "gram entries must be exact rationals"),
     (lambda: GaussianRational(2) ** True, ValueError, "exponent must be a non-negative integer"),
     (lambda: HoloPoly.variable(1, 0) ** True, ValueError, "exponent must be a non-negative integer"),
-    (lambda: one_plus_norm_z(1) ** True, ValueError, "form powers require a positive integer exponent"),
+    (lambda: norm_form(F2) ** True, ValueError, "form powers require a positive integer exponent"),
     (lambda: substitute_powers(F2, [True, 2]), ValueError, "substitution exponents must be non-negative integers"),
     (lambda: identity_mismatch(F2, F2, True, 1, 1), ValueError, "exponent a must be a positive integer"),
     (lambda: tensor_power_rank(F2, True), ValueError, "power must be a positive integer"),

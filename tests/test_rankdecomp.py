@@ -33,7 +33,6 @@ from hermsos import (
     monomials_of_degree,
     norm_form,
     one_plus_norm,
-    one_plus_norm_z,
     r_lambda,
     reduce_minimal,
 )
@@ -389,7 +388,7 @@ def test_inertia_of_a_large_diagonal_form_is_fast():
     # (1 + ||z||^2)(1 + ||f||^2) with f every degree-4 monomial in 6 variables
     # is diagonal: 385 blocks of one index each
     f = HoloMap(6, [HoloPoly(6, {mon: 1}) for mon in monomials_of_degree(6, 4)])
-    form = one_plus_norm_z(6) * one_plus_norm(f)
+    form = one_plus_norm(HoloMap.variables(6)) * one_plus_norm(f)
     assert form.size == 385
     best = float("inf")
     for _ in range(3):

@@ -49,7 +49,6 @@ from hermsos import (
     grams_equal,
     grlex_key,
     inertia,
-    modification_form,
     monomials_of_degree,
     monomials_up_to_degree,
     norm_form,
@@ -64,9 +63,9 @@ from hermsos import (
     verify_identity,
 )
 from hermsos.documents import serialize_form_json
-from hermsos.isometry import _equals_unreduced, _with_one
+from hermsos.isometry import _equals_unreduced, _left_side, _with_one
 from hermsos.polyalg import _norm_cells
-from hermsos.rankdecomp import _ldlh, _rank_mod_p
+from hermsos.rankdecomp import _ldlh, _rank, _rank_mod_p
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -462,6 +461,13 @@ def test_the_rank_modulo_the_prime_is_the_reference_rank(vectors):
     rank = reference_reduce_minimal(f)[1]
     assert _rank_mod_p(vectors) <= rank  # never above, whatever the prime
     assert _rank_mod_p(vectors) == rank  # and equal on these inputs
+    # _rank certifies at min(vectors, keys) and below it eliminates the smaller
+    # Gram matrix; the transposed vectors, keyed by index, take the other shape
+    transposed = {}
+    for a, vector in enumerate(vectors):
+        for key, cell in vector.items():
+            transposed.setdefault(key, {})[a] = cell
+    assert _rank(vectors) == _rank(list(transposed.values())) == rank
 
 
 @st.composite
@@ -634,7 +640,7 @@ def identity_decisions(f, b, c, i, mon):
     1 + ||h||^2 equals the left side, as ``identity_mismatch`` decides it
     before reducing the right side, after checking that this agrees with
     canonical ``==`` and with ``verify_identity``."""
-    left = modification_form(f, b, c)
+    left = _left_side(f, b, c)
     decisions = []
     for g in identity_variants(solve_h(f, b, c), i, mon):
         unreduced = _equals_unreduced(left, *_norm_cells(_with_one(g)))
@@ -662,7 +668,7 @@ def test_the_unreduced_identity_decision_scales_by_the_left_denominator():
         HoloPoly(2, {mono(0, 1): Fraction(5, 3), mono(1, 1): GaussianRational(Fraction(1, 2), Fraction(-7, 6))}),
     ])
     for b, c in [(1, 1), (2, 1), (1, 2)]:
-        assert modification_form(f, b, c).den > 1
+        assert _left_side(f, b, c).den > 1
         decisions = identity_decisions(f, b, c, 0, mono(1, 0))
         assert decisions.count(True) == 1
 
@@ -693,7 +699,7 @@ def test_a_unitary_change_of_variables_keeps_ranks_inertia_and_the_identity(f, d
     g = compose_linear(f, v)
     b, c = data.draw(st.sampled_from([(1, 1), (2, 1), (1, 2)]))
     t = data.draw(st.integers(1, 3))
-    assert inertia(modification_form(g, b, c)) == inertia(modification_form(f, b, c))
+    assert inertia(_left_side(g, b, c)) == inertia(_left_side(f, b, c))
     h = solve_h(f, b, c)
     assert len(solve_h(g, b, c)) == len(h)
     assert reduce_minimal(g)[1] == reduce_minimal(f)[1]
