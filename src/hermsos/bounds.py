@@ -13,29 +13,26 @@ the polynomial machinery, so they can serve as oracles for it.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
+from collections.abc import Sequence
 from itertools import combinations_with_replacement
 from math import comb
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 
-class BoundReport(NamedTuple):
+class BoundReport(namedtuple("BoundReport", "theorem inputs observed lower upper satisfied")):
     """Outcome of one bound check.
 
-    ``lower``/``upper`` bracket the admissible range for the observed count
-    (``upper`` is None when no upper bound is asserted); ``satisfied`` is
-    whether observed lies inside.  ``theorem`` is a short stable token
-    naming the bound, usable as a dispatch key.
+    ``theorem`` is a short stable token naming the bound, usable as a
+    dispatch key, and ``inputs`` the integer arguments by name (a dict).
+    ``lower``/``upper`` bracket the admissible range for the ``observed``
+    count (``upper`` is None when no upper bound is asserted); ``satisfied``
+    is whether observed lies inside.
     """
 
-    theorem: str
-    inputs: Dict[str, int]
-    observed: int
-    lower: int
-    upper: Optional[int]
-    satisfied: bool
+    __slots__ = ()
 
 
-def _report(theorem: str, inputs: Dict[str, int], observed: int, lower: int, upper: Optional[int]) -> BoundReport:
+def _report(theorem: str, inputs: dict[str, int], observed: int, lower: int, upper: int | None) -> BoundReport:
     ok = observed >= lower and (upper is None or observed <= upper)
     return BoundReport(theorem, dict(inputs), observed, lower, upper, ok)
 
@@ -47,7 +44,7 @@ def _require_positive(**values: int):
             raise ValueError(f"{name} must be a positive integer")
 
 
-def _band(n: int, d: int) -> Tuple[int, int]:
+def _band(n: int, d: int) -> tuple[int, int]:
     """The thm1.1 band of counts for degree d in n variables:
     (n(d+1) - d(d-1)/2, n(d+1) + d)."""
     return n * (d + 1) - d * (d - 1) // 2, n * (d + 1) + d
@@ -67,7 +64,7 @@ def check_modification_rank(n: int, d: int, m: int) -> BoundReport:
     return _report("thm1.1", inputs, m, lower, None)
 
 
-def gap_intervals(n: int) -> List[Tuple[int, int]]:
+def gap_intervals(n: int) -> list[tuple[int, int]]:
     """Open intervals of impossible component counts, in increasing order.
 
     The first gap is (0, 2n).  For k >= 1 the band for degree k+1 starts
@@ -243,7 +240,7 @@ def _next_prime(q: int) -> int:
     return q
 
 
-def prime_substitution(n: int, t: int) -> Tuple[int, ...]:
+def prime_substitution(n: int, t: int) -> tuple[int, ...]:
     """Exponents (a_1, ..., a_n) making z_i -> w^{a_i} injective below degree t.
 
     Built by repeatedly collapsing the last two variable groups: each round
@@ -254,7 +251,7 @@ def prime_substitution(n: int, t: int) -> Tuple[int, ...]:
     psi_13 (see ``_is_prime``) raises ValueError: n = 8 with t > 1 does.
     """
     _require_positive(n=n, t=t)
-    groups: List[List[int]] = [[1] for _ in range(n)]
+    groups: list[list[int]] = [[1] for _ in range(n)]
     budget = t
     while len(groups) > 1:
         left, right = groups[-2], groups[-1]
@@ -266,7 +263,7 @@ def prime_substitution(n: int, t: int) -> Tuple[int, ...]:
     return tuple(groups[0])
 
 
-def verify_injective(exponents: Tuple[int, ...], n: int, t: int) -> bool:
+def verify_injective(exponents: tuple[int, ...], n: int, t: int) -> bool:
     """Brute-force check that alpha -> sum a_i alpha_i is injective on degree <= t.
 
     A vector alpha of degree k is a multiset of k indices, and its image is

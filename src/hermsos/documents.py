@@ -23,25 +23,33 @@ Form documents::
     {"n": 1, "basis": [[0], [1]], "gram": [[{"re": 1, "im": 0}, ...], ...]}
 
 A gram cell is a rational, read as its real part, or an object with "re"
-and "im".  The gram is read in one pass, as a component's terms are: each
-cell's keys, then "re", then "im", an int literal without a call.  Then come,
-in this order, the checks that the basis monomials are distinct and that the
-gram is square over the basis (``polyalg._check_square``, the dense
-constructor's check), and that it is Hermitian, made on its integer
-numerators over one common denominator.  Every failure, here and of what the
-constructors would check, is a ``DocumentError``, so callers can treat
-malformed input uniformly.
+and "im".  The document's keys, ``n``, the basis entries and that the gram
+is a list of lists are checked first, and each basis entry's place in grlex
+order is found.  The gram is then read in one pass, as a component's terms
+are: each cell's keys, then "re", then "im", every cell of every row, also
+past the end of a too-long row, so a bad literal is reported before a bad
+shape.
+Each nonzero cell is keyed by the grlex places of its row and column as it
+is read, so the form is settled without moving a cell unless a row is zero.
+Then come, in this order, the checks that the basis monomials are distinct,
+that the gram is square over the basis, both made on the lists already
+read, and that it is Hermitian, made on its integer numerators over one
+common denominator (``polyalg._check_hermitian``).  Every failure, here and
+of what the constructors would check, is a ``DocumentError``, so callers can
+treat malformed input uniformly.
 
 A term is read in one pass, and its checks run in this order: its keys,
 its exponents (each an int, not a bool or a float, and not negative; a basis
 entry of a form document is checked the same way), that no earlier term of
-the component has the same exponents, then "re", then "im".  An int literal
-is read without a call.  A component's monomials are taken from the
-process-wide table only after every term has passed, once each.  Both
-readers put their numerators over one common denominator with
-``polyalg._common_den``, the route the constructors take; only the
-denominators other than 1 enter its lcm, and none when every literal is an
-int.  A count such as ``n`` meets
+the component has the same exponents, then "re", then "im".  The duplicate
+check is made on the exponent tuple, which hashes in C, not on a monomial.
+A component's monomials are taken from the process-wide table only after
+every term has passed, once each.  In both readers an int literal is taken
+as it is: while every literal so far is an int, the Gaussian-integer cell
+(re, im) over the denominator 1 is kept at once.  From the first literal
+that is not an int, the cells so far are held as rationals a/b + (c/d)*i,
+and at the end ``polyalg._common_den`` puts them over one common
+denominator, the lcm of those other than 1.  A count such as ``n`` meets
 ``polyalg._is_int_at_least``, the constructors' rule.  Checked values are
 built with the unvalidated ``_build`` constructors, which the package keeps
 for values it built itself or has already checked.
@@ -57,7 +65,6 @@ import json
 import random
 from collections import namedtuple
 from fractions import Fraction
-from typing import Tuple
 
 from .polyalg import (
     HermitianForm,
@@ -65,7 +72,6 @@ from .polyalg import (
     HoloPoly,
     Monomial,
     _check_hermitian,
-    _check_square,
     _common_den,
     _is_int_at_least,
     _parse_rational,
@@ -79,7 +85,7 @@ class DocumentError(ValueError):
     """Malformed or inconsistent document content."""
 
 
-def _rational_from_json(value) -> Tuple[int, int]:
+def _rational_from_json(value) -> tuple[int, int]:
     """A JSON rational as (numerator, denominator > 0), not reduced: an int as
     itself, a string by ``_parse_rational``."""
     if isinstance(value, bool):
@@ -96,7 +102,7 @@ def _rational_from_json(value) -> Tuple[int, int]:
     raise DocumentError(f"bad rational value of type {type(value).__name__}")
 
 
-def _parts(real, imag) -> Tuple[int, int, int, int]:
+def _parts(real, imag) -> tuple[int, int, int, int]:
     """(a, b, c, d) for the JSON parts real = a/b and imag = c/d; an int is
     taken as it is, without the literal reader."""
     a, b = (real, 1) if type(real) is int else _rational_from_json(real)
@@ -128,7 +134,10 @@ def _poly_from_terms(n: int, terms) -> HoloPoly:
     if not isinstance(terms, list):
         raise DocumentError("a component must be a list of terms")
     ints = (int,) * n
-    values = {}  # (a, b, c, d) for a/b + (c/d)*i, keyed by exponent tuple
+    # keyed by exponent tuple: (re, im) while every literal is an int, then
+    # (a, b, c, d) for a/b + (c/d)*i from the first literal that is not
+    values = {}
+    exact = True
     for term in terms:
         if not isinstance(term, dict):
             raise DocumentError("terms must be objects")
@@ -140,9 +149,19 @@ def _poly_from_terms(n: int, terms) -> HoloPoly:
         exps = tuple(exp)
         if exps in values:
             raise DocumentError(f"duplicate exponent {exp} in one component")
-        values[exps] = _parts(term.get("re", 0), term.get("im", 0))
-    q, cells = _common_den(values)
+        real, imag = term.get("re", 0), term.get("im", 0)
+        if exact:
+            if type(real) is int and type(imag) is int:
+                values[exps] = (real, imag)
+                continue
+            exact = False
+            values = {key: (re, 1, im, 1) for key, (re, im) in values.items()}
+        values[exps] = _parts(real, imag)
     build = Monomial._build
+    if exact:
+        # integer numerators over 1 share no factor with it, so only the zeros go
+        return HoloPoly._canonical(n, 1, {build(exps): cell for exps, cell in values.items() if cell[0] or cell[1]})
+    q, cells = _common_den(values)
     return HoloPoly._build(n, q, {build(exps): cell for exps, cell in cells.items()})
 
 
@@ -242,30 +261,53 @@ def parse_form_document(doc) -> HermitianForm:
     ints = (int,) * n
     if not all(_is_exponent_list(exp, ints) for exp in raw_basis):
         raise DocumentError("basis entries must be lists of n non-negative integers")
-    basis = [Monomial._build(tuple(exp)) for exp in raw_basis]
+    exponents = [tuple(exp) for exp in raw_basis]
+    basis = [Monomial._build(exps) for exps in exponents]
+    size = len(basis)
+    # each entry's place in grlex order; a cell is keyed by the places of its row and column
+    order = sorted(range(size), key=[mon._grlex for mon in basis].__getitem__)
+    place = [0] * size
+    for k, i in enumerate(order):
+        place[i] = k
     raw_gram = doc.get("gram")
     if not isinstance(raw_gram, list) or any(not isinstance(r, list) for r in raw_gram):
         raise DocumentError("gram must be a list of rows")
-    values = {}  # (a, b, c, d) for a/b + (c/d)*i of each nonzero cell, keyed by (i, j)
-    # every literal is read first, so a bad literal is reported before a bad shape
-    for i, row in enumerate(raw_gram):
-        for j, cell in enumerate(row):
+    # a row or column past the basis keeps its own index, so its literals are
+    # read, and a bad one reported, before the shape is refused
+    place += range(size, max([len(raw_gram), *map(len, raw_gram)]))
+    # each nonzero cell: (re, im) while every literal is an int, then (a, b, c, d)
+    # for a/b + (c/d)*i from the first literal that is not
+    values = {}
+    exact = True
+    for at, row in zip(place, raw_gram):
+        for col, cell in zip(place, row):
             if isinstance(cell, dict):
                 if not cell.keys() <= _SCALAR_KEYS:
                     _check_keys(cell, _SCALAR_KEYS, "scalar")
                 real, imag = cell.get("re", 0), cell.get("im", 0)
             else:
                 real, imag = cell, 0  # a bare value is the real part
+            if exact:
+                if type(real) is int and type(imag) is int:
+                    if real or imag:
+                        values[at, col] = (real, imag)
+                    continue
+                exact = False
+                values = {key: (re, 1, im, 1) for key, (re, im) in values.items()}
             a, b, c, d = _parts(real, imag)
             if a or c:
-                values[i, j] = (a, b, c, d)
+                values[at, col] = (a, b, c, d)
+    if len(set(exponents)) != size:
+        raise DocumentError("basis monomials must be distinct")
+    if len(raw_gram) != size or any(len(row) != size for row in raw_gram):
+        raise DocumentError("gram matrix shape does not match the basis")
+    q, cells = (1, values) if exact else _common_den(values)
     try:
-        _check_square(basis, raw_gram)
-        q, cells = _common_den(values)
         _check_hermitian(cells)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
-    return HermitianForm._build(n, basis, q, cells)
+    # the cells are keyed in grlex order already: settling keeps their keys unless a row is zero
+    return HermitianForm._build(n, [basis[i] for i in order], q, cells)
 
 
 def serialize_form_document(a: HermitianForm) -> dict:

@@ -13,9 +13,10 @@ number of components off one exact square extraction of the whole form.
 ``verify_identity`` replays the identity exactly and without a certificate.
 With a = 1, the case ``solve_h`` answers, the cells of 1 + ||h||^2 are
 compared with the canonical left side by cross-multiplying the
-denominators, not reduced to lowest terms first; with a > 1, and whenever
-that comparison fails, both sides are canonical forms and equality is
-structural.
+denominators, not reduced to lowest terms first.  With a > 1, and whenever
+that comparison fails, the cells of the two sides are subtracted over the
+lcm of their denominators, keyed by monomial pair, and the nonzero ones
+listed; no sum of forms is built.
 
 The left side is built one way, by ``_left_side``, for ``solve_h`` and
 ``identity_mismatch``: (1 + ||z||^2)^b is a positive diagonal, so the
@@ -43,9 +44,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from operator import add, sub
-from typing import Dict, List, Optional, Tuple
 
 from .bounds import _power_sum, _require_positive
 from .polyalg import (
@@ -56,6 +56,7 @@ from .polyalg import (
     Monomial,
     _add_cells,
     _as_fraction,
+    _gaussian,
     _is_int_at_least,
     _largest_exponent,
     _mul_cells,
@@ -121,7 +122,7 @@ def _unit_diagonal(n: int) -> HermitianForm:
     return HermitianForm._build(n, mons, 1, {(k, k): (1, 0) for k in range(n)})
 
 
-def _left_side(f: HoloMap, b: int, c: int, block_max: Optional[int] = None) -> HermitianForm:
+def _left_side(f: HoloMap, b: int, c: int, block_max: int | None = None) -> HermitianForm:
     """(1 + ||z||^2)^b R with R = (1 + ||f||^2)^c, expanded from the cells
     ``_norm_cells(_with_one(f))`` of 1 + ||f||^2; R is those cells
     themselves when c = 1.
@@ -145,14 +146,14 @@ def _left_side(f: HoloMap, b: int, c: int, block_max: Optional[int] = None) -> H
         base, den, cells = power.basis, power.den, power.cells
     exponents = [mon.exponents for mon in base]
     alphas = [tuple(map(sub, q, (0, *q))) for q in combinations_with_replacement(range(b + 1), n)]
-    position: Dict[Tuple[int, ...], int] = {}
+    position: dict[tuple[int, ...], int] = {}
     at = position.setdefault
     # the product's basis index of each shifted monomial, len(exponents) of them per alpha
     moves = [at(tuple(map(add, exps, alpha)), len(position)) for alpha in alphas for exps in exponents]
     size = len(position) - 1
     if block_max is not None and size > block_max:
         raise ValueError(f"solving for h would eliminate a block of {size} basis monomials; the limit is {block_max}")
-    acc: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    acc: dict[tuple[int, int], tuple[int, int]] = {}
     b_factorial, m = factorial(b), len(exponents)
     for k, alpha in enumerate(alphas):
         mult = b_factorial // factorial(b - sum(alpha))
@@ -162,7 +163,7 @@ def _left_side(f: HoloMap, b: int, c: int, block_max: Optional[int] = None) -> H
     return HermitianForm._build(n, [Monomial._build(exps) for exps in position], den, acc)
 
 
-def solve_h(f: HoloMap, b: int, c: int, block_max: Optional[int] = None) -> HoloMap:
+def solve_h(f: HoloMap, b: int, c: int, block_max: int | None = None) -> HoloMap:
     """A minimal map h with 1 + ||h||^2 == (1 + ||z||^2)^b (1 + ||f||^2)^c.
 
     Requires f normalized (f(0) = 0) and minimal.  The left side is 1 plus
@@ -187,14 +188,14 @@ def verify_identity(f: HoloMap, h: HoloMap, a: int, b: int, c: int) -> bool:
     return not identity_mismatch(f, h, a, b, c)
 
 
-def identity_mismatch(f: HoloMap, h: HoloMap, a: int, b: int, c: int) -> List[Tuple[Monomial, Monomial, GaussianRational]]:
+def identity_mismatch(f: HoloMap, h: HoloMap, a: int, b: int, c: int) -> list[tuple[Monomial, Monomial, GaussianRational]]:
     """Nonzero entries of left minus right, for diagnostics; empty iff the identity holds.
 
-    With a = 1 the right side 1 + ||h||^2 is not brought to lowest terms
-    first: its unreduced cells are compared with the canonical left side by
-    ``_equals_unreduced``, and only when that finds a difference is the
-    canonical right side built from them, which decides through ``==`` and
-    lists the mismatch.  With a > 1 both sides are canonical forms.
+    With a = 1 the right side 1 + ||h||^2 is not brought to lowest terms:
+    its unreduced cells are compared with the canonical left side by
+    ``_equals_unreduced``, and only when that finds a difference are they
+    listed against it by ``_difference``.  With a > 1 the right side is the
+    canonical form (1 + ||h||^2)^a, and ``_difference`` decides.
     """
     _check_identity(f, a, b, c)
     _check_normalized(h)
@@ -205,13 +206,30 @@ def identity_mismatch(f: HoloMap, h: HoloMap, a: int, b: int, c: int) -> List[Tu
         support, den, cells = _norm_cells(_with_one(h))
         if _equals_unreduced(left, support, den, cells):
             return []
-        right = HermitianForm._build(h.n, support, den, cells)
-    else:
-        right = one_plus_norm(h) ** a
-    return [] if left == right else list((left + -right).entries())
+        return _difference(left, support, den, cells)
+    right = one_plus_norm(h) ** a
+    return _difference(left, right.basis, right.den, right.cells)
 
 
-def _equals_unreduced(form: HermitianForm, support: List[Monomial], den: int, cells) -> bool:
+def _difference(left: HermitianForm, support, den: int, cells) -> list[tuple[Monomial, Monomial, GaussianRational]]:
+    """The nonzero entries of left minus the Gaussian-integer cells over support
+    at den, as (row, column, value) in row-major grlex order: the entries of
+    ``(left + -right).entries()`` for the form right of those cells.  Both
+    sides are added over the lcm of the denominators, keyed by monomial pair,
+    and no form is built."""
+    common = lcm(left.den, den)
+    acc: dict[tuple[Monomial, Monomial], tuple[int, int]] = {}
+    for basis, part_den, part, sign in ((left.basis, left.den, left.cells, 1), (support, den, cells, -1)):
+        scale = sign * (common // part_den)
+        for (i, j), (re, im) in part.items():
+            key = (basis[i], basis[j])
+            old_re, old_im = acc.get(key, (0, 0))
+            acc[key] = (old_re + scale * re, old_im + scale * im)
+    pairs = sorted((key for key, (re, im) in acc.items() if re or im), key=lambda pair: (pair[0]._grlex, pair[1]._grlex))
+    return [(ma, mb, _gaussian(*acc[ma, mb], common)) for ma, mb in pairs]
+
+
+def _equals_unreduced(form: HermitianForm, support: list[Monomial], den: int, cells) -> bool:
     """Whether the nonzero Hermitian cells over support at den are those of
     form, without reducing them: the support must be form's basis, and every
     cell (re, im) must cross-multiply to form's, form.den * (re, im) ==
@@ -262,7 +280,7 @@ def tensor_power_rank(f: HoloMap, c: int) -> int:
     return e
 
 
-def divide_by_norm(s: HermitianForm) -> Optional[HermitianForm]:
+def divide_by_norm(s: HermitianForm) -> HermitianForm | None:
     """Exact quotient s / ||z||^2 as a Hermitian form, or None.
 
     s must be bihomogeneous (every basis monomial of one common degree).
@@ -277,11 +295,11 @@ def divide_by_norm(s: HermitianForm) -> Optional[HermitianForm]:
     if len(degs) != 1:
         raise ValueError("form must be bihomogeneous")
     n, basis, d = s.n, s.basis, degs.pop()
-    blocks: Dict[Tuple[int, ...], dict] = {}
+    blocks: dict[tuple[int, ...], dict] = {}
     for (i, j), cell in s.cells.items():
         a = basis[i].exponents
         blocks.setdefault(tuple(map(sub, a, basis[j].exponents)), {})[a] = cell
-    index: Dict[Tuple[int, ...], int] = {}
+    index: dict[tuple[int, ...], int] = {}
     cells = {}
     for diff, block in blocks.items():
         quotient = _divide_by_sum(block, n, d)
@@ -296,7 +314,7 @@ def divide_by_norm(s: HermitianForm) -> Optional[HermitianForm]:
     return r if _unit_diagonal(n) * r == s else None
 
 
-def _divide_by_sum(p: dict, n: int, d: int) -> Optional[dict]:
+def _divide_by_sum(p: dict, n: int, d: int) -> dict | None:
     """p / (x_0 + ... + x_{n-1}), p mapping degree-d exponents to Gaussian integers, or None.
 
     Division in lex order with x_0 first: the largest remaining term c x^a

@@ -17,9 +17,10 @@ a bool (``_is_int_at_least``); an exact scalar is an int, a ``Fraction`` or
 a ``GaussianRational``, never a float or a bool, and ``GaussianRational``
 also reads a string; a string literal is read by ``_parse_rational``, the
 one reader, which the JSON readers and ``example1 --lambda`` call too;
-scalars become cells over one denominator through ``_common_den``; a dense
-Gram matrix is checked square over distinct monomials by ``_check_square``,
-for a form document too; and a form's Gram entries are checked by
+rational parts become cells over one denominator through ``_common_den``
+(the JSON readers keep an all-int document's cells as they read them); the
+dense constructor checks its Gram matrix square over distinct monomials by
+``_check_square``; and a form's Gram entries are checked by
 ``_checked_cells``.
 
 The objects:
@@ -48,12 +49,12 @@ mathematical equality.  The cells of a form are not kept in order:
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from itertools import combinations_with_replacement, repeat
 from math import gcd, lcm
 from operator import add, attrgetter, mul, neg
 from types import MappingProxyType
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 
 # an underscore between two digits, the one place Fraction accepts it from Python 3.11
@@ -63,7 +64,7 @@ _DIGIT_SEPARATOR = re.compile(r"(?<=\d)_(?=\d)")
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _parse_rational(text: str) -> Tuple[int, int]:
+def _parse_rational(text: str) -> tuple[int, int]:
     """``Fraction(text)`` as Python 3.11 reads it, as (numerator, denominator > 0),
     refusing a decimal exponent above 4300 in magnitude.
 
@@ -219,7 +220,7 @@ def _coerce(value):
     return None
 
 
-def _exact_point(point: Sequence, n: int) -> List[GaussianRational]:
+def _exact_point(point: Sequence, n: int) -> list[GaussianRational]:
     """The n coordinates of a point at which to evaluate, as Gaussian rationals;
     a coordinate that is not an exact scalar is refused by type."""
     if len(point) != n:
@@ -238,7 +239,7 @@ GR_ONE = GaussianRational(1)
 GR_I = GaussianRational(0, 1)
 
 
-def _scalar(value) -> Tuple[int, int, int, int] | None:
+def _scalar(value) -> tuple[int, int, int, int] | None:
     """An exact scalar's parts re = a/b, im = c/d as (a, b, c, d), or None."""
     if type(value) is int:
         return value, 1, 0, 1
@@ -248,11 +249,12 @@ def _scalar(value) -> Tuple[int, int, int, int] | None:
     return value.re.numerator, value.re.denominator, value.im.numerator, value.im.denominator
 
 
-def _common_den(values: Mapping) -> Tuple[int, dict]:
+def _common_den(values: Mapping) -> tuple[int, dict]:
     """The least common denominator q of (a, b, c, d) values, each a/b + (c/d)*i
     with b, d > 0, and each key's Gaussian-integer numerators (re, im) over q.
-    The one route from scalars to cells.  Only the distinct denominators other
-    than 1 are collected, and values with integer parts are not scaled."""
+    The constructors' route from scalars to cells, and the JSON readers' once
+    a literal is not an int.  Only the distinct denominators other than 1 are
+    collected, and values with integer parts are not scaled."""
     dens = set()
     for _, b, _, d in values.values():
         dens.add(b)
@@ -264,7 +266,7 @@ def _common_den(values: Mapping) -> Tuple[int, dict]:
     return q, {key: (a * (q // b), c * (q // d)) for key, (a, b, c, d) in values.items()}
 
 
-def _lowest_terms(den: int, cells: dict) -> Tuple[int, dict]:
+def _lowest_terms(den: int, cells: dict) -> tuple[int, dict]:
     """den and the nonzero Gaussian-integer cells over it, with their common
     content divided out."""
     cells = {key: cell for key, cell in cells.items() if cell[0] or cell[1]}
@@ -328,7 +330,7 @@ def _mul_cells(a, b):
 # and 400 in 6 (tracemalloc, CPython 3.11), so a full table about 1.5 MB.
 MONOMIAL_TABLE_MAX = 4096
 
-_MONOMIALS: Dict[Tuple[int, ...], "Monomial"] = {}
+_MONOMIALS: dict[tuple[int, ...], "Monomial"] = {}
 
 
 class Monomial:
@@ -355,7 +357,7 @@ class Monomial:
         return cls._new(exps)
 
     @classmethod
-    def _build(cls, exps: Tuple[int, ...]) -> "Monomial":
+    def _build(cls, exps: tuple[int, ...]) -> "Monomial":
         """The table's monomial for a tuple of non-negative ints, unvalidated."""
         mon = _MONOMIALS.get(exps)
         if mon is None:
@@ -365,7 +367,7 @@ class Monomial:
         return mon
 
     @classmethod
-    def _new(cls, exps: Tuple[int, ...]) -> "Monomial":
+    def _new(cls, exps: tuple[int, ...]) -> "Monomial":
         """A new monomial from a tuple of non-negative ints, unvalidated."""
         mon = object.__new__(cls)
         degree = sum(exps)
@@ -408,7 +410,7 @@ class Monomial:
     def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
         return self._evaluate(_exact_point(point, self.n))
 
-    def _evaluate(self, point: List[GaussianRational]) -> GaussianRational:
+    def _evaluate(self, point: list[GaussianRational]) -> GaussianRational:
         """The value at a point ``_exact_point`` has already converted."""
         out = GR_ONE
         for value, exp in zip(point, self.exponents):
@@ -438,7 +440,7 @@ class Monomial:
 grlex_key = attrgetter("_grlex")
 
 
-def monomials_of_degree(n: int, d: int) -> List[Monomial]:
+def monomials_of_degree(n: int, d: int) -> list[Monomial]:
     """All monomials in n variables of total degree exactly d, grlex-ordered."""
     if not _is_int_at_least(n, 1):
         raise ValueError("need at least one variable")
@@ -450,11 +452,11 @@ def monomials_of_degree(n: int, d: int) -> List[Monomial]:
     return [Monomial(map(idx.count, variables)) for idx in combinations_with_replacement(variables, d)]
 
 
-def monomials_up_to_degree(n: int, d: int) -> List[Monomial]:
+def monomials_up_to_degree(n: int, d: int) -> list[Monomial]:
     """All monomials in n variables of total degree at most d, grlex-ordered."""
     if not _is_int_at_least(d, 0):
         raise ValueError("degree must be non-negative")
-    out: List[Monomial] = []
+    out: list[Monomial] = []
     for k in range(d + 1):
         out.extend(monomials_of_degree(n, k))
     return out
@@ -554,7 +556,7 @@ class HoloPoly:
     def vanishes_at_zero(self) -> bool:
         return Monomial._build((0,) * self.n) not in self.cells
 
-    def term_texts(self) -> List[Tuple[Monomial, str, str]]:
+    def term_texts(self) -> list[tuple[Monomial, str, str]]:
         """(monomial, real part, imaginary part) in grlex order, each part in
         lowest terms as ``str(Fraction)`` writes it.  Rendered on the first
         call and kept, so printing and writing a polynomial render it once;
@@ -579,7 +581,7 @@ class HoloPoly:
             return NotImplemented
         self._check_same_n(other)
         den = lcm(self.den, other.den)
-        acc: Dict[Monomial, Tuple[int, int]] = {}
+        acc: dict[Monomial, tuple[int, int]] = {}
         for poly in (self, other):
             scale = den // poly.den
             for mon, (re, im) in poly.cells.items():
@@ -625,7 +627,7 @@ class HoloPoly:
     def evaluate(self, point: Sequence[GaussianRational]) -> GaussianRational:
         return self._evaluate(_exact_point(point, self.n))
 
-    def _evaluate(self, point: List[GaussianRational]) -> GaussianRational:
+    def _evaluate(self, point: list[GaussianRational]) -> GaussianRational:
         """The value at a point ``_exact_point`` has already converted."""
         out = GR_ZERO
         for mon, coeff in self.terms.items():
@@ -708,7 +710,7 @@ class HoloMap:
         self.weights = weights
 
     @classmethod
-    def _build(cls, n: int, components: Tuple[HoloPoly, ...], weights=None) -> "HoloMap":
+    def _build(cls, n: int, components: tuple[HoloPoly, ...], weights=None) -> "HoloMap":
         """A map from a tuple of n-variable polynomials and None or a tuple of
         positive Fractions, one per polynomial, unvalidated."""
         f = object.__new__(cls)
@@ -725,7 +727,7 @@ class HoloMap:
     def __len__(self) -> int:
         return len(self.components)
 
-    def weighted_components(self) -> Iterator[Tuple[Fraction, HoloPoly]]:
+    def weighted_components(self) -> Iterator[tuple[Fraction, HoloPoly]]:
         """(weight, polynomial) pairs; a plain map weights every component by
         one shared Fraction(1).  The squared norm is sum_k weight_k * |poly_k|^2."""
         weights = self.weights
@@ -739,7 +741,7 @@ class HoloMap:
     def max_degree(self) -> int:
         return max((mon.degree for comp in self.components for mon in comp.cells), default=0)
 
-    def evaluate(self, point: Sequence[GaussianRational]) -> List[GaussianRational]:
+    def evaluate(self, point: Sequence[GaussianRational]) -> list[GaussianRational]:
         """The values of the components, without their weights."""
         point = _exact_point(point, self.n)
         return [comp._evaluate(point) for comp in self.components]
@@ -786,7 +788,7 @@ def substitute_powers(f: HoloMap, exponents: Sequence[int]) -> HoloMap:
     _check_exponent_vector(exponents, f.n)
     comps = []
     for comp in f.components:
-        acc: Dict[Monomial, Tuple[int, int]] = {}
+        acc: dict[Monomial, tuple[int, int]] = {}
         for mon, (re, im) in comp.cells.items():
             image = Monomial._build((sum(a * e for a, e in zip(exponents, mon.exponents)),))
             x, y = acc.get(image, (0, 0))
@@ -800,7 +802,7 @@ def substitute_powers(f: HoloMap, exponents: Sequence[int]) -> HoloMap:
 # ---------------------------------------------------------------------------
 
 
-def _checked_cells(n: int, mons: Sequence, raw: Iterable) -> Tuple[int, dict]:
+def _checked_cells(n: int, mons: Sequence, raw: Iterable) -> tuple[int, dict]:
     """The denominator and nonzero Gaussian-integer cells of the Gram entries
     ((i, j), value) in raw over the basis mons, after the checks the form
     constructors share, in this order: every basis entry is a Monomial of n
@@ -822,10 +824,12 @@ def _checked_cells(n: int, mons: Sequence, raw: Iterable) -> Tuple[int, dict]:
     return den, cells
 
 
-def _check_square(basis: Iterable, gram: Iterable[Iterable]) -> Tuple[list, list]:
+def _check_square(basis: Iterable, gram: Iterable[Iterable]) -> tuple[list, list]:
     """The basis and the rows of a dense Gram matrix as lists, refused unless
     the basis, the gram and each row are iterable, the basis monomials are
-    distinct and the rows make a square over them, checked in that order."""
+    distinct and the rows make a square over them, checked in that order.
+    The dense constructor's check; the form reader makes the last two on the
+    lists it has read, with the same messages."""
     if not isinstance(basis, Iterable):
         raise TypeError("basis must be a sequence of monomials")
     if not isinstance(gram, Iterable):
@@ -842,7 +846,7 @@ def _check_square(basis: Iterable, gram: Iterable[Iterable]) -> Tuple[list, list
     return mons, rows
 
 
-def _check_hermitian(cells: Mapping[Tuple[int, int], Tuple[int, int]]) -> None:
+def _check_hermitian(cells: Mapping[tuple[int, int], tuple[int, int]]) -> None:
     """Refuse Gaussian-integer cells over one denominator unless cell (j, i)
     is the conjugate of cell (i, j) for every nonzero cell."""
     for (i, j), (re, im) in cells.items():
@@ -918,14 +922,14 @@ class HermitianForm:
 
     @classmethod
     def from_entries(
-        cls, n: int, entries: Mapping[Tuple[Monomial, Monomial], object]
+        cls, n: int, entries: Mapping[tuple[Monomial, Monomial], object]
     ) -> "HermitianForm":
         """A form from its coefficients keyed by (row, column) monomial.
 
         Pairs that are absent are zero.
         """
         _check_variable_count(n)
-        index: Dict[Monomial, int] = {}  # each monomial's basis index, in order of first use
+        index: dict[Monomial, int] = {}  # each monomial's basis index, in order of first use
         at = index.setdefault
         raw = [((at(ma, len(index)), at(mb, len(index))), entry) for (ma, mb), entry in entries.items()]
         mons = list(index)
@@ -947,7 +951,7 @@ class HermitianForm:
         return len(self.basis)
 
     @property
-    def gram(self) -> Tuple[Tuple[GaussianRational, ...], ...]:
+    def gram(self) -> tuple[tuple[GaussianRational, ...], ...]:
         """The dense Gram matrix over ``basis``, built once and read-only."""
         if self._gram is None:
             rows = [[GR_ZERO] * self.size for _ in self.basis]
@@ -956,7 +960,7 @@ class HermitianForm:
             self._gram = tuple(tuple(row) for row in rows)
         return self._gram
 
-    def entries(self) -> Iterator[Tuple[Monomial, Monomial, GaussianRational]]:
+    def entries(self) -> Iterator[tuple[Monomial, Monomial, GaussianRational]]:
         """Iterate the nonzero coefficients as (row monomial, column monomial, value).
 
         The order is row-major in the grlex order of the basis.
@@ -992,7 +996,7 @@ class HermitianForm:
         den = lcm(self.den, other.den)
         position = dict(self._index)
         move = [position.setdefault(mon, len(position)) for mon in other.basis]
-        acc: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        acc: dict[tuple[int, int], tuple[int, int]] = {}
         _add_cells(acc, self.cells, range(self.size), den // self.den)
         _add_cells(acc, other.cells, move, den // other.den)
         return self._build(self.n, list(position), den, acc)
@@ -1013,8 +1017,8 @@ class HermitianForm:
             raise ValueError("variable count mismatch")
         # product[i][k] indexes basis_A[i] * basis_B[k] among the distinct
         # product monomials, each built once
-        position: Dict[Tuple[int, ...], int] = {}
-        mons: List[Monomial] = []
+        position: dict[tuple[int, ...], int] = {}
+        mons: list[Monomial] = []
         product = []
         for ma in self.basis:
             row = []
@@ -1027,7 +1031,7 @@ class HermitianForm:
                 row.append(k)
             product.append(row)
         right = [(k, t, b_re, b_im) for (k, t), (b_re, b_im) in other.cells.items()]
-        acc: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        acc: dict[tuple[int, int], tuple[int, int]] = {}
         for (i, j), (a_re, a_im) in self.cells.items():
             row_i, row_j = product[i], product[j]
             for k, t, b_re, b_im in right:
@@ -1074,7 +1078,7 @@ class HermitianForm:
         return f"HermitianForm(n={self.n}, size={self.size})"
 
 
-def _outer_sum(size: int, columns) -> Dict[Tuple[int, int], Tuple[int, int]]:
+def _outer_sum(size: int, columns) -> dict[tuple[int, int], tuple[int, int]]:
     """The nonzero Hermitian cells of sum s * c c^H over the (s, c) in ``columns``.
 
     Each s is an integer and each c a sparse Gaussian-integer vector, a list of
@@ -1122,7 +1126,7 @@ def norm_form(f: HoloMap) -> HermitianForm:
     return HermitianForm._build(f.n, *_norm_cells(f))
 
 
-def _norm_cells(f: HoloMap) -> Tuple[List[Monomial], int, Dict[Tuple[int, int], Tuple[int, int]]]:
+def _norm_cells(f: HoloMap) -> tuple[list[Monomial], int, dict[tuple[int, int], tuple[int, int]]]:
     """The grlex-sorted support of f, a denominator and the nonzero Hermitian
     Gaussian-integer cells of ``norm_form(f)`` over them, not in lowest terms.
     Every monomial of the support has a nonzero row, as the weights are

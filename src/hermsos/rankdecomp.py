@@ -38,8 +38,9 @@ denominator, each reduced by one gcd pass.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .polyalg import (
     GR_ONE,
@@ -61,21 +62,22 @@ class NotSOSError(ValueError):
     basis monomial of the form, with v^H G v < 0 for the Gram matrix G.
     """
 
-    def __init__(self, message: str, witness: Optional[Tuple[GaussianRational, ...]] = None):
+    def __init__(self, message: str, witness: tuple[GaussianRational, ...] | None = None):
         super().__init__(message)
         self.witness = witness
 
 
-class Inertia(NamedTuple):
-    pos: int
-    neg: int
+class Inertia(namedtuple("Inertia", "pos neg")):
+    """The counts of positive and negative eigenvalues of a Hermitian form."""
+
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
         return self.pos + self.neg
 
 
-def _ldlh(size: int, den: int, cells: Mapping[Tuple[int, int], Tuple[int, int]]):
+def _ldlh(size: int, den: int, cells: Mapping[tuple[int, int], tuple[int, int]]):
     """Fraction-free LDL^H of a Hermitian matrix, one basis index at a time.
 
     ``cells`` maps index pairs (i, j) below ``size`` to the Gaussian-integer
@@ -126,7 +128,7 @@ def _ldlh(size: int, den: int, cells: Mapping[Tuple[int, int], Tuple[int, int]])
             if i != j:
                 root[max(i, j)] = min(i, j)
     # each block's indices in basis order, and each index's place in its block
-    members: Dict[int, List[int]] = {}
+    members: dict[int, list[int]] = {}
     place = []
     for k in range(size):
         root[k] = root[root[k]]  # the parent is a smaller index, already final
@@ -270,8 +272,8 @@ def extract_sos(form: HermitianForm) -> HoloMap:
     empty column, as every one-index block has, gives the component 1 * z^a
     over den 1 directly, the canonical form of pivot * z^a over the pivot.
     """
-    polys: List[HoloPoly] = []
-    weights: List[Fraction] = []
+    polys: list[HoloPoly] = []
+    weights: list[Fraction] = []
     steps = []  # (index, pivot, column) of each nonzero pivot so far
     for k, pivot, scale, column in _ldlh(form.size, form.den, form.cells):
         if not pivot:
@@ -299,7 +301,7 @@ def extract_sos(form: HermitianForm) -> HoloMap:
     return HoloMap._build(form.n, tuple(polys), tuple(weights))
 
 
-def _lift(size: int, steps, u: Dict[int, GaussianRational]) -> Tuple[GaussianRational, ...]:
+def _lift(size: int, steps, u: dict[int, GaussianRational]) -> tuple[GaussianRational, ...]:
     """v = L^{-H} u, for u supported past the eliminated indices.
 
     After the steps, G = L diag(D, S) L^H with S the Schur complement of the
@@ -373,7 +375,7 @@ def _rank(vectors: Sequence[Mapping]) -> int:
     if rank == min(len(vectors), len(keys)):
         return rank
     if len(keys) < len(vectors):
-        columns: Dict[object, Dict[int, Tuple[int, int]]] = {}
+        columns: dict[object, dict[int, tuple[int, int]]] = {}
         for a, vector in enumerate(vectors):
             for key, cell in vector.items():
                 columns.setdefault(key, {})[a] = cell
@@ -381,7 +383,7 @@ def _rank(vectors: Sequence[Mapping]) -> int:
     return len(_gram_pivots(vectors))
 
 
-def _independent(vectors: Sequence[Mapping]) -> List[int]:
+def _independent(vectors: Sequence[Mapping]) -> list[int]:
     """The indices of the sparse Gaussian-integer vectors not in the span of the
     earlier ones: all of them if their rank mod p is their count, else exactly."""
     if _rank_mod_p(vectors) == len(vectors):
@@ -389,7 +391,7 @@ def _independent(vectors: Sequence[Mapping]) -> List[int]:
     return _gram_pivots(vectors)
 
 
-def _gram_pivots(vectors: Sequence[Mapping]) -> List[int]:
+def _gram_pivots(vectors: Sequence[Mapping]) -> list[int]:
     """The exact fallback of ``_independent`` and ``_rank``: the nonzero pivots
     of the Gram matrix G[a][b] = <v_a, v_b>.
 
@@ -398,7 +400,7 @@ def _gram_pivots(vectors: Sequence[Mapping]) -> List[int]:
     1; G is positive semidefinite with the rank of R, and its k-th pivot is
     nonzero iff v_k is not in the span of the earlier vectors.
     """
-    columns: Dict[object, List[Tuple[int, int, int]]] = {}
+    columns: dict[object, list[tuple[int, int, int]]] = {}
     for a, vector in enumerate(vectors):
         for key, (x, y) in vector.items():
             columns.setdefault(key, []).append((a, x, y))
@@ -406,7 +408,7 @@ def _gram_pivots(vectors: Sequence[Mapping]) -> List[int]:
     return [k for k, pivot, _, _ in _ldlh(len(vectors), 1, gram) if pivot]
 
 
-def reduce_minimal(f: HoloMap) -> Tuple[HoloMap, int]:
+def reduce_minimal(f: HoloMap) -> tuple[HoloMap, int]:
     """The components of f not in the span of the earlier ones, and their count.
 
     The result is an ordered sub-map of f spanning the same space with
@@ -430,7 +432,7 @@ def grams_equal(f: HoloMap, g: HoloMap) -> bool:
     return norm_form(f) == norm_form(g)
 
 
-def affine_split(form: HermitianForm) -> Optional[HoloMap]:
+def affine_split(form: HermitianForm) -> HoloMap | None:
     """The map h with h(0) = 0 and the fewest components such that
     form == 1 + ||h||^2, or None.
 

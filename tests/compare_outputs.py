@@ -15,10 +15,11 @@ every job's calls through ``hermsos.cli.main`` in a fresh temporary
 directory, and prints one digest per job of its exit codes, stdout, stderr
 (with the directory masked) and the files it wrote.  Every job succeeds, so
 the command lines of ``ARGV``, the usage output, help and refusals of the
-CLI, are run as well, on the golden documents of this checkout, and their
-exit codes, stdout and stderr compared the same way.  The script prints one
-line per job or command line that differs, naming the parts that differ,
-then the two counts, and exits 1 if any differs, else 0.
+CLI and of the document readers, are run as well, on the golden documents
+of this checkout, and their exit codes, stdout and stderr compared the
+same way.  The script prints one line per job or command line that
+differs, naming the parts that differ, then the two counts, and exits 1 if
+any differs, else 0.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ SEEDS = (1, 7)
 PARTS = ("exit", "stdout", "stderr", "files")
 ARGV_PARTS = PARTS[:3]
 COMMANDS = ("rank", "solve-h", "verify", "tensor-rank", "gaps", "bounds", "primes", "divide", "example1", "ensemble")
-# command lines that stop in the parser or before any work; "@name" is the
-# golden document of that name
+# command lines that stop in the parser or before any work, and the readers'
+# refusals and a form read out of grlex order; "@name" is the golden document
+# of that name
 ARGV = [
     [],
     ["--help"],
@@ -57,6 +59,17 @@ ARGV = [
     ["gaps", "--n", "2", "--", "3"],  # an argument after --
     ["bounds", "thm2.4", "--", "n=2", "p=1", "r=4"],
     ["example1", "--lambda", "-1/7"],
+    # the form reader's refusals, in the order it makes its checks
+    ["rank", "--input", "@form-bad-literal.json"],
+    ["divide", "--input", "@form-repeated-basis.json"],
+    ["rank", "--input", "@form-wrong-shape.json"],  # a row one cell too long
+    ["divide", "--input", "@form-not-hermitian.json"],
+    # a basis in no grlex order with a zero row, and rational and int cells
+    ["rank", "--input", "@form-unsorted-zero-row.json"],
+    ["divide", "--input", "@form-unsorted-zero-row.json"],
+    # the map reader's refusals
+    ["solve-h", "--input", "@map-duplicate-exponent.json"],
+    ["solve-h", "--input", "@map-float-literal.json"],
 ]
 
 

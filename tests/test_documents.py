@@ -317,3 +317,212 @@ def test_random_map_refuses_more_components_than_monomials():
         random_map(random.Random(1), 2, 6, 2)
     with pytest.raises(ValueError):
         random_map(random.Random(1), 1, 2, 1)
+
+
+# Seeded reader oracles: random documents against the public constructors, and
+# mutated documents against the message of the first check that fails.
+
+
+def literal(rng, value: Fraction):
+    """A JSON literal for value: a bare int when it is one, or a string
+    "p", "-p" or "p/q", the last with a common factor sometimes left in."""
+    if value.denominator == 1 and rng.random() < 0.5:
+        return value.numerator
+    if value.denominator == 1 and rng.random() < 0.5:
+        return str(value.numerator)
+    k = rng.choice((1, 1, 3))
+    return f"{value.numerator * k}/{value.denominator * k}"
+
+
+def random_value(rng, ints: bool) -> GaussianRational:
+    """Zero, a real or a complex value, with integer parts when ints."""
+
+    def part():
+        return Fraction(rng.randint(-5, 5), 1 if ints else rng.choice((1, 2, 3, 7)))
+
+    kind = rng.randrange(3)
+    return GaussianRational(0) if kind == 0 else GaussianRational(part(), part() if kind == 2 else 0)
+
+
+def gram_cell(rng, value: GaussianRational, ints: bool):
+    """value as a gram cell: bare or {"re"} when it is real, else {"re", "im"}
+    or {"im"}; only bare ints and {"re": int, "im": int} objects when ints."""
+    if not value.im and rng.random() < 0.5:
+        return value.re.numerator if ints else literal(rng, value.re)
+    write = (lambda q: q.numerator) if ints else (lambda q: literal(rng, q))
+    cell = {"re": write(value.re), "im": write(value.im)}
+    if not ints and not value.im and rng.random() < 0.5:
+        del cell["im"]
+    elif not ints and not value.re and rng.random() < 0.5:
+        del cell["re"]
+    return cell
+
+
+def random_form_document(rng):
+    """A form document over a basis in random order with some all-zero rows,
+    and the form the dense constructor builds from the same values."""
+    n = rng.randint(1, 3)
+    pool = monomials_up_to_degree(n, 2)
+    size = rng.randint(2, min(6, len(pool)))
+    basis = rng.sample(pool, size)
+    zero_rows = set(rng.sample(range(size), rng.randint(0, size - 1)))
+    ints = rng.random() < 0.5
+    gram = [[GaussianRational(0)] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            if i not in zero_rows and j not in zero_rows:
+                value = random_value(rng, ints)
+                gram[i][j] = GaussianRational(value.re) if i == j else value
+                gram[j][i] = gram[i][j].conjugate()
+    doc = {
+        "n": n,
+        "basis": [list(mon.exponents) for mon in basis],
+        "gram": [[gram_cell(rng, value, ints) for value in row] for row in gram],
+    }
+    return doc, HermitianForm(n, basis, gram)
+
+
+def random_map_document(rng):
+    """A map document whose components are written with int literals, string
+    literals or both, some of them scaled, and the map the public
+    constructors build from the same values."""
+    n = rng.randint(1, 3)
+    pool = [mon for mon in monomials_up_to_degree(n, 3) if mon.degree]
+    scaled = rng.random() < 0.4
+    comps, polys, weights = [], [], []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("int", "string", "mixed"))
+        terms, coeffs = [], {}
+        for mon in rng.sample(pool, rng.randint(1, min(6, len(pool)))):
+            value = random_value(rng, kind == "int")
+            term = {"exp": list(mon.exponents)}
+            for key, part in (("re", value.re), ("im", value.im)):
+                if part or rng.random() < 0.5:
+                    strings = kind == "string" or (kind == "mixed" and rng.random() < 0.5)
+                    term[key] = literal(rng, part) if strings else part.numerator
+                    if not strings and part.denominator != 1:
+                        term[key] = f"{part.numerator}/{part.denominator}"
+            terms.append(term)
+            coeffs[mon] = value
+        polys.append(HoloPoly(n, coeffs))
+        weight = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        if scaled and rng.random() < 0.7:
+            comps.append({"scale": literal(rng, weight), "terms": terms})
+            weights.append(weight)
+        else:
+            comps.append(terms)
+            weights.append(Fraction(1))
+    weighted = scaled and any(isinstance(comp, dict) for comp in comps)
+    return {"n": n, "components": comps}, HoloMap(n, polys, weights if weighted else None)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_form_documents_parse_as_the_dense_constructor_reads_them(seed):
+    rng = random.Random(5100 + seed)
+    for _ in range(60):
+        doc, form = random_form_document(rng)
+        assert parse_form_document(doc) == form
+        assert parse_form_document(json.loads(json.dumps(doc))) == form
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_map_documents_parse_as_the_constructors_build_them(seed):
+    rng = random.Random(5200 + seed)
+    for _ in range(60):
+        doc, f = random_map_document(rng)
+        parsed = parse_map_document(doc)
+        assert parsed == f
+        assert parsed.weights == f.weights
+
+
+# the form reader's checks past the document's structure, in the order it makes them
+FORM_CHECKS = ("literal", "repeated", "shape", "hermitian")
+FORM_MESSAGES = {
+    "literal": "bad rational literal 'x/1'",
+    "repeated": "basis monomials must be distinct",
+    "shape": "gram matrix shape does not match the basis",
+    "hermitian": "gram matrix is not Hermitian",
+}
+
+
+def mutate_form(rng, doc, mutation: str):
+    """doc with one fault: a bad literal in a cell, a repeated basis entry, a
+    row one cell short or long, a broken Hermitian pair, or a bad literal in
+    a cell appended past the end of a row; the name of the check it fails."""
+    doc = json.loads(json.dumps(doc))
+    basis, gram = doc["basis"], doc["gram"]
+    size = len(basis)
+    i, j = rng.randrange(size), rng.randrange(size)
+    if mutation == "literal":
+        gram[i][rng.randrange(len(gram[i]))] = rng.choice(("x/1", {"re": "x/1"}, {"re": 1, "im": "x/1"}))
+        return doc, "literal"
+    if mutation == "repeated":
+        k = rng.choice([k for k in range(size) if k != i])
+        basis[k] = list(basis[i])
+        return doc, "repeated"
+    if mutation == "shape":
+        if rng.random() < 0.5:
+            gram[i].pop()
+        else:
+            gram[i].append(rng.choice((0, 1, {"re": "1/2"})))
+        return doc, "shape"
+    if mutation == "hermitian":
+        # a nonzero imaginary part on the diagonal, or one cell of an off-diagonal pair moved
+        j = i if rng.random() < 0.3 else rng.choice([k for k in range(size) if k != i])
+        gram[i][j] = {"re": "1/3", "im": 5} if i == j else {"re": 17, "im": "2/3"}
+        return doc, "hermitian"
+    gram[i].append("x/1")  # past the end of a too-long row, the literal is reported
+    return doc, "literal"
+
+
+@pytest.mark.parametrize("mutation", [*FORM_CHECKS, "literal-past-the-end"])
+def test_a_mutated_form_document_fails_its_check(mutation):
+    rng = random.Random(5300 + len(mutation))
+    for _ in range(40):
+        doc, _ = random_form_document(rng)
+        doc, check = mutate_form(rng, doc, mutation)
+        with pytest.raises(DocumentError) as info:
+            parse_form_document(doc)
+        assert str(info.value) == FORM_MESSAGES[check]
+
+
+def test_a_form_document_with_several_faults_fails_the_first_check():
+    rng = random.Random(5400)
+    # applied in this order, so no mutation overwrites or drops the cell of an earlier one
+    mutations = ["hermitian", "repeated", "shape", "literal", "literal-past-the-end"]
+    for _ in range(120):
+        doc, _ = random_form_document(rng)
+        checks = []
+        for mutation in sorted(rng.sample(mutations, rng.randint(2, 3)), key=mutations.index):
+            doc, check = mutate_form(rng, doc, mutation)
+            checks.append(check)
+        first = min(checks, key=FORM_CHECKS.index)
+        with pytest.raises(DocumentError) as info:
+            parse_form_document(doc)
+        assert str(info.value) == FORM_MESSAGES[first]
+
+
+@pytest.mark.parametrize("mutation,message", [
+    ("literal", "bad rational literal 'x/1'"),
+    ("float", 'floats are not accepted; use strings like "3/4"'),
+    ("repeated", None),
+])
+def test_a_mutated_map_document_fails_its_check(mutation, message):
+    rng = random.Random(5500 + len(mutation))
+    for _ in range(40):
+        doc, _ = random_map_document(rng)
+        comps = doc["components"]
+        k = rng.randrange(len(comps))
+        terms = comps[k]["terms"] if isinstance(comps[k], dict) else comps[k]
+        t = rng.randrange(len(terms))
+        if mutation == "repeated":
+            if len(terms) < 2:
+                continue
+            t = max(t, 1)
+            terms[t]["exp"] = list(terms[rng.randrange(t)]["exp"])
+            message = f"duplicate exponent {terms[t]['exp']} in one component"
+        else:
+            terms[t][rng.choice(("re", "im"))] = "x/1" if mutation == "literal" else 0.5
+        with pytest.raises(DocumentError) as info:
+            parse_map_document(doc)
+        assert str(info.value) == message

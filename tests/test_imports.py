@@ -1,6 +1,6 @@
 """The package imports only the standard library and its own modules,
-``bounds`` none of its own, and ``cli`` neither ``dataclasses`` nor
-``inspect``; no module but ``__init__`` imports a name it never uses."""
+``bounds`` none of its own, and ``cli`` none of ``dataclasses``,
+``inspect`` and ``typing``; no module but ``__init__`` imports a name it never uses."""
 
 import ast
 import os
@@ -42,7 +42,7 @@ def test_bounds_imports_no_module_of_the_package():
 def test_the_cli_imports_neither_dataclasses_nor_inspect():
     # each costs a one-shot process milliseconds of import time; -S keeps site's imports out
     env = dict(os.environ, PYTHONPATH=str(Path(hermsos.__file__).parent.parent))
-    code = "import sys, hermsos.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = "import sys, hermsos.cli; print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
 

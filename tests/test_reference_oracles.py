@@ -7,7 +7,9 @@ change of its variables keeps its ranks, the inertia of its modification
 form, the identity its h solves, and whether its squared norm is divisible
 by ||z||^2.  The check of the identity with a = 1, which compares the
 unreduced cells of 1 + ||h||^2 with the left side, is held to equality of
-the canonical forms on h and on small changes of it.
+the canonical forms on h and on small changes of it, and the listing of a
+failed identity, at a = 1 and a = 2, to the nonzero entries of the dense
+difference of the two sides' ``.gram``.
 
 The references in conftest run the textbook eliminations, the Gram sum,
 dense form products and sums, tensor products built one by one, and a
@@ -48,6 +50,7 @@ from hermsos import (
     extract_sos,
     grams_equal,
     grlex_key,
+    identity_mismatch,
     inertia,
     monomials_of_degree,
     monomials_up_to_degree,
@@ -671,6 +674,80 @@ def test_the_unreduced_identity_decision_scales_by_the_left_denominator():
         assert _left_side(f, b, c).den > 1
         decisions = identity_decisions(f, b, c, 0, mono(1, 0))
         assert decisions.count(True) == 1
+
+
+def reference_one_plus_norm(h) -> HermitianForm:
+    """1 + ||h||^2 by the reference Gram sum, with the constant 1 as one more component."""
+    one = HoloPoly.constant(h.n, 1)
+    weights = None if h.weights is None else [Fraction(1), *h.weights]
+    return reference_norm_form(HoloMap(h.n, [one, *h.components], weights))
+
+
+def reference_power(form: HermitianForm, k: int) -> HermitianForm:
+    out = form
+    for _ in range(k - 1):
+        out = reference_form_mul(out, form)
+    return out
+
+
+def dense_difference(left: HermitianForm, right: HermitianForm):
+    """The nonzero entries of left - right, read off the dense ``.gram`` of each
+    and summed in Gaussian rationals, row-major in grlex order."""
+    acc = {}
+    for form, sign in ((left, 1), (right, -1)):
+        for i, ma in enumerate(form.basis):
+            for j, mb in enumerate(form.basis):
+                acc[ma, mb] = acc.get((ma, mb), GaussianRational(0)) + sign * form.gram[i][j]
+    mons = sorted({mon for pair in acc for mon in pair}, key=grlex_key)
+    return [(ma, mb, acc[ma, mb]) for ma in mons for mb in mons if acc.get((ma, mb))]
+
+
+def reference_sides(f, h, a, b, c):
+    """(1 + ||z||^2)^b (1 + ||f||^2)^c and (1 + ||h||^2)^a by dense reference products."""
+    left = reference_form_mul(
+        reference_power(reference_one_plus_norm(HoloMap.variables(f.n)), b),
+        reference_power(reference_one_plus_norm(f), c),
+    )
+    return left, reference_power(reference_one_plus_norm(h), a)
+
+
+def identity_sides(f, h, a, b, c):
+    """The same two sides from the package: ``_left_side``, which the oracles
+    above hold to the reference products, and ``one_plus_norm(h) ** a``."""
+    return _left_side(f, b, c), one_plus_norm(h) ** a
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(minimal_maps(n_max=2), st.data())
+def test_a_failed_identity_lists_the_dense_difference(f, data):
+    a, b, c = data.draw(st.sampled_from([(1, 1, 1), (1, 2, 1), (1, 1, 2), (2, 1, 1)]))
+    # at a = 1 the variants of h fail; at a = 2 h and each variant fail, as the
+    # right side is the square of the left
+    h = solve_h(f, b, c)
+    i = data.draw(st.integers(0, len(h) - 1))
+    mon = data.draw(st.sampled_from(sorted(h.components[i].terms, key=grlex_key)))
+    for g in identity_variants(h, i, mon)[2 - a :]:
+        listing = identity_mismatch(f, g, a, b, c)
+        assert listing == dense_difference(*identity_sides(f, g, a, b, c))
+        assert (listing == []) == verify_identity(f, g, a, b, c)
+
+
+@pytest.mark.parametrize("a,b,c", [(1, 1, 1), (2, 1, 1)])
+def test_a_failed_identity_leaves_out_the_cells_that_cancel(a, b, c):
+    # both sides have the constant 1, and at a = 1 h moved by 1 in one coefficient
+    # keeps every cell off the rows and columns of that coefficient's monomial
+    f = HoloMap(2, [HoloPoly(2, {mono(1, 0): 1, mono(1, 1): GaussianRational(Fraction(1, 2), -1)}), HoloPoly.variable(2, 1)])
+    g = identity_variants(solve_h(f, 1, 1), 0, mono(1, 0))[1]
+    listing = identity_mismatch(f, g, a, b, c)
+    left, right = reference_sides(f, g, a, b, c)
+    assert listing and listing == dense_difference(left, right)
+    listed = {(ma, mb) for ma, mb, _ in listing}
+    both = {(ma, mb) for ma, mb, _ in left.entries()} & {(ma, mb) for ma, mb, _ in right.entries()}
+    one = Monomial((0, 0))
+    assert (one, one) in both - listed
+    if a == 1:
+        assert len(both - listed) > 1
+
 
 def compose_linear(f, v):
     """The map f(V z), each z_i replaced by the sum over j of V[i][j] z_j, by
