@@ -22,7 +22,8 @@ The left side is built one way, by ``_left_side``, for ``solve_h`` and
 ``identity_mismatch``: (1 + ||z||^2)^b is a positive diagonal, so the
 product is a sum of shifted copies of (1 + ||f||^2)^c, each scaled by a
 multinomial, added cell by cell over the shifted basis and settled once.
-That basis, built first, is the count ``solve_h`` refuses a large block on.
+``solve_h`` refuses a large block on a closed lower bound of that basis
+before anything is built, and else on the basis itself, built first.
 
 The data (f, a, b, c) of an identity is passed as plain arguments.
 ``solve_h`` (with a = 1) and ``identity_mismatch`` check it on entry, in
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from operator import add, sub
 
 from .bounds import _power_sum, _require_positive
@@ -137,8 +138,24 @@ def _left_side(f: HoloMap, b: int, c: int, block_max: int | None = None) -> Herm
     without the constant) of more than block_max monomials raises ValueError
     before any cell is added.  Each alpha is read off a non-decreasing
     q in [0, b]^n as the successive differences of (0, *q).
+
+    Before R or the shifts are built, a block over block_max by a closed
+    lower bound raises ValueError ("at least N").  The basis holds every
+    z^alpha with |alpha| <= b, and R the c + 1 powers m^k of the grlex-leading
+    monomial m of f (m^k leads the k-th power of a component m leads, and a
+    diagonal sum of squared moduli does not cancel), so as
+    |A + B| >= |A| + |B| - 1 in Z^n the block has at least
+    C(n + b, n) - 1 + c monomials (C(n + b, n) - 1 for the empty map).  A b
+    above block_max is refused on b + c (b for the empty map) without
+    building C(n + b, n), as C(n + b, n) >= b + 1.
     """
-    n, one_plus = f.n, _norm_cells(_with_one(f))
+    n = f.n
+    if block_max is not None:
+        extra = c if f.components else 0
+        least = b + extra if b > block_max else comb(n + b, n) - 1 + extra
+        if least > block_max:
+            raise ValueError(f"solving for h would eliminate a block of at least {least} basis monomials; the limit is {block_max}")
+    one_plus = _norm_cells(_with_one(f))
     if c == 1:
         base, den, cells = one_plus
     else:
@@ -170,8 +187,9 @@ def solve_h(f: HoloMap, b: int, c: int, block_max: int | None = None) -> HoloMap
     a positive semidefinite block not coupled to the 1, so ``affine_split``
     of the whole form always returns h, rank-many components, the least
     possible count.  A block of more than ``block_max`` basis monomials
-    besides the constant raises ValueError, counted on the product's basis
-    before any of its cells is added.
+    besides the constant raises ValueError: at once when the closed bound of
+    ``_left_side`` is over the limit ("at least N"), else counted on the
+    product's basis before any of its cells is added.
     """
     _check_identity(f, 1, b, c)
     h = affine_split(_left_side(f, b, c, block_max))
@@ -215,16 +233,12 @@ def _difference(left: HermitianForm, support, den: int, cells) -> list[tuple[Mon
     """The nonzero entries of left minus the Gaussian-integer cells over support
     at den, as (row, column, value) in row-major grlex order: the entries of
     ``(left + -right).entries()`` for the form right of those cells.  Both
-    sides are added over the lcm of the denominators, keyed by monomial pair,
-    and no form is built."""
+    sides are added by ``_add_cells`` over the lcm of the denominators, each
+    index re-keyed to its monomial, and no form is built."""
     common = lcm(left.den, den)
     acc: dict[tuple[Monomial, Monomial], tuple[int, int]] = {}
-    for basis, part_den, part, sign in ((left.basis, left.den, left.cells, 1), (support, den, cells, -1)):
-        scale = sign * (common // part_den)
-        for (i, j), (re, im) in part.items():
-            key = (basis[i], basis[j])
-            old_re, old_im = acc.get(key, (0, 0))
-            acc[key] = (old_re + scale * re, old_im + scale * im)
+    _add_cells(acc, left.cells, left.basis, common // left.den)
+    _add_cells(acc, cells, support, -(common // den))
     pairs = sorted((key for key, (re, im) in acc.items() if re or im), key=lambda pair: (pair[0]._grlex, pair[1]._grlex))
     return [(ma, mb, _gaussian(*acc[ma, mb], common)) for ma, mb in pairs]
 

@@ -876,7 +876,7 @@ class HermitianForm:
     convention; ``gram`` is a dense view built on first use.
     """
 
-    __slots__ = ("n", "basis", "den", "cells", "_index", "_gram")
+    __slots__ = ("n", "basis", "den", "cells", "_gram")
 
     def __init__(self, n: int, basis: Sequence[Monomial], gram: Sequence[Sequence[object]]):
         """A form from a dense Gram matrix over ``basis``, validated to be Hermitian."""
@@ -908,7 +908,6 @@ class HermitianForm:
             # per size) until a full garbage collection empties it
             self.basis = tuple([mons[i] for i in rows])
             self.cells = {(new[i], new[j]): cell for (i, j), cell in cells.items()}
-        self._index = {mon: k for k, mon in enumerate(self.basis)}
         self._gram = None
 
     @classmethod
@@ -970,7 +969,8 @@ class HermitianForm:
             yield basis[i], basis[j], _gaussian(re, im, den)
 
     def coefficient(self, ma: Monomial, mb: Monomial) -> GaussianRational:
-        cell = self.cells.get((self._index.get(ma), self._index.get(mb)))
+        index = {mon: k for k, mon in enumerate(self.basis)}
+        cell = self.cells.get((index.get(ma), index.get(mb)))
         return GR_ZERO if cell is None else _gaussian(*cell, self.den)
 
     def degrees(self) -> set:
@@ -994,7 +994,7 @@ class HermitianForm:
         if self.n != other.n:
             raise ValueError("variable count mismatch")
         den = lcm(self.den, other.den)
-        position = dict(self._index)
+        position = {mon: k for k, mon in enumerate(self.basis)}
         move = [position.setdefault(mon, len(position)) for mon in other.basis]
         acc: dict[tuple[int, int], tuple[int, int]] = {}
         _add_cells(acc, self.cells, range(self.size), den // self.den)
@@ -1083,12 +1083,13 @@ def _outer_sum(size: int, columns) -> dict[tuple[int, int], tuple[int, int]]:
 
     Each s is an integer and each c a sparse Gaussian-integer vector, a list of
     (index, re, im) in ascending index order with every index below ``size``.
-    The upper triangle is summed and mirrored; if no c is complex it is one
-    int a cell, and no matrix of imaginary parts is allocated or scanned.
+    The upper triangle is summed and mirrored, and read out in one loop; if no
+    c is complex it is summed as one int a cell, and every row of imaginary
+    parts is one shared row of zeros.
     """
     real = not any(a_im for _, column in columns for _, _, a_im in column)
     re = [[0] * size for _ in range(size)]
-    im = None if real else [[0] * size for _ in range(size)]
+    im = [[0] * size] * size if real else [[0] * size for _ in range(size)]
     for s, column in columns:
         for p, (i, a_re, a_im) in enumerate(column):
             s_re, re_i = s * a_re, re[i]
@@ -1101,12 +1102,6 @@ def _outer_sum(size: int, columns) -> dict[tuple[int, int], tuple[int, int]]:
                 re_i[j] += s_re * b_re + s_im * b_im  # s * a_i * conj(a_j)
                 im_i[j] += s_im * b_re - s_re * b_im
     cells = {}
-    if real:
-        for i, re_i in enumerate(re):
-            for j in range(i, size):
-                if re_i[j]:
-                    cells[i, j] = cells[j, i] = (re_i[j], 0)
-        return cells
     for i, (re_i, im_i) in enumerate(zip(re, im)):
         for j in range(i, size):
             x, y = re_i[j], im_i[j]

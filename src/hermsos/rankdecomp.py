@@ -21,13 +21,15 @@ rank, and ``extract_sos`` achieves the rank, so these routines together
 decide minimality questions exactly.
 
 One fraction-free kernel, ``_ldlh``, does every exact elimination, by
-symmetric Bareiss steps in basis order, each connected block on its own (over
-integers if no cell of it is imaginary, else Gaussian integers) and every
-division exact.  ``inertia`` and ``extract_sos`` eliminate the form.  Every
-rank of rows R, of sparse Gaussian-integer vectors, follows one policy: it
-is first taken mod a prime, which certifies it when it reaches a proven
-upper bound, and only otherwise is it the number of nonzero pivots of a
-positive semidefinite Gram matrix.  ``_rank`` (for ``isometry``'s
+symmetric Bareiss steps in basis order, each connected block on its own and
+every division exact.  One step serves both kinds of block, with one column
+readout and one zero-pivot move; only its trailing update is over integers
+if no cell of the block is imaginary, else over Gaussian integers.
+``inertia`` and ``extract_sos`` eliminate the form.  Every rank of rows R,
+of sparse Gaussian-integer vectors, follows one policy: it is first taken
+mod a prime, which certifies it when it reaches a proven upper bound, and
+only otherwise is it the number of nonzero pivots of a positive
+semidefinite Gram matrix.  ``_rank`` (for ``isometry``'s
 minimality check and tensor power rank) certifies at min(rows, columns)
 and eliminates the smaller of R R^H and R^H R; ``_independent`` (for
 ``reduce_minimal``) certifies at the row count and eliminates R R^H, whose
@@ -110,10 +112,11 @@ def _ldlh(size: int, den: int, cells: Mapping[tuple[int, int], tuple[int, int]])
     column move writes only a_kk += conj(c) * a_kj (the new a_kj), as no
     step reads its other entries, below the diagonal or in finished rows.
     A pivot still zero after it raises ArithmeticError: one move per index.
-    A block with no imaginary part in its cells is eliminated as a real one, an
-    int per entry: c is never i there, so it stays real, with the same integers.
-    A block of one index k has no matrix: it is yielded as (k, a_kk, den, [])
-    without a step, a_kk read straight off ``cells`` (0 if the cell is absent).
+    One step, ``_step``, serves every block.  A block with no imaginary part in
+    its cells keeps no matrix of imaginary parts and updates an int per entry:
+    c is never i there, so it stays real, with the same integers.  A block of
+    one index k has no matrix: it is yielded as (k, a_kk, den, []) without a
+    step, a_kk read straight off ``cells`` (0 if the cell is absent).
     """
     # union-find with path halving; a block is named by its least index
     root = list(range(size))
@@ -151,64 +154,33 @@ def _ldlh(size: int, den: int, cells: Mapping[tuple[int, int], tuple[int, int]])
     for k in range(size):
         r = root[k]
         if r not in re:
-            # what either step yields for a block of one index, without starting it
+            # what ``_step`` yields for a block of one index, without starting it
             yield k, cells.get((k, k), (0, 0))[0], den, []
             continue
-        if r in im:
-            p = yield from _complex_step(members[r], re[r], im[r], place[k], prev[r], den)
-        else:
-            p = yield from _real_step(members[r], re[r], place[k], prev[r], den)
+        p = yield from _step(members[r], re[r], im.get(r), place[k], prev[r], den)
         if p:
             prev[r] = p
 
 
-def _real_step(block, a, lk: int, last: int, den: int):
-    """``_ldlh``'s step at local index lk of a real block; returns the pivot."""
-    m, rk = len(block), a[lk]
-    while True:
-        p = rk[lk]
-        column = [(block[i], rk[i], 0) for i in range(lk + 1, m) if rk[i]]
-        yield block[lk], p, last * den, column
-        if p or not column:
-            break
-        # resumed past an indefinite zero pivot: move it off zero.  s = a_jk is
-        # real and nonzero, so a_jj + 2s and a_jj - 2s differ by 4s and cannot
-        # both be 0: c = i, which would bring in an imaginary part, is never needed.
-        j, s = block.index(column[0][0]), column[0][1]
-        c = 1 if a[j][j] + 2 * s else -1
-        row_j = [a[t][j] for t in range(lk, j)] + a[j][j:]
-        rk[lk:] = [x + c * y for x, y in zip(rk[lk:], row_j)]
-        rk[lk] += c * rk[j]
-        if not rk[lk]:
-            raise ArithmeticError("zero pivot after a congruence")
-    if p:
-        # trailing update of the block's upper triangle, a_ik = a_ki read off row k
-        for i in range(lk + 1, m):
-            ri, a_ik = a[i], rk[i]
-            for j in range(i, m):
-                x = p * ri[j] - a_ik * rk[j]
-                if last != 1:
-                    x, rx = divmod(x, last)
-                    if rx:
-                        raise ArithmeticError("inexact division in fraction-free elimination")
-                ri[j] = x
-    return p
-
-
-def _complex_step(block, bre, bim, lk: int, last: int, den: int):
-    """``_ldlh``'s step at local index lk of a complex block; returns the pivot."""
-    m, rk, ik = len(block), bre[lk], bim[lk]
+def _step(block, re, im, lk: int, last: int, den: int):
+    """``_ldlh``'s step at local index lk of a block, real when ``im`` is None;
+    returns the pivot.  A real block reads and moves its row as a complex one
+    whose imaginary parts are 0: only the trailing update has a loop of each."""
+    m, rk = len(block), re[lk]
+    ik = [0] * m if im is None else im[lk]
     while True:
         p = rk[lk]
         column = [(block[i], rk[i], -ik[i]) for i in range(lk + 1, m) if rk[i] or ik[i]]
         yield block[lk], p, last * den, column
         if p or not column:
             break
-        # resumed past an indefinite zero pivot: move it off zero
+        # resumed past an indefinite zero pivot: move it off zero.  In a real block
+        # s = a_jk is real and nonzero, so a_jj + 2s and a_jj - 2s differ by 4s and
+        # cannot both be 0: c = i, which would bring in an imaginary part, is never needed.
         j, s_re = block.index(column[0][0]), column[0][1]
-        c_re, c_im = (1, 0) if bre[j][j] + 2 * s_re else (-1, 0) if bre[j][j] - 2 * s_re else (0, 1)
-        rj = [bre[t][j] for t in range(lk, j)] + bre[j][j:]
-        ij = [-bim[t][j] for t in range(lk, j)] + bim[j][j:]
+        c_re, c_im = (1, 0) if re[j][j] + 2 * s_re else (-1, 0) if re[j][j] - 2 * s_re else (0, 1)
+        rj = [re[t][j] for t in range(lk, j)] + re[j][j:]
+        ij = [0] * (m - lk) if im is None else [-im[t][j] for t in range(lk, j)] + im[j][j:]
         for t, x, y in zip(range(lk, m), rj, ij):
             rk[t] += c_re * x - c_im * y
             ik[t] += c_re * y + c_im * x
@@ -219,8 +191,17 @@ def _complex_step(block, bre, bim, lk: int, last: int, den: int):
     if p:
         # trailing update of the block's upper triangle, a_ik = conj(a_ki) read off row k
         for i in range(lk + 1, m):
-            ri, ii = bre[i], bim[i]
-            a_re, a_im = rk[i], -ik[i]
+            ri, a_re = re[i], rk[i]
+            if im is None:
+                for j in range(i, m):
+                    x = p * ri[j] - a_re * rk[j]
+                    if last != 1:
+                        x, rx = divmod(x, last)
+                        if rx:
+                            raise ArithmeticError("inexact division in fraction-free elimination")
+                    ri[j] = x
+                continue
+            ii, a_im = im[i], -ik[i]
             for j in range(i, m):
                 b_re, b_im = rk[j], ik[j]
                 x = p * ri[j] - (a_re * b_re - a_im * b_im)

@@ -67,6 +67,10 @@ ARGV = [
     # a basis in no grlex order with a zero row, and rational and int cells
     ["rank", "--input", "@form-unsorted-zero-row.json"],
     ["divide", "--input", "@form-unsorted-zero-row.json"],
+    # zero-diagonal forms whose zero pivots the kernel moves by c = -1 (a real
+    # block) and by c = i (a complex one)
+    ["rank", "--input", "@form-congruence-minus-one.json"],
+    ["rank", "--input", "@form-congruence-i.json"],
     # the map reader's refusals
     ["solve-h", "--input", "@map-duplicate-exponent.json"],
     ["solve-h", "--input", "@map-float-literal.json"],

@@ -180,38 +180,65 @@ def test_tensor_rank_over_the_ceiling_is_refused_at_once(tmp_path, capsys):
 
 
 def test_solve_h_over_the_block_ceiling_is_refused_at_once(tmp_path, capsys):
-    # (1 + ||z||^2)^40 (1 + |z0|^2) in 2 variables has a 901-monomial block
+    # (1 + ||z||^2)^40 (1 + |z0|^2) in 2 variables has a 901-monomial block, and
+    # the closed bound C(42, 2) - 1 + 1 = 861 already refuses it
     doc = write_json(tmp_path / "z0.json", {"n": 2, "components": [[{"exp": [1, 0], "re": 1}]]})
     start = time.perf_counter()
     assert main(["solve-h", "--input", doc, "--b", "40", "--c", "1"]) == 2
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == (
-        "error: solving for h would eliminate a block of 901 basis monomials; the limit is 256\n"
+        "error: solving for h would eliminate a block of at least 861 basis monomials; the limit is 256\n"
     )
     assert main(["solve-h", "--input", doc, "--b", "10", "--c", "1"]) == 0
     assert capsys.readouterr().out.startswith("m: ")
+    # at b = 21 the bound C(23, 2) - 1 + 1 = 253 is under the limit, and the
+    # shifted basis counts the block exactly; b = 20 (251 monomials) is solved
+    assert main(["solve-h", "--input", doc, "--b", "21", "--c", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: solving for h would eliminate a block of 274 basis monomials; the limit is 256\n"
+    )
+    assert main(["solve-h", "--input", doc, "--b", "20", "--c", "1"]) == 0
+    assert capsys.readouterr().out.startswith("m: 251\n")
 
 
 def test_solve_h_counts_a_large_block_without_expanding_it(tmp_path, capsys):
-    # (1 + ||z||^2)^200 (1 + |z0|^2) in 2 variables has a 20501-monomial block,
-    # counted from the 2 basis monomials of 1 + |z0|^2 and the shifts of degree <= 200
+    # (1 + ||z||^2)^200 (1 + |z0|^2) in 2 variables has a 20501-monomial block, refused
+    # on the bound C(202, 2) - 1 + 1 = 20301 before 1 + |z0|^2 is expanded or shifted
     doc = write_json(tmp_path / "z0.json", {"n": 2, "components": [[{"exp": [1, 0], "re": 1}]]})
     start = time.perf_counter()
     assert main(["solve-h", "--input", doc, "--b", "200", "--c", "1"]) == 2
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == (
-        "error: solving for h would eliminate a block of 20501 basis monomials; the limit is 256\n"
+        "error: solving for h would eliminate a block of at least 20301 basis monomials; the limit is 256\n"
     )
 
 
+@pytest.mark.parametrize(
+    "option, value, least",
+    [("--b", 10**6, 10**6 + 1), ("--b", 10**12, 10**12 + 1), ("--c", 10**6, 10**6 + 2)],
+    ids=["b=10^6", "b=10^12", "c=10^6"],
+)
+def test_solve_h_refuses_a_huge_exponent_from_the_closed_bound(tmp_path, capsys, option, value, least):
+    # a b over the limit is refused on b + c, as C(n + b, n) >= b + 1; a huge c
+    # on C(3, 2) - 1 + c, before (1 + |z0|^2)^c is built
+    doc = write_json(tmp_path / "z0.json", {"n": 2, "components": [[{"exp": [1, 0], "re": 1}]]})
+    start = time.perf_counter()
+    assert main(["solve-h", "--input", doc, option, str(value)]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: solving for h would eliminate a block of at least {least} basis monomials; the limit is 256\n"
+
+
 def test_solve_h_refuses_a_dependent_map_before_counting_its_block(tmp_path, capsys):
-    # (z0, 2*z0) at b = 200 is over the block limit too, but minimality is checked first
+    # (z0, 2*z0) at b = 200 or 10^12 is over the block limit too, but minimality is checked first
     doc = write_json(
         tmp_path / "dep.json",
         {"n": 2, "components": [[{"exp": [1, 0], "re": 1}], [{"exp": [1, 0], "re": 2}]]},
     )
-    assert main(["solve-h", "--input", doc, "--b", "200", "--c", "1"]) == 4
-    assert capsys.readouterr().err == "error: map components must be linearly independent\n"
+    for b in ("200", str(10**12)):
+        assert main(["solve-h", "--input", doc, "--b", b, "--c", "1"]) == 4
+        assert capsys.readouterr().err == "error: map components must be linearly independent\n"
 
 
 def test_ensemble_is_not_limited_by_the_solve_h_block_ceiling(capsys):

@@ -139,16 +139,46 @@ def test_solve_h_counts_its_block_only_past_the_degree_bound():
     assert solve_h(f, 12, 1, 180) == solve_h(f, 12, 1)
     with pytest.raises(ValueError, match="a block of 180 basis monomials; the limit is 179$"):
         solve_h(f, 12, 1, 179)
-    # the count is the size of the expanded block, complex and weighted maps too
+    # the closed bound C(14, 2) - 1 + 1 = 91 refuses below it
+    with pytest.raises(ValueError, match="a block of at least 91 basis monomials; the limit is 90$"):
+        solve_h(f, 12, 1, 90)
+    # the count is the size of the expanded block, complex and weighted maps too;
+    # at limit 0 every b is over the limit, and the bound is b + c
     rng = random.Random(2801)
+    exact = 0
     for _ in range(20):
         n, b, c = rng.choice((1, 2)), rng.randint(1, 3), rng.randint(1, 2)
         f, _ = reduce_minimal(rand_plain_map(rng, n, rng.randint(1, 2)))
         if rng.random() < 0.5:
             f = HoloMap(n, f.components, [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in f.components])
         size = _left_side(f, b, c).size - 1
-        with pytest.raises(ValueError, match=f"a block of {size} basis monomials; the limit is 0$"):
+        with pytest.raises(ValueError, match=f"a block of at least {b + c} basis monomials; the limit is 0$"):
             solve_h(f, b, c, 0)
+        least = comb(n + b, n) - 1 + c
+        assert least <= size
+        if least < size:
+            exact += 1
+            with pytest.raises(ValueError, match=f"a block of {size} basis monomials; the limit is {size - 1}$"):
+                solve_h(f, b, c, size - 1)
+        else:
+            with pytest.raises(ValueError, match=f"a block of at least {size} basis monomials; the limit is {size - 1}$"):
+                solve_h(f, b, c, size - 1)
+        assert len(solve_h(f, b, c, size)) == len(solve_h(f, b, c))
+    assert exact > 10
+
+
+def test_the_block_bound_of_the_empty_map_is_its_block():
+    # (1 + ||z||^2)^b alone: the block is every z^alpha with 0 < |alpha| <= b,
+    # C(n + b, n) - 1 of them, and a b above the limit is refused on b alone
+    for n, b in ((1, 5), (2, 3), (3, 2)):
+        f = HoloMap(n, [])
+        size = comb(n + b, n) - 1
+        assert _left_side(f, b, 1).size - 1 == size
+        assert len(solve_h(f, b, 1, size)) == size
+        with pytest.raises(ValueError, match=f"a block of at least {size} basis monomials; the limit is {size - 1}$"):
+            solve_h(f, b, 1, size - 1)
+        with pytest.raises(ValueError, match=f"a block of at least {b} basis monomials; the limit is {b - 1}$"):
+            solve_h(f, b, 1, b - 1)
 
 
 def test_the_left_side_is_the_product_of_the_powers_of_the_two_norms():

@@ -138,8 +138,8 @@ def test_a_one_index_block_yields_what_either_step_yields():
     assert [step for step in steps if step[0] not in singles] == alone
     # index 5 is the zero 1x1 block of interleaved_cells
     for k, x in {**singles, 5: 0}.items():
-        real = next(rankdecomp._real_step([k], [[x]], 0, 1, 3))
-        complex_ = next(rankdecomp._complex_step([k], [[x]], [[0]], 0, 1, 3))
+        real = next(rankdecomp._step([k], [[x]], None, 0, 1, 3))
+        complex_ = next(rankdecomp._step([k], [[x]], [[0]], 0, 1, 3))
         assert [step for step in steps if step[0] == k] == [real] == [complex_] == [(k, x, 3, [])]
 
 
@@ -366,6 +366,83 @@ def test_ldlh_yields_are_pinned():
             assert all(pivot >= 0 for _, pivot, _, _ in steps)
     # every unit occurs, and c = i only in a complex block
     assert choices == {("real", "1"), ("real", "-1"), ("complex", "1"), ("complex", "-1"), ("complex", "i")}
+
+
+def forced_congruence_form(rng, kind, c):
+    """A form of one connected block of 3 to 6 indices whose elimination meets
+    an indefinite zero pivot that the unit c, and no earlier one of 1, -1, i,
+    moves off zero; every entry is real in a real block.
+
+    S has S[0][0] = 0, s = S[0][1] and d = S[1][1]: c = 1 moves it when
+    d + 2 Re(s) != 0, c = -1 when only d - 2 Re(s) != 0, c = i when d = Re(s) = 0
+    and Im(s) != 0.  Half the forms are G = L diag(d0, S) L^H, L unit lower
+    triangular with only its first column below the diagonal: one step with
+    pivot d0 leaves d0 * S, so the move comes at index 1 and the trailing
+    update after it divides by d0.  Returns the form and the index of the move.
+    """
+    real = kind == "real"
+
+    def entry(nonzero=False):
+        while True:
+            x = GaussianRational(rng.randint(-3, 3), 0 if real else rng.randint(-3, 3))
+            if x or not nonzero:
+                return x
+
+    m = rng.randint(3, 5)
+    s = entry(nonzero=True)
+    if c == "1":
+        d = rng.randint(-3, 3)
+        while d + 2 * s.re == 0:
+            d = rng.randint(-3, 3)
+    elif c == "-1":
+        while not s.re:
+            s = entry(nonzero=True)
+        d = -2 * s.re
+    else:
+        s, d = GaussianRational(0, rng.choice((-2, -1, 1, 2))), 0
+    S = [[GR_ZERO] * m for _ in range(m)]
+    S[0][1], S[1][0], S[1][1] = s, s.conjugate(), GaussianRational(d)
+    for i in range(m):
+        for j in range(max(i, 2), m):
+            x = entry(nonzero=i == 0)  # row 0 keeps the block connected
+            if i == j:
+                x = GaussianRational(x.re)
+            elif i == 0 and j == 2 and not real and not x.im:
+                x = x + GR_I  # a complex block has an imaginary cell
+            S[i][j], S[j][i] = x, x.conjugate()
+    gram, at = S, 0
+    if rng.random() < 0.5:
+        d0 = rng.choice((-3, -2, -1, 1, 2, 3))
+        column = [entry(nonzero=k == 0) for k in range(m)]
+        gram = [[GaussianRational(d0)] + [d0 * l.conjugate() for l in column]]
+        gram += [[d0 * li] + [d0 * li * lj.conjugate() + S[i][j] for j, lj in enumerate(column)] for i, li in enumerate(column)]
+        at = 1
+    q = Fraction(1, rng.randint(1, 3))
+    gram = [[x * GaussianRational(q) for x in row] for row in gram]
+    return HermitianForm(1, [mono(k) for k in range(len(gram))], gram), at
+
+
+def test_every_congruence_choice_keeps_the_inertia():
+    # an oracle for each unit of the zero-pivot move: the kernel's signature
+    # against the reference elimination, on forms that force c
+    rng = random.Random(3301)
+    reached = set()
+    for kind, c in (("real", "1"), ("real", "-1"), ("complex", "1"), ("complex", "-1"), ("complex", "i")):
+        for _ in range(30):
+            form, at = forced_congruence_form(rng, kind, c)
+            assert form.size >= 3
+            assert all(not im for _, im in form.cells.values()) == (kind == "real")
+            steps = list(_ldlh(form.size, form.den, form.cells))
+            first = next(t for t, (k, pivot, _, column) in enumerate(steps) if not pivot and column)
+            assert steps[first][0] == steps[first + 1][0] == at
+            # the trailing update ran after the move: a later index of the block steps
+            assert any(k > at for k, _, _, _ in steps[first + 2 :])
+            choices = congruence_choices(steps)
+            assert choices[0] == c
+            reached.update((kind, choice) for choice in choices)
+            assert inertia(form) == reference_inertia(form)
+    assert {("real", "1"), ("real", "-1"), ("complex", "1"), ("complex", "-1"), ("complex", "i")} <= reached
+    assert ("real", "i") not in reached
 
 
 def test_extract_sos_refuses_a_negative_one_index_block_with_its_witness():
